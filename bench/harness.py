@@ -7,11 +7,14 @@ import contextlib
 import hashlib
 import io
 import json
+import statistics
 import time
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
+
+from calibrate import REF_KERNEL_S, kernel_s, warm_up
 
 
 # ---------------------------------------------------------------------------
@@ -123,35 +126,59 @@ def digest(output: Any) -> str:
 
 @dataclass
 class Timing:
-    round_s: list[float]  # untraced rounds
-    traced_round_s: list[float]
+    round_s: list[float]  # untraced rounds, calibration kernel excluded
+    round_units: list[float]  # round_s over the mean kernel time of the round
+    traced_round_units: list[float]  # the same for traced rounds
     op_s: list[list[float]]  # per op, one entry per round
+    op_units: list[list[float]]  # op_s over the mean of the kernel times on either side
     rounds: int
+
+    def ref_s(self) -> list[list[float]]:
+        """Per op, one entry per round: the time in reference-machine seconds."""
+        return [[REF_KERNEL_S * u for u in units] for units in self.op_units]
+
+    def op_median_ref_s(self) -> list[float]:
+        return [statistics.median(t) for t in self.ref_s()]
 
 
 def timed_section(ops: list[Op], seconds: float, tracer: Tracer, traced: bool):
-    """Whole rounds of ``ops`` until ``seconds`` have passed.  In a traced run
+    """Whole rounds of ``ops`` until ``seconds`` have passed, with the
+    calibration kernel timed between every two operations.  In a traced run
     every other round is traced, so the rounds without spans give the
     tracing overhead."""
     op_s: list[list[float]] = [[] for _ in ops]
-    round_s, traced_round_s = [], []
+    op_units: list[list[float]] = [[] for _ in ops]
+    round_s, round_units, traced_round_units = [], [], []
     first: list[Any] | None = None
     first_digests: list[str] = []
     nondeterministic = [0] * len(ops)
     min_rounds = 2 if traced else 1
+    warm_up()
+    k_prev = kernel_s()
     start = time.perf_counter()
     rounds = 0
     while True:
         tracer.enabled = traced and rounds % 2 == 0
         outputs = []
+        kernels = [k_prev]
         t0 = time.perf_counter()
         with tracer.span("bench.round"):
             for i, op in enumerate(ops):
                 with tracer.span(op.span):
                     ts = time.perf_counter()
                     outputs.append(op.run())
-                    op_s[i].append(time.perf_counter() - ts)
-        (traced_round_s if tracer.enabled else round_s).append(time.perf_counter() - t0)
+                    dt = time.perf_counter() - ts
+                k_next = kernel_s()
+                kernels.append(k_next)
+                op_s[i].append(dt)
+                op_units[i].append(dt / (0.5 * (k_prev + k_next)))
+                k_prev = k_next
+        elapsed = time.perf_counter() - t0 - sum(kernels[1:])
+        if tracer.enabled:
+            traced_round_units.append(elapsed / statistics.fmean(kernels))
+        else:
+            round_s.append(elapsed)
+            round_units.append(elapsed / statistics.fmean(kernels))
         digests = [digest(o) for o in outputs]
         if first is None:
             first, first_digests = outputs, digests
@@ -162,6 +189,5 @@ def timed_section(ops: list[Op], seconds: float, tracer: Tracer, traced: bool):
         if rounds >= min_rounds and time.perf_counter() - start >= seconds:
             break
     tracer.enabled = traced
-    return first, nondeterministic, Timing(round_s, traced_round_s, op_s, rounds)
-
-
+    timing = Timing(round_s, round_units, traced_round_units, op_s, op_units, rounds)
+    return first, nondeterministic, timing

@@ -318,7 +318,9 @@ def probe(g, tracer, ps: ProbeSet, timing) -> dict[str, tuple[float, str]]:
             run_cli(g.cli.main, argv)
     solve_ms = [d * MS for d in tracer.durations("cli.solve")]
     values["cli.solve_ms_p95"] = float(np.percentile(solve_ms, 95))
-    traced, plain = min(timing.traced_round_s), min(timing.round_s)
+    # rounds in kernel units, so that the host's speed state cancels
+    traced = statistics.median(timing.traced_round_units)
+    plain = statistics.median(timing.round_units)
     values["trace.overhead_pct"] = 100.0 * (traced - plain) / plain
     values["expr.tree_nodes"] = statistics.median(c[0] for c in counts)
     values["expr.dag_nodes"] = statistics.median(c[1] for c in counts)

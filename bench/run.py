@@ -37,6 +37,7 @@ import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+from calibrate import REF_KERNEL_S, kernel_s, warm_up  # noqa: E402
 from harness import Tracer, timed_section  # noqa: E402
 
 BENCH_DIR = Path(__file__).resolve().parent
@@ -120,18 +121,23 @@ def import_ghm():
     return ghm
 
 
-def setup_samples(workload) -> list[tuple[float, float]]:
-    """(import, build) seconds, SETUP_REPEATS times.  The import is timed in a
-    fresh interpreter each time (this process imports ghm only once); the
-    build is the workload's own: build each system once and make its first
-    call."""
+def setup_samples(workload) -> list[tuple[float, float, float]]:
+    """(import, build, kernel) seconds, SETUP_REPEATS times.  The import is
+    timed in a fresh interpreter each time (this process imports ghm only
+    once); the build is the workload's own: build each system once and make
+    its first call.  The calibration kernel is timed before, between and
+    after the two; ``kernel`` is the mean of those three times."""
+    warm_up()
     samples = []
     for _ in range(SETUP_REPEATS):
+        k0 = kernel_s()
         done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(SRC)], capture_output=True,
                               text=True, timeout=60, check=True)
+        k1 = kernel_s()
         ts = time.perf_counter()
         workload.setup()
-        samples.append((float(done.stdout), time.perf_counter() - ts))
+        build = time.perf_counter() - ts
+        samples.append((float(done.stdout), build, (k0 + k1 + kernel_s()) / 3))
     return samples
 
 
@@ -197,14 +203,18 @@ def main(argv: list[str] | None = None) -> int:
             print(f"self-time {layer} = {secs:.6f} s")
     else:
         metrics = {
-            "setup_s": (statistics.median(i + b for i, b in setup), "s"),
-            "wall_s": (sum(min(t) for t in timing.op_s), "s"),
+            "setup_s": (statistics.median(REF_KERNEL_S * (i + b) / k for i, b, k in setup), "s"),
+            "wall_s": (sum(timing.op_median_ref_s()), "s"),
             "peak_rss_mb": (rss, "MB"),
         }
-        print("setup samples (import + build): "
-              + ", ".join(f"{i:.4f} + {b:.4f}" for i, b in setup) + " s")
-        print(f"round time: fastest {min(timing.round_s):.4f} s, median "
-              f"{statistics.median(timing.round_s):.4f} s, slowest {max(timing.round_s):.4f} s")
+        print("setup samples, measured (import + build, kernel): "
+              + ", ".join(f"{i:.4f} + {b:.4f}, {1e3 * k:.3f} ms" for i, b, k in setup))
+        kernels = sorted(k for *_, k in setup)
+        print(f"calibration kernel: {1e3 * kernels[0]:.3f} to {1e3 * kernels[-1]:.3f} ms in set-up, "
+              f"reference {1e3 * REF_KERNEL_S:.3f} ms")
+        print(f"round time, measured: fastest {min(timing.round_s):.4f} s, median "
+              f"{statistics.median(timing.round_s):.4f} s, slowest {max(timing.round_s):.4f} s; "
+              f"sum of fastest repeats {sum(min(t) for t in timing.op_s):.4f} s")
     for name, (value, unit) in metrics.items():
         print(f"{name} = {value:.6g} {unit}")
     print(json.dumps({

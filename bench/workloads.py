@@ -277,16 +277,17 @@ class Integrate(Workload):
     # -- rates and probe inputs ---------------------------------------------
 
     def report(self, timing: Timing, outputs):
-        best = [min(t) for t in timing.op_s]
+        op_s = timing.op_median_ref_s()
         steps = [len(_parse_sim(o.stdout)[1]) - 1 if o.rc == 0 else 0
                  for o in outputs[:len(self.sims)]]
 
         def rate(route):
             idx = [i for i, s in enumerate(self.sims) if s.route == route]
-            return sum(steps[i] for i in idx) / sum(best[i] for i in idx)
+            return sum(steps[i] for i in idx) / sum(op_s[i] for i in idx)
 
+        ref_s = timing.ref_s()
         solve_ms = [1e3 * t for i in range(len(self.sims), len(self.sims) + len(self.solves))
-                    for t in timing.op_s[i]]
+                    for t in ref_s[i]]
         return [("tensor_steps_per_s", rate("tensor"), "steps/s"),
                 ("rkf45_steps_per_s", rate("rkf45"), "steps/s"),
                 ("form_steps_per_s", rate("form"), "steps/s"),
@@ -402,16 +403,16 @@ class VerifyBuiltins(Workload):
         return None if residual <= tol else f"pullback residual {residual:.3e} > {tol:g}"
 
     def report(self, timing: Timing, outputs):
-        best = [min(t) for t in timing.op_s]
+        op_s = timing.op_median_ref_s()
         n_checks = len(self.checks)
         scanned = [samples * len(_check_json(res))
                    for res, (_, samples, _, _) in zip(outputs, self.checks)]
 
         def flatten_rate(numeric):
             idx = [n_checks + i for i, f in enumerate(self.flattens) if f[3] == numeric]
-            return sum(self.flattens[i - n_checks][2] for i in idx) / sum(best[i] for i in idx)
+            return sum(self.flattens[i - n_checks][2] for i in idx) / sum(op_s[i] for i in idx)
 
-        return [("check_points_per_s", sum(scanned) / sum(best[:n_checks]), "points/s"),
+        return [("check_points_per_s", sum(scanned) / sum(op_s[:n_checks]), "points/s"),
                 ("flatten_points_per_s", flatten_rate(False), "points/s"),
                 ("flatten_numeric_points_per_s", flatten_rate(True), "points/s")]
 
@@ -531,7 +532,7 @@ class FamilySweep(Workload):
         return None
 
     def report(self, timing: Timing, outputs):
-        return [("systems_per_s", len(self.fields) / sum(min(t) for t in timing.op_s), "systems/s")]
+        return [("systems_per_s", len(self.fields) / sum(timing.op_median_ref_s()), "systems/s")]
 
     def probe_set(self, outputs):
         pairs = [(self._build(f), [tuple(map(float, p)) for p in pts])
