@@ -38,7 +38,7 @@ from .exterior import (
     pullback_with_jacobian,
     wedge_fields,
 )
-from .hdw import SolveReport, assemble_hatmap, solve_hdw
+from .hdw import SolveReport, assemble_hatmap, hatmap_rhs, solve_hdw
 from .identities import closure_residual
 
 FD_STEP = 1e-5
@@ -106,11 +106,16 @@ class SystemSpec:
     # -- structures -------------------------------------------------------
 
     def sigma(self) -> FormField:
-        """dH^1 ^ ... ^ dH^{k-1} from the form-route Hamiltonian list."""
+        """dH^1 ^ ... ^ dH^{k-1} from the form-route Hamiltonian list; built
+        once per list, so its compiled coefficients are too."""
         hams = self.form_hamiltonians or self.hamiltonians
+        built = self.__dict__.get("_sigma")
+        if built is not None and built[0] == hams:
+            return built[1]
         out = grad_field(hams[0])
         for h in hams[1:]:
             out = wedge_fields(out, grad_field(h))
+        self._sigma = (hams, out)
         return out
 
     @cached_property
@@ -127,11 +132,14 @@ class SystemSpec:
     @cached_property
     def _compiled_eom(self) -> Callable[[Sequence[float]], tuple]:
         if self.mode == "tensor":
-            return self.bracket_field.compiled()
+            return self.bracket_field.compiled
         sigma = self.sigma()
 
         def f(x):
-            return solve_hdw(self.form, sigma, x).x
+            report = solve_hdw(self.form, sigma, x)
+            if not report.consistent:
+                raise IntegrationError(_inconsistent(x, report))
+            return report.x
 
         return f
 
@@ -182,6 +190,10 @@ class SystemSpec:
                 f"at the base point {base}")
 
 
+def _inconsistent(point: Sequence[float], report: SolveReport) -> str:
+    return f"hat-map system inconsistent at {tuple(point)}: residual {report.residual:g}"
+
+
 def divergence(system: SystemSpec, point: Sequence[float]) -> float:
     """sum_i dX^i/dx^i; exact-symbolic on the tensor route, central
     differences (step 1e-5) on the form route."""
@@ -207,8 +219,7 @@ def vector_field_of(system: SystemSpec, point: Sequence[float], *,
             raise InputError(f"system {system.name!r} has no form structure")
         report = solve_hdw(system.form, system.sigma(), point, tolerance)
         if not report.consistent:
-            raise IntegrationError(
-                f"hat-map system inconsistent at {tuple(point)}: residual {report.residual:g}")
+            raise IntegrationError(_inconsistent(point, report))
         X = np.array(report.x)
         info["solve_report"] = report
     else:
@@ -219,8 +230,7 @@ def vector_field_of(system: SystemSpec, point: Sequence[float], *,
         report = solve_hdw(system.form, system.sigma(), point, tolerance)
         Xf = np.array(report.x)
         hat = assemble_hatmap(system.form, point)
-        S = system.sigma().at(point)
-        b = -np.array([S.component(I) for I in hat.rows])
+        b = hatmap_rhs(system.sigma(), hat.rows, point)
         info["bracket_hdw_residual"] = float(
             np.linalg.norm(hat.apply(system.route_sign * Xt) - b))
         # kernel-orthogonal projection of the bracket field
@@ -450,7 +460,7 @@ def moser_family_residual(w0: FormField, X_t: Callable[[float], VectorField],
 
 def _numeric_flow(problem: MoserProblem, t: float, steps_per_unit: int = 512):
     """Fixed-step RK4 flow map of the deformation field."""
-    f = problem.X.compiled()
+    f = problem.X.compiled
     nsteps = max(1, round(abs(t) * steps_per_unit))
     h = t / nsteps
 

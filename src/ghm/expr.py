@@ -12,18 +12,36 @@ Grammar (infix, precedence pow > unary minus > mul/div > add/sub):
 Coordinates are canonically named x1..xn; callers may declare display
 aliases (q1, xi2, ...) that resolve to axes at parse time.  Functions:
 sqrt, sin, cos, exp, log.  Exponents are constant integers or rationals,
-which keeps differentiation closed over the node set.
+which keeps differentiation closed over the node set.  A numeric literal
+that overflows a float is a ParseError.
 
-Trees are immutable and evaluation is pure, so expressions are safe to
-share across threads.  Constructors fold constants and algebraic units
-(0 + e, 1 * e, e^1, ...) so derivative trees stay small; no other
-rewriting is attempted.
+Interned nodes.  Nodes are immutable and hash-consed: constructing a node
+returns the live node with the same type and fields (floats by their bits,
+so Const(-0.0) is not Const(0.0)), so equality is identity and hashing is
+O(1).  The intern table holds nodes weakly.  Constructors fold constants
+and algebraic units (0 + e, 1 * e, e^1, ...); nothing else is rewritten.
+``differentiate`` is memoized per (node, axis) on the node.
+
+One compiler.  ``compile_vector`` turns a list of expressions into one
+straight-line function with one temporary per unique node, in left-to-right
+post-order; each temporary is the single ``float`` or ``math`` operation of
+its node, so values are bit for bit those of a node-by-node evaluation.
+Owners cache their compiled function (fields on themselves, ``compile_expr``
+and ``evaluate`` on the node).  A ZeroDivisionError, ValueError or
+OverflowError raised by the generated code is mapped through the
+traceback's line to its node and re-raised as ``EvalDomainError`` naming
+that node; the first fault in walk order is the one reported.  There is no
+numpy target: numpy's transcendental ufuncs can differ from ``math`` in the
+last ulp, which would change printed results.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import struct
+import sys
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -34,69 +52,112 @@ from .errors import EvalDomainError, ParseError
 FUNCTIONS = ("sqrt", "sin", "cos", "exp", "log")
 
 
-class Expr:
-    """Base node.  Subclasses are frozen dataclasses; compare structurally."""
+# ---------------------------------------------------------------------------
+# Interned nodes
+# ---------------------------------------------------------------------------
 
-    __slots__ = ()
+_float_bits = struct.Struct("<d").pack
+
+# intern key -> live node.  A key holds the node's children, which the node
+# holds anyway; no node refers to an ancestor (the derivative memo is weak),
+# so the table never keeps a dead node's subtree alive.
+_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+class _Interned(type):
+    """Node classes: a call returns the live node with the same key, if any."""
+
+    def __call__(cls, *args):
+        key = cls._key(args)
+        node = _LIVE.get(key)
+        if node is None:
+            node = _LIVE[key] = super().__call__(*args)
+        return node
+
+
+class Expr(metaclass=_Interned):
+    """Base node.  Subclasses are frozen dataclasses, interned on construction."""
+
+    # memo: axis -> weak reference to the derivative (which may contain the
+    # node itself, and a strong reference would make a cycle); compiled value
+    __slots__ = ("_derivs", "_fn", "__weakref__")
+
+    @classmethod
+    def _key(cls, args: tuple) -> tuple:
+        return (cls, *args)  # children hash and compare by identity
+
+    def __reduce__(self):
+        # copies and unpickled nodes are interned like constructed ones
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
     def __str__(self) -> str:
         return to_str(self)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Const(Expr):
     value: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "value", float(self.value))
 
-@dataclass(frozen=True, slots=True)
+    @classmethod
+    def _key(cls, args: tuple) -> tuple:
+        return (cls, _float_bits(args[0]))
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class Coord(Expr):
     axis: int  # 1-based
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Param(Expr):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Call(Expr):
     fn: str
     arg: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Add(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Sub(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Mul(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Div(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Pow(Expr):
     base: Expr
     exponent: Fraction  # constant integer or rational
+
+    def __post_init__(self):
+        object.__setattr__(self, "exponent", Fraction(self.exponent))
 
 
 ZERO = Const(0.0)
@@ -109,6 +170,37 @@ def is_zero(e: Expr) -> bool:
 
 def is_one(e: Expr) -> bool:
     return isinstance(e, Const) and e.value == 1.0
+
+
+def children(e: Expr) -> tuple[Expr, ...]:
+    """Operands in evaluation order (left to right)."""
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return (e.a, e.b)
+    if isinstance(e, (Neg, Call)):
+        return (e.arg,)
+    if isinstance(e, Pow):
+        return (e.base,)
+    return ()
+
+
+def unique_nodes(exprs: Iterable[Expr]) -> list[Expr]:
+    """Every node reachable from ``exprs`` once, children before parents, in
+    the order a left-to-right post-order walk first reaches it."""
+    seen: set[Expr] = set()
+    order: list[Expr] = []
+    for e in exprs:
+        _visit(e, seen, order)
+    return order
+
+
+def _visit(e: Expr, seen: set, order: list) -> None:
+    # module level, not a closure: a recursive closure is a reference cycle
+    # that would keep every node it saw alive until the next collection
+    if e not in seen:
+        seen.add(e)
+        for c in children(e):
+            _visit(c, seen, order)
+        order.append(e)
 
 
 # ---------------------------------------------------------------------------
@@ -203,54 +295,26 @@ def _pow_value(base: float, exponent: Fraction) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
-# ---------------------------------------------------------------------------
-
-def evaluate(e: Expr, point: Sequence[float], params: Mapping[str, float] | None = None) -> float:
-    """Evaluate at ``point`` (length n, 0-indexed storage for axes 1..n)."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Coord):
-        return float(point[e.axis - 1])
-    if isinstance(e, Param):
-        if params is None or e.name not in params:
-            raise EvalDomainError(f"unbound parameter {e.name!r}")
-        return float(params[e.name])
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, point, params)
-    if isinstance(e, Add):
-        return evaluate(e.a, point, params) + evaluate(e.b, point, params)
-    if isinstance(e, Sub):
-        return evaluate(e.a, point, params) - evaluate(e.b, point, params)
-    if isinstance(e, Mul):
-        return evaluate(e.a, point, params) * evaluate(e.b, point, params)
-    if isinstance(e, Div):
-        denom = evaluate(e.b, point, params)
-        if denom == 0.0:
-            raise EvalDomainError("division by zero", to_str(e))
-        return evaluate(e.a, point, params) / denom
-    if isinstance(e, Pow):
-        base = evaluate(e.base, point, params)
-        try:
-            return _pow_value(base, e.exponent)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise EvalDomainError(f"power domain error: {exc}", to_str(e)) from None
-    if isinstance(e, Call):
-        arg = evaluate(e.arg, point, params)
-        if e.fn == "sqrt" and arg < 0.0:
-            raise EvalDomainError("sqrt of negative value", to_str(e))
-        if e.fn == "log" and arg <= 0.0:
-            raise EvalDomainError("log of nonpositive value", to_str(e))
-        return getattr(math, e.fn)(arg)
-    raise TypeError(f"not an Expr: {e!r}")
-
-
-# ---------------------------------------------------------------------------
 # Differentiation
 # ---------------------------------------------------------------------------
 
 def differentiate(e: Expr, axis: int) -> Expr:
-    """Exact partial derivative with respect to coordinate ``axis`` (1-based)."""
+    """Exact partial derivative with respect to coordinate ``axis`` (1-based);
+    memoized on the node."""
+    try:
+        memo = e._derivs
+    except AttributeError:
+        memo = {}
+        object.__setattr__(e, "_derivs", memo)
+    ref = memo.get(axis)
+    d = ref() if ref is not None else None
+    if d is None:
+        d = _derive(e, axis)
+        memo[axis] = weakref.ref(d)
+    return d
+
+
+def _derive(e: Expr, axis: int) -> Expr:
     if isinstance(e, (Const, Param)):
         return ZERO
     if isinstance(e, Coord):
@@ -289,52 +353,39 @@ def differentiate(e: Expr, axis: int) -> Expr:
 # Substitution
 # ---------------------------------------------------------------------------
 
-def substitute(e: Expr, coord_map: Mapping[int, Expr]) -> Expr:
-    """Replace coordinates by expressions (used for map composition and restriction)."""
-    if isinstance(e, Coord):
-        return coord_map.get(e.axis, e)
-    if isinstance(e, (Const, Param)):
-        return e
-    if isinstance(e, Neg):
-        return neg(substitute(e.arg, coord_map))
-    if isinstance(e, Add):
-        return add(substitute(e.a, coord_map), substitute(e.b, coord_map))
-    if isinstance(e, Sub):
-        return sub(substitute(e.a, coord_map), substitute(e.b, coord_map))
-    if isinstance(e, Mul):
-        return mul(substitute(e.a, coord_map), substitute(e.b, coord_map))
-    if isinstance(e, Div):
-        return div(substitute(e.a, coord_map), substitute(e.b, coord_map))
-    if isinstance(e, Pow):
-        return powc(substitute(e.base, coord_map), e.exponent)
-    if isinstance(e, Call):
-        return call(e.fn, substitute(e.arg, coord_map))
-    raise TypeError(f"not an Expr: {e!r}")
+_FOLD = {Neg: neg, Add: add, Sub: sub, Mul: mul, Div: div}
+
+
+def substitute(e: Expr, leaf_map: Mapping[int | Expr, Expr]) -> Expr:
+    """Replace leaves by expressions (map composition, restriction, binding).
+
+    Integer keys name coordinate axes; node keys are Coord or Param leaves."""
+    leaves = {Coord(key) if isinstance(key, int) else key: v for key, v in leaf_map.items()}
+    return _substitute(e, leaves)
+
+
+def _substitute(e: Expr, memo: dict[Expr, Expr]) -> Expr:
+    """``memo`` starts as the leaf map and collects every rewritten node."""
+    out = memo.get(e)
+    if out is None:
+        if isinstance(e, (Const, Coord, Param)):
+            out = e
+        elif isinstance(e, Pow):
+            out = powc(_substitute(e.base, memo), e.exponent)
+        elif isinstance(e, Call):
+            out = call(e.fn, _substitute(e.arg, memo))
+        else:
+            out = _FOLD[type(e)](*(_substitute(c, memo) for c in children(e)))
+        memo[e] = out
+    return out
 
 
 def bind_params(e: Expr, values: Mapping[str, float]) -> Expr:
-    """Replace parameter leaves by constants."""
-    if isinstance(e, Param):
-        if e.name not in values:
-            raise EvalDomainError(f"unbound parameter {e.name!r}")
-        return Const(float(values[e.name]))
-    if isinstance(e, (Const, Coord)):
-        return e
-    if isinstance(e, Neg):
-        return neg(bind_params(e.arg, values))
-    if isinstance(e, Add):
-        return add(bind_params(e.a, values), bind_params(e.b, values))
-    if isinstance(e, Sub):
-        return sub(bind_params(e.a, values), bind_params(e.b, values))
-    if isinstance(e, Mul):
-        return mul(bind_params(e.a, values), bind_params(e.b, values))
-    if isinstance(e, Div):
-        return div(bind_params(e.a, values), bind_params(e.b, values))
-    if isinstance(e, Pow):
-        return powc(bind_params(e.base, values), e.exponent)
-    if isinstance(e, Call):
-        return call(e.fn, bind_params(e.arg, values))
-    raise TypeError(f"not an Expr: {e!r}")
+    """Replace parameter leaves by constants; an unbound one is an error."""
+    for node in unique_nodes((e,)):
+        if isinstance(node, Param) and node.name not in values:
+            raise EvalDomainError(f"unbound parameter {node.name!r}")
+    return substitute(e, {Param(name): Const(float(v)) for name, v in values.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -391,44 +442,103 @@ def to_str(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Compilation (hot paths: trajectory integration, batch sampling)
+# Compilation: one straight-line function per list of expressions
 # ---------------------------------------------------------------------------
 
-def _source(e: Expr) -> str:
+_BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+_FAULTS = (ZeroDivisionError, ValueError, OverflowError)
+_FIRST_NODE_LINE = 3  # line 1 is the def, line 2 the try
+# CPython interns every name it compiles and drops the name with the last
+# code object using it.  Holding "t0", "t1", ... here keeps each compile from
+# adding and removing hundreds of entries in the interpreter-wide table of
+# interned strings, whose resizes would otherwise raise peak memory.
+_TEMP_NAMES: list[str] = []
+_NAMESPACE = {"_float": float, "_pow": math.pow, "_FAULTS": _FAULTS,
+              **{f"_{fn}": getattr(math, fn) for fn in FUNCTIONS}}
+
+
+def _fault(exc: Exception, nodes: Sequence) -> Exception:
+    """The EvalDomainError for a fault raised at a generated line."""
+    node = nodes[exc.__traceback__.tb_lineno - _FIRST_NODE_LINE]
+    if isinstance(node, weakref.ref):
+        node = node()
+    if isinstance(exc, OverflowError):
+        message = "floating-point overflow"
+    elif isinstance(node, Div):
+        message = "division by zero"
+    elif isinstance(node, Pow):
+        message = f"power domain error: {exc}"
+    elif isinstance(node, Call) and node.fn == "sqrt":
+        message = "sqrt of negative value"
+    elif isinstance(node, Call) and node.fn == "log":
+        message = "log of nonpositive value"
+    elif isinstance(node, Call):
+        message = f"{node.fn} domain error: {exc}"
+    else:
+        return exc
+    return EvalDomainError(message, "" if node is None else to_str(node))
+
+
+def _rhs(e: Expr, i: int, index: Mapping[Expr, int], namespace: dict) -> str:
+    """Source of the one operation node ``i`` performs on its operands."""
     if isinstance(e, Const):
-        return repr(e.value)
+        if math.isfinite(e.value):
+            return repr(e.value)
+        namespace[f"_c{i}"] = e.value
+        return f"_c{i}"
     if isinstance(e, Coord):
-        return f"x[{e.axis - 1}]"
+        return f"_float(x[{e.axis - 1}])"
     if isinstance(e, Param):
-        raise EvalDomainError(f"cannot compile unbound parameter {e.name!r}")
+        raise EvalDomainError(f"unbound parameter {e.name!r}")
     if isinstance(e, Neg):
-        return f"(-{_source(e.arg)})"
-    if isinstance(e, Add):
-        return f"({_source(e.a)}+{_source(e.b)})"
-    if isinstance(e, Sub):
-        return f"({_source(e.a)}-{_source(e.b)})"
-    if isinstance(e, Mul):
-        return f"({_source(e.a)}*{_source(e.b)})"
-    if isinstance(e, Div):
-        return f"({_source(e.a)}/{_source(e.b)})"
+        return f"-t{index[e.arg]}"
     if isinstance(e, Pow):
         ex = e.exponent
-        if ex.denominator == 1:
-            return f"({_source(e.base)})**({ex.numerator})"
-        return f"m.pow({_source(e.base)},{ex.numerator}/{ex.denominator})"
+        return (f"t{index[e.base]} ** {ex.numerator}" if ex.denominator == 1
+                else f"_pow(t{index[e.base]}, {float(ex)!r})")
     if isinstance(e, Call):
-        return f"m.{e.fn}({_source(e.arg)})"
-    raise TypeError(f"not an Expr: {e!r}")
+        return f"_{e.fn}(t{index[e.arg]})"
+    return f"t{index[e.a]} {_BINARY[type(e)]} t{index[e.b]}"
 
 
-def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
-    """Compile a parameter-free expression to a plain Python callable."""
-    return eval(f"lambda x: {_source(e)}", {"m": math})
+def _compile(exprs: Sequence[Expr], scalar: bool) -> Callable:
+    nodes = unique_nodes(exprs)
+    _TEMP_NAMES.extend(sys.intern(f"t{i}") for i in range(len(_TEMP_NAMES), len(nodes)))
+    index = {e: i for i, e in enumerate(nodes)}
+    line_nodes: list = list(nodes)  # for naming a faulting node
+    if scalar:
+        # compile_expr caches the function on its root, the last node: a
+        # strong reference back would be a cycle that only the collector frees
+        line_nodes[-1] = weakref.ref(nodes[-1])
+    namespace = dict(_NAMESPACE, _fault=_fault, _nodes=line_nodes)
+    results = [f"t{index[e]}" for e in exprs]
+    lines = ["def _f(x):", " try:"]
+    lines += [f"  t{i} = {_rhs(e, i, index, namespace)}" for i, e in enumerate(nodes)]
+    lines.append(f"  return {results[0]}" if scalar
+                 else f"  return ({''.join(r + ',' for r in results)})")
+    lines += [" except _FAULTS as exc:", "  raise _fault(exc, _nodes) from None"]
+    exec(compile("\n".join(lines), "<ghm.expr compiled>", "exec"), namespace)
+    return namespace.pop("_f")  # the function's globals must not refer back to it
 
 
 def compile_vector(exprs: Iterable[Expr]) -> Callable[[Sequence[float]], tuple]:
-    body = ",".join(_source(e) for e in exprs)
-    return eval(f"lambda x: ({body},)", {"m": math})
+    """One function of a point returning the tuple of the expressions' values."""
+    return _compile(tuple(exprs), scalar=False)
+
+
+def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
+    """The scalar function of a parameter-free expression, cached on the node."""
+    try:
+        return e._fn
+    except AttributeError:
+        fn = _compile((e,), scalar=True)
+        object.__setattr__(e, "_fn", fn)
+        return fn
+
+
+def evaluate(e: Expr, point: Sequence[float], params: Mapping[str, float] | None = None) -> float:
+    """Value at ``point`` (length n, 0-indexed storage for axes 1..n)."""
+    return compile_expr(bind_params(e, params) if params is not None else e)(point)
 
 
 # ---------------------------------------------------------------------------
@@ -573,15 +683,22 @@ class _Parser:
 
     @staticmethod
     def _int_fraction(text: str, off: int) -> Fraction:
-        value = float(text)
+        value = _Parser._number(text, off)
         if value != int(value):
             raise ParseError("exponent must be a constant integer or rational", off)
         return Fraction(int(value))
 
+    @staticmethod
+    def _number(text: str, off: int) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise ParseError(f"number {text!r} overflows a float", off)
+        return value
+
     def atom(self) -> Expr:
         kind, val, off = self.next()
         if kind == "num":
-            return Const(float(val))
+            return Const(self._number(val, off))
         if kind == "ident":
             if val in FUNCTIONS:
                 kind2, val2, off2 = self.peek()
@@ -640,7 +757,7 @@ class ScalarField:
         return cls(n, e, name)
 
     def __call__(self, point: Sequence[float]) -> float:
-        return evaluate(self.expression, point)
+        return self.compiled(point)
 
     @cached_property
     def grad(self) -> tuple[Expr, ...]:
@@ -650,11 +767,15 @@ class ScalarField:
         return self.grad[axis - 1]
 
     def gradient(self, point: Sequence[float]) -> list[float]:
-        return [evaluate(g, point) for g in self.grad]
+        return list(self._compiled_grad(point))
 
     @cached_property
     def compiled(self) -> Callable[[Sequence[float]], float]:
         return compile_expr(self.expression)
+
+    @cached_property
+    def _compiled_grad(self) -> Callable[[Sequence[float]], tuple]:
+        return compile_vector(self.grad)
 
     def is_constant_zero(self) -> bool:
         return is_zero(self.expression)

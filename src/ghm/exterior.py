@@ -34,7 +34,8 @@ coefficients.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -275,7 +276,7 @@ def hdw_vs_bracket_sign(k: int) -> int:
 class _AltField:
     """Sparse alternating tensor field; coefficients are expressions."""
 
-    __slots__ = ("n", "k", "coeffs")
+    __slots__ = ("n", "k", "coeffs", "_memo")
     _value_cls: type = _AltValue
 
     def __init__(self, n: int, k: int, coeffs: Mapping[Key, Expr] | None = None,
@@ -302,13 +303,25 @@ class _AltField:
             term = e if s == 1 else ex.neg(e)
             out[key] = term if prev is None else ex.add(prev, term)
         self.coeffs = {key: e for key, e in out.items() if not ex.is_zero(e)}
+        self._memo: dict = {}
+
+    def memo(self, name, build: Callable[["_AltField"], object]):
+        """``build(self)``, computed once per field: for data derived from the
+        coefficients alone (compiled values, index scatters)."""
+        try:
+            return self._memo[name]
+        except KeyError:
+            value = self._memo[name] = build(self)
+            return value
+
+    def coefficient_values(self, point: Sequence[float]) -> tuple[float, ...]:
+        """The coefficients' values at ``point``, in ``coeffs`` order."""
+        return self.memo("values", lambda f: ex.compile_vector(f.coeffs.values()))(point)
 
     def at(self, point: Sequence[float]) -> _AltValue:
-        return self._value_cls(
-            self.n, self.k,
-            {key: ex.evaluate(e, point) for key, e in self.coeffs.items()},
-            _normalized=True,
-        )
+        return self._value_cls(self.n, self.k,
+                               dict(zip(self.coeffs, self.coefficient_values(point))),
+                               _normalized=True)
 
     def component_expr(self, indices: Sequence[int]) -> Expr:
         key, s = sort_with_sign(indices)
@@ -383,7 +396,7 @@ class VectorField:
             raise DimensionError(f"expected {self.n} components")
 
     def at(self, point: Sequence[float]) -> np.ndarray:
-        return np.array([ex.evaluate(c, point) for c in self.components])
+        return np.array(self.compiled(point))
 
     def divergence_expr(self) -> Expr:
         out = ex.ZERO
@@ -391,6 +404,7 @@ class VectorField:
             out = ex.add(out, ex.differentiate(c, i))
         return out
 
+    @cached_property
     def compiled(self) -> Callable[[Sequence[float]], tuple]:
         return ex.compile_vector(self.components)
 
@@ -422,11 +436,11 @@ def exterior_derivative(w: FormField) -> FormField:
     out: dict[Key, Expr] = {}
     for key, e in w.coeffs.items():
         for i in range(1, w.n + 1):
-            de = ex.differentiate(e, i)
-            if ex.is_zero(de):
-                continue
             new_key, s = sort_with_sign((i,) + key)
             if s == 0:
+                continue
+            de = ex.differentiate(e, i)
+            if ex.is_zero(de):
                 continue
             term = de if s == 1 else ex.neg(de)
             out[new_key] = ex.add(out[new_key], term) if new_key in out else term
@@ -477,10 +491,6 @@ def lie_derivative(X: VectorField, w: FormField) -> FormField:
         interior_vector_field(X, exterior_derivative(w))
 
 
-def lie_derivative_at(X: VectorField, w: FormField, point: Sequence[float]) -> FormValue:
-    return lie_derivative(X, w).at(point)
-
-
 # ---------------------------------------------------------------------------
 # Point maps and pullback
 # ---------------------------------------------------------------------------
@@ -501,14 +511,19 @@ class PointMap:
         return cls(n, tuple(ex.Coord(i) for i in range(1, n + 1)))
 
     def at(self, point: Sequence[float]) -> np.ndarray:
-        return np.array([ex.evaluate(c, point) for c in self.components])
+        return np.array(self._compiled(point))
 
     def jacobian(self, point: Sequence[float]) -> np.ndarray:
-        J = np.empty((self.n, self.n))
-        for a, comp in enumerate(self.components):
-            for i in range(1, self.n + 1):
-                J[a, i - 1] = ex.evaluate(ex.differentiate(comp, i), point)
-        return J
+        return np.array(self._compiled_jacobian(point)).reshape(self.n, self.n)
+
+    @cached_property
+    def _compiled(self) -> Callable[[Sequence[float]], tuple]:
+        return ex.compile_vector(self.components)
+
+    @cached_property
+    def _compiled_jacobian(self) -> Callable[[Sequence[float]], tuple]:
+        return ex.compile_vector(ex.differentiate(comp, i) for comp in self.components
+                                 for i in range(1, self.n + 1))
 
     def compose(self, inner: "PointMap") -> "PointMap":
         """self after inner: (self o inner)(x) = self(inner(x))."""

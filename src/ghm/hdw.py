@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError
-from .exterior import FormField, increasing_indices
+from .exterior import FormField, increasing_indices, sort_with_sign
 
 # relative singular-value cutoff for rank decisions
 RCOND = 1e-10
@@ -43,18 +43,53 @@ class HatMapMatrix:
         return self.matrix @ np.asarray(X, dtype=float)
 
 
-def assemble_hatmap(w: FormField, point: Sequence[float]) -> HatMapMatrix:
-    if w.k < 2:
-        raise DimensionError("hat map needs a form of degree >= 2")
-    W = w.at(point)
-    rows = increasing_indices(w.n, w.k - 1)
-    A = np.zeros((len(rows), w.n))
+def _gather_plan(field: FormField, indices) -> tuple[np.ndarray, np.ndarray]:
+    """(slots, signs) with ``field.at(p).component(I) == signs * c[slots]`` for
+    each index tuple I, where c is ``_coefficient_array(field, p)``."""
+    slot_of = {key: i for i, key in enumerate(field.coeffs)}
+    absent = len(slot_of)  # the trailing 0.0 of the coefficient array
+    slots, signs = [], []
+    for I in indices:
+        key, s = sort_with_sign(I)
+        slots.append(slot_of.get(key, absent) if s else absent)
+        signs.append(-1.0 if s < 0 else 1.0)
+    return np.array(slots, dtype=np.intp), np.array(signs)
+
+
+def _coefficient_array(field: FormField, point: Sequence[float]) -> np.ndarray:
+    c = np.array(field.coefficient_values(point) + (0.0,))
+    # a coefficient that evaluates to -0.0 is dropped from the form value,
+    # so its components read +0.0
+    c[c == 0.0] = 0.0
+    return c
+
+
+def _hatmap_plan(w: FormField):
+    rows = tuple(increasing_indices(w.n, w.k - 1))
+    flat, indices = [], []
     for r, I in enumerate(rows):
         for j in range(1, w.n + 1):
-            if j in I:
-                continue
-            A[r, j - 1] = W.component((j,) + I)
-    return HatMapMatrix(w.n, w.k, tuple(rows), A)
+            if j not in I:
+                flat.append(r * w.n + j - 1)
+                indices.append((j,) + I)
+    return rows, np.array(flat, dtype=np.intp), *_gather_plan(w, indices)
+
+
+def assemble_hatmap(w: FormField, point: Sequence[float]) -> HatMapMatrix:
+    """Entry (row I, col j) is the component w_{jI}; the index scatter is
+    built once per form."""
+    if w.k < 2:
+        raise DimensionError("hat map needs a form of degree >= 2")
+    rows, flat, slots, signs = w.memo("hatmap", _hatmap_plan)
+    A = np.zeros((len(rows), w.n))
+    A.flat[flat] = signs * _coefficient_array(w, point)[slots]
+    return HatMapMatrix(w.n, w.k, rows, A)
+
+
+def hatmap_rhs(sigma: FormField, rows, point: Sequence[float]) -> np.ndarray:
+    """Right-hand side -sigma_I over the hat-map rows I."""
+    slots, signs = sigma.memo(("rows", rows), lambda f: _gather_plan(f, rows))
+    return -(signs * _coefficient_array(sigma, point)[slots])
 
 
 @dataclass(frozen=True)
@@ -99,8 +134,7 @@ def solve_hdw(w: FormField, sigma: FormField, point: Sequence[float],
         raise DimensionError(
             f"sigma must have degree k-1={w.k - 1} on n={w.n}, got ({sigma.n}, {sigma.k})")
     hat = assemble_hatmap(w, point)
-    S = sigma.at(point)
-    b = -np.array([S.component(I) for I in hat.rows])
+    b = hatmap_rhs(sigma, hat.rows, point)
     x, _, rank, _ = np.linalg.lstsq(hat.matrix, b, rcond=RCOND)
     residual = float(np.linalg.norm(hat.matrix @ x - b))
     consistent = residual <= tolerance * (1.0 + float(np.linalg.norm(b)))

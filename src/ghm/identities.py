@@ -54,34 +54,43 @@ class IdentityReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _dense(J: MultiVectorField, point: Sequence[float]) -> np.ndarray:
-    """Full antisymmetric component array of shape (n,)*k at a point."""
-    arr = np.zeros((J.n,) * J.k)
-    for key, e in J.coeffs.items():
-        c = ex.evaluate(e, point)
-        if c == 0.0:
-            continue
+def _dense_plan(J: MultiVectorField):
+    """One compiled function for the coefficients, then their nonzero exact
+    partials, and the scatter of each value onto every permutation of its
+    key: (flat position, value slot, sign) for A = J and for D = dJ."""
+    n = J.n
+    entries = [(e, key, ()) for key, e in J.coeffs.items()]
+    entries += [(d, key, (u - 1,)) for key, e in J.coeffs.items() for u in range(1, n + 1)
+                if not ex.is_zero(d := ex.differentiate(e, u))]
+    scatters = ([], [], []), ([], [], [])  # (positions, slots, signs) for A, for D
+    for slot, (_, key, lead) in enumerate(entries):
+        positions, slots, signs = scatters[len(lead)]
         for perm in itertools.permutations(key):
             _, s = sort_with_sign(perm)
-            arr[tuple(i - 1 for i in perm)] = s * c
-    return arr
+            flat = 0
+            for axis in lead + tuple(a - 1 for a in perm):  # row-major, 0-based
+                flat = flat * n + axis
+            positions.append(flat)
+            slots.append(slot)
+            signs.append(float(s))
+    arrays = tuple((np.array(pos, dtype=np.intp), np.array(slot, dtype=np.intp), np.array(sign))
+                   for pos, slot, sign in scatters)
+    return ex.compile_vector(e for e, _, _ in entries), arrays
 
 
-def _dense_partials(J: MultiVectorField, point: Sequence[float]) -> np.ndarray:
-    """Array D[u, i1..ik] = d J^{i1..ik} / d x^u, exact symbolic partials."""
-    arr = np.zeros((J.n,) + (J.n,) * J.k)
-    for key, e in J.coeffs.items():
-        for u in range(1, J.n + 1):
-            d = ex.differentiate(e, u)
-            if ex.is_zero(d):
-                continue
-            c = ex.evaluate(d, point)
-            if c == 0.0:
-                continue
-            for perm in itertools.permutations(key):
-                _, s = sort_with_sign(perm)
-                arr[(u - 1,) + tuple(i - 1 for i in perm)] = s * c
-    return arr
+def _dense_pair(J: MultiVectorField, point: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Full antisymmetric component arrays at a point: A of shape (n,)*k and
+    D[u, i1..ik] = d J^{i1..ik} / d x^u from exact symbolic partials."""
+    values, arrays = J.memo("dense", _dense_plan)
+    v = np.array(values(point), dtype=float)
+    out = []
+    for shape, (pos, slot, sign) in zip(((J.n,) * J.k, (J.n,) * (J.k + 1)), arrays):
+        arr = np.zeros(shape)
+        c = v[slot]
+        # a value that is zero leaves +0.0 in every position, whatever the sign
+        arr.flat[pos] = np.where(c == 0.0, 0.0, sign * c)
+        out.append(arr)
+    return out[0], out[1]
 
 
 def _report(name: str, values: list[tuple[float, tuple, tuple]], samples: int,
@@ -135,8 +144,7 @@ def jacobi_residual(J2: MultiVectorField, points: Sequence[Sequence[float]]) -> 
         raise DimensionError("jacobi_residual needs a degree-2 multivector")
     best = []
     for p in points:
-        A = _dense(J2, p)
-        D = _dense_partials(J2, p)  # D[m, j, l]
+        A, D = _dense_pair(J2, p)  # D[m, j, l]
         t1 = np.einsum("im,mjl->ijl", A, D)
         T = t1 + t1.transpose(1, 2, 0) + t1.transpose(2, 0, 1)
         signed, idx = _argmax_signed(T)
@@ -194,8 +202,7 @@ def fundamental_identity_residual(J: MultiVectorField,
         raise DimensionError("fundamental identity applies to degree-3 multivectors")
     candidates = []  # (signed, point, index, sub-identity label)
     for p in points:
-        A = _dense(J, p)
-        D = _dense_partials(J, p)  # D[u, i, j, k]
+        A, D = _dense_pair(J, p)  # D[u, i, j, k]
         fia = (
             np.einsum("uvq,uijk->ijkvq", A, D)
             - np.einsum("ujk,uivq->ijkvq", A, D)
@@ -267,11 +274,12 @@ def measure_residual(J: MultiVectorField, g: ScalarField | float,
     else:
         gf = g
     exprs = divergence_exprs(J, gf)
+    values = ex.compile_vector(exprs.values())
     best = []
     for p in points:
         if gf is not None and gf(p) == 0.0:
             raise EvalDomainError(f"measure weight vanishes at {tuple(p)}")
-        vals = {K: ex.evaluate(e, p) for K, e in exprs.items()}
+        vals = dict(zip(exprs, values(p)))
         key = max(vals, key=lambda kk: abs(vals[kk])) if vals else ()
         best.append((vals.get(key, 0.0), tuple(p), key))
     return _report("measure", best, len(points))

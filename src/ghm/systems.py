@@ -191,11 +191,12 @@ def quasisymmetry(psi: str = "x1^2 + x2^2",
     J = MultiVectorField(n, 3, {(1, 2, 3): ex.div(ex.ONE, f_expr)})
 
     rng = np.random.default_rng(seed)
+    cross_values = ex.compile_vector(cross)
     for p in sample_box(rng, domain, 40):
         fv = f(p)
         if abs(fv) < 1e-6:
             raise InputError(f"B.grad|B| vanishes near {p}")
-        cv = np.array([ex.evaluate(c, p) for c in cross])
+        cv = np.array(cross_values(p))
         if float(np.linalg.norm(cv)) < 1e-9:
             raise InputError(f"grad(psi) x grad|B| vanishes near {p}")
 

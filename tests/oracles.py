@@ -97,3 +97,108 @@ def dense_exterior_derivative(coeff_fns, point, n, k, step=1e-6):
             total += (-1) ** p * fd_partial(fn, point, axis, step)
         out[I] = total
     return out
+
+
+# ---------------------------------------------------------------------------
+# Expressions: the reference tree walk
+# ---------------------------------------------------------------------------
+
+def tree_walk(e, point, params=None):
+    """Evaluate an expression by a plain recursive walk of its tree.
+
+    The compiled evaluator in ``ghm.expr`` must agree with this bit for bit,
+    and on a domain fault must name the same node.  Operands are evaluated
+    left to right (the divisor after the dividend), and a fault is a
+    ``EvalDomainError`` naming its node, overflow included.
+    """
+    import math
+    from ghm import expr as ex
+    from ghm.errors import EvalDomainError
+
+    def walk(e):
+        if isinstance(e, ex.Const):
+            return e.value
+        if isinstance(e, ex.Coord):
+            return float(point[e.axis - 1])
+        if isinstance(e, ex.Param):
+            if params is None or e.name not in params:
+                raise EvalDomainError(f"unbound parameter {e.name!r}")
+            return float(params[e.name])
+        if isinstance(e, ex.Neg):
+            return -walk(e.arg)
+        if isinstance(e, (ex.Add, ex.Sub, ex.Mul, ex.Div)):
+            a, b = walk(e.a), walk(e.b)
+            if isinstance(e, ex.Add):
+                return a + b
+            if isinstance(e, ex.Sub):
+                return a - b
+            if isinstance(e, ex.Mul):
+                return a * b
+            if b == 0.0:
+                raise EvalDomainError("division by zero", ex.to_str(e))
+            return a / b
+        if isinstance(e, ex.Pow):
+            base = walk(e.base)
+            try:
+                if e.exponent.denominator == 1:
+                    return base ** int(e.exponent)
+                return math.pow(base, float(e.exponent))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise EvalDomainError(f"power domain error: {exc}", ex.to_str(e)) from None
+            except OverflowError:
+                raise EvalDomainError("floating-point overflow", ex.to_str(e)) from None
+        if isinstance(e, ex.Call):
+            arg = walk(e.arg)
+            if e.fn == "sqrt" and arg < 0.0:
+                raise EvalDomainError("sqrt of negative value", ex.to_str(e))
+            if e.fn == "log" and arg <= 0.0:
+                raise EvalDomainError("log of nonpositive value", ex.to_str(e))
+            try:
+                return getattr(math, e.fn)(arg)
+            except OverflowError:
+                raise EvalDomainError("floating-point overflow", ex.to_str(e)) from None
+            except ValueError as exc:
+                raise EvalDomainError(f"{e.fn} domain error: {exc}", ex.to_str(e)) from None
+        raise TypeError(f"not an Expr: {e!r}")
+
+    return walk(e)
+
+
+def structural_node_count(exprs):
+    """Number of structurally distinct nodes under ``exprs``: nodes compare by
+    type and fields, floats by their bits (so 0.0 and -0.0 differ)."""
+    import dataclasses
+    from ghm import expr as ex
+
+    keys = {}  # id -> structural key, so shared subtrees are keyed once
+
+    def key(e):
+        if id(e) not in keys:
+            parts = [type(e).__name__]
+            for f in dataclasses.fields(e):
+                v = getattr(e, f.name)
+                if isinstance(v, ex.Expr):
+                    parts.append(key(v))
+                elif isinstance(v, float):
+                    parts.append(v.hex())
+                else:
+                    parts.append(v)
+            keys[id(e)] = tuple(parts)
+        return keys[id(e)]
+
+    return len({key(e) for e in _all_nodes(exprs)})
+
+
+def _all_nodes(exprs):
+    import dataclasses
+    from ghm import expr as ex
+
+    seen, stack = {}, list(exprs)
+    while stack:
+        e = stack.pop()
+        if id(e) in seen:
+            continue
+        seen[id(e)] = e
+        stack.extend(getattr(e, f.name) for f in dataclasses.fields(e)
+                     if isinstance(getattr(e, f.name), ex.Expr))
+    return list(seen.values())

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ghm
 from ghm.cli import load_config, main
 from ghm.errors import InputError
 
@@ -205,3 +210,48 @@ def test_config_closure_enforced(tmp_path):
     with pytest.raises(InputError) as err:
         load_config(str(path))
     assert "not closed" in str(err.value)
+
+
+def ghm_process(*argv):
+    """``ghm`` in a fresh interpreter, as a user runs it: (exit code, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ghm.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "ghm.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stderr
+
+
+def test_overflow_at_a_point_is_a_domain_error(tmp_path):
+    doc = {"name": "steep", "n": 2, "k": 2, "mode": "form",
+           "coefficients": {"1,2": "1 + x1^400"}, "hamiltonians": ["x2"]}
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(doc))
+    code, err = ghm_process("solve", "--config", str(path), "--point", "999,0")
+    assert code == 2
+    assert "Traceback" not in err
+    assert "floating-point overflow at node x1^400" in err
+
+
+def test_overflowing_literal_is_a_parse_error(tmp_path):
+    doc = {"name": "huge", "n": 2, "k": 2, "mode": "tensor",
+           "coefficients": {"1,2": "1e400*x1^2"}, "hamiltonians": ["x2"]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, err = ghm_process("simulate", "--config", str(path), "--x0", "1,1",
+                            "--t-end", "0.01")
+    assert code == 2
+    assert "Traceback" not in err
+    assert "/coefficients/1,2" in err and "offset 0" in err
+
+
+def test_inconsistent_form_route_stops_with_exit_3(tmp_path, capsys):
+    # dx1^dx2 on R^4 with H = x3: iota_X w never reaches -dx3
+    doc = {"name": "inconsistent-form", "n": 4, "k": 2, "mode": "form",
+           "coefficients": {"1,2": "1"}, "hamiltonians": ["x3"],
+           "domain": [[-5, 5]] * 4, "base_point": [0.0, 0.0, 1.0, 0.0]}
+    path = tmp_path / "inconsistent.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "simulate", "--config", str(path), "--x0", "0,0,1,0",
+                         "--t-end", "0.01")
+    assert code == 3
+    assert out == ""
+    assert "hat-map system inconsistent" in err

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,8 @@ from ghm.expr import (
     parse,
     to_str,
 )
+
+from oracles import structural_node_count, tree_walk
 
 
 def test_parse_basic_tree():
@@ -128,12 +131,106 @@ def test_print_parse_round_trip(e, point):
     assert evaluate(back, point) == evaluate(e, point)
 
 
-@settings(max_examples=40, deadline=None)
-@given(smooth_exprs(), st.lists(st.floats(-1.5, 1.5, allow_nan=False),
-                                min_size=3, max_size=3))
+@st.composite
+def domain_exprs(draw, depth=3):
+    """Expressions that may fault: division, sqrt, log, rational and negative
+    powers, negative constants and -0.0."""
+    if depth == 0:
+        return draw(st.sampled_from([
+            Const(draw(st.floats(-2, 2, allow_nan=False)).__float__()),
+            Const(-0.0),
+            Const(-draw(st.sampled_from([0.5, 1.0, 1.5]))),
+            Coord(draw(st.integers(1, 3))),
+        ]))
+    kind = draw(st.sampled_from(["add", "sub", "mul", "div", "neg", "sqrt", "log", "exp",
+                                 "sin", "pow", "leaf"]))
+    if kind == "leaf":
+        return draw(domain_exprs(depth=0))
+    if kind in ("add", "sub", "mul", "div"):
+        a = draw(domain_exprs(depth=depth - 1))
+        b = draw(domain_exprs(depth=depth - 1))
+        return getattr(ex, kind)(a, b)
+    if kind == "neg":
+        return ex.neg(draw(domain_exprs(depth=depth - 1)))
+    if kind == "pow":
+        exponent = draw(st.sampled_from([Fraction(1, 2), Fraction(3, 2), Fraction(-1, 3),
+                                         Fraction(-2), Fraction(3)]))
+        return ex.powc(draw(domain_exprs(depth=depth - 1)), exponent)
+    return ex.call(kind, draw(domain_exprs(depth=depth - 1)))
+
+
+def _outcome(fn):
+    """A value's bits, or the node text of the domain fault it raised."""
+    try:
+        return float.hex(fn())
+    except EvalDomainError as exc:
+        return ("fault", exc.node)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(smooth_exprs(), domain_exprs()),
+       st.lists(st.floats(-1.5, 1.5, allow_nan=False), min_size=3, max_size=3))
 def test_compiled_matches_tree_walk(e, point):
-    fn = compile_expr(e)
-    assert fn(point) == evaluate(e, point)
+    want = _outcome(lambda: tree_walk(e, point))
+    assert _outcome(lambda: compile_expr(e)(point)) == want
+    assert _outcome(lambda: evaluate(e, point)) == want
+    # inside a batch, after a sibling that shares its subexpressions
+    d = differentiate(e, 1)
+    values = ex.compile_vector([d, e])
+    if isinstance(_outcome(lambda: tree_walk(d, point)), str):  # d itself does not fault
+        assert _outcome(lambda: values(point)[1]) == want
+
+
+def test_domain_faults_name_the_node():
+    cases = [("1/(x1 - x2)", (1.0, 1.0), "division by zero", "1.0/(x1 - x2)"),
+             ("sqrt(x1)/x2", (-1.0, 0.0), "sqrt of negative value", "sqrt(x1)"),
+             ("log(x2) + 1", (1.0, -0.0), "log of nonpositive value", "log(x2)"),
+             ("x1^(1/2)", (-4.0, 0.0), "power domain error", "x1^(1/2)"),
+             ("1 + x1^400", (999.0, 0.0), "floating-point overflow", "x1^400"),
+             ("exp(x1) * 2", (1000.0, 0.0), "floating-point overflow", "exp(x1)")]
+    for text, point, message, node in cases:
+        e = parse(text, n=2)
+        with pytest.raises(EvalDomainError) as err:
+            compile_expr(e)(point)
+        assert message in str(err.value) and err.value.node == node
+        with pytest.raises(EvalDomainError) as ref:
+            tree_walk(e, point)
+        assert ref.value.node == node
+
+
+def test_nodes_are_interned():
+    text = "sin(x1)*exp(x2) - x1/(1 + x2^2)"
+    assert parse(text, n=2) is parse(text, n=2)
+    assert Const(0.0) is not Const(-0.0)
+    assert Const(0.0) is Const(0.0) and Const(2) is Const(2.0)
+    assert Pow(Coord(1), 2) is Pow(Coord(1), Fraction(2))
+    e = parse(text, n=2)
+    assert differentiate(e, 1) is differentiate(e, 1)
+    assert differentiate(e, 2) is differentiate(parse(text, n=2), 2)
+    import copy
+    import pickle
+    assert copy.deepcopy(e) is e and pickle.loads(pickle.dumps(e)) is e
+
+
+def test_one_temporary_per_unique_node():
+    from ghm import systems
+    from ghm.identities import divergence_exprs
+
+    qs = systems.build("quasisymmetry")
+    exprs = list(divergence_exprs(qs.tensor, qs.measure_weight).values())
+    fn = ex.compile_vector(exprs)
+    temporaries = [name for name in fn.__code__.co_varnames if name.startswith("t")]
+    assert len(temporaries) == structural_node_count(exprs)
+    assert len(temporaries) == len(ex.unique_nodes(exprs))
+
+
+def test_literal_overflow_is_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse("1e400*x1^2", n=1)
+    assert err.value.offset == 0
+    with pytest.raises(ParseError) as err:
+        parse("x1^1e400", n=1)
+    assert err.value.offset == 3
 
 
 def test_evaluation_deterministic():
