@@ -318,6 +318,20 @@ class _AltField:
         """The coefficients' values at ``point``, in ``coeffs`` order."""
         return self.memo("values", lambda f: ex.compile_vector(f.coeffs.values()))(point)
 
+    def coefficient_jet(self, point: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        """The coefficients' values c[s] at ``point`` and their exact partials
+        dc[u - 1, s] = d c_s / d x^u, in ``coeffs`` order, each with one
+        trailing 0.0 slot that stands for an absent coefficient.  One compiled
+        function evaluates the coefficients and their nonzero partials."""
+        values, axes, slots = self.memo("jet", _jet_plan)
+        v = np.array(values(point), dtype=float)
+        size = len(self.coeffs)
+        c = np.zeros(size + 1)
+        c[:size] = v[:size]
+        dc = np.zeros((self.n, size + 1))
+        dc[axes, slots] = v[size:]
+        return c, dc
+
     def at(self, point: Sequence[float]) -> _AltValue:
         return self._value_cls(self.n, self.k,
                                dict(zip(self.coeffs, self.coefficient_values(point))),
@@ -350,6 +364,22 @@ class _AltField:
     def __repr__(self) -> str:
         inner = ", ".join(f"{key}: {ex.to_str(e)}" for key, e in sorted(self.coeffs.items()))
         return f"{type(self).__name__}(n={self.n}, k={self.k}, {{{inner}}})"
+
+
+def _jet_plan(f: _AltField):
+    """One compiled function for the coefficients, then their nonzero exact
+    partials; and the (axis, slot) of each partial."""
+    exprs = list(f.coeffs.values())
+    axes, slots, partials = [], [], []
+    for slot, e in enumerate(exprs):
+        for u in range(f.n):
+            d = ex.differentiate(e, u + 1)
+            if not ex.is_zero(d):
+                axes.append(u)
+                slots.append(slot)
+                partials.append(d)
+    return (ex.compile_vector(exprs + partials),
+            np.array(axes, dtype=np.intp), np.array(slots, dtype=np.intp))
 
 
 class FormField(_AltField):

@@ -137,7 +137,7 @@ def solve_hdw(w: FormField, sigma: FormField, point: Sequence[float],
     b = hatmap_rhs(sigma, hat.rows, point)
     x, _, rank, _ = np.linalg.lstsq(hat.matrix, b, rcond=RCOND)
     residual = float(np.linalg.norm(hat.matrix @ x - b))
-    consistent = residual <= tolerance * (1.0 + float(np.linalg.norm(b)))
+    consistent = _consistent(residual, b, tolerance)
     kernel_dim = w.n - int(rank)
     return SolveReport(
         n=w.n,
@@ -150,6 +150,53 @@ def solve_hdw(w: FormField, sigma: FormField, point: Sequence[float],
         consistent=bool(consistent),
         tolerance=tolerance,
     )
+
+
+def _consistent(residual: float, b: np.ndarray, tolerance: float) -> bool:
+    return residual <= tolerance * (1.0 + float(np.linalg.norm(b)))
+
+
+def _hatmap_jet(w: FormField, sigma: FormField, point: Sequence[float]):
+    """A and b of the hat-map system at a point, with their exact partials
+    dA[u] = dA/dx^{u+1} and db[u] = db/dx^{u+1}, through the scatters of
+    ``assemble_hatmap`` and ``hatmap_rhs``."""
+    rows, flat, slots, signs = w.memo("hatmap", _hatmap_plan)
+    n, m = w.n, len(rows)
+    c, dc = w.coefficient_jet(point)
+    A = np.zeros((m, n))
+    A.flat[flat] = signs * c[slots]
+    dA = np.zeros((n, m, n))
+    dA.reshape(n, m * n)[:, flat] = signs * dc[:, slots]
+    s_slots, s_signs = sigma.memo(("rows", rows), lambda f: _gather_plan(f, rows))
+    c, dc = sigma.coefficient_jet(point)
+    return A, -(s_signs * c[s_slots]), dA, -(s_signs * dc[:, s_slots])
+
+
+def min_norm_divergence(w: FormField, sigma: FormField, point: Sequence[float],
+                        tolerance: float = 1e-9) -> tuple[float, float, bool]:
+    """(div, residual, consistent) of the minimum-norm field X = A^+ b of
+    iota_X w = -sigma, where the hat map A has constant rank near the point.
+
+    The derivative of the pseudo-inverse at constant rank (Golub & Pereyra,
+    SIAM J. Numer. Anal. 10(2), 1973) gives, with r = b - A X,
+
+        dX = A^+ (db - dA X) + A^+ A^+T dA^T r + (I - A^+ A) dA^T A^+T X,
+
+    and div X is the trace of dX over the coordinate axes.  The rank is cut
+    at ``RCOND`` as in ``solve_hdw``, and ``consistent`` is its criterion.
+    """
+    A, b, dA, db = _hatmap_jet(w, sigma, point)
+    U, sv, Vt = np.linalg.svd(A, full_matrices=False)
+    rank = int(np.sum(sv > sv[0] * RCOND))
+    U, sv, Vt = U[:, :rank], sv[:rank], Vt[:rank]
+    pinv = (Vt.T / sv) @ U.T
+    X = pinv @ b
+    r = b - A @ X
+    div = (np.sum(pinv * (db - dA @ X))
+           + np.sum(((Vt.T / sv ** 2) @ Vt) * (r @ dA))
+           + np.sum((np.eye(w.n) - Vt.T @ Vt) * ((pinv.T @ X) @ dA)))
+    residual = float(np.linalg.norm(r))
+    return float(div), residual, _consistent(residual, b, tolerance)
 
 
 def kernel_basis(w: FormField, point: Sequence[float]) -> list[np.ndarray]:

@@ -55,40 +55,40 @@ class IdentityReport:
 
 
 def _dense_plan(J: MultiVectorField):
-    """One compiled function for the coefficients, then their nonzero exact
-    partials, and the scatter of each value onto every permutation of its
-    key: (flat position, value slot, sign) for A = J and for D = dJ."""
+    """The scatter of each coefficient onto every permutation of its key, as
+    (flat position, slot, sign) into A = J from the coefficients c, and into
+    D = dJ from the row-major flattened partials dc of ``coefficient_jet``."""
     n = J.n
-    entries = [(e, key, ()) for key, e in J.coeffs.items()]
-    entries += [(d, key, (u - 1,)) for key, e in J.coeffs.items() for u in range(1, n + 1)
-                if not ex.is_zero(d := ex.differentiate(e, u))]
-    scatters = ([], [], []), ([], [], [])  # (positions, slots, signs) for A, for D
-    for slot, (_, key, lead) in enumerate(entries):
-        positions, slots, signs = scatters[len(lead)]
+    positions, slots, signs = [], [], []
+    for slot, key in enumerate(J.coeffs):
         for perm in itertools.permutations(key):
             _, s = sort_with_sign(perm)
             flat = 0
-            for axis in lead + tuple(a - 1 for a in perm):  # row-major, 0-based
-                flat = flat * n + axis
+            for axis in perm:  # row-major, 0-based
+                flat = flat * n + axis - 1
             positions.append(flat)
             slots.append(slot)
             signs.append(float(s))
-    arrays = tuple((np.array(pos, dtype=np.intp), np.array(slot, dtype=np.intp), np.array(sign))
-                   for pos, slot, sign in scatters)
-    return ex.compile_vector(e for e, _, _ in entries), arrays
+    pos, slot, sign = (np.array(positions, dtype=np.intp), np.array(slots, dtype=np.intp),
+                       np.array(signs))
+    u = np.arange(n, dtype=np.intp)[:, None]  # D repeats A's scatter once per axis
+    width = len(J.coeffs) + 1
+    d_scatter = ((u * n ** J.k + pos).ravel(), (u * width + slot).ravel(), np.tile(sign, n))
+    return (pos, slot, sign), d_scatter
 
 
 def _dense_pair(J: MultiVectorField, point: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Full antisymmetric component arrays at a point: A of shape (n,)*k and
     D[u, i1..ik] = d J^{i1..ik} / d x^u from exact symbolic partials."""
-    values, arrays = J.memo("dense", _dense_plan)
-    v = np.array(values(point), dtype=float)
+    scatters = J.memo("dense", _dense_plan)
+    c, dc = J.coefficient_jet(point)
     out = []
-    for shape, (pos, slot, sign) in zip(((J.n,) * J.k, (J.n,) * (J.k + 1)), arrays):
+    for shape, values, (pos, slot, sign) in zip(((J.n,) * J.k, (J.n,) * (J.k + 1)),
+                                                (c, dc.ravel()), scatters):
         arr = np.zeros(shape)
-        c = v[slot]
+        v = values[slot]
         # a value that is zero leaves +0.0 in every position, whatever the sign
-        arr.flat[pos] = np.where(c == 0.0, 0.0, sign * c)
+        arr.flat[pos] = np.where(v == 0.0, 0.0, sign * v)
         out.append(arr)
     return out[0], out[1]
 

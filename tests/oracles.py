@@ -202,3 +202,17 @@ def _all_nodes(exprs):
         stack.extend(getattr(e, f.name) for f in dataclasses.fields(e)
                      if isinstance(getattr(e, f.name), ex.Expr))
     return list(seen.values())
+
+
+def csv_reference(traj, fh):
+    """The per-cell trajectory CSV writer: header t,x1..xn,H1..H{k-1},div,
+    then every value as f"{v:.17g}", one row at a time."""
+    n = traj.states.shape[1]
+    ham_cols = [f"H{i + 1}" for i in range(traj.hamiltonians.shape[1])]
+    fh.write(",".join(["t"] + [f"x{i + 1}" for i in range(n)] + ham_cols + ["div"]) + "\n")
+    for row in range(len(traj.times)):
+        cells = [f"{traj.times[row]:.17g}"]
+        cells += [f"{v:.17g}" for v in traj.states[row]]
+        cells += [f"{v:.17g}" for v in traj.hamiltonians[row]]
+        cells.append(f"{traj.divergences[row]:.17g}")
+        fh.write(",".join(cells) + "\n")

@@ -254,4 +254,43 @@ def test_inconsistent_form_route_stops_with_exit_3(tmp_path, capsys):
                          "--t-end", "0.01")
     assert code == 3
     assert out == ""
-    assert "hat-map system inconsistent" in err
+    assert "hat-map system inconsistent at (0.0, 0.0, 1.0, 0.0)" in err
+
+
+# the oscillator's form route; its hat map has a one-dimensional kernel
+OSCILLATOR_FORM = {
+    "name": "oscillator-form", "n": 6, "k": 3, "mode": "form",
+    "coefficients": {"1,2,6": "1", "1,2,5": "-2*q2", "4,5,6": "1"},
+    "hamiltonians": ["(p1^2 + p2^2 + q1^2 + q2^2)/2 + lam*q1*xi2", "xi2 - q2^2"],
+    "params": {"lam": 0.1}, "domain": [[-10, 10]] * 6,
+    "aliases": ["p1", "q1", "xi1", "p2", "q2", "xi2"],
+    "base_point": [0.0, 1.0, 1.0, 0.0, 0.0, 2.0],
+}
+
+
+def test_simulate_notes_non_unique_form_dynamics(tmp_path, capsys):
+    path = tmp_path / "oscillator_form.json"
+    path.write_text(json.dumps(OSCILLATOR_FORM))
+    code, out, err = run(capsys, "simulate", "--config", str(path), "--x0", "0.1,1,1,0.2,0.3,2",
+                         "--t-end", "0.005")
+    assert code == 0
+    notes = [line for line in err.splitlines() if line.startswith("note:")]
+    assert len(notes) == 1 and "1-parameter family" in notes[0]
+    assert "note" not in out
+
+    code, out, err = run(capsys, "simulate", "flat_nambu", "--x0", "0.1,0.2,0.3",
+                         "--t-end", "0.005")
+    assert code == 0
+    assert err == ""
+
+
+def test_simulate_deterministic_stdout_on_both_routes(tmp_path, capsys):
+    path = tmp_path / "oscillator_form.json"
+    path.write_text(json.dumps(OSCILLATOR_FORM))
+    for argv in (["oscillator", "--x0", "0.1,1,1,0.2,0.3,2"],
+                 ["--config", str(path), "--x0", "0.1,1,1,0.2,0.3,2"],
+                 ["quasisymmetry", "--bvec", "-x2;x1;1 + x3 + 0.3*x1", "--x0", "1,0.5,0.3"]):
+        first = run(capsys, "simulate", *argv, "--t-end", "0.05", "--dt", "1e-3")
+        second = run(capsys, "simulate", *argv, "--t-end", "0.05", "--dt", "1e-3")
+        assert first[0] == 0
+        assert first[:2] == second[:2]

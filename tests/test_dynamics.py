@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -5,11 +6,13 @@ import numpy as np
 import pytest
 
 import ghm.expr as ex
-from ghm.errors import InputError
+from ghm.errors import InputError, IntegrationError
 from ghm.expr import ScalarField
 from ghm.exterior import FormField, MultiVectorField, VectorField
 from ghm.dynamics import (
+    CSV_CHUNK_ROWS,
     SystemSpec,
+    Trajectory,
     conservation_report,
     divergence,
     integrate,
@@ -27,6 +30,7 @@ from ghm.systems import (
     oscillator,
     quasisymmetry,
 )
+from oracles import csv_reference
 
 
 def _hori_rhs(state, lam):
@@ -162,6 +166,44 @@ def test_divergence_form_route_fd():
     assert abs(divergence(fn, (0.1, 0.2, 0.3))) <= 1e-9
 
 
+def test_form_route_divergence_equals_tensor_route():
+    # kernel_dim = 0: the minimum-norm field is the bracket field itself
+    qs = quasisymmetry(bvec=("-x2", "x1", "1 + x3 + 0.3*x1"))
+    qf = dataclasses.replace(qs, mode="form")
+    rng = np.random.default_rng(9)
+    divs = []
+    for p in sample_box(rng, qs.domain, 20):
+        divs.append(divergence(qs, p))
+        assert abs(divergence(qf, p) - qs.route_sign * divs[-1]) <= 1e-12
+    assert max(map(abs, divs)) > 0.1
+
+
+def test_form_route_divergence_with_kernel_matches_central_differences():
+    # the oscillator's form route (bench/configs/oscillator_form.json) has a
+    # one-dimensional hat-map kernel
+    osc = dataclasses.replace(oscillator(lam=0.1), mode="form")
+    f = osc._compiled_eom
+    rng = np.random.default_rng(10)
+    for p in sample_box(rng, ((-2.0, 2.0),) * 6, 10):
+        _, info = vector_field_of(osc, p)
+        assert info["solve_report"].kernel_dim == 1
+        fd = 0.0
+        for i in range(6):
+            up, um = list(p), list(p)
+            up[i] += 1e-5
+            um[i] -= 1e-5
+            fd += (f(up)[i] - f(um)[i]) / 2e-5
+        assert abs(divergence(osc, p) - fd) <= 1e-7
+
+
+def test_form_route_divergence_of_inconsistent_system_raises():
+    # dx1^dx2 on R^4 with H = x3: iota_X w never reaches -dx3
+    s = SystemSpec(name="inconsistent", n=4, k=2, hamiltonians=(ScalarField(4, ex.Coord(3)),),
+                   form=FormField.constant(4, 2, {(1, 2): 1.0}), mode="form")
+    with pytest.raises(IntegrationError, match=r"at \(0\.0, 0\.0, 1\.0, 0\.0\)"):
+        divergence(s, (0.0, 0.0, 1.0, 0.0))
+
+
 def test_quasisymmetry_divergence_default_and_perturbed():
     qs = quasisymmetry()
     rng = np.random.default_rng(3)
@@ -225,6 +267,30 @@ def test_trajectory_csv_format():
     traj2 = integrate(fn, (0.0, 0.0, 0.0), t_end=0.01, dt=5e-3)
     traj2.to_csv(buf2)
     assert buf.getvalue() == buf2.getvalue()
+
+
+def test_trajectory_csv_matches_reference_writer():
+    osc = oscillator(lam=0.1)
+    form_osc = dataclasses.replace(osc, mode="form")
+    trajectories = [
+        integrate(osc, osc.base_point, t_end=2.5, dt=1e-3),  # spans three chunks
+        integrate(osc, osc.base_point, t_end=3.0, dt=1e-2, method="rkf45", reltol=1e-10),
+        integrate(form_osc, osc.base_point, t_end=0.02, dt=1e-3),
+        integrate(fourdim(), (1.0, 1.0, 1.0, 0.2), t_end=2.0, dt=1e-3),  # truncated
+    ]
+    assert len(trajectories[0].times) > 2 * CSV_CHUNK_ROWS
+    assert trajectories[-1].truncated
+    special = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e308, math.inf, -math.inf,
+               math.nan, 0.1, -1 / 3, 123456789.0, 1e-7]
+    trajectories.append(Trajectory(
+        times=np.array(special), states=np.array([special[::-1], special]).T,
+        hamiltonians=np.array([special]).T, invariant_names=(), invariants=np.zeros((12, 0)),
+        divergences=np.array(special[3:] + special[:3])))
+    for traj in trajectories:
+        got, want = io.StringIO(), io.StringIO()
+        traj.to_csv(got)
+        csv_reference(traj, want)
+        assert got.getvalue() == want.getvalue()
 
 
 def test_lie_derivative_vanishes_along_solutions():

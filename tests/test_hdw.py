@@ -7,7 +7,13 @@ import ghm.expr as ex
 from ghm.errors import DimensionError
 from ghm.expr import ScalarField, parse
 from ghm.exterior import FormField, grad_field, wedge_fields
-from ghm.hdw import assemble_hatmap, kernel_basis, obstruction_check, solve_hdw
+from ghm.hdw import (
+    assemble_hatmap,
+    kernel_basis,
+    min_norm_divergence,
+    obstruction_check,
+    solve_hdw,
+)
 
 
 def _sigma_from(hams):
@@ -183,3 +189,34 @@ def test_report_json_round_trip():
     assert doc["n"] == 3 and doc["k"] == 3
     assert doc["unique"] is True
     assert doc["x"] == [0.0, 0.0, -1.0]
+
+
+@pytest.mark.parametrize("n,k", [(4, 3), (3, 2)])
+def test_min_norm_divergence_matches_central_differences(n, k):
+    # random polynomial forms: the hat map has a one-dimensional kernel that
+    # turns with the point, and sigma is not in its range (r = b - AX != 0),
+    # so every term of the pseudo-inverse derivative contributes
+    rng = np.random.default_rng(11 + n)
+
+    def poly():
+        c = rng.uniform(-1, 1, size=4)
+        i, j = rng.integers(1, n + 1, size=2)
+        return parse(f"{c[0]} + {c[1]}*x{i} + {c[2]}*x{i}*x{j} + {c[3]}*x{j}^2", n)
+
+    w = FormField(n, k, {key: poly() for key in itertools.combinations(range(1, n + 1), k)})
+    sigma = FormField(n, k - 1, {key: poly()
+                                 for key in itertools.combinations(range(1, n + 1), k - 1)})
+    for _ in range(5):
+        p = rng.uniform(-1, 1, size=n)
+        rep = solve_hdw(w, sigma, p)
+        assert rep.kernel_dim == 1 and rep.residual > 1e-3
+        fd = 0.0
+        for i in range(n):
+            up, um = p.copy(), p.copy()
+            up[i] += 1e-5
+            um[i] -= 1e-5
+            fd += (solve_hdw(w, sigma, up).x[i] - solve_hdw(w, sigma, um).x[i]) / 2e-5
+        div, residual, consistent = min_norm_divergence(w, sigma, p)
+        assert div == pytest.approx(fd, rel=1e-6, abs=1e-7)
+        assert residual == pytest.approx(rep.residual, rel=1e-9)
+        assert consistent is rep.consistent is False
