@@ -38,7 +38,7 @@ from .exterior import (
     pullback_with_jacobian,
     wedge_fields,
 )
-from .hdw import assemble_hatmap, hatmap_rhs, min_norm_divergence, solve_hdw
+from .hdw import TOLERANCE, assemble_hatmap, hatmap_rhs, min_norm_divergence, solve_hdw
 from .identities import closure_residual
 
 FD_STEP = 1e-5
@@ -207,7 +207,7 @@ def divergence(system: SystemSpec, point: Sequence[float]) -> float:
 
 
 def vector_field_of(system: SystemSpec, point: Sequence[float], *,
-                    route: str | None = None, tolerance: float = 1e-9,
+                    route: str | None = None, tolerance: float = TOLERANCE,
                     cross_check: bool = False) -> tuple[np.ndarray, dict]:
     """Evaluate the equations of motion at a point.
 

@@ -318,19 +318,23 @@ class _AltField:
         """The coefficients' values at ``point``, in ``coeffs`` order."""
         return self.memo("values", lambda f: ex.compile_vector(f.coeffs.values()))(point)
 
-    def coefficient_jet(self, point: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-        """The coefficients' values c[s] at ``point`` and their exact partials
-        dc[u - 1, s] = d c_s / d x^u, in ``coeffs`` order, each with one
-        trailing 0.0 slot that stands for an absent coefficient.  One compiled
-        function evaluates the coefficients and their nonzero partials."""
+    def coefficient_array(self, point: Sequence[float]) -> np.ndarray:
+        """The coefficients' values c[s] at ``point``, in ``coeffs`` order, with
+        one trailing 0.0 slot that stands for an absent coefficient."""
+        return _plus_zero(np.array(self.coefficient_values(point) + (0.0,)))
+
+    def coefficient_jet(self, point: Sequence[float]) -> np.ndarray:
+        """Rows of the layout of ``coefficient_array``: row 0 holds the values
+        c_s at ``point`` and row u the exact partials d c_s / d x^u.  One
+        compiled function evaluates the coefficients and their nonzero
+        partials."""
         values, axes, slots = self.memo("jet", _jet_plan)
-        v = np.array(values(point), dtype=float)
+        v = _plus_zero(np.array(values(point), dtype=float))
         size = len(self.coeffs)
-        c = np.zeros(size + 1)
-        c[:size] = v[:size]
-        dc = np.zeros((self.n, size + 1))
-        dc[axes, slots] = v[size:]
-        return c, dc
+        jet = np.zeros((self.n + 1, size + 1))
+        jet[0, :size] = v[:size]
+        jet[axes, slots] = v[size:]
+        return jet
 
     def at(self, point: Sequence[float]) -> _AltValue:
         return self._value_cls(self.n, self.k,
@@ -366,14 +370,21 @@ class _AltField:
         return f"{type(self).__name__}(n={self.n}, k={self.k}, {{{inner}}})"
 
 
+def _plus_zero(a: np.ndarray) -> np.ndarray:
+    # a coefficient that evaluates to -0.0 is dropped from the form value, so
+    # its components read +0.0; adding +0.0 changes no other value
+    a += 0.0
+    return a
+
+
 def _jet_plan(f: _AltField):
     """One compiled function for the coefficients, then their nonzero exact
-    partials; and the (axis, slot) of each partial."""
+    partials; and the (axis, slot) of each partial, axes 1-based."""
     exprs = list(f.coeffs.values())
     axes, slots, partials = [], [], []
     for slot, e in enumerate(exprs):
-        for u in range(f.n):
-            d = ex.differentiate(e, u + 1)
+        for u in range(1, f.n + 1):
+            d = ex.differentiate(e, u)
             if not ex.is_zero(d):
                 axes.append(u)
                 slots.append(slot)

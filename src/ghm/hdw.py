@@ -20,6 +20,8 @@ from .exterior import FormField, increasing_indices, sort_with_sign
 
 # relative singular-value cutoff for rank decisions
 RCOND = 1e-10
+# the hat-map system is consistent iff its residual <= TOLERANCE * (1 + |sigma|)
+TOLERANCE = 1e-9
 
 
 def obstruction_check(n: int, k: int) -> bool:
@@ -45,7 +47,7 @@ class HatMapMatrix:
 
 def _gather_plan(field: FormField, indices) -> tuple[np.ndarray, np.ndarray]:
     """(slots, signs) with ``field.at(p).component(I) == signs * c[slots]`` for
-    each index tuple I, where c is ``_coefficient_array(field, p)``."""
+    each index tuple I, where c is ``field.coefficient_array(p)``."""
     slot_of = {key: i for i, key in enumerate(field.coeffs)}
     absent = len(slot_of)  # the trailing 0.0 of the coefficient array
     slots, signs = [], []
@@ -54,14 +56,6 @@ def _gather_plan(field: FormField, indices) -> tuple[np.ndarray, np.ndarray]:
         slots.append(slot_of.get(key, absent) if s else absent)
         signs.append(-1.0 if s < 0 else 1.0)
     return np.array(slots, dtype=np.intp), np.array(signs)
-
-
-def _coefficient_array(field: FormField, point: Sequence[float]) -> np.ndarray:
-    c = np.array(field.coefficient_values(point) + (0.0,))
-    # a coefficient that evaluates to -0.0 is dropped from the form value,
-    # so its components read +0.0
-    c[c == 0.0] = 0.0
-    return c
 
 
 def _hatmap_plan(w: FormField):
@@ -75,21 +69,35 @@ def _hatmap_plan(w: FormField):
     return rows, np.array(flat, dtype=np.intp), *_gather_plan(w, indices)
 
 
+def _hatmap_layout(w: FormField, c: np.ndarray):
+    """The hat-map rows, and the matrix filled from coefficient values c in the
+    layout of ``coefficient_array``; leading axes of c (partials) are kept."""
+    rows, flat, slots, signs = w.memo("hatmap", _hatmap_plan)
+    A = np.zeros(c.shape[:-1] + (len(rows) * w.n,))
+    # indexing the first axis of the transposes keeps 1-D values, the RK
+    # stages' case, on numpy's fast path
+    A.T[flat] = (signs * c.T[slots].T).T
+    return rows, A.reshape(c.shape[:-1] + (len(rows), w.n))
+
+
+def _rhs_layout(sigma: FormField, rows, c: np.ndarray) -> np.ndarray:
+    """-sigma_I over the hat-map rows I from coefficient values c, as above."""
+    slots, signs = sigma.memo(("rows", rows), lambda f: _gather_plan(f, rows))
+    return -(signs * c.T[slots].T)
+
+
 def assemble_hatmap(w: FormField, point: Sequence[float]) -> HatMapMatrix:
     """Entry (row I, col j) is the component w_{jI}; the index scatter is
     built once per form."""
     if w.k < 2:
         raise DimensionError("hat map needs a form of degree >= 2")
-    rows, flat, slots, signs = w.memo("hatmap", _hatmap_plan)
-    A = np.zeros((len(rows), w.n))
-    A.flat[flat] = signs * _coefficient_array(w, point)[slots]
+    rows, A = _hatmap_layout(w, w.coefficient_array(point))
     return HatMapMatrix(w.n, w.k, rows, A)
 
 
 def hatmap_rhs(sigma: FormField, rows, point: Sequence[float]) -> np.ndarray:
     """Right-hand side -sigma_I over the hat-map rows I."""
-    slots, signs = sigma.memo(("rows", rows), lambda f: _gather_plan(f, rows))
-    return -(signs * _coefficient_array(sigma, point)[slots])
+    return _rhs_layout(sigma, rows, sigma.coefficient_array(point))
 
 
 @dataclass(frozen=True)
@@ -124,7 +132,7 @@ class SolveReport:
 
 
 def solve_hdw(w: FormField, sigma: FormField, point: Sequence[float],
-              tolerance: float = 1e-9) -> SolveReport:
+              tolerance: float = TOLERANCE) -> SolveReport:
     """Minimum-norm least-squares solution of the hat-map system.
 
     Inconsistency is a report state, not an error: ``consistent`` holds iff
@@ -158,22 +166,15 @@ def _consistent(residual: float, b: np.ndarray, tolerance: float) -> bool:
 
 def _hatmap_jet(w: FormField, sigma: FormField, point: Sequence[float]):
     """A and b of the hat-map system at a point, with their exact partials
-    dA[u] = dA/dx^{u+1} and db[u] = db/dx^{u+1}, through the scatters of
+    dA[u] = dA/dx^{u+1} and db[u] = db/dx^{u+1}, in the layout of
     ``assemble_hatmap`` and ``hatmap_rhs``."""
-    rows, flat, slots, signs = w.memo("hatmap", _hatmap_plan)
-    n, m = w.n, len(rows)
-    c, dc = w.coefficient_jet(point)
-    A = np.zeros((m, n))
-    A.flat[flat] = signs * c[slots]
-    dA = np.zeros((n, m, n))
-    dA.reshape(n, m * n)[:, flat] = signs * dc[:, slots]
-    s_slots, s_signs = sigma.memo(("rows", rows), lambda f: _gather_plan(f, rows))
-    c, dc = sigma.coefficient_jet(point)
-    return A, -(s_signs * c[s_slots]), dA, -(s_signs * dc[:, s_slots])
+    rows, A = _hatmap_layout(w, w.coefficient_jet(point))
+    b = _rhs_layout(sigma, rows, sigma.coefficient_jet(point))
+    return A[0], b[0], A[1:], b[1:]
 
 
-def min_norm_divergence(w: FormField, sigma: FormField, point: Sequence[float],
-                        tolerance: float = 1e-9) -> tuple[float, float, bool]:
+def min_norm_divergence(w: FormField, sigma: FormField,
+                        point: Sequence[float]) -> tuple[float, float, bool]:
     """(div, residual, consistent) of the minimum-norm field X = A^+ b of
     iota_X w = -sigma, where the hat map A has constant rank near the point.
 
@@ -183,7 +184,8 @@ def min_norm_divergence(w: FormField, sigma: FormField, point: Sequence[float],
         dX = A^+ (db - dA X) + A^+ A^+T dA^T r + (I - A^+ A) dA^T A^+T X,
 
     and div X is the trace of dX over the coordinate axes.  The rank is cut
-    at ``RCOND`` as in ``solve_hdw``, and ``consistent`` is its criterion.
+    at ``RCOND`` and ``consistent`` uses ``TOLERANCE``, as in ``solve_hdw``
+    with its default tolerance, which the RK stages use.
     """
     A, b, dA, db = _hatmap_jet(w, sigma, point)
     U, sv, Vt = np.linalg.svd(A, full_matrices=False)
@@ -196,7 +198,7 @@ def min_norm_divergence(w: FormField, sigma: FormField, point: Sequence[float],
            + np.sum(((Vt.T / sv ** 2) @ Vt) * (r @ dA))
            + np.sum((np.eye(w.n) - Vt.T @ Vt) * ((pinv.T @ X) @ dA)))
     residual = float(np.linalg.norm(r))
-    return float(div), residual, _consistent(residual, b, tolerance)
+    return float(div), residual, _consistent(residual, b, TOLERANCE)
 
 
 def kernel_basis(w: FormField, point: Sequence[float]) -> list[np.ndarray]:

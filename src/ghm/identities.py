@@ -57,7 +57,7 @@ class IdentityReport:
 def _dense_plan(J: MultiVectorField):
     """The scatter of each coefficient onto every permutation of its key, as
     (flat position, slot, sign) into A = J from the coefficients c, and into
-    D = dJ from the row-major flattened partials dc of ``coefficient_jet``."""
+    D = dJ from the row-major flattened partial rows of ``coefficient_jet``."""
     n = J.n
     positions, slots, signs = [], [], []
     for slot, key in enumerate(J.coeffs):
@@ -81,14 +81,12 @@ def _dense_pair(J: MultiVectorField, point: Sequence[float]) -> tuple[np.ndarray
     """Full antisymmetric component arrays at a point: A of shape (n,)*k and
     D[u, i1..ik] = d J^{i1..ik} / d x^u from exact symbolic partials."""
     scatters = J.memo("dense", _dense_plan)
-    c, dc = J.coefficient_jet(point)
+    jet = J.coefficient_jet(point)
     out = []
     for shape, values, (pos, slot, sign) in zip(((J.n,) * J.k, (J.n,) * (J.k + 1)),
-                                                (c, dc.ravel()), scatters):
+                                                (jet[0], jet[1:].ravel()), scatters):
         arr = np.zeros(shape)
-        v = values[slot]
-        # a value that is zero leaves +0.0 in every position, whatever the sign
-        arr.flat[pos] = np.where(v == 0.0, 0.0, sign * v)
+        arr.flat[pos] = sign * values[slot]
         out.append(arr)
     return out[0], out[1]
 

@@ -8,7 +8,9 @@ from ghm.errors import DimensionError
 from ghm.expr import ScalarField, parse
 from ghm.exterior import FormField, grad_field, wedge_fields
 from ghm.hdw import (
+    _hatmap_jet,
     assemble_hatmap,
+    hatmap_rhs,
     kernel_basis,
     min_norm_divergence,
     obstruction_check,
@@ -220,3 +222,24 @@ def test_min_norm_divergence_matches_central_differences(n, k):
         assert div == pytest.approx(fd, rel=1e-6, abs=1e-7)
         assert residual == pytest.approx(rep.residual, rel=1e-9)
         assert consistent is rep.consistent is False
+
+
+def test_hatmap_jet_is_the_hatmap_system():
+    # the jet lays A and b out as assemble_hatmap and hatmap_rhs do, signed
+    # zeros included: -x1 evaluates to -0.0 at x1 = 0
+    w = FormField(3, 2, {(1, 2): parse("-x1", 3), (1, 3): parse("x2*x3 - 1", 3),
+                         (2, 3): parse("x3", 3)})
+    sigma = FormField(3, 1, {(1,): parse("-x2", 3), (3,): parse("x1 + x3^2", 3)})
+    p = (0.0, 0.0, 0.5)
+    A, b, dA, db = _hatmap_jet(w, sigma, p)
+    hat = assemble_hatmap(w, p)
+    assert A.tobytes() == hat.matrix.tobytes()
+    assert b.tobytes() == hatmap_rhs(sigma, hat.rows, p).tobytes()
+    for u in range(3):
+        up, um = list(p), list(p)
+        up[u] += 1e-3
+        um[u] -= 1e-3
+        fd_A = (assemble_hatmap(w, up).matrix - assemble_hatmap(w, um).matrix) / 2e-3
+        fd_b = (hatmap_rhs(sigma, hat.rows, up) - hatmap_rhs(sigma, hat.rows, um)) / 2e-3
+        np.testing.assert_allclose(dA[u], fd_A, atol=1e-9)
+        np.testing.assert_allclose(db[u], fd_b, atol=1e-9)
