@@ -8,6 +8,7 @@ failure (integration stopped early).  All sampling goes through an explicit
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -391,9 +392,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call of ``main``, since building takes milliseconds
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, ParseError) as exc:

@@ -38,7 +38,8 @@ from .exterior import (
     pullback_with_jacobian,
     wedge_fields,
 )
-from .hdw import TOLERANCE, assemble_hatmap, hatmap_rhs, min_norm_divergence, solve_hdw
+from .hdw import (TOLERANCE, _min_norm_solve, assemble_hatmap, hatmap_rhs,
+                  min_norm_divergence, solve_hdw)
 from .identities import closure_residual
 
 FD_STEP = 1e-5
@@ -56,11 +57,28 @@ def sample_box(rng: np.random.Generator, box: Sequence[tuple[float, float]],
 
 def box_test(box: Sequence[tuple[float, float]],
              slack: float = 1e-9) -> Callable[[Sequence[float]], bool]:
-    """Membership in the box widened by slack * (1 + |bound|) on each side;
-    the bounds are computed once."""
-    lows = [lo - slack * (1 + abs(lo)) for lo, _ in box]
-    highs = [hi + slack * (1 + abs(hi)) for _, hi in box]
-    return lambda x: all(lo <= v <= hi for v, lo, hi in zip(x, lows, highs))
+    """Membership in the box widened by slack * (1 + |bound|) on each side:
+    one comparison chain, generated once per dimension, over bounds computed
+    once per call."""
+    n = len(box)
+    if ("box", n) not in _GENERATED:
+        tests = " and ".join(f"lo{i} <= x[{i}] <= hi{i}" for i in range(n)) or "True"
+        _GENERATED["box", n] = _generated(
+            f"def box({''.join(f'lo{i}, hi{i}, ' for i in range(n))}):\n"
+            f"    return lambda x: {tests}", "box")
+    return _GENERATED["box", n](*(b for lo, hi in box
+                                   for b in (lo - slack * (1 + abs(lo)), hi + slack * (1 + abs(hi)))))
+
+
+def _generated(source: str, name: str) -> Callable:
+    """The function ``name`` defined by ``source``."""
+    namespace: dict = {}
+    exec(compile(source, f"<ghm.dynamics {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+# generated code by (kind, dimension): "rk4", "rkf45" and "box"
+_GENERATED: dict[tuple[str, int], Callable] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +124,7 @@ class SystemSpec:
             self.domain = tuple((-10.0, 10.0) for _ in range(self.n))
         if not self.invariants:
             self.invariants = {f"H{i + 1}": h for i, h in enumerate(self.hamiltonians)}
+        self._route_cache: dict[str, dict[str, Callable]] = {}
 
     # -- structures -------------------------------------------------------
 
@@ -133,30 +152,34 @@ class SystemSpec:
         comps = tuple(ex.neg(T.coeffs.get((i,), ex.ZERO)) for i in range(1, self.n + 1))
         return VectorField(self.n, comps)
 
-    @cached_property
-    def _compiled_eom(self) -> Callable[[Sequence[float]], tuple]:
+    def _route(self, name: str) -> Callable:
+        """``_build_<name>()``, built once per mode: a compiled piece of one
+        route cannot outlive a change of ``mode``."""
+        try:
+            return self._route_cache[self.mode][name]
+        except KeyError:
+            per_mode = self._route_cache.setdefault(self.mode, {})
+            built = per_mode[name] = getattr(self, f"_build_{name}")()
+            return built
+
+    @property
+    def _compiled_eom(self) -> Callable[[Sequence[float]], Sequence[float]]:
+        return self._route("eom")
+
+    def _build_eom(self):
         if self.mode == "tensor":
             return self.bracket_field.compiled
-        sigma = self.sigma()
+        form, sigma = self.form, self.sigma()
 
         def f(x):
-            report = solve_hdw(self.form, sigma, x)
-            if not report.consistent:
-                raise IntegrationError(_inconsistent(x, report.residual))
-            return report.x
+            X, residual, consistent, _ = _min_norm_solve(form, sigma, x)
+            if not consistent:
+                raise IntegrationError(_inconsistent(x, residual))
+            return X
 
         return f
 
-    @cached_property
-    def _compiled_invariants(self) -> tuple[tuple[str, Callable], ...]:
-        return tuple((name, h.compiled) for name, h in self.invariants.items())
-
-    @cached_property
-    def _compiled_hamiltonians(self) -> tuple[Callable, ...]:
-        return tuple(h.compiled for h in self.hamiltonians)
-
-    @cached_property
-    def _divergence(self) -> Callable[[Sequence[float]], float]:
+    def _build_divergence(self):
         """Exact divergence of the integrated field: symbolic on the tensor
         route; on the form route, the derivative of the minimum-norm solution
         under constant hat-map rank, which also stops an inconsistent system
@@ -173,6 +196,17 @@ class SystemSpec:
             return div
 
         return exact_div
+
+    def _build_diagnostics(self):
+        """The row (Hamiltonians..., invariants..., div) at a state: one
+        compiled bundle, which on the tensor route includes the symbolic
+        divergence; the form route appends ``_build_divergence``'s value."""
+        exprs = [h.expression for h in self.hamiltonians]
+        exprs += [h.expression for h in self.invariants.values()]
+        if self.mode == "tensor":
+            return ex.compile_vector(exprs + [self.bracket_field.divergence_expr()])
+        bundle, div = ex.compile_vector(exprs), self._route("divergence")
+        return lambda x: bundle(x) + (div(x),)
 
     # -- validation -------------------------------------------------------
 
@@ -203,7 +237,7 @@ def divergence(system: SystemSpec, point: Sequence[float]) -> float:
     the tensor route; on the form route, exact for the minimum-norm field
     where the hat map's rank is constant near the point.  An inconsistent
     hat-map system raises ``IntegrationError``."""
-    return float(system._divergence(tuple(point)))
+    return float(system._route("divergence")(tuple(point)))
 
 
 def vector_field_of(system: SystemSpec, point: Sequence[float], *,
@@ -294,22 +328,55 @@ _RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 _RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 
 
-def _rk4_step(f, x: list, dt: float) -> list:
-    k1 = f(x)
-    h2 = dt / 2
-    k2 = f([xi + h2 * ki for xi, ki in zip(x, k1)])
-    k3 = f([xi + h2 * ki for xi, ki in zip(x, k2)])
-    k4 = f([xi + dt * ki for xi, ki in zip(x, k3)])
-    w = dt / 6
-    return [xi + w * (a + 2 * b + 2 * c + d)
-            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+def stepper(method: str, n: int) -> Callable:
+    """The RK step for n-dimensional states, generated once per (method, n):
+    ``rk4(f, x, dt)`` returns the next state and ``rkf45(f, x, h)`` the pair
+    (x4, x5).  The state is unpacked into locals and ``f`` is called once per
+    stage.  Every value is the float expression of the loop form, in its
+    order: stage states x + h2*k and x + (h*a)*k summed in tableau order,
+    x + w*(a + 2*b + 2*c + d), and the B4/B5 sums as 0 + b0*k0 + b1*k1 + ...
+    with the zero weights kept.  That is ``sum()`` on Python 3.11; writing it
+    out keeps the result on 3.12+, whose ``sum()`` of floats is compensated."""
+    if (method, n) in _GENERATED:
+        return _GENERATED[method, n]
+
+    def vec(component):  # a tuple display over the n components
+        return "(" + "".join(component(i) + ", " for i in range(n)) + ")"
+
+    def stage(k, point):  # one call of f, unpacked into k0, k1, ...
+        return "".join(f"{k}{i}, " for i in range(n)) + f"= f({point})"
+
+    if method == "rk4":
+        body = [stage("a", "x"), "h2 = dt / 2",
+                stage("b", vec(lambda i: f"x{i} + h2 * a{i}")),
+                stage("c", vec(lambda i: f"x{i} + h2 * b{i}")),
+                stage("d", vec(lambda i: f"x{i} + dt * c{i}")), "w = dt / 6",
+                "return " + vec(lambda i: f"x{i} + w * (a{i} + 2 * b{i} + 2 * c{i} + d{i})")]
+    else:
+        body = [stage("k0_", "x")]
+        for s, row in enumerate(_RKF_A[1:], start=1):
+            body += [f"h{s}_{j} = h * {a!r}" for j, a in enumerate(row)]
+            body.append(stage(f"k{s}_", vec(lambda i: f"x{i}" + "".join(
+                f" + h{s}_{j} * k{j}_{i}" for j in range(s)))))
+        body.append("return " + ", ".join(vec(lambda i: f"x{i} + h * (0" + "".join(
+            f" + {b!r} * k{j}_{i}" for j, b in enumerate(weights)) + ")")
+            for weights in (_RKF_B4, _RKF_B5)))
+    head = f"def {method}(f, x, {'dt' if method == 'rk4' else 'h'}):\n    "
+    state = "".join(f"x{i}, " for i in range(n)) + "= x\n    "
+    fn = _GENERATED[method, n] = _generated(head + state + "\n    ".join(body), method)
+    return fn
 
 
 def integrate(system: SystemSpec, x0: Sequence[float], t_end: float, dt: float = 1e-3,
               method: str = "rk4", reltol: float = 1e-9) -> Trajectory:
     """Fixed-step classical RK4 or adaptive Fehlberg 4(5) over the system's
-    vector field.  Diagnostics are recorded at every accepted step; leaving
-    the domain box truncates the trajectory with a note (never extrapolates).
+    vector field.  Each step is the straight-line function ``stepper``
+    generates once per (method, n); it keeps the float operations of the
+    loop form in their order, B4/B5 sums included, so the states are the
+    same bit for bit.  At every accepted step one compiled call records the
+    row of Hamiltonians, invariants and div (``_build_diagnostics``).
+    Leaving the domain box truncates the trajectory with a note (never
+    extrapolates).
     """
     if len(x0) != system.n:
         raise InputError(f"x0 must have length {system.n}")
@@ -322,17 +389,21 @@ def integrate(system: SystemSpec, x0: Sequence[float], t_end: float, dt: float =
         raise InputError(f"unknown method {method!r}")
 
     f = system._compiled_eom
-    inv_fns = system._compiled_invariants
-    ham_fns = system._compiled_hamiltonians
-    div_fn = system._divergence
+    diagnostics = system._route("diagnostics")
+    step = stepper(method, system.n)
 
-    times = [0.0]
-    states = [list(map(float, x0))]
-    hams = [[fn(states[0]) for fn in ham_fns]]
-    invariants = [[fn(states[0]) for _, fn in inv_fns]]
-    divs = [div_fn(states[0])]
-    truncated = False
-    note = ""
+    t = 0.0
+    x = tuple(map(float, x0))
+    times, states, rows = [t], [x], [diagnostics(x)]
+
+    def accept(when: float, state: tuple) -> bool:
+        """Record an accepted state, or return False if it left the box."""
+        if not inside(state):
+            return False
+        times.append(when)
+        states.append(state)
+        rows.append(diagnostics(state))
+        return True
 
     try:
         if method == "rk4":
@@ -340,50 +411,23 @@ def integrate(system: SystemSpec, x0: Sequence[float], t_end: float, dt: float =
             full = int(t_end / dt + 1e-9)
             remainder = t_end - full * dt
             plan = [dt] * full + ([remainder] if remainder > 1e-12 * t_end else [])
-            x = states[0]
-            t = 0.0
             for h in plan:
-                x = _rk4_step(f, x, h)
+                x = step(f, x, h)
                 t += h
-                if not inside(x):
-                    truncated = True
-                    note = f"state left the domain box at t={t:.6g}"
+                if not accept(t, x):
                     break
-                times.append(t)
-                states.append(x)
-                hams.append([fn(x) for fn in ham_fns])
-                invariants.append([fn(x) for _, fn in inv_fns])
-                divs.append(div_fn(x))
         else:
-            t, x = 0.0, states[0]
             h = dt
             while t < t_end - 1e-14:
                 h = min(h, t_end - t)
-                ks = []
-                for stage in range(6):
-                    xs = list(x)
-                    for j, a in enumerate(_RKF_A[stage]):
-                        for i in range(system.n):
-                            xs[i] += h * a * ks[j][i]
-                    ks.append(f(xs))
-                x4 = [xi + h * sum(b * ks[j][i] for j, b in enumerate(_RKF_B4))
-                      for i, xi in enumerate(x)]
-                x5 = [xi + h * sum(b * ks[j][i] for j, b in enumerate(_RKF_B5))
-                      for i, xi in enumerate(x)]
+                x4, x5 = step(f, x, h)
                 err = math.sqrt(sum((a - b) ** 2 for a, b in zip(x4, x5)))
                 scale = reltol * (1.0 + math.sqrt(sum(v * v for v in x)))
                 if err <= scale:
                     t += h
                     x = x4
-                    if not inside(x):
-                        truncated = True
-                        note = f"state left the domain box at t={t:.6g}"
+                    if not accept(t, x):
                         break
-                    times.append(t)
-                    states.append(x)
-                    hams.append([fn(x) for fn in ham_fns])
-                    invariants.append([fn(x) for _, fn in inv_fns])
-                    divs.append(div_fn(x))
                 factor = 0.9 * (scale / err) ** 0.2 if err > 0 else 5.0
                 h *= min(5.0, max(0.2, factor))
                 if h < 1e-14:
@@ -391,15 +435,18 @@ def integrate(system: SystemSpec, x0: Sequence[float], t_end: float, dt: float =
     except (EvalDomainError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise IntegrationError(f"vector-field evaluation failed: {exc}") from exc
 
+    table = np.array(rows)
+    nh = len(system.hamiltonians)
+    left = not inside(x)  # only the last step can have left the box
     return Trajectory(
         times=np.array(times),
         states=np.array(states),
-        hamiltonians=np.array(hams),
-        invariant_names=tuple(name for name, _ in inv_fns),
-        invariants=np.array(invariants),
-        divergences=np.array(divs),
-        truncated=truncated,
-        note=note,
+        hamiltonians=table[:, :nh],
+        invariant_names=tuple(system.invariants),
+        invariants=table[:, nh:-1],
+        divergences=table[:, -1],
+        truncated=left,
+        note=f"state left the domain box at t={t:.6g}" if left else "",
     )
 
 
@@ -473,14 +520,14 @@ def moser_family_residual(w0: FormField, X_t: Callable[[float], VectorField],
 
 def _numeric_flow(problem: MoserProblem, t: float, steps_per_unit: int = 512):
     """Fixed-step RK4 flow map of the deformation field."""
-    f = problem.X.compiled
+    f, rk4 = problem.X.compiled, stepper("rk4", problem.n)
     nsteps = max(1, round(abs(t) * steps_per_unit))
     h = t / nsteps
 
     def flow_map(p: Sequence[float]) -> np.ndarray:
         x = list(map(float, p))
         for _ in range(nsteps):
-            x = _rk4_step(f, x, h)
+            x = rk4(f, x, h)
         return np.array(x)
 
     return flow_map

@@ -138,6 +138,25 @@ def solve_hdw(w: FormField, sigma: FormField, point: Sequence[float],
     Inconsistency is a report state, not an error: ``consistent`` holds iff
     the residual is within tolerance * (1 + |sigma|).
     """
+    x, residual, consistent, rank = _min_norm_solve(w, sigma, point, tolerance)
+    kernel_dim = w.n - rank
+    return SolveReport(
+        n=w.n,
+        k=w.k,
+        x=tuple(x),
+        residual=residual,
+        kernel_dim=kernel_dim,
+        unique=consistent and kernel_dim == 0,
+        surjectivity_possible=obstruction_check(w.n, w.k),
+        consistent=consistent,
+        tolerance=tolerance,
+    )
+
+
+def _min_norm_solve(w: FormField, sigma: FormField, point: Sequence[float],
+                    tolerance: float = TOLERANCE) -> tuple[list, float, bool, int]:
+    """(x as a list of floats, residual, consistent, rank): the one solve
+    path, under ``solve_hdw``'s report and the form route's RK stages."""
     if sigma.k != w.k - 1 or sigma.n != w.n:
         raise DimensionError(
             f"sigma must have degree k-1={w.k - 1} on n={w.n}, got ({sigma.n}, {sigma.k})")
@@ -145,19 +164,7 @@ def solve_hdw(w: FormField, sigma: FormField, point: Sequence[float],
     b = hatmap_rhs(sigma, hat.rows, point)
     x, _, rank, _ = np.linalg.lstsq(hat.matrix, b, rcond=RCOND)
     residual = float(np.linalg.norm(hat.matrix @ x - b))
-    consistent = _consistent(residual, b, tolerance)
-    kernel_dim = w.n - int(rank)
-    return SolveReport(
-        n=w.n,
-        k=w.k,
-        x=tuple(float(v) for v in x),
-        residual=residual,
-        kernel_dim=kernel_dim,
-        unique=bool(consistent and kernel_dim == 0),
-        surjectivity_possible=obstruction_check(w.n, w.k),
-        consistent=bool(consistent),
-        tolerance=tolerance,
-    )
+    return x.tolist(), residual, _consistent(residual, b, tolerance), int(rank)
 
 
 def _consistent(residual: float, b: np.ndarray, tolerance: float) -> bool:

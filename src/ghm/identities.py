@@ -116,26 +116,6 @@ def _argmax_signed(arr: np.ndarray) -> tuple[float, tuple[int, ...]]:
 # Jacobi identity
 # ---------------------------------------------------------------------------
 
-def jacobi_cyclic(J2: MultiVectorField, triple: tuple[int, int, int],
-                  point: Sequence[float]) -> float:
-    """Signed cyclic sum J^{im} d_m J^{jl} + J^{jm} d_m J^{li} + J^{lm} d_m J^{ij}."""
-    i, j, l = triple
-    total = 0.0
-    for m in range(1, J2.n + 1):
-        for (a, bc) in ((i, (j, l)), (j, (l, i)), (l, (i, j))):
-            c = ex.evaluate(J2.component_expr((a, m)), point)
-            if c == 0.0:
-                continue
-            d = ex.ZERO
-            key, s = sort_with_sign(bc)
-            if s != 0:
-                d = ex.differentiate(J2.coeffs.get(key, ex.ZERO), m)
-                if s == -1:
-                    d = ex.neg(d)
-            total += c * ex.evaluate(d, point)
-    return total
-
-
 def jacobi_residual(J2: MultiVectorField, points: Sequence[Sequence[float]]) -> IdentityReport:
     """Max over points and (i,j,l) of the cyclic first-derivative sum; degree 2 only."""
     if J2.k != 2:

@@ -216,3 +216,172 @@ def csv_reference(traj, fh):
         cells += [f"{v:.17g}" for v in traj.hamiltonians[row]]
         cells.append(f"{traj.divergences[row]:.17g}")
         fh.write(",".join(cells) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# Identities: the scalar Jacobi sum
+# ---------------------------------------------------------------------------
+
+def jacobi_cyclic(J2, triple, point):
+    """Signed cyclic sum J^{im} d_m J^{jl} + J^{jm} d_m J^{li} + J^{lm} d_m J^{ij},
+    one component at a time through exact derivatives; the einsum scan of
+    ``identities.jacobi_residual`` must agree with it."""
+    from ghm import expr as ex
+    from ghm.exterior import sort_with_sign
+
+    i, j, l = triple
+    total = 0.0
+    for m in range(1, J2.n + 1):
+        for (a, bc) in ((i, (j, l)), (j, (l, i)), (l, (i, j))):
+            c = ex.evaluate(J2.component_expr((a, m)), point)
+            if c == 0.0:
+                continue
+            d = ex.ZERO
+            key, s = sort_with_sign(bc)
+            if s != 0:
+                d = ex.differentiate(J2.coeffs.get(key, ex.ZERO), m)
+                if s == -1:
+                    d = ex.neg(d)
+            total += c * ex.evaluate(d, point)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Integration: the loop-form RK4 / RKF45 reference
+# ---------------------------------------------------------------------------
+
+def _sum311(values):
+    """``sum()`` as Python 3.11 computes it for floats: a plain left fold
+    from the integer 0 (3.12+ compensates the rounding)."""
+    total = 0
+    for v in values:
+        total = total + v
+    return total
+
+
+def reference_rk4_step(f, x, dt):
+    k1 = f(x)
+    h2 = dt / 2
+    k2 = f([xi + h2 * ki for xi, ki in zip(x, k1)])
+    k3 = f([xi + h2 * ki for xi, ki in zip(x, k2)])
+    k4 = f([xi + dt * ki for xi, ki in zip(x, k3)])
+    w = dt / 6
+    return [xi + w * (a + 2 * b + 2 * c + d)
+            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+
+
+def reference_rkf45_step(f, x, h):
+    """(x4, x5) of one Fehlberg 4(5) step, stage by stage."""
+    from ghm.dynamics import _RKF_A, _RKF_B4, _RKF_B5
+
+    ks = []
+    for stage in range(6):
+        xs = list(x)
+        for j, a in enumerate(_RKF_A[stage]):
+            for i in range(len(x)):
+                xs[i] += h * a * ks[j][i]
+        ks.append(f(xs))
+    x4 = [xi + h * _sum311(b * ks[j][i] for j, b in enumerate(_RKF_B4))
+          for i, xi in enumerate(x)]
+    x5 = [xi + h * _sum311(b * ks[j][i] for j, b in enumerate(_RKF_B5))
+          for i, xi in enumerate(x)]
+    return x4, x5
+
+
+def reference_integrate(system, x0, t_end, dt=1e-3, method="rk4", reltol=1e-9):
+    """(Trajectory, rejected RKF45 steps) from the loop-form integrator: the
+    equations of motion straight from the bracket field or from
+    ``solve_hdw``, and every Hamiltonian, invariant and div evaluated by
+    its own compiled function.  ``ghm.dynamics.integrate`` must agree with
+    it bit for bit."""
+    import math
+
+    import numpy as np
+    from ghm import expr as ex
+    from ghm.dynamics import Trajectory
+    from ghm.errors import EvalDomainError, IntegrationError
+    from ghm.hdw import min_norm_divergence, solve_hdw
+
+    if system.mode == "tensor":
+        f = system.bracket_field.compiled
+        div_fn = ex.compile_expr(system.bracket_field.divergence_expr())
+    else:
+        sigma = system.sigma()
+
+        def f(x):
+            report = solve_hdw(system.form, sigma, x)
+            if not report.consistent:
+                raise IntegrationError(f"hat-map system inconsistent at {tuple(x)}: "
+                                       f"residual {report.residual:g}")
+            return report.x
+
+        def div_fn(x):
+            div, residual, consistent = min_norm_divergence(system.form, sigma, x)
+            if not consistent:
+                raise IntegrationError(f"hat-map system inconsistent at {tuple(x)}: "
+                                       f"residual {residual:g}")
+            return div
+
+    lows = [lo - 1e-9 * (1 + abs(lo)) for lo, _ in system.domain]
+    highs = [hi + 1e-9 * (1 + abs(hi)) for _, hi in system.domain]
+
+    def inside(x):
+        return all(lo <= v <= hi for v, lo, hi in zip(x, lows, highs))
+
+    ham_fns = [h.compiled for h in system.hamiltonians]
+    inv_fns = [h.compiled for h in system.invariants.values()]
+    times = [0.0]
+    states = [list(map(float, x0))]
+    hams = [[fn(states[0]) for fn in ham_fns]]
+    invariants = [[fn(states[0]) for fn in inv_fns]]
+    divs = [div_fn(states[0])]
+    truncated, note, rejected = False, "", 0
+
+    def record(t, x):
+        times.append(t)
+        states.append(x)
+        hams.append([fn(x) for fn in ham_fns])
+        invariants.append([fn(x) for fn in inv_fns])
+        divs.append(div_fn(x))
+
+    try:
+        if method == "rk4":
+            full = int(t_end / dt + 1e-9)
+            remainder = t_end - full * dt
+            plan = [dt] * full + ([remainder] if remainder > 1e-12 * t_end else [])
+            x, t = states[0], 0.0
+            for h in plan:
+                x = reference_rk4_step(f, x, h)
+                t += h
+                if not inside(x):
+                    truncated, note = True, f"state left the domain box at t={t:.6g}"
+                    break
+                record(t, x)
+        else:
+            t, x, h = 0.0, states[0], dt
+            while t < t_end - 1e-14:
+                h = min(h, t_end - t)
+                x4, x5 = reference_rkf45_step(f, x, h)
+                err = math.sqrt(sum((a - b) ** 2 for a, b in zip(x4, x5)))
+                scale = reltol * (1.0 + math.sqrt(sum(v * v for v in x)))
+                if err <= scale:
+                    t += h
+                    x = x4
+                    if not inside(x):
+                        truncated, note = True, f"state left the domain box at t={t:.6g}"
+                        break
+                    record(t, x)
+                else:
+                    rejected += 1
+                factor = 0.9 * (scale / err) ** 0.2 if err > 0 else 5.0
+                h *= min(5.0, max(0.2, factor))
+                if h < 1e-14:
+                    raise IntegrationError(f"step size underflow at t={t:.6g}")
+    except (EvalDomainError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise IntegrationError(f"vector-field evaluation failed: {exc}") from exc
+
+    traj = Trajectory(times=np.array(times), states=np.array(states),
+                      hamiltonians=np.array(hams), invariant_names=tuple(system.invariants),
+                      invariants=np.array(invariants), divergences=np.array(divs),
+                      truncated=truncated, note=note)
+    return traj, rejected

@@ -212,12 +212,19 @@ def test_config_closure_enforced(tmp_path):
     assert "not closed" in str(err.value)
 
 
-def ghm_process(*argv):
-    """``ghm`` in a fresh interpreter, as a user runs it: (exit code, stderr)."""
+def ghm_fresh(*argv):
+    """``ghm`` in a fresh interpreter, as a user runs it: (exit code, stdout,
+    stderr)."""
     env = dict(os.environ, PYTHONPATH=str(Path(ghm.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-m", "ghm.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=120)
-    return done.returncode, done.stderr
+    return done.returncode, done.stdout, done.stderr
+
+
+def ghm_process(*argv):
+    """(exit code, stderr) of ``ghm`` in a fresh interpreter."""
+    code, _, err = ghm_fresh(*argv)
+    return code, err
 
 
 def test_overflow_at_a_point_is_a_domain_error(tmp_path):
@@ -294,3 +301,45 @@ def test_simulate_deterministic_stdout_on_both_routes(tmp_path, capsys):
         second = run(capsys, "simulate", *argv, "--t-end", "0.05", "--dt", "1e-3")
         assert first[0] == 0
         assert first[:2] == second[:2]
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the help text's width, here and in the child
+    calls = [
+        ["simulate", "oscillator", "--x0", "0.1,1,1,0.2,0.3,2", "--t-end", "0.003"],
+        ["check", "flat_nambu", "--samples", "5"],
+        ["simulate", "oscillator", "--no-such-flag"],
+        ["solve", "fourdim", "--point", "0.1,0.2,0.3,1.5"],
+        ["--help"],
+        ["simulate", "--help"],
+    ]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == ghm_fresh(*argv)
+    assert ghm_fresh("simulate", "oscillator", "--no-such-flag")[0] == 2
+
+
+@pytest.mark.parametrize("coefficient, x0, dt, message", [
+    # X^1 = -sqrt(x1): the second RK stage of the first step goes below zero
+    ("sqrt(x1)", "1e-9,0", "1e-3", "sqrt of negative value at node sqrt(x1)"),
+    # X = (1, 0) reaches x1 = 0 exactly after two steps, where the field is
+    # defined but its divergence, in the diagnostics row, divides 0 by 0
+    ("1 + x2*x1*sqrt(x1^2)", "-0.25,0", "0.125", "division by zero at node"),
+])
+def test_domain_fault_while_integrating_exits_3(tmp_path, coefficient, x0, dt, message):
+    doc = {"name": "fault", "n": 2, "k": 2, "mode": "tensor",
+           "coefficients": {"1,2": coefficient},
+           "hamiltonians": ["-x2" if coefficient == "sqrt(x1)" else "x2"]}
+    path = tmp_path / "fault.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = ghm_fresh("simulate", "--config", str(path), f"--x0={x0}",
+                               "--t-end", "1", "--dt", dt)
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("integration failure: vector-field evaluation failed: ")
+    assert message in err

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from ghm.dynamics import (
     moser_family_residual,
     moser_residual,
     sample_box,
+    stepper,
     vector_field_of,
     verify_flattening,
 )
@@ -30,7 +32,12 @@ from ghm.systems import (
     oscillator,
     quasisymmetry,
 )
-from oracles import csv_reference
+from oracles import (
+    csv_reference,
+    reference_integrate,
+    reference_rk4_step,
+    reference_rkf45_step,
+)
 
 
 def _hori_rhs(state, lam):
@@ -323,3 +330,131 @@ def test_rk4_halving_order_on_oscillator():
         traj = integrate(osc, osc.base_point, t_end=10.0, dt=dt)
         drift[dt] = max(conservation_report(traj, osc).values())
     assert drift[0.02] / drift[0.01] >= 2 ** 3.5
+
+
+# ---------------------------------------------------------------------------
+# The generated steppers against the loop-form reference
+# ---------------------------------------------------------------------------
+
+def _assert_same_trajectory(got, want):
+    for name in ("times", "states", "hamiltonians", "invariants", "divergences"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert (got.invariant_names, got.truncated, got.note) == \
+        (want.invariant_names, want.truncated, want.note)
+
+
+def _narrow(system, half_width):
+    return dataclasses.replace(
+        system, domain=tuple((c - half_width, c + half_width) for c in system.base_point))
+
+
+INTEGRATIONS = {
+    # 12 full steps and a remainder of 5e-4
+    "tensor rk4 remainder": (lambda: oscillator(lam=0.1), None, 0.0125, 1e-3, "rk4", 1e-9),
+    "tensor rkf45 rejections": (lambda: oscillator(lam=0.1), None, 3.0, 0.5, "rkf45", 1e-12),
+    "truncated rk4": (lambda: _narrow(oscillator(lam=0.1), 0.05), None, 1.0, 1e-3, "rk4", 1e-9),
+    "truncated rkf45": (lambda: _narrow(oscillator(lam=0.1), 0.3), None, 1.0, 1e-3, "rkf45",
+                        1e-13),
+    "oscillator form": (lambda: dataclasses.replace(oscillator(lam=0.1), mode="form"), None,
+                        0.02, 1e-3, "rk4", 1e-9),
+    "flat_nambu(4,3) form": (lambda: flat_nambu(4, 3), (0.1, -0.2, 0.3, 0.4), 0.02, 1e-3,
+                             "rk4", 1e-9),
+    "quasisymmetry rk4": (lambda: quasisymmetry(), None, 0.05, 1e-3, "rk4", 1e-9),
+    "fourdim rkf45": (lambda: fourdim(), None, 0.5, 1e-2, "rkf45", 1e-11),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTEGRATIONS))
+def test_integrate_is_bit_identical_to_the_loop_form(case):
+    build, x0, t_end, dt, method, reltol = INTEGRATIONS[case]
+    system = build()
+    x0 = x0 or system.base_point
+    want, rejected = reference_integrate(system, x0, t_end, dt, method, reltol)
+    _assert_same_trajectory(integrate(system, x0, t_end, dt, method, reltol), want)
+    if "rejections" in case:
+        assert rejected > 0
+    if "remainder" in case:
+        assert len(want.times) == 14 and want.times[-1] - want.times[-2] < dt
+    assert want.truncated == case.startswith("truncated")
+    assert len(want.times) > 2
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_generated_steps_are_bit_identical_for_every_dimension(n):
+    def f(x):
+        return tuple(math.sin(x[(i + 1) % n]) * x[i] - 0.3 * i + x[i - 1] ** 2 for i in range(n))
+
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        x = tuple(rng.uniform(-2, 2, n))
+        h = float(rng.uniform(1e-4, 0.3))
+        assert np.array(stepper("rk4", n)(f, x, h)).tobytes() == \
+            np.array(reference_rk4_step(f, x, h)).tobytes()
+        assert np.array(stepper("rkf45", n)(f, x, h)).tobytes() == \
+            np.array(reference_rkf45_step(f, x, h)).tobytes()
+    def staged(values):  # call i returns values[i % 6] in every component
+        calls = itertools.count()
+        return lambda x: (values[next(calls) % 6],) * n
+
+    # every b*k of B4 and B5 is -0.0, so only the leading 0 makes the sums +0.0
+    zeros = (-0.0, -0.0, -0.0, -0.0, 0.0, -0.0)
+    # k1 reaches x4 only through its zero weight, as 0.0 * inf
+    spike = (1.0, math.inf, 1.0, 1.0, 1.0, 1.0)
+    for values, x in ((zeros, (-0.0,) * n), (spike, (0.5,) * n)):
+        for method, reference in (("rk4", reference_rk4_step), ("rkf45", reference_rkf45_step)):
+            got = np.array(stepper(method, n)(staged(values), x, 0.1))
+            assert got.tobytes() == np.array(reference(staged(values), x, 0.1)).tobytes()
+    assert stepper("rk4", n) is stepper("rk4", n)
+    for route in ("tensor", "form"):
+        system = dataclasses.replace(flat_nambu(n, min(n, 3)), mode=route)
+        x0 = tuple(rng.uniform(-1, 1, n))
+        for method in ("rk4", "rkf45"):
+            want, _ = reference_integrate(system, x0, 0.05, 1e-2, method, 1e-10)
+            _assert_same_trajectory(integrate(system, x0, 0.05, 1e-2, method, 1e-10), want)
+
+
+def test_changing_mode_rebuilds_the_route_caches():
+    x0 = (0.1, 1.0, 1.0, 0.2, 0.3, 2.0)
+    s = oscillator(lam=0.1)
+    tensor_run = integrate(s, x0, t_end=0.01, dt=1e-3)
+    s.mode = "form"
+    form_run = integrate(s, x0, t_end=0.01, dt=1e-3)
+    fresh_form = dataclasses.replace(oscillator(lam=0.1), mode="form")
+    _assert_same_trajectory(form_run, integrate(fresh_form, x0, t_end=0.01, dt=1e-3))
+    assert form_run.states.tobytes() != tensor_run.states.tobytes()
+    assert divergence(s, x0) == divergence(fresh_form, x0)
+    s.mode = "tensor"
+    _assert_same_trajectory(integrate(s, x0, t_end=0.01, dt=1e-3), tensor_run)
+
+
+def _flat_plane(mode, invariants=None):
+    h = ScalarField(2, ex.Coord(2), "H1")
+    return SystemSpec(name="plane", n=2, k=2, hamiltonians=(h,), mode=mode,
+                      tensor=MultiVectorField.constant(2, 2, {(1, 2): 1.0}),
+                      form=FormField.constant(2, 2, {(1, 2): 1.0}),
+                      invariants=invariants or {})
+
+
+@pytest.mark.parametrize("mode", ["tensor", "form"])
+def test_domain_fault_in_the_diagnostics_is_an_integration_error(mode):
+    # X = (+-1, 0); the invariant is defined for |x1| <= 1e-3 only, which
+    # the first few steps from x1 = 5e-4 leave
+    bad = ScalarField.from_text("sqrt(1e-6 - x1^2)", 2, name="bad")
+    s = _flat_plane(mode, {"H1": ScalarField(2, ex.Coord(2)), "bad": bad})
+    with pytest.raises(IntegrationError, match="sqrt of negative value"):
+        integrate(s, (5e-4, 0.0), t_end=0.01, dt=1e-3)
+    for method in ("rk4", "rkf45"):
+        with pytest.raises(IntegrationError, match="sqrt of negative value"):
+            reference_integrate(s, (5e-4, 0.0), 0.01, 1e-3, method)
+        with pytest.raises(IntegrationError, match="sqrt of negative value"):
+            integrate(s, (5e-4, 0.0), t_end=0.01, dt=1e-3, method=method)
+
+
+def test_domain_fault_in_a_stage_is_an_integration_error():
+    # X^1 = -sqrt(x1): the second RK stage from x1 = 1e-9 lands below zero
+    s = SystemSpec(name="sink", n=2, k=2, hamiltonians=(ScalarField.from_text("-x2", 2),),
+                   tensor=MultiVectorField(2, 2, {(1, 2): ex.parse("sqrt(x1)", 2)}))
+    for method in ("rk4", "rkf45"):
+        with pytest.raises(IntegrationError, match="sqrt of negative value at node sqrt"):
+            integrate(s, (1e-9, 0.0), t_end=0.01, dt=1e-3, method=method)

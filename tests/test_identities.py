@@ -11,7 +11,6 @@ from ghm.identities import (
     closure_residual,
     extend_measure_preserving,
     fundamental_identity_residual,
-    jacobi_cyclic,
     jacobi_k_residual,
     jacobi_residual,
     measure_residual,
@@ -19,6 +18,7 @@ from ghm.identities import (
 )
 from ghm.structure import build_poisson_k
 from ghm.systems import fourdim, oscillator
+from oracles import jacobi_cyclic
 
 
 def _fourdim_j2():
