@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -41,15 +42,33 @@ def _config_error(pointer: str, message: str) -> InputError:
     return InputError(f"config error at {pointer}: {message}")
 
 
+def _numbers(value, count: int) -> tuple[float, ...] | None:
+    """``value`` as ``count`` floats if it is a JSON list of that many finite
+    numbers, else None."""
+    if not isinstance(value, list) or len(value) != count:
+        return None
+    out = []
+    for v in value:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            return None
+        try:
+            out.append(float(v))
+        except OverflowError:  # an integer literal beyond the float range
+            return None
+    return tuple(out) if all(map(math.isfinite, out)) else None
+
+
 def load_config(path: str) -> SystemSpec:
     """Build a system from a JSON document.
 
     Schema: {"name", "n", "k", "mode": "form"|"tensor",
              "coefficients": {"1,2,3": "expr", ...},
-             "hamiltonians": ["expr", ...], "params": {...},
-             "domain": [[lo, hi], ...], "aliases": [...],
+             "hamiltonians": ["expr", ...], "params": {"name": number, ...},
+             "domain": [[lo, hi], ...], "aliases": ["name", ...],
              "base_point": [...]}.
-    Multi-index keys are comma-joined ascending integers.
+    Multi-index keys are comma-joined ascending integers.  Every number must
+    be finite, each domain pair must have lo < hi, and every malformed member
+    is an ``InputError`` naming its JSON pointer.
     """
     try:
         with open(path) as fh:
@@ -64,7 +83,7 @@ def load_config(path: str) -> SystemSpec:
     def need(key, types, pointer):
         if key not in doc:
             raise _config_error(pointer, "missing required member")
-        if not isinstance(doc[key], types):
+        if not isinstance(doc[key], types) or isinstance(doc[key], bool):
             raise _config_error(pointer, f"expected {types}")
         return doc[key]
 
@@ -79,8 +98,12 @@ def load_config(path: str) -> SystemSpec:
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise _config_error("/params", "expected an object of name -> number")
+    for key, value in params.items():
+        if _numbers([value], 1) is None:
+            raise _config_error(f"/params/{key}", "expected a finite number")
     aliases = doc.get("aliases")
-    if aliases is not None and (not isinstance(aliases, list) or len(aliases) != n):
+    if aliases is not None and (not isinstance(aliases, list) or len(aliases) != n
+                                or not all(isinstance(a, str) for a in aliases)):
         raise _config_error("/aliases", f"expected {n} coordinate names")
     aliases_t = tuple(aliases) if aliases else None
 
@@ -94,6 +117,8 @@ def load_config(path: str) -> SystemSpec:
         if len(key) != k or any(key[i] >= key[i + 1] for i in range(len(key) - 1)) \
                 or key[0] < 1 or key[-1] > n:
             raise _config_error(pointer, f"key must be {k} strictly increasing axes in 1..{n}")
+        if not isinstance(expr_text, str):
+            raise _config_error(pointer, "expected an expression string")
         try:
             e = ex.parse(expr_text, n, params=params.keys(), aliases=aliases_t)
             coeffs[key] = ex.bind_params(e, params)
@@ -104,6 +129,8 @@ def load_config(path: str) -> SystemSpec:
         raise _config_error("/hamiltonians", f"expected k-1={k - 1} expressions")
     hams = []
     for i, text in enumerate(hams_doc):
+        if not isinstance(text, str):
+            raise _config_error(f"/hamiltonians/{i}", "expected an expression string")
         try:
             hams.append(ScalarField.from_text(text, n, params=params,
                                               aliases=aliases_t, name=f"H{i + 1}"))
@@ -115,22 +142,24 @@ def load_config(path: str) -> SystemSpec:
     if domain_doc is not None:
         if not isinstance(domain_doc, list) or len(domain_doc) != n:
             raise _config_error("/domain", f"expected {n} [lo, hi] pairs")
-        domain = tuple((float(lo), float(hi)) for lo, hi in domain_doc)
+        domain = tuple(_numbers(pair, 2) for pair in domain_doc)
+        for i, pair in enumerate(domain):
+            if pair is None or not (pair[0] < pair[1] and math.isfinite(pair[1] - pair[0])):
+                raise _config_error(f"/domain/{i}", "expected [lo, hi], finite numbers "
+                                                    "with lo < hi")
 
     base = doc.get("base_point")
-    base_t = tuple(float(v) for v in base) if base is not None else None
+    base_t = None if base is None else _numbers(base, n)
+    if base is not None and base_t is None:
+        raise _config_error("/base_point", f"expected {n} finite numbers")
 
-    if mode == "form":
-        structure = {"form": FormField(n, k, coeffs), "tensor": None}
-    else:
-        structure = {"form": None, "tensor": MultiVectorField(n, k, coeffs)}
+    tensor = MultiVectorField(n, k, coeffs) if mode == "tensor" else None
     system = SystemSpec(
         name=name, n=n, k=k, hamiltonians=tuple(hams), mode=mode,
-        params=dict(params), domain=domain, aliases=aliases_t,
-        base_point=base_t, **structure,
+        form=FormField(n, k, coeffs) if mode == "form" else None, tensor=tensor,
+        reduced_tensor=tensor if k == 2 else None,
+        params=dict(params), domain=domain, aliases=aliases_t, base_point=base_t,
     )
-    if system.tensor is not None and system.tensor.k == 2:
-        system.reduced_tensor = system.tensor
     system.validate()
     return system
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,8 +39,7 @@ from .exterior import (
     pullback_with_jacobian,
     wedge_fields,
 )
-from .hdw import (TOLERANCE, _min_norm_solve, assemble_hatmap, hatmap_rhs,
-                  min_norm_divergence, solve_hdw)
+from .hdw import RCOND, _hatmap_system, _min_norm_solve, _solve_report, min_norm_divergence
 from .identities import closure_residual
 
 FD_STEP = 1e-5
@@ -85,9 +85,13 @@ _GENERATED: dict[tuple[str, int], Callable] = {}
 # System specification
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SystemSpec:
-    """A complete generalized Hamiltonian system on a box in R^n."""
+    """A complete generalized Hamiltonian system on a box in R^n.
+
+    Frozen: ``dataclasses.replace`` is the way to change a spec, and the
+    copy starts with empty caches, so no compiled piece outlives the fields
+    it was built from.  ``invariants`` is stored read-only."""
 
     name: str
     n: int
@@ -101,7 +105,7 @@ class SystemSpec:
     domain: tuple[tuple[float, float], ...] = ()
     aliases: tuple[str, ...] | None = None
     base_point: tuple[float, ...] | None = None
-    invariants: dict[str, ScalarField] = dc_field(default_factory=dict)
+    invariants: Mapping[str, ScalarField] = dc_field(default_factory=dict)
     measure_weight: ScalarField | None = None
     reduced_tensor: MultiVectorField | None = None
     route_sign: int = 1
@@ -121,24 +125,22 @@ class SystemSpec:
         if self.mode == "form" and self.form is None:
             raise InputError("form mode requires a form structure")
         if not self.domain:
-            self.domain = tuple((-10.0, 10.0) for _ in range(self.n))
-        if not self.invariants:
-            self.invariants = {f"H{i + 1}": h for i, h in enumerate(self.hamiltonians)}
-        self._route_cache: dict[str, dict[str, Callable]] = {}
+            object.__setattr__(self, "domain", tuple((-10.0, 10.0) for _ in range(self.n)))
+        invariants = self.invariants or {f"H{i + 1}": h for i, h in enumerate(self.hamiltonians)}
+        object.__setattr__(self, "invariants", MappingProxyType(dict(invariants)))
 
     # -- structures -------------------------------------------------------
 
     def sigma(self) -> FormField:
-        """dH^1 ^ ... ^ dH^{k-1} from the form-route Hamiltonian list; built
-        once per list, so its compiled coefficients are too."""
+        """dH^1 ^ ... ^ dH^{k-1} from the form-route Hamiltonian list."""
+        return self._sigma
+
+    @cached_property
+    def _sigma(self) -> FormField:
         hams = self.form_hamiltonians or self.hamiltonians
-        built = self.__dict__.get("_sigma")
-        if built is not None and built[0] == hams:
-            return built[1]
         out = grad_field(hams[0])
         for h in hams[1:]:
             out = wedge_fields(out, grad_field(h))
-        self._sigma = (hams, out)
         return out
 
     @cached_property
@@ -152,41 +154,29 @@ class SystemSpec:
         comps = tuple(ex.neg(T.coeffs.get((i,), ex.ZERO)) for i in range(1, self.n + 1))
         return VectorField(self.n, comps)
 
-    def _route(self, name: str) -> Callable:
-        """``_build_<name>()``, built once per mode: a compiled piece of one
-        route cannot outlive a change of ``mode``."""
-        try:
-            return self._route_cache[self.mode][name]
-        except KeyError:
-            per_mode = self._route_cache.setdefault(self.mode, {})
-            built = per_mode[name] = getattr(self, f"_build_{name}")()
-            return built
-
-    @property
+    @cached_property
     def _compiled_eom(self) -> Callable[[Sequence[float]], Sequence[float]]:
-        return self._route("eom")
-
-    def _build_eom(self):
+        """The integrated field of ``mode``'s route."""
         if self.mode == "tensor":
             return self.bracket_field.compiled
         form, sigma = self.form, self.sigma()
 
         def f(x):
-            X, residual, consistent, _ = _min_norm_solve(form, sigma, x)
+            X, residual, consistent, _ = _min_norm_solve(*_hatmap_system(form, sigma, x))
             if not consistent:
                 raise IntegrationError(_inconsistent(x, residual))
             return X
 
         return f
 
-    def _build_divergence(self):
+    @cached_property
+    def _divergence(self) -> Callable[[Sequence[float]], float]:
         """Exact divergence of the integrated field: symbolic on the tensor
         route; on the form route, the derivative of the minimum-norm solution
         under constant hat-map rank, which also stops an inconsistent system
         at the point it was given."""
         if self.mode == "tensor":
-            d = self.bracket_field.divergence_expr()
-            return ex.compile_expr(d)
+            return ex.compile_expr(self.bracket_field.divergence_expr())
         form, sigma = self.form, self.sigma()
 
         def exact_div(x):
@@ -197,15 +187,16 @@ class SystemSpec:
 
         return exact_div
 
-    def _build_diagnostics(self):
+    @cached_property
+    def _diagnostics(self) -> Callable[[Sequence[float]], tuple]:
         """The row (Hamiltonians..., invariants..., div) at a state: one
         compiled bundle, which on the tensor route includes the symbolic
-        divergence; the form route appends ``_build_divergence``'s value."""
+        divergence; the form route appends ``_divergence``'s value."""
         exprs = [h.expression for h in self.hamiltonians]
         exprs += [h.expression for h in self.invariants.values()]
         if self.mode == "tensor":
             return ex.compile_vector(exprs + [self.bracket_field.divergence_expr()])
-        bundle, div = ex.compile_vector(exprs), self._route("divergence")
+        bundle, div = ex.compile_vector(exprs), self._divergence
         return lambda x: bundle(x) + (div(x),)
 
     # -- validation -------------------------------------------------------
@@ -237,46 +228,46 @@ def divergence(system: SystemSpec, point: Sequence[float]) -> float:
     the tensor route; on the form route, exact for the minimum-norm field
     where the hat map's rank is constant near the point.  An inconsistent
     hat-map system raises ``IntegrationError``."""
-    return float(system._route("divergence")(tuple(point)))
+    return float(system._divergence(tuple(point)))
 
 
 def vector_field_of(system: SystemSpec, point: Sequence[float], *,
-                    route: str | None = None, tolerance: float = TOLERANCE,
+                    route: str | None = None,
                     cross_check: bool = False) -> tuple[np.ndarray, dict]:
     """Evaluate the equations of motion at a point.
 
     Returns (X, info); info carries the SolveReport on the form route and,
     with ``cross_check``, the route-agreement diagnostics: the bracket field
     must satisfy the hat-map system, and its kernel-orthogonal projection
-    must match route_sign times the minimum-norm solution.
+    must match route_sign times the minimum-norm solution.  The hat-map
+    system is assembled and solved once per call.
     """
     route = route or system.mode
+    if route not in ("tensor", "form"):
+        raise InputError(f"unknown route {route!r}")
+    if route == "form" and system.form is None:
+        raise InputError(f"system {system.name!r} has no form structure")
+    cross_check = cross_check and system.tensor is not None and system.form is not None
     info: dict = {"route": route}
     if route == "tensor":
         X = np.asarray(system.bracket_field.at(point), dtype=float)
-    elif route == "form":
-        if system.form is None:
-            raise InputError(f"system {system.name!r} has no form structure")
-        report = solve_hdw(system.form, system.sigma(), point, tolerance)
+    if route == "form" or cross_check:
+        hat, b = _hatmap_system(system.form, system.sigma(), point)
+        report = _solve_report(hat, b)
+    if route == "form":
         if not report.consistent:
             raise IntegrationError(_inconsistent(point, report.residual))
         X = np.array(report.x)
         info["solve_report"] = report
-    else:
-        raise InputError(f"unknown route {route!r}")
 
-    if cross_check and system.tensor is not None and system.form is not None:
+    if cross_check:
         Xt = np.asarray(system.bracket_field.at(point), dtype=float)
-        report = solve_hdw(system.form, system.sigma(), point, tolerance)
-        Xf = np.array(report.x)
-        hat = assemble_hatmap(system.form, point)
-        b = hatmap_rhs(system.sigma(), hat.rows, point)
         info["bracket_hdw_residual"] = float(
             np.linalg.norm(hat.apply(system.route_sign * Xt) - b))
         # kernel-orthogonal projection of the bracket field
         A = hat.matrix
-        sol, *_ = np.linalg.lstsq(A, A @ (system.route_sign * Xt), rcond=1e-10)
-        info["route_disagreement"] = float(np.linalg.norm(sol - Xf))
+        sol, *_ = np.linalg.lstsq(A, A @ (system.route_sign * Xt), rcond=RCOND)
+        info["route_disagreement"] = float(np.linalg.norm(sol - np.array(report.x)))
     return X, info
 
 
@@ -374,7 +365,7 @@ def integrate(system: SystemSpec, x0: Sequence[float], t_end: float, dt: float =
     generates once per (method, n); it keeps the float operations of the
     loop form in their order, B4/B5 sums included, so the states are the
     same bit for bit.  At every accepted step one compiled call records the
-    row of Hamiltonians, invariants and div (``_build_diagnostics``).
+    row of Hamiltonians, invariants and div (``SystemSpec._diagnostics``).
     Leaving the domain box truncates the trajectory with a note (never
     extrapolates).
     """
@@ -389,7 +380,7 @@ def integrate(system: SystemSpec, x0: Sequence[float], t_end: float, dt: float =
         raise InputError(f"unknown method {method!r}")
 
     f = system._compiled_eom
-    diagnostics = system._route("diagnostics")
+    diagnostics = system._diagnostics
     step = stepper(method, system.n)
 
     t = 0.0

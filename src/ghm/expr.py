@@ -777,9 +777,3 @@ class ScalarField:
     def _compiled_grad(self) -> Callable[[Sequence[float]], tuple]:
         return compile_vector(self.grad)
 
-    def is_constant_zero(self) -> bool:
-        return is_zero(self.expression)
-
-
-def constant_field(n: int, value: float, name: str = "") -> ScalarField:
-    return ScalarField(n, Const(float(value)), name)

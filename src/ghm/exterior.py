@@ -66,16 +66,6 @@ def sort_with_sign(indices: Sequence[int]) -> tuple[Key, int]:
     return tuple(idx), sign
 
 
-def multi_index(indices: Sequence[int], n: int) -> Key:
-    """Validate a strictly increasing multi-index within 1..n."""
-    key = tuple(indices)
-    if any(not (1 <= i <= n) for i in key):
-        raise DimensionError(f"index out of range 1..{n}: {key}")
-    if any(key[i] >= key[i + 1] for i in range(len(key) - 1)):
-        raise DimensionError(f"multi-index not strictly increasing: {key}")
-    return key
-
-
 def increasing_indices(n: int, k: int) -> list[Key]:
     """All degree-k multi-indices in lexicographic order."""
     return list(itertools.combinations(range(1, n + 1), k))
@@ -188,72 +178,57 @@ def pairing(J: MultiVectorValue, w: FormValue) -> float:
     return sum(c * large.get(key, 0.0) for key, c in small.items())
 
 
-def _contract_axis(value: _AltValue, axis: int) -> _AltValue:
-    """Left interior product by a single basis element on the dual side."""
-    if value.k < 1:
-        raise DimensionError("cannot contract a degree-0 value")
+def _interior(by: _AltValue, target: _AltValue) -> _AltValue:
+    """iota_by target, the one value kernel: each key of ``by`` contracts its
+    axes one at a time, first axis first, each with its slot sign.  Terms
+    c * (+-v) accumulate by-key-major into one dict; exact zeros drop out."""
+    if by.n != target.n:
+        raise DimensionError("dimension mismatch")
+    if by.k > target.k:
+        raise DimensionError(f"contraction degree {by.k} exceeds degree {target.k}")
     out: dict[Key, float] = {}
-    for key, c in value.coeffs.items():
-        try:
-            pos = key.index(axis)
-        except ValueError:
-            continue
-        sign = -1.0 if pos % 2 else 1.0
-        rest = key[:pos] + key[pos + 1:]
-        out[rest] = out.get(rest, 0.0) + sign * c
-    return type(value)(value.n, value.k - 1, out, _normalized=True)
+    for by_key, c in by.coeffs.items():
+        for key, v in target.coeffs.items():
+            rest, sign = key, 1.0
+            for axis in by_key:
+                if axis not in rest:
+                    break
+                pos = rest.index(axis)
+                rest = rest[:pos] + rest[pos + 1:]
+                sign = -sign if pos % 2 else sign
+            else:
+                total = out.get(rest, 0.0) + c * (sign * v)
+                if total != 0.0:
+                    out[rest] = total
+                else:
+                    out.pop(rest, None)
+    return type(target)(target.n, target.k - by.k, out, _normalized=True)
 
 
 def interior_vector(X: Sequence[float], w: FormValue) -> FormValue:
     """iota_X w for a vector of components X^1..X^n."""
     if len(X) != w.n:
         raise DimensionError(f"vector length {len(X)} != n={w.n}")
-    out = FormValue(w.n, w.k - 1)
-    for j, xj in enumerate(X, start=1):
-        if xj != 0.0:
-            out = out + _contract_axis(w, j).scale(xj)
-    return out
+    return _interior(MultiVectorValue(w.n, 1, {(j,): x for j, x in enumerate(X, start=1)},
+                                      _normalized=True), w)
 
 
 def interior_form(alpha: Sequence[float], J: MultiVectorValue) -> MultiVectorValue:
     """iota_alpha J for a 1-form of components alpha_1..alpha_n."""
     if len(alpha) != J.n:
         raise DimensionError(f"covector length {len(alpha)} != n={J.n}")
-    out = MultiVectorValue(J.n, J.k - 1)
-    for j, aj in enumerate(alpha, start=1):
-        if aj != 0.0:
-            out = out + _contract_axis(J, j).scale(aj)
-    return out
+    return _interior(FormValue(J.n, 1, {(j,): a for j, a in enumerate(alpha, start=1)},
+                               _normalized=True), J)
 
 
 def interior_by_form(w: FormValue, J: MultiVectorValue) -> MultiVectorValue:
     """iota_w J: iterated single contractions, first wedge factor first."""
-    if w.n != J.n:
-        raise DimensionError("dimension mismatch")
-    if w.k > J.k:
-        raise DimensionError(f"form degree {w.k} exceeds multivector degree {J.k}")
-    out = MultiVectorValue(J.n, J.k - w.k)
-    for key, c in w.coeffs.items():
-        term = J
-        for axis in key:
-            term = _contract_axis(term, axis)
-        out = out + term.scale(c)
-    return out
+    return _interior(w, J)
 
 
 def interior_by_multivector(J: MultiVectorValue, w: FormValue) -> FormValue:
     """iota_J w: iterated single contractions, first wedge factor first."""
-    if w.n != J.n:
-        raise DimensionError("dimension mismatch")
-    if J.k > w.k:
-        raise DimensionError(f"multivector degree {J.k} exceeds form degree {w.k}")
-    out = FormValue(w.n, w.k - J.k)
-    for key, c in J.coeffs.items():
-        term = w
-        for axis in key:
-            term = _contract_axis(term, axis)
-        out = out + term.scale(c)
-    return out
+    return _interior(J, w)
 
 
 def inverse_law_sign(k: int) -> int:
@@ -488,14 +463,15 @@ def exterior_derivative(w: FormField) -> FormField:
     return FormField(w.n, w.k + 1, out, _normalized=True)
 
 
-def interior_vector_field(X: VectorField, w: FormField) -> FormField:
-    """iota_X w with expression coefficients."""
-    if X.n != w.n:
+def _interior_field(comps: Sequence[Expr], T: _AltField) -> _AltField:
+    """iota T by the degree-1 field with components comps[0..n-1]: the field
+    twin of ``_interior``, one interned term per (key, slot)."""
+    if len(comps) != T.n:
         raise DimensionError("dimension mismatch")
     out: dict[Key, Expr] = {}
-    for key, e in w.coeffs.items():
+    for key, e in T.coeffs.items():
         for pos, axis in enumerate(key):
-            comp = X.components[axis - 1]
+            comp = comps[axis - 1]
             if ex.is_zero(comp):
                 continue
             term = ex.mul(comp, e)
@@ -503,27 +479,19 @@ def interior_vector_field(X: VectorField, w: FormField) -> FormField:
                 term = ex.neg(term)
             rest = key[:pos] + key[pos + 1:]
             out[rest] = ex.add(out[rest], term) if rest in out else term
-    return FormField(w.n, w.k - 1, out, _normalized=True)
+    return type(T)(T.n, T.k - 1, out, _normalized=True)
+
+
+def interior_vector_field(X: VectorField, w: FormField) -> FormField:
+    """iota_X w with expression coefficients."""
+    return _interior_field(X.components, w)
 
 
 def interior_form_field(alpha: FormField, T: MultiVectorField) -> MultiVectorField:
     """iota_alpha T for a 1-form field against a multivector field."""
     if alpha.k != 1:
         raise DimensionError("interior_form_field needs a 1-form")
-    if alpha.n != T.n:
-        raise DimensionError("dimension mismatch")
-    out: dict[Key, Expr] = {}
-    for key, e in T.coeffs.items():
-        for pos, axis in enumerate(key):
-            a = alpha.coeffs.get((axis,))
-            if a is None:
-                continue
-            term = ex.mul(a, e)
-            if pos % 2:
-                term = ex.neg(term)
-            rest = key[:pos] + key[pos + 1:]
-            out[rest] = ex.add(out[rest], term) if rest in out else term
-    return MultiVectorField(T.n, T.k - 1, out, _normalized=True)
+    return _interior_field([alpha.coeffs.get((i,), ex.ZERO) for i in range(1, alpha.n + 1)], T)
 
 
 def lie_derivative(X: VectorField, w: FormField) -> FormField:

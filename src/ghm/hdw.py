@@ -138,30 +138,41 @@ def solve_hdw(w: FormField, sigma: FormField, point: Sequence[float],
     Inconsistency is a report state, not an error: ``consistent`` holds iff
     the residual is within tolerance * (1 + |sigma|).
     """
-    x, residual, consistent, rank = _min_norm_solve(w, sigma, point, tolerance)
-    kernel_dim = w.n - rank
+    return _solve_report(*_hatmap_system(w, sigma, point), tolerance)
+
+
+def _solve_report(hat: HatMapMatrix, b: np.ndarray,
+                  tolerance: float = TOLERANCE) -> SolveReport:
+    """``solve_hdw``'s report for an assembled hat-map system."""
+    x, residual, consistent, rank = _min_norm_solve(hat, b, tolerance)
+    kernel_dim = hat.n - rank
     return SolveReport(
-        n=w.n,
-        k=w.k,
+        n=hat.n,
+        k=hat.k,
         x=tuple(x),
         residual=residual,
         kernel_dim=kernel_dim,
         unique=consistent and kernel_dim == 0,
-        surjectivity_possible=obstruction_check(w.n, w.k),
+        surjectivity_possible=obstruction_check(hat.n, hat.k),
         consistent=consistent,
         tolerance=tolerance,
     )
 
 
-def _min_norm_solve(w: FormField, sigma: FormField, point: Sequence[float],
-                    tolerance: float = TOLERANCE) -> tuple[list, float, bool, int]:
-    """(x as a list of floats, residual, consistent, rank): the one solve
-    path, under ``solve_hdw``'s report and the form route's RK stages."""
+def _hatmap_system(w: FormField, sigma: FormField,
+                   point: Sequence[float]) -> tuple[HatMapMatrix, np.ndarray]:
+    """The hat map at a point and the right-hand side -sigma over its rows."""
     if sigma.k != w.k - 1 or sigma.n != w.n:
         raise DimensionError(
             f"sigma must have degree k-1={w.k - 1} on n={w.n}, got ({sigma.n}, {sigma.k})")
     hat = assemble_hatmap(w, point)
-    b = hatmap_rhs(sigma, hat.rows, point)
+    return hat, hatmap_rhs(sigma, hat.rows, point)
+
+
+def _min_norm_solve(hat: HatMapMatrix, b: np.ndarray,
+                    tolerance: float = TOLERANCE) -> tuple[list, float, bool, int]:
+    """(x as a list of floats, residual, consistent, rank): the one solve
+    path, under ``solve_hdw``'s report and the form route's RK stages."""
     x, _, rank, _ = np.linalg.lstsq(hat.matrix, b, rcond=RCOND)
     residual = float(np.linalg.norm(hat.matrix @ x - b))
     return x.tolist(), residual, _consistent(residual, b, tolerance), int(rank)

@@ -57,12 +57,14 @@ def dense_wedge(a, b, k, l):
     return out
 
 
-def dense_interior_vector(X, w_sparse, n, k):
-    """(iota_X w)_K = sum_j X^j w_{jK} via full components."""
+def dense_interior(by_sparse, m, w_sparse, n, k):
+    """(iota_A w)_K = sum_A A^{a_1..a_m} w_{a_1..a_m K} via full components:
+    the contraction by a degree-m element, first factor first, of a degree-k
+    element of the other variance."""
     full = full_components(w_sparse, n, k)
     out = {}
-    for K in itertools.combinations(range(1, n + 1), k - 1):
-        total = sum(X[j - 1] * full.get((j,) + K, 0.0) for j in range(1, n + 1))
+    for K in itertools.combinations(range(1, n + 1), k - m):
+        total = sum(c * full.get(A + K, 0.0) for A, c in by_sparse.items())
         if total != 0.0:
             out[K] = total
     return out

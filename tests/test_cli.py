@@ -5,10 +5,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ghm
 from ghm.cli import load_config, main
-from ghm.errors import InputError
+from ghm.errors import GhmError, InputError
+
+# the README's example document
+PLANE = {"name": "plane", "n": 2, "k": 2, "mode": "form", "coefficients": {"1,2": "1"},
+         "hamiltonians": ["(x1^2 + x2^2)/2"], "params": {}, "domain": [[-3, 3], [-3, 3]],
+         "aliases": ["q", "p"], "base_point": [0.5, 0.5]}
 
 
 def run(capsys, *argv):
@@ -248,6 +254,77 @@ def test_overflowing_literal_is_a_parse_error(tmp_path):
     assert code == 2
     assert "Traceback" not in err
     assert "/coefficients/1,2" in err and "offset 0" in err
+
+
+def test_config_k2_tensor_mode_checks_jacobi(tmp_path, capsys):
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps(dict(PLANE, mode="tensor")))
+    system = load_config(str(path))
+    assert system.reduced_tensor is system.tensor
+    code, out, _ = run(capsys, "check", "--config", str(path))
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()[2:-1]] == ["jacobi", "measure"]
+
+
+@pytest.mark.parametrize("member, value, pointer", [
+    ("domain", [[-3], [-3, 3]], "/domain/0"),
+    ("domain", [["a", 3], [-3, 3]], "/domain/0"),
+    ("domain", ["ab", [-3, 3]], "/domain/0"),
+    ("domain", [[-3, 3], [float("-inf"), 3]], "/domain/1"),
+    ("domain", [[float("nan"), 3], [-3, 3]], "/domain/0"),
+    ("domain", [[3, -3], [-3, 3]], "/domain/0"),
+    ("base_point", ["a", 1], "/base_point"),
+    ("base_point", [0.5], "/base_point"),
+    ("base_point", [float("nan"), 0.5], "/base_point"),
+    ("params", {"a": "zz"}, "/params/a"),
+    ("params", {"a": [1]}, "/params/a"),
+    ("params", {"a": 10 ** 400}, "/params/a"),
+    ("coefficients", {"1,2": 1}, "/coefficients/1,2"),
+    ("hamiltonians", [3], "/hamiltonians/0"),
+])
+def test_malformed_config_member_is_an_input_error(tmp_path, member, value, pointer):
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps(dict(PLANE, **{member: value})))
+    code, err = ghm_process("check", "--config", str(path))
+    assert code == 2
+    assert "Traceback" not in err
+    assert f"config error at {pointer}: " in err
+
+
+EXPRESSIONS = ["1", "x1", "x2", "q*p", "(x1^2 + x2^2)/2", "a*x1", "sqrt(x1)", "1/x1",
+               "log(x1 - 10)", "x1 +* x2", "", "x3", "1e400", "zz"]
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 4), st.just(10 ** 400), st.floats(),
+              st.sampled_from(EXPRESSIONS)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["1,2", "2,1", "1", "a", "", "1,2,3"]), inner,
+                        max_size=3)),
+    max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_config_loader_raises_only_ghm_errors(tmp_path_factory, data):
+    doc = json.loads(json.dumps(PLANE))
+    for _ in range(data.draw(st.integers(1, 3))):
+        member = data.draw(st.sampled_from(sorted(PLANE)))
+        action = data.draw(st.sampled_from(["delete", "replace", "element"]))
+        container = doc.get(member)
+        if action == "delete":
+            doc.pop(member, None)
+        elif action == "element" and isinstance(container, (list, dict)) and container:
+            slot = data.draw(st.sampled_from(
+                sorted(container) if isinstance(container, dict) else range(len(container))))
+            container[slot] = data.draw(_json_values)
+        else:
+            doc[member] = data.draw(_json_values)
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc))
+    try:
+        load_config(str(path))
+    except GhmError:
+        pass
 
 
 def test_inconsistent_form_route_stops_with_exit_3(tmp_path, capsys):

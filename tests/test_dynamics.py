@@ -169,7 +169,6 @@ def test_divergence_cases():
 
 def test_divergence_form_route_fd():
     fn = flat_nambu(3, 3)
-    fn.mode = "form"
     assert abs(divergence(fn, (0.1, 0.2, 0.3))) <= 1e-9
 
 
@@ -418,14 +417,26 @@ def test_changing_mode_rebuilds_the_route_caches():
     x0 = (0.1, 1.0, 1.0, 0.2, 0.3, 2.0)
     s = oscillator(lam=0.1)
     tensor_run = integrate(s, x0, t_end=0.01, dt=1e-3)
-    s.mode = "form"
-    form_run = integrate(s, x0, t_end=0.01, dt=1e-3)
+    form = dataclasses.replace(s, mode="form")
+    form_run = integrate(form, x0, t_end=0.01, dt=1e-3)
     fresh_form = dataclasses.replace(oscillator(lam=0.1), mode="form")
     _assert_same_trajectory(form_run, integrate(fresh_form, x0, t_end=0.01, dt=1e-3))
     assert form_run.states.tobytes() != tensor_run.states.tobytes()
-    assert divergence(s, x0) == divergence(fresh_form, x0)
-    s.mode = "tensor"
+    assert divergence(form, x0) == divergence(fresh_form, x0)
     _assert_same_trajectory(integrate(s, x0, t_end=0.01, dt=1e-3), tensor_run)
+
+
+def test_system_spec_is_frozen():
+    s = oscillator(lam=0.1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.mode = "form"
+    with pytest.raises(TypeError):
+        s.invariants["x"] = s.hamiltonians[0]
+    assert list(s.invariants) == ["H", "G1", "G2"]
+    invariants = {"H1": s.hamiltonians[0]}
+    plane = _flat_plane("tensor", invariants)
+    invariants["y"] = s.hamiltonians[0]
+    assert list(plane.invariants) == ["H1"]
 
 
 def _flat_plane(mode, invariants=None):

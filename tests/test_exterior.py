@@ -28,7 +28,7 @@ from ghm.exterior import (
     wedge,
 )
 
-from oracles import dense_interior_vector, dense_wedge, dense_exterior_derivative
+from oracles import dense_interior, dense_wedge, dense_exterior_derivative
 
 
 def test_sort_with_sign():
@@ -120,14 +120,28 @@ def test_interior_vector_general_expansion():
 
 
 def test_interior_vector_against_dense_oracle():
+    # interior_vector and interior_form, then interior_by_multivector and
+    # interior_by_form by every degree m >= 2 up to k
     rng = np.random.default_rng(11)
+
+    def assert_matches(got, by, m, target):
+        want = dense_interior(by, m, target.coeffs, target.n, target.k)
+        assert got.k == target.k - m
+        for key in set(got.coeffs) | set(want):
+            assert got.coeffs.get(key, 0.0) == pytest.approx(want.get(key, 0.0), abs=1e-12)
+
     for n, k in [(4, 2), (5, 3), (6, 4)]:
         w = _random_value(rng, n, k)
         X = rng.standard_normal(n)
-        got = interior_vector(X, w).coeffs
-        want = dense_interior_vector(X, w.coeffs, n, k)
-        for key in set(got) | set(want):
-            assert got.get(key, 0.0) == pytest.approx(want.get(key, 0.0), abs=1e-12)
+        assert_matches(interior_vector(X, w), {(j,): x for j, x in enumerate(X, 1)}, 1, w)
+        J = _random_value(rng, n, k, MultiVectorValue)
+        alpha = rng.standard_normal(n)
+        assert_matches(interior_form(alpha, J), {(j,): a for j, a in enumerate(alpha, 1)}, 1, J)
+        for m in range(2, k + 1):
+            A = _random_value(rng, n, m, MultiVectorValue)
+            assert_matches(interior_by_multivector(A, w), A.coeffs, m, w)
+            B = _random_value(rng, n, m)
+            assert_matches(interior_by_form(B, J), B.coeffs, m, J)
 
 
 def test_interior_form_mirror():
