@@ -38,7 +38,10 @@ RNG_NAME = "numpy-PCG64"
 # Config documents
 # ---------------------------------------------------------------------------
 
-def _config_error(pointer: str, message: str) -> InputError:
+def _config_error(message: str, *path) -> InputError:
+    """An error at the member ``path`` names it by its RFC 6901 JSON pointer,
+    with '~' written '~0' and '/' written '~1'; the document itself is '/'."""
+    pointer = "/" + "/".join(str(t).replace("~", "~0").replace("/", "~1") for t in path)
     return InputError(f"config error at {pointer}: {message}")
 
 
@@ -67,8 +70,9 @@ def load_config(path: str) -> SystemSpec:
              "domain": [[lo, hi], ...], "aliases": ["name", ...],
              "base_point": [...]}.
     Multi-index keys are comma-joined ascending integers.  Every number must
-    be finite, each domain pair must have lo < hi, and every malformed member
-    is an ``InputError`` naming its JSON pointer.
+    be finite, each domain pair must have lo < hi, aliases must pass
+    ``expr.alias_fault``, and every malformed member is an ``InputError``
+    naming its JSON pointer.
     """
     try:
         with open(path) as fh:
@@ -78,87 +82,89 @@ def load_config(path: str) -> SystemSpec:
     except json.JSONDecodeError as exc:
         raise InputError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise _config_error("/", "expected a JSON object")
+        raise _config_error("expected a JSON object")
 
-    def need(key, types, pointer):
+    def need(key, types):
         if key not in doc:
-            raise _config_error(pointer, "missing required member")
+            raise _config_error("missing required member", key)
         if not isinstance(doc[key], types) or isinstance(doc[key], bool):
-            raise _config_error(pointer, f"expected {types}")
+            raise _config_error(f"expected {types}", key)
         return doc[key]
 
-    name = need("name", str, "/name")
-    n = need("n", int, "/n")
-    k = need("k", int, "/k")
-    mode = need("mode", str, "/mode")
+    name = need("name", str)
+    n = need("n", int)
+    k = need("k", int)
+    mode = need("mode", str)
     if mode not in ("form", "tensor"):
-        raise _config_error("/mode", "must be 'form' or 'tensor'")
-    coeffs_doc = need("coefficients", dict, "/coefficients")
-    hams_doc = need("hamiltonians", list, "/hamiltonians")
+        raise _config_error("must be 'form' or 'tensor'", "mode")
+    coeffs_doc = need("coefficients", dict)
+    hams_doc = need("hamiltonians", list)
     params = doc.get("params", {})
     if not isinstance(params, dict):
-        raise _config_error("/params", "expected an object of name -> number")
+        raise _config_error("expected an object of name -> number", "params")
     for key, value in params.items():
         if _numbers([value], 1) is None:
-            raise _config_error(f"/params/{key}", "expected a finite number")
+            raise _config_error("expected a finite number", "params", key)
     aliases = doc.get("aliases")
     if aliases is not None and (not isinstance(aliases, list) or len(aliases) != n
                                 or not all(isinstance(a, str) for a in aliases)):
-        raise _config_error("/aliases", f"expected {n} coordinate names")
+        raise _config_error(f"expected {n} coordinate names", "aliases")
     aliases_t = tuple(aliases) if aliases else None
+    if aliases_t is not None and (fault := ex.alias_fault(aliases_t, params)) is not None:
+        raise _config_error(fault[1], "aliases", fault[0])
 
     coeffs = {}
     for key_text, expr_text in coeffs_doc.items():
-        pointer = f"/coefficients/{key_text}"
+        path = ("coefficients", key_text)
         try:
             key = tuple(int(s) for s in key_text.split(","))
         except ValueError:
-            raise _config_error(pointer, "key must be comma-joined integers") from None
+            raise _config_error("key must be comma-joined integers", *path) from None
         if len(key) != k or any(key[i] >= key[i + 1] for i in range(len(key) - 1)) \
                 or key[0] < 1 or key[-1] > n:
-            raise _config_error(pointer, f"key must be {k} strictly increasing axes in 1..{n}")
+            raise _config_error(f"key must be {k} strictly increasing axes in 1..{n}", *path)
         if not isinstance(expr_text, str):
-            raise _config_error(pointer, "expected an expression string")
+            raise _config_error("expected an expression string", *path)
         try:
             e = ex.parse(expr_text, n, params=params.keys(), aliases=aliases_t)
             coeffs[key] = ex.bind_params(e, params)
         except ParseError as exc:
-            raise _config_error(pointer, str(exc)) from None
+            raise _config_error(str(exc), *path) from None
 
     if len(hams_doc) != k - 1:
-        raise _config_error("/hamiltonians", f"expected k-1={k - 1} expressions")
+        raise _config_error(f"expected k-1={k - 1} expressions", "hamiltonians")
     hams = []
     for i, text in enumerate(hams_doc):
         if not isinstance(text, str):
-            raise _config_error(f"/hamiltonians/{i}", "expected an expression string")
+            raise _config_error("expected an expression string", "hamiltonians", i)
         try:
             hams.append(ScalarField.from_text(text, n, params=params,
                                               aliases=aliases_t, name=f"H{i + 1}"))
         except ParseError as exc:
-            raise _config_error(f"/hamiltonians/{i}", str(exc)) from None
+            raise _config_error(str(exc), "hamiltonians", i) from None
 
     domain_doc = doc.get("domain")
     domain = ()
     if domain_doc is not None:
         if not isinstance(domain_doc, list) or len(domain_doc) != n:
-            raise _config_error("/domain", f"expected {n} [lo, hi] pairs")
+            raise _config_error(f"expected {n} [lo, hi] pairs", "domain")
         domain = tuple(_numbers(pair, 2) for pair in domain_doc)
         for i, pair in enumerate(domain):
             if pair is None or not (pair[0] < pair[1] and math.isfinite(pair[1] - pair[0])):
-                raise _config_error(f"/domain/{i}", "expected [lo, hi], finite numbers "
-                                                    "with lo < hi")
+                raise _config_error("expected [lo, hi], finite numbers with lo < hi",
+                                    "domain", i)
 
     base = doc.get("base_point")
     base_t = None if base is None else _numbers(base, n)
     if base is not None and base_t is None:
-        raise _config_error("/base_point", f"expected {n} finite numbers")
+        raise _config_error(f"expected {n} finite numbers", "base_point")
 
     tensor = MultiVectorField(n, k, coeffs) if mode == "tensor" else None
     system = SystemSpec(
         name=name, n=n, k=k, hamiltonians=tuple(hams), mode=mode,
         form=FormField(n, k, coeffs) if mode == "form" else None, tensor=tensor,
         reduced_tensor=tensor if k == 2 else None,
-        params=dict(params), domain=domain, aliases=aliases_t, base_point=base_t,
+        domain=domain, aliases=aliases_t, base_point=base_t,
     )
     system.validate()
     return system

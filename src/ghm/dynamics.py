@@ -37,13 +37,16 @@ from .exterior import (
     interior_form_field,
     lie_derivative,
     pullback_with_jacobian,
-    wedge_fields,
 )
 from .hdw import RCOND, _hatmap_system, _min_norm_solve, _solve_report, min_norm_divergence
 from .identities import closure_residual
+from .structure import build_w_from_omega
 
 FD_STEP = 1e-5
 CSV_CHUNK_ROWS = 1024  # bounds the table of values behind the CSV rows
+BOX_SLACK = 1e-9  # relative widening of the domain box in ``box_test``
+FLOW_STEPS_PER_UNIT = 512  # RK4 steps per unit time of the numeric flattening flow
+VALIDATE_SAMPLES = 20  # domain samples of the closure check in ``validate``
 
 
 def sample_box(rng: np.random.Generator, box: Sequence[tuple[float, float]],
@@ -55,9 +58,8 @@ def sample_box(rng: np.random.Generator, box: Sequence[tuple[float, float]],
     return [tuple(float(v) for v in row) for row in pts]
 
 
-def box_test(box: Sequence[tuple[float, float]],
-             slack: float = 1e-9) -> Callable[[Sequence[float]], bool]:
-    """Membership in the box widened by slack * (1 + |bound|) on each side:
+def box_test(box: Sequence[tuple[float, float]]) -> Callable[[Sequence[float]], bool]:
+    """Membership in the box widened by BOX_SLACK * (1 + |bound|) on each side:
     one comparison chain, generated once per dimension, over bounds computed
     once per call."""
     n = len(box)
@@ -66,8 +68,8 @@ def box_test(box: Sequence[tuple[float, float]],
         _GENERATED["box", n] = _generated(
             f"def box({''.join(f'lo{i}, hi{i}, ' for i in range(n))}):\n"
             f"    return lambda x: {tests}", "box")
-    return _GENERATED["box", n](*(b for lo, hi in box
-                                   for b in (lo - slack * (1 + abs(lo)), hi + slack * (1 + abs(hi)))))
+    return _GENERATED["box", n](*(b for lo, hi in box for b in (
+        lo - BOX_SLACK * (1 + abs(lo)), hi + BOX_SLACK * (1 + abs(hi)))))
 
 
 def _generated(source: str, name: str) -> Callable:
@@ -101,7 +103,6 @@ class SystemSpec:
     form: FormField | None = None
     form_hamiltonians: tuple[ScalarField, ...] | None = None
     mode: str = "tensor"  # route generating the equations of motion
-    params: dict = dc_field(default_factory=dict)
     domain: tuple[tuple[float, float], ...] = ()
     aliases: tuple[str, ...] | None = None
     base_point: tuple[float, ...] | None = None
@@ -138,10 +139,7 @@ class SystemSpec:
     @cached_property
     def _sigma(self) -> FormField:
         hams = self.form_hamiltonians or self.hamiltonians
-        out = grad_field(hams[0])
-        for h in hams[1:]:
-            out = wedge_fields(out, grad_field(h))
-        return out
+        return build_w_from_omega(grad_field(hams[0]), hams[1:])
 
     @cached_property
     def bracket_field(self) -> VectorField:
@@ -201,12 +199,12 @@ class SystemSpec:
 
     # -- validation -------------------------------------------------------
 
-    def validate(self, rng: np.random.Generator | None = None, samples: int = 20) -> None:
-        """Closure of the form structure over domain samples and independence
-        of the Hamiltonian differentials at the base point."""
-        rng = rng or np.random.default_rng(0)
+    def validate(self) -> None:
+        """Closure of the form structure over seeded domain samples and
+        independence of the Hamiltonian differentials at the base point."""
         if self.form is not None:
-            rep = closure_residual(self.form, sample_box(rng, self.domain, samples))
+            points = sample_box(np.random.default_rng(0), self.domain, VALIDATE_SAMPLES)
+            rep = closure_residual(self.form, points)
             if rep.max_residual > 1e-10:
                 raise InputError(
                     f"system {self.name!r}: form structure is not closed "
@@ -509,10 +507,10 @@ def moser_family_residual(w0: FormField, X_t: Callable[[float], VectorField],
     return max((diff.at(p).max_abs() for p in points), default=0.0)
 
 
-def _numeric_flow(problem: MoserProblem, t: float, steps_per_unit: int = 512):
+def _numeric_flow(problem: MoserProblem, t: float):
     """Fixed-step RK4 flow map of the deformation field."""
     f, rk4 = problem.X.compiled, stepper("rk4", problem.n)
-    nsteps = max(1, round(abs(t) * steps_per_unit))
+    nsteps = max(1, round(abs(t) * FLOW_STEPS_PER_UNIT))
     h = t / nsteps
 
     def flow_map(p: Sequence[float]) -> np.ndarray:
@@ -526,15 +524,14 @@ def _numeric_flow(problem: MoserProblem, t: float, steps_per_unit: int = 512):
 
 def verify_flattening(problem: MoserProblem, t: float,
                       points: Sequence[Sequence[float]],
-                      flow: str = "closed", w: FormField | None = None) -> float:
+                      flow: str = "closed") -> float:
     """Max over points of |Phi_t^* w_t - w0| with w_t = t w + (1-t) w0.
 
     ``flow='closed'`` uses the problem's closed-form time-t map with its exact
     symbolic Jacobian; ``flow='numeric'`` integrates the deformation field and
     differentiates the flow map by central differences.
     """
-    w = w if w is not None else problem.w
-    wt = w.scale(float(t)) + problem.w0.scale(1.0 - t)
+    wt = problem.w.scale(float(t)) + problem.w0.scale(1.0 - t)
     worst = 0.0
     if flow == "closed":
         if problem.flow is None:

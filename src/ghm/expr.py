@@ -10,7 +10,9 @@ Grammar (infix, precedence pow > unary minus > mul/div > add/sub):
     exponent := ['-'] INT | '(' ['-'] INT ['/' INT] ')'
 
 Coordinates are canonically named x1..xn; callers may declare display
-aliases (q1, xi2, ...) that resolve to axes at parse time.  Functions:
+aliases (q1, xi2, ...) that resolve to axes at parse time.  An alias may
+not repeat, shadow a parameter or function, or give x<i> to an axis other
+than i (``alias_fault``): each would rebind a name silently.  Functions:
 sqrt, sin, cos, exp, log.  Exponents are constant integers or rationals,
 which keeps differentiation closed over the node set.  A numeric literal
 that overflows a float is a ParseError.
@@ -581,6 +583,9 @@ class _Parser:
         if aliases is not None:
             if len(aliases) != n:
                 raise ValueError(f"expected {n} aliases, got {len(aliases)}")
+            fault = alias_fault(aliases, params)
+            if fault is not None:
+                raise ValueError(fault[1])
             self.alias_map = {name: i + 1 for i, name in enumerate(aliases)}
         self.tokens = _tokenize(text)
         self.i = 0
@@ -724,6 +729,24 @@ class _Parser:
             self.expect_op(")")
             return e
         raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input", off)
+
+
+def alias_fault(aliases: Sequence[str], params: Iterable[str]) -> tuple[int, str] | None:
+    """(position, reason) of the first alias that would rebind a name without
+    notice, else None: a repeated alias, a parameter or function name, or a
+    coordinate name x<i> given to an axis other than i."""
+    params = frozenset(params)
+    for pos, name in enumerate(aliases):
+        coordinate = re.fullmatch(r"x(\d+)", name)
+        if name in aliases[:pos]:
+            return pos, f"alias {name!r} is repeated"
+        if name in params:
+            return pos, f"alias {name!r} is also a parameter name"
+        if name in FUNCTIONS:
+            return pos, f"alias {name!r} is a function name"
+        if coordinate is not None and int(coordinate.group(1)) != pos + 1:
+            return pos, f"alias {name!r} names axis {int(coordinate.group(1))}, not {pos + 1}"
+    return None
 
 
 def parse(

@@ -34,6 +34,7 @@ coefficients.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
@@ -72,28 +73,32 @@ def increasing_indices(n: int, k: int) -> list[Key]:
 
 
 # ---------------------------------------------------------------------------
-# Pointwise values
+# The shared container
 # ---------------------------------------------------------------------------
 
-class _AltValue:
-    """Degree-homogeneous sparse alternating tensor value; no stored zeros."""
+class _Alt:
+    """Degree-homogeneous sparse alternating tensor; no stored zeros.  Each
+    subclass sets its coefficient ring as class attributes.  Sums accumulate
+    as ``_add(out.get(key, _zero), c)``: on values the ``0.0 + c`` turns ints
+    into floats, and on fields ``add(ZERO, e)`` folds to the same node ``e``."""
 
     __slots__ = ("n", "k", "coeffs")
 
-    def __init__(self, n: int, k: int, coeffs: Mapping[Key, float] | None = None,
+    def __init__(self, n: int, k: int, coeffs: Mapping[Key, object] | None = None,
                  _normalized: bool = False):
         # degrees above n are allowed and necessarily empty (e.g. d of a top form)
         if not (0 <= n <= MAX_DIM and 0 <= k <= MAX_DIM + 1):
             raise DimensionError(f"need n <= {MAX_DIM}, 0 <= k, got n={n}, k={k}")
         self.n = n
         self.k = k
-        out: dict[Key, float] = {}
-        for idx, c in (coeffs or {}).items():
-            if c == 0.0:
-                continue
-            if _normalized:
-                out[idx] = out.get(idx, 0.0) + c
-            else:
+        zero, is_zero, add = self._zero, self._is_zero, self._add
+        if _normalized:  # distinct increasing keys: each sum has one term
+            out = {key: add(zero, c) for key, c in (coeffs or {}).items()}
+        else:
+            out = {}
+            for idx, c in (coeffs or {}).items():
+                if is_zero(c):
+                    continue
                 key, s = sort_with_sign(idx)
                 if s == 0:
                     continue
@@ -101,44 +106,82 @@ class _AltValue:
                     raise DimensionError(f"key {idx} has degree {len(key)}, expected {k}")
                 if key and (key[0] < 1 or key[-1] > n):
                     raise DimensionError(f"index out of range 1..{n}: {idx}")
-                out[key] = out.get(key, 0.0) + s * c
-        self.coeffs = {key: c for key, c in out.items() if c != 0.0}
+                out[key] = add(out.get(key, zero), c if s == 1 else self._neg(c))
+        self.coeffs = {key: c for key, c in out.items() if not is_zero(c)}
 
-    def component(self, indices: Sequence[int]) -> float:
+    @classmethod
+    def constant(cls, n: int, k: int, coeffs: Mapping[Key, float]):
+        """The tensor with constant coefficients ``coeffs``."""
+        return cls(n, k, {key: cls._lift(c) for key, c in coeffs.items()})
+
+    def component(self, indices: Sequence[int]):
         """Full (sign-extended) component for an arbitrary index tuple."""
         key, s = sort_with_sign(indices)
         if s == 0:
-            return 0.0
-        return s * self.coeffs.get(key, 0.0)
+            return self._zero
+        c = self.coeffs.get(key, self._zero)
+        return c if s == 1 else self._neg(c)
+
+    def __add__(self, other):
+        if type(other) is not type(self) or other.n != self.n or other.k != self.k:
+            raise DimensionError(f"incompatible operands: {self!r} vs {other!r}")
+        zero, add = self._zero, self._add
+        out = dict(self.coeffs)
+        for key, c in other.coeffs.items():
+            out[key] = add(out.get(key, zero), c)
+        return type(self)(self.n, self.k, out, _normalized=True)
+
+    def __sub__(self, other):
+        return self + other.scale(-1.0)
+
+    def scale(self, factor):
+        f, mul = self._lift(factor), self._mul
+        return type(self)(self.n, self.k, {key: mul(f, c) for key, c in self.coeffs.items()},
+                          _normalized=True)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{key}: {self._format(c)}" for key, c in sorted(self.coeffs.items()))
+        return f"{type(self).__name__}(n={self.n}, k={self.k}, {{{inner}}})"
+
+
+def wedge(a: _Alt, b: _Alt) -> _Alt:
+    """Graded product; wedge(a, b) = (-1)^(kl) wedge(b, a)."""
+    if type(a) is not type(b) or a.n != b.n:
+        raise DimensionError("wedge requires matching variance and dimension")
+    zero, neg, add, mul = a._zero, a._neg, a._add, a._mul
+    out: dict = {}
+    for ia, ca in a.coeffs.items():
+        for ib, cb in b.coeffs.items():
+            key, s = sort_with_sign(ia + ib)
+            if s == 0:
+                continue
+            term = mul(ca, cb)
+            out[key] = add(out.get(key, zero), term if s == 1 else neg(term))
+    return type(a)(a.n, a.k + b.k, out, _normalized=True)
+
+
+# ---------------------------------------------------------------------------
+# Pointwise values
+# ---------------------------------------------------------------------------
+
+class _AltValue(_Alt):
+    """Values: float coefficients.  ``scale`` leaves its factor as given, so
+    numpy scalars keep their type."""
+
+    __slots__ = ()
+    _zero = 0.0
+    _is_zero = staticmethod(lambda c: c == 0.0)  # not (0.0).__eq__: numpy ints
+    _neg = staticmethod(operator.neg)
+    _add = staticmethod(operator.add)
+    _mul = staticmethod(operator.mul)
+    _lift = staticmethod(lambda c: c)
+    _format = staticmethod("{:g}".format)
 
     def max_abs(self) -> float:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
 
     def norm(self) -> float:
         return float(np.sqrt(sum(c * c for c in self.coeffs.values())))
-
-    def __add__(self, other):
-        self._check_like(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, 0.0) + c
-        return type(self)(self.n, self.k, out, _normalized=True)
-
-    def __sub__(self, other):
-        return self + other.scale(-1.0)
-
-    def scale(self, factor: float):
-        return type(self)(self.n, self.k,
-                          {key: factor * c for key, c in self.coeffs.items()},
-                          _normalized=True)
-
-    def _check_like(self, other):
-        if type(other) is not type(self) or other.n != self.n or other.k != self.k:
-            raise DimensionError(f"incompatible values: {self!r} vs {other!r}")
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{key}: {c:g}" for key, c in sorted(self.coeffs.items()))
-        return f"{type(self).__name__}(n={self.n}, k={self.k}, {{{inner}}})"
 
     def __eq__(self, other) -> bool:
         return (type(other) is type(self) and other.n == self.n
@@ -154,20 +197,6 @@ class FormValue(_AltValue):
 
 class MultiVectorValue(_AltValue):
     """Contravariant degree-k value (pointwise multivector)."""
-
-
-def wedge(a: _AltValue, b: _AltValue) -> _AltValue:
-    """Graded product; wedge(a, b) = (-1)^(kl) wedge(b, a)."""
-    if type(a) is not type(b) or a.n != b.n:
-        raise DimensionError("wedge requires matching variance and dimension")
-    out: dict[Key, float] = {}
-    for ia, ca in a.coeffs.items():
-        for ib, cb in b.coeffs.items():
-            key, s = sort_with_sign(ia + ib)
-            if s == 0:
-                continue
-            out[key] = out.get(key, 0.0) + s * ca * cb
-    return type(a)(a.n, a.k + b.k, out, _normalized=True)
 
 
 def pairing(J: MultiVectorValue, w: FormValue) -> float:
@@ -248,36 +277,22 @@ def hdw_vs_bracket_sign(k: int) -> int:
 # Fields (expression-valued coefficients)
 # ---------------------------------------------------------------------------
 
-class _AltField:
-    """Sparse alternating tensor field; coefficients are expressions."""
+class _AltField(_Alt):
+    """Fields: expression coefficients, interned, so equal terms are one node."""
 
-    __slots__ = ("n", "k", "coeffs", "_memo")
+    __slots__ = ("_memo",)
     _value_cls: type = _AltValue
+    _zero = ex.ZERO
+    _is_zero = staticmethod(ex.is_zero)
+    _neg = staticmethod(ex.neg)
+    _add = staticmethod(ex.add)
+    _mul = staticmethod(ex.mul)
+    _lift = staticmethod(lambda c: c if isinstance(c, Expr) else ex.const(c))
+    _format = staticmethod(ex.to_str)
 
     def __init__(self, n: int, k: int, coeffs: Mapping[Key, Expr] | None = None,
                  _normalized: bool = False):
-        if not (0 <= n <= MAX_DIM and 0 <= k <= MAX_DIM + 1):
-            raise DimensionError(f"need n <= {MAX_DIM}, 0 <= k, got n={n}, k={k}")
-        self.n = n
-        self.k = k
-        out: dict[Key, Expr] = {}
-        for idx, e in (coeffs or {}).items():
-            if ex.is_zero(e):
-                continue
-            if _normalized:
-                key, s = tuple(idx), 1
-            else:
-                key, s = sort_with_sign(idx)
-                if s == 0:
-                    continue
-                if len(key) != k:
-                    raise DimensionError(f"key {idx} has degree {len(key)}, expected {k}")
-                if key and (key[0] < 1 or key[-1] > n):
-                    raise DimensionError(f"index out of range 1..{n}: {idx}")
-            prev = out.get(key)
-            term = e if s == 1 else ex.neg(e)
-            out[key] = term if prev is None else ex.add(prev, term)
-        self.coeffs = {key: e for key, e in out.items() if not ex.is_zero(e)}
+        super().__init__(n, k, coeffs, _normalized)
         self._memo: dict = {}
 
     def memo(self, name, build: Callable[["_AltField"], object]):
@@ -316,34 +331,6 @@ class _AltField:
                                dict(zip(self.coeffs, self.coefficient_values(point))),
                                _normalized=True)
 
-    def component_expr(self, indices: Sequence[int]) -> Expr:
-        key, s = sort_with_sign(indices)
-        if s == 0:
-            return ex.ZERO
-        e = self.coeffs.get(key, ex.ZERO)
-        return e if s == 1 else ex.neg(e)
-
-    def scale(self, factor: Expr | float) -> "_AltField":
-        f = ex.const(factor) if isinstance(factor, (int, float)) else factor
-        return type(self)(self.n, self.k,
-                          {key: ex.mul(f, e) for key, e in self.coeffs.items()},
-                          _normalized=True)
-
-    def __add__(self, other: "_AltField") -> "_AltField":
-        if type(other) is not type(self) or other.n != self.n or other.k != self.k:
-            raise DimensionError("incompatible fields")
-        out = dict(self.coeffs)
-        for key, e in other.coeffs.items():
-            out[key] = ex.add(out[key], e) if key in out else e
-        return type(self)(self.n, self.k, out, _normalized=True)
-
-    def __sub__(self, other: "_AltField") -> "_AltField":
-        return self + other.scale(-1.0)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{key}: {ex.to_str(e)}" for key, e in sorted(self.coeffs.items()))
-        return f"{type(self).__name__}(n={self.n}, k={self.k}, {{{inner}}})"
-
 
 def _plus_zero(a: np.ndarray) -> np.ndarray:
     # a coefficient that evaluates to -0.0 is dropped from the form value, so
@@ -371,33 +358,9 @@ def _jet_plan(f: _AltField):
 class FormField(_AltField):
     _value_cls = FormValue
 
-    @classmethod
-    def constant(cls, n: int, k: int, coeffs: Mapping[Key, float]) -> "FormField":
-        return cls(n, k, {key: ex.const(c) for key, c in coeffs.items()})
-
 
 class MultiVectorField(_AltField):
     _value_cls = MultiVectorValue
-
-    @classmethod
-    def constant(cls, n: int, k: int, coeffs: Mapping[Key, float]) -> "MultiVectorField":
-        return cls(n, k, {key: ex.const(c) for key, c in coeffs.items()})
-
-
-def wedge_fields(a: _AltField, b: _AltField) -> _AltField:
-    if type(a) is not type(b) or a.n != b.n:
-        raise DimensionError("wedge requires matching variance and dimension")
-    out: dict[Key, Expr] = {}
-    for ia, ea in a.coeffs.items():
-        for ib, eb in b.coeffs.items():
-            key, s = sort_with_sign(ia + ib)
-            if s == 0:
-                continue
-            term = ex.mul(ea, eb)
-            if s == -1:
-                term = ex.neg(term)
-            out[key] = ex.add(out[key], term) if key in out else term
-    return type(a)(a.n, a.k + b.k, out, _normalized=True)
 
 
 @dataclass(frozen=True)
@@ -458,8 +421,7 @@ def exterior_derivative(w: FormField) -> FormField:
             de = ex.differentiate(e, i)
             if ex.is_zero(de):
                 continue
-            term = de if s == 1 else ex.neg(de)
-            out[new_key] = ex.add(out[new_key], term) if new_key in out else term
+            out[new_key] = ex.add(out.get(new_key, ex.ZERO), de if s == 1 else ex.neg(de))
     return FormField(w.n, w.k + 1, out, _normalized=True)
 
 
@@ -475,10 +437,8 @@ def _interior_field(comps: Sequence[Expr], T: _AltField) -> _AltField:
             if ex.is_zero(comp):
                 continue
             term = ex.mul(comp, e)
-            if pos % 2:
-                term = ex.neg(term)
             rest = key[:pos] + key[pos + 1:]
-            out[rest] = ex.add(out[rest], term) if rest in out else term
+            out[rest] = ex.add(out.get(rest, ex.ZERO), ex.neg(term) if pos % 2 else term)
     return type(T)(T.n, T.k - 1, out, _normalized=True)
 
 

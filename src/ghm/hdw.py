@@ -24,6 +24,13 @@ RCOND = 1e-10
 TOLERANCE = 1e-9
 
 
+def numerical_rank(sv: np.ndarray) -> int:
+    """The number of singular values above ``RCOND`` times the largest: the
+    one rank rule.  A zero or empty spectrum has rank 0."""
+    cutoff = sv[0] * RCOND if sv.size and sv[0] > 0 else 0.0
+    return int(np.sum(sv > cutoff))
+
+
 def obstruction_check(n: int, k: int) -> bool:
     """Necessary dimension-count condition for the hat map to be surjective:
     n >= C(n, k-1).  Independent of the point."""
@@ -207,7 +214,7 @@ def min_norm_divergence(w: FormField, sigma: FormField,
     """
     A, b, dA, db = _hatmap_jet(w, sigma, point)
     U, sv, Vt = np.linalg.svd(A, full_matrices=False)
-    rank = int(np.sum(sv > sv[0] * RCOND))
+    rank = numerical_rank(sv)
     U, sv, Vt = U[:, :rank], sv[:rank], Vt[:rank]
     pinv = (Vt.T / sv) @ U.T
     X = pinv @ b
@@ -223,6 +230,4 @@ def kernel_basis(w: FormField, point: Sequence[float]) -> list[np.ndarray]:
     """Orthonormal basis of ker(hat map) at the point; empty iff injective."""
     hat = assemble_hatmap(w, point)
     _, sv, vh = np.linalg.svd(hat.matrix)
-    cutoff = (sv[0] * RCOND) if sv.size and sv[0] > 0 else 0.0
-    rank = int(np.sum(sv > cutoff))
-    return [vh[i, :].copy() for i in range(rank, w.n)]
+    return [vh[i, :].copy() for i in range(numerical_rank(sv), w.n)]

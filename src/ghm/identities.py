@@ -140,7 +140,7 @@ def jacobi_k_residual(J: MultiVectorField, adapted_coordinates: bool,
     n, k = J.n, J.k
     trailing = tuple(range(n - k + 3, n + 1))
     K = MultiVectorField(n, 2, {
-        (a, b): J.component_expr((a, b) + trailing)
+        (a, b): J.component((a, b) + trailing)
         for a in range(1, n + 1) for b in range(a + 1, n + 1)
     })
     rep = jacobi_residual(K, points)
@@ -233,7 +233,7 @@ def divergence_exprs(J: MultiVectorField, g: ScalarField | None = None) -> dict[
         for i in range(1, n + 1):
             if i in K:
                 continue
-            comp = J.component_expr((i,) + K)
+            comp = J.component((i,) + K)
             if ex.is_zero(comp):
                 continue
             prod = comp if g is None else ex.mul(g.expression, comp)
@@ -276,16 +276,8 @@ def extend_measure_preserving(J: MultiVectorField) -> MultiVectorField:
     n = J.n
     coeffs: dict[tuple, ex.Expr] = dict(J.coeffs)
     xnp1 = ex.Coord(n + 1)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            total = ex.ZERO
-            for m in range(1, n + 1):
-                comp = J.component_expr((m, i, j))
-                if ex.is_zero(comp):
-                    continue
-                total = ex.add(total, ex.differentiate(comp, m))
-            if ex.is_zero(total):
-                continue
+    for (i, j), total in divergence_exprs(J).items():
+        if not ex.is_zero(total):
             coeffs[(i, j, n + 1)] = ex.neg(ex.mul(xnp1, total))
     return MultiVectorField(n + 1, 3, coeffs)
 

@@ -29,9 +29,9 @@ from .exterior import (
     interior_vector_field,
     inverse_law_sign,
     pullback_with_jacobian,
-    wedge_fields,
+    wedge,
 )
-from .hdw import RCOND
+from .hdw import numerical_rank
 
 DUALITY_TOL = 1e-9
 
@@ -70,9 +70,7 @@ class Distribution:
             return [f.at(point) for f in self.fields]
         G = np.array([c.gradient(point) for c in self.constraints])
         _, sv, vh = np.linalg.svd(G)
-        cutoff = sv[0] * RCOND if sv.size and sv[0] > 0 else 0.0
-        rank = int(np.sum(sv > cutoff))
-        return [vh[i, :].copy() for i in range(rank, self.n)]
+        return [vh[i, :].copy() for i in range(numerical_rank(sv), self.n)]
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +153,8 @@ def build_poisson_k(J2: MultiVectorField, Cs: Sequence[ScalarField],
                         f"dC{j + 1} is not in ker(J2): residual {V.max_abs():g} at {tuple(p)}")
     N = ns[-1].as_multivector()
     for ni in reversed(ns[:-1]):
-        N = wedge_fields(N, ni.as_multivector())
-    return wedge_fields(N, J2)
+        N = wedge(N, ni.as_multivector())
+    return wedge(N, J2)
 
 
 def reduce_k_to_2(J: MultiVectorField, Cs: Sequence[ScalarField]) -> MultiVectorField:
@@ -173,7 +171,7 @@ def build_w_from_omega(omega: FormField, Cs: Sequence[ScalarField]) -> FormField
     """omega ^ dC^1 ^ ... ^ dC^{k-2} with exact symbolic differentials."""
     out = omega
     for C in Cs:
-        out = wedge_fields(out, grad_field(C))
+        out = wedge(out, grad_field(C))
     return out
 
 
@@ -196,6 +194,16 @@ def extract_omega(w: FormField, ns: Sequence[VectorField],
 # ---------------------------------------------------------------------------
 # Level sets
 # ---------------------------------------------------------------------------
+
+def _pivot_axes(G: np.ndarray) -> list[int]:
+    """Greedy largest pivots: for each row of G in turn, the axis (1-based)
+    of its largest |entry| among the axes not yet chosen."""
+    chosen: list[int] = []
+    for row in G:
+        order = np.argsort(-np.abs(row))
+        chosen.append(next(int(a) + 1 for a in order if int(a) + 1 not in chosen))
+    return chosen
+
 
 @dataclass(frozen=True)
 class LevelSetChart:
@@ -229,12 +237,8 @@ class LevelSetChart:
 
     def _pick_axes(self) -> tuple[int, ...]:
         n = self.constraints[0].n
-        G = np.array([c.gradient(self.base_point) for c in self.constraints])
-        dependent: list[int] = []
-        for row in G:
-            order = np.argsort(-np.abs(row))
-            axis = next(int(a) + 1 for a in order if int(a) + 1 not in dependent)
-            dependent.append(axis)
+        dependent = _pivot_axes(np.array([c.gradient(self.base_point)
+                                          for c in self.constraints]))
         return tuple(a for a in range(1, n + 1) if a not in dependent)
 
     @property
@@ -379,17 +383,14 @@ def rank_wrt(omega: FormField, Cs: Sequence[ScalarField],
     for p in points:
         G = np.array([c.gradient(p) for c in Cs])
         _, svg, vh = np.linalg.svd(G)
-        cutg = svg[0] * RCOND if svg.size and svg[0] > 0 else 0.0
-        basis = vh[int(np.sum(svg > cutg)):, :]  # rows span ker dC
+        basis = vh[numerical_rank(svg):, :]  # rows span ker dC
         W = np.zeros((n, n))
         V = omega.at(p)
         for (i, j), c in V.coeffs.items():
             W[i - 1, j - 1] = c
             W[j - 1, i - 1] = -c
         M = basis @ W @ basis.T
-        sv = np.linalg.svd(M, compute_uv=False)
-        cutoff = sv[0] * RCOND if sv.size and sv[0] > 0 else 0.0
-        r = int(np.sum(sv > cutoff))
+        r = numerical_rank(np.linalg.svd(M, compute_uv=False))
         ranks.append(r - (r % 2))
     rank0 = ranks[0] if ranks else 0
     return RankReport(
@@ -410,15 +411,10 @@ def propose_dual_frame(Cs: Sequence[ScalarField],
     """Coordinate-axis frame n_i = (1/d_{a_i} C^i) d_{a_i} when each C^i has a
     private axis of strict monotonicity; validated against all constraints."""
     n = Cs[0].n
-    base = points[0]
-    G = np.array([c.gradient(base) for c in Cs])
-    chosen: list[int] = []
-    for row in G:
-        order = np.argsort(-np.abs(row))
-        axis = next(int(a) + 1 for a in order if int(a) + 1 not in chosen)
-        if abs(row[axis - 1]) < 1e-12:
-            raise DualityError("no usable monotone axis for a constraint")
-        chosen.append(axis)
+    G = np.array([c.gradient(points[0]) for c in Cs])
+    chosen = _pivot_axes(G)
+    if any(abs(row[axis - 1]) < 1e-12 for row, axis in zip(G, chosen)):
+        raise DualityError("no usable monotone axis for a constraint")
     frame = []
     for Ci, axis in zip(Cs, chosen):
         comps = [ex.ZERO] * n
@@ -438,7 +434,7 @@ def verify_flat_decomposition(w: FormField, chart_map: PointMap, ell: int,
     flat = FormField.constant(n, 2, {(2 * i - 1, 2 * i): 1.0 for i in range(1, ell + 1)})
     target = flat
     for a in casimir_axes:
-        target = wedge_fields(target, FormField.constant(n, 1, {(a,): 1.0}))
+        target = wedge(target, FormField.constant(n, 1, {(a,): 1.0}))
     if target.k != w.k:
         raise DimensionError("rank/casimir split does not match the form degree")
     worst = 0.0

@@ -18,9 +18,8 @@ from .exterior import (
     VectorField,
     hdw_vs_bracket_sign,
     lie_derivative,
-    wedge_fields,
 )
-from .structure import build_w_from_omega, reduce_k_to_2
+from .structure import build_poisson_k, build_w_from_omega, reduce_k_to_2
 
 
 def _basis_vector(n: int, axis: int) -> VectorField:
@@ -76,7 +75,6 @@ def oscillator(lam: float = 0.1) -> SystemSpec:
         form=w,
         form_hamiltonians=(Htilde, G2),
         mode="tensor",
-        params={"lam": lam},
         domain=tuple((-10.0, 10.0) for _ in range(n)),
         aliases=OSCILLATOR_ALIASES,
         base_point=(0.0, 1.0, 1.0, 0.0, 0.0, 2.0),
@@ -112,7 +110,7 @@ def fourdim(hamiltonian: str = "x1") -> SystemSpec:
     x3 = ScalarField(n, ex.Coord(3), "x3")
     x4 = ScalarField(n, ex.Coord(4), "x4")
     w3 = build_w_from_omega(omega, [x4])
-    J3 = wedge_fields(_basis_vector(n, 4).as_multivector(), J2)
+    J3 = build_poisson_k(J2, [x4], [_basis_vector(n, 4)])
 
     # displayed equations of motion: X = (1/x4)(H_1 d_2 - H_2 d_1 - H_4 d_3)
     from .exterior import grad_field, interior_form_field
@@ -124,9 +122,7 @@ def fourdim(hamiltonian: str = "x1") -> SystemSpec:
     extras: dict = {"omega": omega, "J2": J2, "X_display": X_display}
     if ex.is_zero(H.partial(4)):
         extras["w4"] = build_w_from_omega(omega, [x3, x4])
-        N = wedge_fields(_basis_vector(n, 4).as_multivector(),
-                         _basis_vector(n, 3).as_multivector())
-        extras["J4"] = wedge_fields(N, J2)
+        extras["J4"] = build_poisson_k(J2, [x3, x4], [_basis_vector(n, 3), _basis_vector(n, 4)])
         extras["hamiltonians4"] = (H, x3, x4)
 
     return SystemSpec(
@@ -137,7 +133,6 @@ def fourdim(hamiltonian: str = "x1") -> SystemSpec:
         tensor=J3,
         form=w3,
         mode="tensor",
-        params={"H": hamiltonian},
         domain=((-3.0, 3.0), (-3.0, 3.0), (-3.0, 3.0), (0.1, 5.0)),
         base_point=(1.0, 1.0, 1.0, 2.0),
         invariants={"H": H, "x4": x4},
@@ -208,7 +203,6 @@ def quasisymmetry(psi: str = "x1^2 + x2^2",
         tensor=J,
         form=w,
         mode="tensor",
-        params={"psi": psi, "bvec": list(bvec)},
         domain=domain,
         base_point=(1.0, 0.5, 0.3),
         invariants={"Psi": Psi, "B": B},
@@ -242,7 +236,6 @@ def flat_nambu(n: int = 3, k: int = 3) -> SystemSpec:
         tensor=J,
         form=w,
         mode="form",
-        params={"n": n, "k": k},
         domain=tuple((-5.0, 5.0) for _ in range(n)),
         base_point=tuple(0.0 for _ in range(n)),
         measure_weight=None,

@@ -102,6 +102,139 @@ def dense_exterior_derivative(coeff_fns, point, n, k, step=1e-6):
 
 
 # ---------------------------------------------------------------------------
+# Sparse containers: the two rings written out separately
+# ---------------------------------------------------------------------------
+
+class ReferenceValue:
+    """The float-coefficient container with its ring written inline: ``s * c``
+    for signs and ``out.get(key, 0.0) + c`` for sums.  The shared container
+    in ``ghm.exterior`` must give the same coefficient types, bits and key
+    order."""
+
+    def __init__(self, kind, n, k, coeffs=None, _normalized=False):
+        from ghm.errors import DimensionError
+        from ghm.exterior import MAX_DIM, sort_with_sign
+
+        if not (0 <= n <= MAX_DIM and 0 <= k <= MAX_DIM + 1):
+            raise DimensionError(f"need n <= {MAX_DIM}, 0 <= k, got n={n}, k={k}")
+        self.kind, self.n, self.k = kind, n, k
+        out = {}
+        for idx, c in (coeffs or {}).items():
+            if c == 0.0:
+                continue
+            if _normalized:
+                out[idx] = out.get(idx, 0.0) + c
+            else:
+                key, s = sort_with_sign(idx)
+                if s == 0:
+                    continue
+                if len(key) != k:
+                    raise DimensionError(f"key {idx} has degree {len(key)}, expected {k}")
+                if key and (key[0] < 1 or key[-1] > n):
+                    raise DimensionError(f"index out of range 1..{n}: {idx}")
+                out[key] = out.get(key, 0.0) + s * c
+        self.coeffs = {key: c for key, c in out.items() if c != 0.0}
+
+    def component(self, indices):
+        from ghm.exterior import sort_with_sign
+
+        key, s = sort_with_sign(indices)
+        if s == 0:
+            return 0.0
+        return s * self.coeffs.get(key, 0.0)
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for key, c in other.coeffs.items():
+            out[key] = out.get(key, 0.0) + c
+        return ReferenceValue(self.kind, self.n, self.k, out, _normalized=True)
+
+    def __sub__(self, other):
+        return self + other.scale(-1.0)
+
+    def scale(self, factor):
+        return ReferenceValue(self.kind, self.n, self.k,
+                              {key: factor * c for key, c in self.coeffs.items()},
+                              _normalized=True)
+
+    def __repr__(self):
+        inner = ", ".join(f"{key}: {c:g}" for key, c in sorted(self.coeffs.items()))
+        return f"{self.kind}(n={self.n}, k={self.k}, {{{inner}}})"
+
+
+def reference_wedge(a, b):
+    """Graded product of two ``ReferenceValue``s, terms as ``s * ca * cb``."""
+    from ghm.exterior import sort_with_sign
+
+    out = {}
+    for ia, ca in a.coeffs.items():
+        for ib, cb in b.coeffs.items():
+            key, s = sort_with_sign(ia + ib)
+            if s == 0:
+                continue
+            out[key] = out.get(key, 0.0) + s * ca * cb
+    return ReferenceValue(a.kind, a.n, a.k + b.k, out, _normalized=True)
+
+
+def reference_field_coeffs(n, k, coeffs, normalized=False):
+    """The expression-coefficient constructor: the coefficient dict it
+    stores, accumulating ``add(prev, term)`` only on a repeated key."""
+    from ghm import expr as ex
+    from ghm.exterior import sort_with_sign
+
+    out = {}
+    for idx, e in coeffs.items():
+        if ex.is_zero(e):
+            continue
+        if normalized:
+            key, s = tuple(idx), 1
+        else:
+            key, s = sort_with_sign(idx)
+            if s == 0:
+                continue
+            assert len(key) == k and (not key or (key[0] >= 1 and key[-1] <= n))
+        prev = out.get(key)
+        term = e if s == 1 else ex.neg(e)
+        out[key] = term if prev is None else ex.add(prev, term)
+    return {key: e for key, e in out.items() if not ex.is_zero(e)}
+
+
+def reference_field_wedge(a, b):
+    """Coefficients of the graded product of two expression fields."""
+    from ghm import expr as ex
+    from ghm.exterior import sort_with_sign
+
+    out = {}
+    for ia, ea in a.coeffs.items():
+        for ib, eb in b.coeffs.items():
+            key, s = sort_with_sign(ia + ib)
+            if s == 0:
+                continue
+            term = ex.mul(ea, eb)
+            if s == -1:
+                term = ex.neg(term)
+            out[key] = ex.add(out[key], term) if key in out else term
+    return reference_field_coeffs(a.n, a.k + b.k, out, normalized=True)
+
+
+def reference_field_add(a, b):
+    """Coefficients of the sum of two expression fields of one degree."""
+    from ghm import expr as ex
+
+    out = dict(a.coeffs)
+    for key, e in b.coeffs.items():
+        out[key] = ex.add(out[key], e) if key in out else e
+    return reference_field_coeffs(a.n, a.k, out, normalized=True)
+
+
+def reference_field_constant(n, k, coeffs):
+    """Coefficients of the constant field with float coefficients ``coeffs``."""
+    from ghm import expr as ex
+
+    return reference_field_coeffs(n, k, {key: ex.const(c) for key, c in coeffs.items()})
+
+
+# ---------------------------------------------------------------------------
 # Expressions: the reference tree walk
 # ---------------------------------------------------------------------------
 
@@ -235,7 +368,7 @@ def jacobi_cyclic(J2, triple, point):
     total = 0.0
     for m in range(1, J2.n + 1):
         for (a, bc) in ((i, (j, l)), (j, (l, i)), (l, (i, j))):
-            c = ex.evaluate(J2.component_expr((a, m)), point)
+            c = ex.evaluate(J2.component((a, m)), point)
             if c == 0.0:
                 continue
             d = ex.ZERO

@@ -281,6 +281,11 @@ def test_config_k2_tensor_mode_checks_jacobi(tmp_path, capsys):
     ("params", {"a": 10 ** 400}, "/params/a"),
     ("coefficients", {"1,2": 1}, "/coefficients/1,2"),
     ("hamiltonians", [3], "/hamiltonians/0"),
+    # member names are escaped in pointers: "~" as "~0", "/" as "~1"
+    ("params", {"a/b": "zz"}, "/params/a~1b"),
+    ("params", {"a~b": "zz"}, "/params/a~0b"),
+    ("params", {"~/": "zz"}, "/params/~0~1"),
+    ("coefficients", {"1/2": "1"}, "/coefficients/1~12"),
 ])
 def test_malformed_config_member_is_an_input_error(tmp_path, member, value, pointer):
     path = tmp_path / "plane.json"
@@ -289,6 +294,21 @@ def test_malformed_config_member_is_an_input_error(tmp_path, member, value, poin
     assert code == 2
     assert "Traceback" not in err
     assert f"config error at {pointer}: " in err
+
+
+@pytest.mark.parametrize("members, pointer", [
+    ({"aliases": ["q", "q"]}, "/aliases/1"),  # q would mean x2 everywhere
+    ({"aliases": ["a", "p"], "params": {"a": 3}}, "/aliases/0"),  # a*p would read x1*x2
+    ({"aliases": ["x2", "x1"]}, "/aliases/0"),  # would swap the axes
+    ({"aliases": ["q", "sqrt"]}, "/aliases/1"),
+])
+def test_config_alias_that_would_rebind_a_name_is_an_input_error(tmp_path, members, pointer):
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps(dict(PLANE, **members)))
+    code, out, err = ghm_fresh("solve", "--config", str(path), "--point", "1,2")
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert f"config error at {pointer}: alias " in err
 
 
 EXPRESSIONS = ["1", "x1", "x2", "q*p", "(x1^2 + x2^2)/2", "a*x1", "sqrt(x1)", "1/x1",

@@ -34,6 +34,22 @@ def test_parse_with_aliases_and_params():
     assert evaluate(e, (0, 1, 0, 0, 0, 2), {"lambda": 0.1}) == pytest.approx(-1.2)
 
 
+@pytest.mark.parametrize("aliases, params", [
+    (("q", "q"), ()),
+    (("a", "p"), ("a",)),
+    (("x2", "x1"), ()),
+    (("x3", "p"), ()),
+    (("exp", "p"), ()),
+])
+def test_parse_rejects_an_alias_that_would_rebind_a_name(aliases, params):
+    with pytest.raises(ValueError, match="alias"):
+        parse("x1", n=2, params=params, aliases=aliases)
+
+
+def test_parse_accepts_a_coordinate_name_as_the_alias_of_its_own_axis():
+    assert parse("x1 + p", n=2, aliases=("x1", "p")) == Add(Coord(1), Coord(2))
+
+
 def test_parse_syntax_error_offset():
     with pytest.raises(ParseError) as err:
         parse("x1 +* x2", n=2)

@@ -1,7 +1,9 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ghm.expr as ex
 from ghm.errors import DimensionError
@@ -9,12 +11,14 @@ from ghm.expr import ScalarField, parse
 from ghm.exterior import (
     FormField,
     FormValue,
+    MultiVectorField,
     MultiVectorValue,
     PointMap,
     VectorField,
     exterior_derivative,
     grad_field,
     hdw_vs_bracket_sign,
+    increasing_indices,
     interior_by_form,
     interior_by_multivector,
     interior_form,
@@ -28,7 +32,17 @@ from ghm.exterior import (
     wedge,
 )
 
-from oracles import dense_interior, dense_wedge, dense_exterior_derivative
+from ghm import systems
+from oracles import (
+    ReferenceValue,
+    dense_exterior_derivative,
+    dense_interior,
+    dense_wedge,
+    reference_field_add,
+    reference_field_constant,
+    reference_field_wedge,
+    reference_wedge,
+)
 
 
 def test_sort_with_sign():
@@ -408,3 +422,109 @@ def test_grad_and_interior_vector_field():
     X = VectorField(2, (parse("x2", 2), parse("-x1", 2)))
     iw = interior_vector_field(X, w)
     assert iw.at((1.0, 2.0)).coeffs == {(1,): 1.0, (2,): 2.0}
+
+
+# ---------------------------------------------------------------------------
+# One container under values and fields
+# ---------------------------------------------------------------------------
+
+# ints, signed zeros, the float range's ends, subnormals, infinities, NaN and
+# numpy scalars: every kind of coefficient a value may be built from
+PLAIN_POOL = [0, 1, -2, 3, 0.0, -0.0, 1.5, -0.25, 1e308, -1e308, 5e-324, -5e-324,
+              1.1e-308, math.inf, -math.inf, math.nan]
+NUMPY_POOL = [np.float64(0.7), np.float64(-0.0), np.float64(-1e308), np.float64(math.nan),
+              np.int64(2), np.int64(0)]
+COEFFICIENT = st.one_of(st.sampled_from(PLAIN_POOL), st.sampled_from(NUMPY_POOL))
+
+
+def _hexed(c):
+    return type(c), float.hex(float(c))
+
+
+def _digest(value):
+    """Type, bits and order of every coefficient, and the printed form."""
+    return (value.n, value.k, [(key, *_hexed(c)) for key, c in value.coeffs.items()],
+            repr(value))
+
+
+def _outcome(build):
+    try:
+        with np.errstate(all="ignore"):
+            return "value", _digest(build())
+    except DimensionError as exc:
+        return "error", str(exc)
+
+
+@st.composite
+def _coefficients(draw, n, k, any_keys):
+    if any_keys:  # unsorted, repeated, out of range and wrong-degree keys
+        keys = st.lists(st.integers(0, n + 1), max_size=n + 1).map(tuple)
+    else:
+        keys = st.lists(st.integers(1, n), min_size=k, max_size=k).map(tuple)
+    return draw(st.dictionaries(keys, COEFFICIENT, min_size=1, max_size=4))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_value_container_matches_the_separate_ring_bodies(data):
+    """Construction, +, -, scale, wedge and component on values give the
+    coefficient types, bits and key order of the float ring written out on
+    its own (``oracles.ReferenceValue``)."""
+    n = data.draw(st.integers(1, 4))
+    cls = data.draw(st.sampled_from([FormValue, MultiVectorValue]))
+    k, l = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
+    any_keys = data.draw(st.booleans())
+    raw = [(data.draw(_coefficients(n, deg, any_keys)), deg) for deg in (k, k, l)]
+    for coeffs, deg in raw:
+        assert _outcome(lambda: cls(n, deg, coeffs)) == \
+            _outcome(lambda: ReferenceValue(cls.__name__, n, deg, coeffs))
+    normalized = data.draw(st.dictionaries(st.sampled_from(increasing_indices(n, k)),
+                                           COEFFICIENT, max_size=4))
+    assert _outcome(lambda: cls(n, k, normalized, _normalized=True)) == \
+        _outcome(lambda: ReferenceValue(cls.__name__, n, k, normalized, _normalized=True))
+    if any_keys:
+        return
+
+    (a, _), (a2, _), (b, _) = raw
+    got = [cls(n, k, a), cls(n, k, a2), cls(n, l, b)]
+    ref = [ReferenceValue(cls.__name__, n, k, a), ReferenceValue(cls.__name__, n, k, a2),
+           ReferenceValue(cls.__name__, n, l, b)]
+    factor = data.draw(COEFFICIENT)
+    for op in (lambda x, y, z: wedge(x, z) if isinstance(x, cls) else reference_wedge(x, z),
+               lambda x, y, z: x + y, lambda x, y, z: x - y,
+               lambda x, y, z: x.scale(factor)):
+        assert _outcome(lambda: op(*got)) == _outcome(lambda: op(*ref))
+    for indices in data.draw(st.lists(st.lists(st.integers(1, n), min_size=k, max_size=k),
+                                      max_size=3)):
+        assert _hexed(got[0].component(indices)) == _hexed(ref[0].component(indices))
+
+
+def _builtin_fields():
+    out = []
+    for name in sorted(systems.CATALOG):
+        s = systems.build(name)
+        grads = [grad_field(h) for h in s.hamiltonians]
+        out += [(f, g) for f in (s.form, s.sigma()) if f is not None for g in grads]
+        if s.tensor is not None:
+            out.append((s.tensor, s.bracket_field.as_multivector()))
+    return out
+
+
+def test_field_wedge_constant_and_sum_build_the_same_nodes():
+    """On the built-in systems' structures, ``wedge``, ``constant`` and ``+``
+    on fields store, key by key in the same order, the very interned nodes
+    of the expression ring written out on its own."""
+    pairs = _builtin_fields()
+    assert len(pairs) > 8
+    for a, b in pairs:
+        for got, want in ((wedge(a, b).coeffs, reference_field_wedge(a, b)),
+                          ((a + a).coeffs, reference_field_add(a, a)),
+                          ((b + b).coeffs, reference_field_add(b, b))):
+            assert list(got) == list(want)
+            assert all(got[key] is want[key] for key in want)
+    for cls in (FormField, MultiVectorField):
+        coeffs = {(2, 1, 3): 1.0, (1, 2, 4): -0.5, (3, 4, 1): 2.0, (1, 1, 2): 7.0}
+        got = cls.constant(4, 3, coeffs).coeffs
+        want = reference_field_constant(4, 3, coeffs)
+        assert list(got) == list(want)
+        assert all(got[key] is want[key] for key in want)

@@ -6,7 +6,7 @@ import pytest
 import ghm.expr as ex
 from ghm.errors import DimensionError
 from ghm.expr import ScalarField, parse
-from ghm.exterior import FormField, grad_field, wedge_fields
+from ghm.exterior import FormField, grad_field, wedge
 from ghm.hdw import (
     _hatmap_jet,
     assemble_hatmap,
@@ -21,7 +21,7 @@ from ghm.hdw import (
 def _sigma_from(hams):
     out = grad_field(hams[0])
     for h in hams[1:]:
-        out = wedge_fields(out, grad_field(h))
+        out = wedge(out, grad_field(h))
     return out
 
 

@@ -90,7 +90,7 @@ def test_jacobi_k_matches_exhaustive_scan():
     J = MultiVectorField(4, 3, {(1, 2, 3): ex.Coord(1), (1, 2, 4): ex.Coord(2)})
     pts = [(0.7, -0.3, 0.4, 1.1)]
     rep = jacobi_k_residual(J, True, pts)
-    K = MultiVectorField(4, 2, {(a, b): J.component_expr((a, b, 4))
+    K = MultiVectorField(4, 2, {(a, b): J.component((a, b, 4))
                                 for a, b in itertools.combinations(range(1, 5), 2)})
     assert rep.max_residual == pytest.approx(_brute_jacobi_max(K, pts[0]), abs=1e-14)
 
