@@ -204,14 +204,39 @@ def _parse_point(text: str, n: int, what: str) -> tuple[float, ...]:
         raise InputError(f"{what} must be comma-separated numbers") from None
     if len(values) != n:
         raise InputError(f"{what} must have length {n}, got {len(values)}")
+    if not all(map(math.isfinite, values)):
+        raise InputError(f"{what} must be finite numbers")
     return values
+
+
+# every numeric flag by its dest: (lower bound or None, whether the value
+# must exceed the bound rather than reach it)
+_NUMBER_FLAGS = {
+    "samples": (1, False), "seed": (0, False), "tol": (0, False),
+    "reltol": (0, True), "dt": (0, True), "t_end": (0, True), "f": (0, True), "g": (0, True),
+    "t": (None, False), "lam": (None, False),
+}
+
+
+def _check_numbers(args) -> None:
+    """The one rule for numeric flags: a value given is finite and meets its
+    bound in ``_NUMBER_FLAGS``, or the call is an input error."""
+    for dest, (low, strict) in _NUMBER_FLAGS.items():
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        below = low is not None and (value <= low if strict else value < low)
+        if below or not math.isfinite(value):
+            bound = "" if low is None else f" {'>' if strict else '>='} {low}"
+            raise InputError(f"--{dest.replace('_', '-')} must be a finite number{bound}, "
+                             f"got {value!r}")
 
 
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
 
-def _available_checks(system: SystemSpec, points, tol: float):
+def _available_checks(system: SystemSpec, points):
     checks: list[tuple[str, str, IdentityReport]] = []  # (token, label, report)
     if system.form is not None:
         checks.append(("closure", "closure(w)", closure_residual(system.form, points)))
@@ -232,7 +257,7 @@ def cmd_check(args) -> int:
     system = _resolve_system(args)
     rng = np.random.default_rng(args.seed)
     points = sample_box(rng, system.domain, args.samples)
-    checks = _available_checks(system, points, args.tol)
+    checks = _available_checks(system, points)
     if args.identities:
         wanted = [t.strip() for t in args.identities.split(",") if t.strip()]
         have = {token for token, _, _ in checks}
@@ -309,7 +334,7 @@ def cmd_simulate(args) -> int:
             traj.to_csv(fh)
     else:
         traj.to_csv(sys.stdout)
-    drifts = conservation_report(traj, system)
+    drifts = conservation_report(traj)
     for name in traj.invariant_names:
         print(f"drift[{name}] = {drifts[name]:.3e}")
     if traj.truncated:
@@ -434,6 +459,7 @@ _parser = functools.cache(build_parser)
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _check_numbers(args)
         return args.func(args)
     except (InputError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,6 +36,7 @@ from .exterior import (
     hdw_vs_bracket_sign,
     interior_form_field,
     lie_derivative,
+    nan_max,
     pullback_with_jacobian,
 )
 from .hdw import RCOND, _hatmap_system, _min_norm_solve, _solve_report, min_norm_divergence
@@ -205,7 +206,7 @@ class SystemSpec:
         if self.form is not None:
             points = sample_box(np.random.default_rng(0), self.domain, VALIDATE_SAMPLES)
             rep = closure_residual(self.form, points)
-            if rep.max_residual > 1e-10:
+            if not rep.passes(1e-10):
                 raise InputError(
                     f"system {self.name!r}: form structure is not closed "
                     f"(residual {rep.max_residual:g} at {rep.argmax_point})")
@@ -439,7 +440,7 @@ def integrate(system: SystemSpec, x0: Sequence[float], t_end: float, dt: float =
     )
 
 
-def conservation_report(traj: Trajectory, system: SystemSpec | None = None) -> dict[str, float]:
+def conservation_report(traj: Trajectory) -> dict[str, float]:
     """Max relative drift |v(t) - v(0)| / (1 + |v(0)|) per named invariant."""
     out = {}
     for col, name in enumerate(traj.invariant_names):
@@ -471,7 +472,6 @@ class MoserProblem:
     w: FormField
     domain: tuple[tuple[float, float], ...]
     flow: Callable[[float], PointMap] | None = None
-    params: dict = dc_field(default_factory=dict)
 
     @property
     def Z0(self) -> VectorField:
@@ -488,7 +488,7 @@ def moser_residual(problem: MoserProblem, points: Sequence[Sequence[float]]) -> 
     """Max coefficient of L_X(L_X w0) over the points, all exact-symbolic."""
     lw = lie_derivative(problem.X, problem.w0)
     llw = lie_derivative(problem.X, lw)
-    return max((llw.at(p).max_abs() for p in points), default=0.0)
+    return nan_max((llw.at(p).max_abs() for p in points), default=0.0)
 
 
 def moser_family_residual(w0: FormField, X_t: Callable[[float], VectorField],
@@ -504,12 +504,14 @@ def moser_family_residual(w0: FormField, X_t: Callable[[float], VectorField],
     rest = Z0 - Z - Xt.scale(1.0 - t)
     term2 = lie_derivative(rest, w0)
     diff = term1 - term2
-    return max((diff.at(p).max_abs() for p in points), default=0.0)
+    return nan_max((diff.at(p).max_abs() for p in points), default=0.0)
 
 
 def _numeric_flow(problem: MoserProblem, t: float):
     """Fixed-step RK4 flow map of the deformation field."""
     f, rk4 = problem.X.compiled, stepper("rk4", problem.n)
+    if not math.isfinite(abs(t) * FLOW_STEPS_PER_UNIT):
+        raise InputError(f"flow time {t:g} needs more RK4 steps than a float can count")
     nsteps = max(1, round(abs(t) * FLOW_STEPS_PER_UNIT))
     h = t / nsteps
 
@@ -540,7 +542,7 @@ def verify_flattening(problem: MoserProblem, t: float,
         for p in points:
             target = phi.at(p)
             pulled = pullback_with_jacobian(phi.jacobian(p), wt.at(target))
-            worst = max(worst, (pulled - problem.w0.at(p)).max_abs())
+            worst = nan_max((worst, (pulled - problem.w0.at(p)).max_abs()))
         return worst
     if flow != "numeric":
         raise InputError(f"unknown flow route {flow!r}")
@@ -556,5 +558,5 @@ def verify_flattening(problem: MoserProblem, t: float,
             um[i] -= FD_STEP
             J[:, i] = (fmap(up) - fmap(um)) / (2 * FD_STEP)
         pulled = pullback_with_jacobian(J, wt.at(target))
-        worst = max(worst, (pulled - problem.w0.at(p)).max_abs())
+        worst = nan_max((worst, (pulled - problem.w0.at(p)).max_abs()))
     return worst

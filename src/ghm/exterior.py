@@ -37,7 +37,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -70,6 +70,21 @@ def sort_with_sign(indices: Sequence[int]) -> tuple[Key, int]:
 def increasing_indices(n: int, k: int) -> list[Key]:
     """All degree-k multi-indices in lexicographic order."""
     return list(itertools.combinations(range(1, n + 1), k))
+
+
+def nan_max(items: Iterable, key: Callable | None = None, default=None):
+    """``max(items, key=key)`` with NaN ranked above every number: the first
+    item whose key is NaN wins, so a NaN residual never reads as a smaller
+    one (``max`` keeps a NaN only when it comes first, since every
+    comparison with NaN is false).  Empty items give ``default``."""
+    best, best_key = default, None
+    for item in items:
+        k = item if key is None else key(item)
+        if k != k:
+            return item
+        if best_key is None or k > best_key:
+            best, best_key = item, k
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +193,7 @@ class _AltValue(_Alt):
     _format = staticmethod("{:g}".format)
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+        return nan_max((abs(c) for c in self.coeffs.values()), default=0.0)
 
     def norm(self) -> float:
         return float(np.sqrt(sum(c * c for c in self.coeffs.values())))
@@ -308,35 +323,45 @@ class _AltField(_Alt):
         """The coefficients' values at ``point``, in ``coeffs`` order."""
         return self.memo("values", lambda f: ex.compile_vector(f.coeffs.values()))(point)
 
-    def coefficient_array(self, point: Sequence[float]) -> np.ndarray:
-        """The coefficients' values c[s] at ``point``, in ``coeffs`` order, with
-        one trailing 0.0 slot that stands for an absent coefficient."""
-        return _plus_zero(np.array(self.coefficient_values(point) + (0.0,)))
+    def gather_plan(self, indices: Iterable[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+        """(slots, signs) that ``gather`` reads the full component of each index
+        tuple through, in the order given.  A repeated index or an absent key
+        reads the zero slot; an odd order negates, so an absent odd-order
+        entry reads -0.0.  Build it once and memoize it under a name."""
+        slot_of = {key: i for i, key in enumerate(self.coeffs)}
+        zero_slot = len(slot_of)
+        slots, signs = [], []
+        for I in indices:
+            key, s = sort_with_sign(I)
+            slots.append(slot_of.get(key, zero_slot) if s else zero_slot)
+            signs.append(-1.0 if s < 0 else 1.0)
+        return np.array(slots, dtype=np.intp), np.array(signs)
 
-    def coefficient_jet(self, point: Sequence[float]) -> np.ndarray:
-        """Rows of the layout of ``coefficient_array``: row 0 holds the values
-        c_s at ``point`` and row u the exact partials d c_s / d x^u.  One
-        compiled function evaluates the coefficients and their nonzero
-        partials."""
-        values, axes, slots = self.memo("jet", _jet_plan)
-        v = _plus_zero(np.array(values(point), dtype=float))
-        size = len(self.coeffs)
-        jet = np.zeros((self.n + 1, size + 1))
-        jet[0, :size] = v[:size]
-        jet[axes, slots] = v[size:]
-        return jet
+    def gather(self, plan: tuple[np.ndarray, np.ndarray], point: Sequence[float],
+               jet: bool = False) -> np.ndarray:
+        """The components of ``plan``'s index tuples at ``point``, C-contiguous.
+        With ``jet``, row 0 holds the components and row u their exact partials
+        d/dx^u, from one compiled function for the coefficients and their
+        nonzero partials.  Coefficients sit in ``coeffs`` order with a trailing
+        zero slot; one that evaluates to -0.0 is dropped from the value, so it
+        reads +0.0, as does every absent partial."""
+        slots, signs = plan
+        if jet:
+            values, axes, partial_slots = self.memo("jet", _jet_plan)
+            v = values(point)
+            size = len(self.coeffs)
+            c = np.zeros((self.n + 1, size + 1))
+            c[0, :size] = v[:size]
+            c[axes, partial_slots] = v[size:]
+        else:
+            c = np.array(self.coefficient_values(point) + (0.0,))
+        c += 0.0  # -0.0 + 0.0 is +0.0; no other value changes
+        return signs * c.take(slots, axis=-1)
 
     def at(self, point: Sequence[float]) -> _AltValue:
         return self._value_cls(self.n, self.k,
                                dict(zip(self.coeffs, self.coefficient_values(point))),
                                _normalized=True)
-
-
-def _plus_zero(a: np.ndarray) -> np.ndarray:
-    # a coefficient that evaluates to -0.0 is dropped from the form value, so
-    # its components read +0.0; adding +0.0 changes no other value
-    a += 0.0
-    return a
 
 
 def _jet_plan(f: _AltField):

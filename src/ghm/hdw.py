@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError
-from .exterior import FormField, increasing_indices, sort_with_sign
+from .exterior import FormField, increasing_indices
 
 # relative singular-value cutoff for rank decisions
 RCOND = 1e-10
@@ -52,59 +52,36 @@ class HatMapMatrix:
         return self.matrix @ np.asarray(X, dtype=float)
 
 
-def _gather_plan(field: FormField, indices) -> tuple[np.ndarray, np.ndarray]:
-    """(slots, signs) with ``field.at(p).component(I) == signs * c[slots]`` for
-    each index tuple I, where c is ``field.coefficient_array(p)``."""
-    slot_of = {key: i for i, key in enumerate(field.coeffs)}
-    absent = len(slot_of)  # the trailing 0.0 of the coefficient array
-    slots, signs = [], []
-    for I in indices:
-        key, s = sort_with_sign(I)
-        slots.append(slot_of.get(key, absent) if s else absent)
-        signs.append(-1.0 if s < 0 else 1.0)
-    return np.array(slots, dtype=np.intp), np.array(signs)
-
-
 def _hatmap_plan(w: FormField):
     rows = tuple(increasing_indices(w.n, w.k - 1))
-    flat, indices = [], []
-    for r, I in enumerate(rows):
-        for j in range(1, w.n + 1):
-            if j not in I:
-                flat.append(r * w.n + j - 1)
-                indices.append((j,) + I)
-    return rows, np.array(flat, dtype=np.intp), *_gather_plan(w, indices)
+    return rows, w.gather_plan((j,) + I for I in rows for j in range(1, w.n + 1))
 
 
-def _hatmap_layout(w: FormField, c: np.ndarray):
-    """The hat-map rows, and the matrix filled from coefficient values c in the
-    layout of ``coefficient_array``; leading axes of c (partials) are kept."""
-    rows, flat, slots, signs = w.memo("hatmap", _hatmap_plan)
-    A = np.zeros(c.shape[:-1] + (len(rows) * w.n,))
-    # indexing the first axis of the transposes keeps 1-D values, the RK
-    # stages' case, on numpy's fast path
-    A.T[flat] = (signs * c.T[slots].T).T
-    return rows, A.reshape(c.shape[:-1] + (len(rows), w.n))
-
-
-def _rhs_layout(sigma: FormField, rows, c: np.ndarray) -> np.ndarray:
-    """-sigma_I over the hat-map rows I from coefficient values c, as above."""
-    slots, signs = sigma.memo(("rows", rows), lambda f: _gather_plan(f, rows))
-    return -(signs * c.T[slots].T)
+def _hatmap_arrays(w: FormField, sigma: FormField | None, point: Sequence[float],
+                   jet: bool = False):
+    """(rows, A, b): the hat-map rows, the matrix with entry (row I, col j) the
+    component w_{jI}, and the right-hand side -sigma_I over the rows, None
+    without sigma.  With ``jet``, A and b gain a leading axis: row 0 holds
+    the values and row u the exact partials d/dx^u.  Each field's index plan
+    is built once."""
+    if sigma is not None and (sigma.k != w.k - 1 or sigma.n != w.n):
+        raise DimensionError(
+            f"sigma must have degree k-1={w.k - 1} on n={w.n}, got ({sigma.n}, {sigma.k})")
+    if w.k < 2:
+        raise DimensionError("hat map needs a form of degree >= 2")
+    rows, plan = w.memo("hatmap", _hatmap_plan)
+    A = w.gather(plan, point, jet)
+    A = A.reshape(A.shape[:-1] + (len(rows), w.n))
+    if sigma is None:
+        return rows, A, None
+    rhs = sigma.memo("hatmap_rhs", lambda f: f.gather_plan(increasing_indices(f.n, f.k)))
+    return rows, A, -sigma.gather(rhs, point, jet)
 
 
 def assemble_hatmap(w: FormField, point: Sequence[float]) -> HatMapMatrix:
-    """Entry (row I, col j) is the component w_{jI}; the index scatter is
-    built once per form."""
-    if w.k < 2:
-        raise DimensionError("hat map needs a form of degree >= 2")
-    rows, A = _hatmap_layout(w, w.coefficient_array(point))
+    """Entry (row I, col j) is the component w_{jI}."""
+    rows, A, _ = _hatmap_arrays(w, None, point)
     return HatMapMatrix(w.n, w.k, rows, A)
-
-
-def hatmap_rhs(sigma: FormField, rows, point: Sequence[float]) -> np.ndarray:
-    """Right-hand side -sigma_I over the hat-map rows I."""
-    return _rhs_layout(sigma, rows, sigma.coefficient_array(point))
 
 
 @dataclass(frozen=True)
@@ -169,11 +146,8 @@ def _solve_report(hat: HatMapMatrix, b: np.ndarray,
 def _hatmap_system(w: FormField, sigma: FormField,
                    point: Sequence[float]) -> tuple[HatMapMatrix, np.ndarray]:
     """The hat map at a point and the right-hand side -sigma over its rows."""
-    if sigma.k != w.k - 1 or sigma.n != w.n:
-        raise DimensionError(
-            f"sigma must have degree k-1={w.k - 1} on n={w.n}, got ({sigma.n}, {sigma.k})")
-    hat = assemble_hatmap(w, point)
-    return hat, hatmap_rhs(sigma, hat.rows, point)
+    rows, A, b = _hatmap_arrays(w, sigma, point)
+    return HatMapMatrix(w.n, w.k, rows, A), b
 
 
 def _min_norm_solve(hat: HatMapMatrix, b: np.ndarray,
@@ -187,15 +161,6 @@ def _min_norm_solve(hat: HatMapMatrix, b: np.ndarray,
 
 def _consistent(residual: float, b: np.ndarray, tolerance: float) -> bool:
     return residual <= tolerance * (1.0 + float(np.linalg.norm(b)))
-
-
-def _hatmap_jet(w: FormField, sigma: FormField, point: Sequence[float]):
-    """A and b of the hat-map system at a point, with their exact partials
-    dA[u] = dA/dx^{u+1} and db[u] = db/dx^{u+1}, in the layout of
-    ``assemble_hatmap`` and ``hatmap_rhs``."""
-    rows, A = _hatmap_layout(w, w.coefficient_jet(point))
-    b = _rhs_layout(sigma, rows, sigma.coefficient_jet(point))
-    return A[0], b[0], A[1:], b[1:]
 
 
 def min_norm_divergence(w: FormField, sigma: FormField,
@@ -212,7 +177,8 @@ def min_norm_divergence(w: FormField, sigma: FormField,
     at ``RCOND`` and ``consistent`` uses ``TOLERANCE``, as in ``solve_hdw``
     with its default tolerance, which the RK stages use.
     """
-    A, b, dA, db = _hatmap_jet(w, sigma, point)
+    _, A, b = _hatmap_arrays(w, sigma, point, jet=True)
+    A, b, dA, db = A[0], b[0], A[1:], b[1:]
     U, sv, Vt = np.linalg.svd(A, full_matrices=False)
     rank = numerical_rank(sv)
     U, sv, Vt = U[:, :rank], sv[:rank], Vt[:rank]

@@ -9,6 +9,7 @@ point list.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 from dataclasses import dataclass
@@ -18,12 +19,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import DimensionError, EvalDomainError, InputError
-from .exterior import (
-    MultiVectorField,
-    ScalarField,
-    increasing_indices,
-    sort_with_sign,
-)
+from .exterior import MultiVectorField, ScalarField, increasing_indices, nan_max
 
 
 @dataclass(frozen=True)
@@ -54,47 +50,21 @@ class IdentityReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _dense_plan(J: MultiVectorField):
-    """The scatter of each coefficient onto every permutation of its key, as
-    (flat position, slot, sign) into A = J from the coefficients c, and into
-    D = dJ from the row-major flattened partial rows of ``coefficient_jet``."""
-    n = J.n
-    positions, slots, signs = [], [], []
-    for slot, key in enumerate(J.coeffs):
-        for perm in itertools.permutations(key):
-            _, s = sort_with_sign(perm)
-            flat = 0
-            for axis in perm:  # row-major, 0-based
-                flat = flat * n + axis - 1
-            positions.append(flat)
-            slots.append(slot)
-            signs.append(float(s))
-    pos, slot, sign = (np.array(positions, dtype=np.intp), np.array(slots, dtype=np.intp),
-                       np.array(signs))
-    u = np.arange(n, dtype=np.intp)[:, None]  # D repeats A's scatter once per axis
-    width = len(J.coeffs) + 1
-    d_scatter = ((u * n ** J.k + pos).ravel(), (u * width + slot).ravel(), np.tile(sign, n))
-    return (pos, slot, sign), d_scatter
-
-
 def _dense_pair(J: MultiVectorField, point: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Full antisymmetric component arrays at a point: A of shape (n,)*k and
     D[u, i1..ik] = d J^{i1..ik} / d x^u from exact symbolic partials."""
-    scatters = J.memo("dense", _dense_plan)
-    jet = J.coefficient_jet(point)
-    out = []
-    for shape, values, (pos, slot, sign) in zip(((J.n,) * J.k, (J.n,) * (J.k + 1)),
-                                                (jet[0], jet[1:].ravel()), scatters):
-        arr = np.zeros(shape)
-        arr.flat[pos] = sign * values[slot]
-        out.append(arr)
-    return out[0], out[1]
+    n, k = J.n, J.k
+    plan = J.memo("dense", lambda f: f.gather_plan(itertools.product(range(1, n + 1), repeat=k)))
+    jet = J.gather(plan, point, jet=True)  # every n^k index tuple, row-major
+    return jet[0].reshape((n,) * k), jet[1:].reshape((n,) * (k + 1))
 
 
 def _report(name: str, values: list[tuple[float, tuple, tuple]], samples: int,
             detail: str = "") -> IdentityReport:
     """values: (signed, point, index) candidates, one per point (the per-point argmax)."""
-    best = max(values, key=lambda t: abs(t[0]))
+    if not values:
+        raise InputError(f"{name}: no sample points")
+    best = nan_max(values, key=lambda t: abs(t[0]))
     return IdentityReport(
         name=name,
         max_residual=abs(best[0]),
@@ -130,29 +100,19 @@ def jacobi_residual(J2: MultiVectorField, points: Sequence[Sequence[float]]) -> 
     return _report("jacobi", best, len(points))
 
 
-def jacobi_k_residual(J: MultiVectorField, adapted_coordinates: bool,
+def jacobi_k_residual(J: MultiVectorField,
                       points: Sequence[Sequence[float]]) -> IdentityReport:
-    """Jacobi identity for a degree-k tensor whose trailing k-2 slots are the
-    Casimir axes (n-k+3 .. n).  Reduces to the degree-2 check on
-    K^{ab} = J^{ab, n-k+3, ..., n}."""
-    if not adapted_coordinates:
-        raise InputError("jacobi_k_residual requires coordinates adapted to the Casimir axes")
+    """Jacobi identity for a degree-k tensor in coordinates adapted to its
+    Casimirs: the trailing k-2 slots are the Casimir axes (n-k+3 .. n).
+    Reduces to the degree-2 check on K^{ab} = J^{ab, n-k+3, ..., n}."""
     n, k = J.n, J.k
     trailing = tuple(range(n - k + 3, n + 1))
     K = MultiVectorField(n, 2, {
         (a, b): J.component((a, b) + trailing)
         for a in range(1, n + 1) for b in range(a + 1, n + 1)
     })
-    rep = jacobi_residual(K, points)
-    return IdentityReport(
-        name="jacobi_k",
-        max_residual=rep.max_residual,
-        argmax_point=rep.argmax_point,
-        argmax_index=rep.argmax_index,
-        signed_at_argmax=rep.signed_at_argmax,
-        samples=rep.samples,
-        detail=f"trailing axes {trailing}",
-    )
+    return dataclasses.replace(jacobi_residual(K, points), name="jacobi_k",
+                               detail=f"trailing axes {trailing}")
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +159,8 @@ def fundamental_identity_residual(J: MultiVectorField,
         sb, ib = _argmax_signed(fib)
         candidates.append((sa, tuple(p), ia, "FIa"))
         candidates.append((sb, tuple(p), ib, "FIb"))
-    top = max(candidates, key=lambda t: abs(t[0]))
-    return _report("fundamental-identity", [t[:3] for t in candidates],
-                   len(points), detail=top[3])
+    rep = _report("fundamental-identity", [t[:3] for t in candidates], len(points))
+    return dataclasses.replace(rep, detail=nan_max(candidates, key=lambda t: abs(t[0]))[3])
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +176,7 @@ def closure_residual(w, points: Sequence[Sequence[float]]) -> IdentityReport:
     for p in points:
         V = dw.at(p)
         if V.coeffs:
-            key = max(V.coeffs, key=lambda kk: abs(V.coeffs[kk]))
+            key = nan_max(V.coeffs, key=lambda kk: abs(V.coeffs[kk]))
             best.append((V.coeffs[key], tuple(p), key))
         else:
             best.append((0.0, tuple(p), ()))
@@ -258,7 +217,7 @@ def measure_residual(J: MultiVectorField, g: ScalarField | float,
         if gf is not None and gf(p) == 0.0:
             raise EvalDomainError(f"measure weight vanishes at {tuple(p)}")
         vals = dict(zip(exprs, values(p)))
-        key = max(vals, key=lambda kk: abs(vals[kk])) if vals else ()
+        key = nan_max(vals, key=lambda kk: abs(vals[kk]), default=())
         best.append((vals.get(key, 0.0), tuple(p), key))
     return _report("measure", best, len(points))
 
@@ -292,10 +251,8 @@ def triple_bracket(J: MultiVectorField, f: ScalarField, g: ScalarField,
     if J.k != 3:
         raise DimensionError("triple bracket needs a degree-3 multivector")
     total = ex.ZERO
-    for key, e in J.coeffs.items():
-        for perm in itertools.permutations(key):
-            _, s = sort_with_sign(perm)
-            i, j, kk = perm
-            term = ex.mul(e, ex.mul(f.grad[i - 1], ex.mul(g.grad[j - 1], h.grad[kk - 1])))
-            total = ex.add(total, term if s == 1 else ex.neg(term))
+    for key in J.coeffs:
+        for i, j, kk in itertools.permutations(key):
+            term = ex.mul(f.grad[i - 1], ex.mul(g.grad[j - 1], h.grad[kk - 1]))
+            total = ex.add(total, ex.mul(J.component((i, j, kk)), term))
     return ScalarField(J.n, total)

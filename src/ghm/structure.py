@@ -8,6 +8,7 @@ Inverse checks apply the recorded ``inverse_law_sign`` from
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,6 +29,7 @@ from .exterior import (
     interior_vector,
     interior_vector_field,
     inverse_law_sign,
+    nan_max,
     pullback_with_jacobian,
     wedge,
 )
@@ -89,16 +91,7 @@ def strong_inverse_residual(w: FormField, J: MultiVectorField,
                             points: Sequence[Sequence[float]]) -> float:
     """Max defect of inverse_law_sign(k) * iota_{iota_X w} J = X over basis
     vectors X = d_j (sufficient by linearity) and sample points."""
-    if w.n != J.n or w.k != J.k:
-        raise DimensionError("inverse check needs equal n and k")
-    sign = inverse_law_sign(w.k)
-    worst = 0.0
-    for p in points:
-        for j in range(w.n):
-            Y = np.zeros(w.n)
-            Y[j] = 1.0
-            worst = max(worst, _inverse_defect(w, J, Y, p, sign))
-    return worst
+    return delta_inverse_residual(w, J, Distribution.full(w.n), points)
 
 
 def delta_inverse_residual(w: FormField, J: MultiVectorField, delta: Distribution,
@@ -110,7 +103,7 @@ def delta_inverse_residual(w: FormField, J: MultiVectorField, delta: Distributio
     worst = 0.0
     for p in points:
         for Y in delta.spanning_at(p):
-            worst = max(worst, _inverse_defect(w, J, Y, p, sign))
+            worst = nan_max((worst, _inverse_defect(w, J, Y, p, sign)))
     return worst
 
 
@@ -222,6 +215,8 @@ class LevelSetChart:
     def __post_init__(self):
         n = self.constraints[0].n
         m = len(self.constraints)
+        if m > n:
+            raise ChartError(f"{m} constraints on R^{n}: more constraints than coordinates")
         if len(self.values) != m:
             raise ChartError("one level value per constraint required")
         if not self.complementary_axes:
@@ -379,16 +374,13 @@ def rank_wrt(omega: FormField, Cs: Sequence[ScalarField],
     if omega.k != 2:
         raise DimensionError("rank_wrt applies to 2-forms")
     n, m = omega.n, len(Cs)
+    plan = omega.gather_plan(itertools.product(range(1, n + 1), repeat=2))
     ranks = []
     for p in points:
         G = np.array([c.gradient(p) for c in Cs])
         _, svg, vh = np.linalg.svd(G)
         basis = vh[numerical_rank(svg):, :]  # rows span ker dC
-        W = np.zeros((n, n))
-        V = omega.at(p)
-        for (i, j), c in V.coeffs.items():
-            W[i - 1, j - 1] = c
-            W[j - 1, i - 1] = -c
+        W = omega.gather(plan, p).reshape(n, n)
         M = basis @ W @ basis.T
         r = numerical_rank(np.linalg.svd(M, compute_uv=False))
         ranks.append(r - (r % 2))
@@ -411,6 +403,8 @@ def propose_dual_frame(Cs: Sequence[ScalarField],
     """Coordinate-axis frame n_i = (1/d_{a_i} C^i) d_{a_i} when each C^i has a
     private axis of strict monotonicity; validated against all constraints."""
     n = Cs[0].n
+    if len(Cs) > n:
+        raise DualityError(f"{len(Cs)} constraints on R^{n}: more constraints than coordinates")
     G = np.array([c.gradient(points[0]) for c in Cs])
     chosen = _pivot_axes(G)
     if any(abs(row[axis - 1]) < 1e-12 for row, axis in zip(G, chosen)):
@@ -442,7 +436,7 @@ def verify_flat_decomposition(w: FormField, chart_map: PointMap, ell: int,
         x = chart_map.at(u)
         pulled = pullback_with_jacobian(chart_map.jacobian(u), w.at(x))
         diff = pulled - target.at(u)
-        worst = max(worst, diff.max_abs())
+        worst = nan_max((worst, diff.max_abs()))
     return worst
 
 

@@ -5,6 +5,8 @@ canonical fixtures, and the two flattening examples.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import expr as ex
@@ -266,8 +268,8 @@ def _block_flow_components(n: int, pairs: list[tuple[int, int, float]], t: float
 def moser_example_1(f: float = 2.0) -> MoserProblem:
     """Degree-3 target dx123 + dx124 on R^4 deformed by
     X = sqrt((x3+x4) f/2)(d_3 + d_4); closed-form flow available."""
-    if f <= 0:
-        raise InputError("parameter f must be positive")
+    if not (math.isfinite(f) and f > 0):
+        raise InputError("parameter f must be positive and finite")
     n = 4
     w0 = FormField.constant(n, 3, {(1, 2, 3): 1.0, (1, 2, 4): 1.0})
     comp = ex.call("sqrt", ex.mul(ex.const(f / 2.0), ex.add(ex.Coord(3), ex.Coord(4))))
@@ -283,15 +285,15 @@ def moser_example_1(f: float = 2.0) -> MoserProblem:
     return MoserProblem(
         name="moser1", n=n, k=3, w0=w0, X=X, w=w,
         domain=((-2.0, 2.0), (-2.0, 2.0), (0.3, 3.0), (0.3, 3.0)),
-        flow=flow, params={"f": f},
+        flow=flow,
     )
 
 
 def moser_example_2(f: float = 1.0, g: float = 1.0) -> MoserProblem:
     """Degree-4 target dx1234 + dx1256 on R^6 deformed by
     X = f sqrt(x3+x4)(d_3+d_4) + g sqrt(x5+x6)(d_5+d_6)."""
-    if f <= 0 or g <= 0:
-        raise InputError("parameters f and g must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in (f, g)):
+        raise InputError("parameters f and g must be positive and finite")
     n = 6
     w0 = FormField.constant(n, 4, {(1, 2, 3, 4): 1.0, (1, 2, 5, 6): 1.0})
     c34 = ex.mul(ex.const(f), ex.call("sqrt", ex.add(ex.Coord(3), ex.Coord(4))))
@@ -307,7 +309,7 @@ def moser_example_2(f: float = 1.0, g: float = 1.0) -> MoserProblem:
     return MoserProblem(
         name="moser2", n=n, k=4, w0=w0, X=X, w=w,
         domain=((-2.0, 2.0), (-2.0, 2.0), (0.3, 3.0), (0.3, 3.0), (0.3, 3.0), (0.3, 3.0)),
-        flow=flow, params={"f": f, "g": g},
+        flow=flow,
     )
 
 

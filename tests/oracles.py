@@ -520,3 +520,114 @@ def reference_integrate(system, x0, t_end, dt=1e-3, method="rk4", reltol=1e-9):
                       invariants=np.array(invariants), divergences=np.array(divs),
                       truncated=truncated, note=note)
     return traj, rejected
+
+
+# ---------------------------------------------------------------------------
+# Dense reads of a field: one entry at a time, and the former layouts
+# ---------------------------------------------------------------------------
+
+def reference_component(field, indices, point, axis=None):
+    """The full component of ``indices`` at ``point``, or with ``axis`` its
+    exact partial d/dx^axis, by tree walk and permutation parity.  A
+    coefficient reads as its value plus 0.0 (a -0.0 value is dropped from
+    the form value), an absent one as 0.0, and an odd order negates."""
+    from ghm import expr as ex
+
+    s = perm_sign(indices)
+    e = field.coeffs.get(tuple(sorted(indices))) if s else None
+    if e is None:
+        value = 0.0
+    else:
+        value = ex.evaluate(e if axis is None else ex.differentiate(e, axis), point) + 0.0
+    return -value if s < 0 else value
+
+
+def reference_coefficients(field, point, jet=False):
+    """The coefficient layout the hat map and the dense pair read before
+    ``gather``: values in ``coeffs`` order plus one trailing 0.0 slot, or
+    with ``jet`` the rows (values, d/dx^1, ..., d/dx^n) of that layout, each
+    entry plus 0.0."""
+    import numpy as np
+    from ghm import expr as ex
+
+    exprs = list(field.coeffs.values())
+    rows = [exprs] + [[ex.differentiate(e, u) for e in exprs]
+                      for u in range(1, field.n + 1)]
+    c = np.zeros((len(rows), len(exprs) + 1))
+    for r, row in enumerate(rows):
+        for slot, e in enumerate(row):
+            c[r, slot] = ex.evaluate(e, point)
+    c += 0.0
+    return c if jet else c[0].copy()
+
+
+def _reference_gather_plan(field, indices):
+    import numpy as np
+    from ghm.exterior import sort_with_sign
+
+    slot_of = {key: i for i, key in enumerate(field.coeffs)}
+    absent = len(slot_of)
+    slots, signs = [], []
+    for I in indices:
+        key, s = sort_with_sign(I)
+        slots.append(slot_of.get(key, absent) if s else absent)
+        signs.append(-1.0 if s < 0 else 1.0)
+    return np.array(slots, dtype=np.intp), np.array(signs)
+
+
+def reference_hatmap(w, sigma, point, jet=False):
+    """(A, b) of the hat-map system iota_X w = -sigma in the former scatter
+    layout: A from np.zeros with the entries j not in I filled, b gathered
+    over the rows; with ``jet``, the leading axis of partial rows."""
+    import numpy as np
+    from ghm.exterior import increasing_indices
+
+    rows = tuple(increasing_indices(w.n, w.k - 1))
+    flat, indices = [], []
+    for r, I in enumerate(rows):
+        for j in range(1, w.n + 1):
+            if j not in I:
+                flat.append(r * w.n + j - 1)
+                indices.append((j,) + I)
+    flat = np.array(flat, dtype=np.intp)
+    slots, signs = _reference_gather_plan(w, indices)
+    c = reference_coefficients(w, point, jet)
+    A = np.zeros(c.shape[:-1] + (len(rows) * w.n,))
+    A.T[flat] = (signs * c.T[slots].T).T
+    A = A.reshape(c.shape[:-1] + (len(rows), w.n))
+    slots, signs = _reference_gather_plan(sigma, rows)
+    b = -(signs * reference_coefficients(sigma, point, jet).T[slots].T)
+    return A, b
+
+
+def reference_dense_pair(J, point):
+    """The former scatter of each coefficient onto every permutation of its
+    key: A = J and D = dJ at a point, from np.zeros."""
+    import numpy as np
+    from ghm.exterior import sort_with_sign
+
+    n = J.n
+    positions, slots, signs = [], [], []
+    for slot, key in enumerate(J.coeffs):
+        for perm in itertools.permutations(key):
+            _, s = sort_with_sign(perm)
+            flat = 0
+            for axis in perm:  # row-major, 0-based
+                flat = flat * n + axis - 1
+            positions.append(flat)
+            slots.append(slot)
+            signs.append(float(s))
+    pos, slot, sign = (np.array(positions, dtype=np.intp), np.array(slots, dtype=np.intp),
+                       np.array(signs))
+    u = np.arange(n, dtype=np.intp)[:, None]
+    width = len(J.coeffs) + 1
+    d_scatter = ((u * n ** J.k + pos).ravel(), (u * width + slot).ravel(), np.tile(sign, n))
+    jet = reference_coefficients(J, point, jet=True)
+    out = []
+    for shape, values, (p, sl, sg) in zip(((n,) * J.k, (n,) * (J.k + 1)),
+                                          (jet[0], jet[1:].ravel()),
+                                          ((pos, slot, sign), d_scatter)):
+        arr = np.zeros(shape)
+        arr.flat[p] = sg * values[sl]
+        out.append(arr)
+    return out[0], out[1]

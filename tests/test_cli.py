@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -440,3 +442,115 @@ def test_domain_fault_while_integrating_exits_3(tmp_path, coefficient, x0, dt, m
     assert "Traceback" not in err
     assert err.startswith("integration failure: vector-field evaluation failed: ")
     assert message in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["check", "oscillator", "--samples", "0"], "--samples"),
+    (["check", "oscillator", "--samples", "-1"], "--samples"),
+    (["check", "oscillator", "--tol", "nan"], "--tol"),
+    (["check", "oscillator", "--tol=-1e-9"], "--tol"),
+    (["check", "oscillator", "--seed", "-1"], "--seed"),
+    (["check", "oscillator", "--lam", "inf"], "--lam"),
+    (["flatten", "moser1", "--t", "nan"], "--t"),
+    (["flatten", "moser1", "--f", "nan"], "--f"),
+    (["flatten", "moser1", "--f", "inf"], "--f"),
+    (["flatten", "moser2", "--g", "0"], "--g"),
+    (["flatten", "moser2", "--samples", "0"], "--samples"),
+    (["simulate", "oscillator", "--x0", "0,1,1,0,0,2", "--t-end", "1", "--dt", "nan"], "--dt"),
+    (["simulate", "oscillator", "--x0", "0,1,1,0,0,2", "--t-end", "inf"], "--t-end"),
+    (["simulate", "oscillator", "--x0", "0,1,1,0,0,2", "--t-end", "1", "--method", "rkf45",
+      "--reltol", "0"], "--reltol"),
+    (["simulate", "oscillator", "--x0", "0,1,1,0,0,nan", "--t-end", "1"], "--x0"),
+    (["solve", "oscillator", "--point", "inf,1,1,0,0,2"], "--point"),
+])
+def test_a_bad_numeric_flag_is_an_input_error(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} must be ")
+
+
+def test_a_flow_time_beyond_the_step_count_is_an_input_error(capsys):
+    # |t| * FLOW_STEPS_PER_UNIT overflows to inf, which round() cannot count
+    code, out, err = run(capsys, "flatten", "moser1", "--numeric", "--t", "1e308",
+                         "--samples", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: flow time 1e+308 needs more RK4 steps")
+
+
+def test_moser_examples_reject_a_non_finite_parameter():
+    for build_args in ({"f": float("nan")}, {"f": float("inf")}, {"f": -1.0}):
+        with pytest.raises(InputError):
+            ghm.systems.moser_example_1(**build_args)
+    for build_args in ({"f": float("nan")}, {"g": float("nan")}, {"g": float("inf")}):
+        with pytest.raises(InputError):
+            ghm.systems.moser_example_2(**build_args)
+
+
+# Each flag draws from valid values, values its rule rejects and text that
+# is no number.  Every combination stays small: at most 3 samples, a few RK
+# steps, and a t-end/dt ratio of at most 10 when both are valid and small.
+_CONFIG = str(Path(__file__).resolve().parents[1] / "bench" / "configs" / "oscillator_form.json")
+_SYSTEMS = [  # (system arguments, a point inside its domain)
+    ([], "0"), (["nope"], "0"), (["oscillator"], "0,1,1,0,0,2"),
+    (["fourdim"], "0.1,0.2,0.3,1.5"), (["quasisymmetry"], "1.2,0.9,0.4"),
+    (["flat_nambu"], "0.1,0.2,0.3"), (["--config", _CONFIG], "0,1,1,0,0,2"),
+]
+_FLAG_VALUES = {
+    "--samples": ["1", "3", "0", "-1", "x"],
+    "--seed": ["0", "7", "-1", "x"],
+    "--tol": ["1e-9", "0", "1e308", "-1", "nan", "inf", "x"],
+    "--lam": ["0.3", "-2", "nan", "-inf", "x"],
+    "--n": ["3", "4", "2", "0", "13", "x"],
+    "--k": ["2", "3", "5", "-1", "x"],
+    "--H": ["x1", "x3", "x1*x2", "(", ""],
+    "--identities": ["closure", "jacobi,fi", "measure", "nope", ""],
+    "--t-end": ["0.01", "0", "-1", "1e308", "nan", "inf", "x"],
+    "--dt": ["1e-3", "0.005", "1e308", "0", "-0.1", "nan", "inf", "x"],
+    "--method": ["rk4", "rkf45", "euler"],
+    "--reltol": ["1e-9", "1", "0", "-1", "nan", "inf", "x"],
+    "--f": ["2", "0.5", "0", "-1", "nan", "inf", "x"],
+    "--g": ["1", "3", "0", "nan", "-inf", "x"],
+    "--t": ["1", "0.5", "0", "-0.7", "1e308", "nan", "inf", "x"],
+}
+_BAD_POINTS = ["inf,1,1,0,0,2", "0.1,nan,0.3", "1,x", ""]
+_COMMAND_FLAGS = {
+    "check": ["--samples", "--seed", "--tol", "--lam", "--n", "--k", "--H", "--identities"],
+    "solve": ["--tol", "--lam", "--n", "--k", "--H"],
+    "simulate": ["--t-end", "--dt", "--method", "--reltol", "--lam", "--n", "--k"],
+    "flatten": ["--f", "--g", "--t", "--samples", "--seed", "--numeric"],
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_exits_with_a_documented_code(data):
+    # `ghm` in-process on fuzzed argv: every call ends in exit 0, 1, 2 or 3,
+    # exit 1 ("identity check failed") comes only from check, and no
+    # exception other than argparse's exit escapes main
+    command = data.draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    if command == "flatten":
+        argv = [command, data.draw(st.sampled_from(["moser1", "moser2"])), "--samples=1"]
+    else:
+        system, point = data.draw(st.sampled_from(_SYSTEMS))
+        argv = [command, *system]
+        point = data.draw(st.sampled_from([point, point, point] + _BAD_POINTS))
+        if command == "solve":
+            argv.append(f"--point={point}")
+        elif command == "simulate":
+            argv += [f"--x0={point}", "--t-end=0.01"]
+    for flag in data.draw(st.lists(st.sampled_from(_COMMAND_FLAGS[command]), unique=True,
+                                   max_size=4)):
+        if flag == "--numeric":
+            argv.append(flag)
+        else:
+            argv.append(f"{flag}={data.draw(st.sampled_from(_FLAG_VALUES[flag]))}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert code != 1 or command == "check", (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

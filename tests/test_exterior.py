@@ -26,6 +26,7 @@ from ghm.exterior import (
     interior_vector_field,
     inverse_law_sign,
     lie_derivative,
+    nan_max,
     pairing,
     pullback,
     sort_with_sign,
@@ -40,6 +41,7 @@ from oracles import (
     dense_wedge,
     reference_field_add,
     reference_field_constant,
+    reference_component,
     reference_field_wedge,
     reference_wedge,
 )
@@ -528,3 +530,52 @@ def test_field_wedge_constant_and_sum_build_the_same_nodes():
         want = reference_field_constant(4, 3, coeffs)
         assert list(got) == list(want)
         assert all(got[key] is want[key] for key in want)
+
+
+# coefficients that evaluate to +-0.0 at the drawn points, as well as others
+GATHER_POOL = ["x{i}", "-x{i}", "x{i}*x{j}", "-x{i}*x{j} + 0.5*x{j}^3", "x{i}^2 - 1", "2.5",
+               "sin(x{i})"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_gather_reads_every_component_as_the_entrywise_reference(data):
+    # repeats, absent keys and every order of the axes, for values and jets;
+    # compared by float.hex, so each signed zero counts
+    n = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(0, min(4, n)))
+    cls = data.draw(st.sampled_from([FormField, MultiVectorField]))
+    keys = data.draw(st.lists(st.sampled_from(increasing_indices(n, k)), unique=True,
+                              max_size=6))
+    coeffs = {}
+    for key in keys:
+        i, j = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
+        coeffs[key] = parse(data.draw(st.sampled_from(GATHER_POOL)).format(i=i, j=j), n)
+    field = cls(n, k, coeffs)
+    indices = data.draw(st.lists(st.lists(st.integers(1, n), min_size=k, max_size=k).map(tuple),
+                                 min_size=1, max_size=12))
+    point = tuple(data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.5, 0.5]),
+                                     min_size=n, max_size=n)))
+    plan = field.gather_plan(indices)
+    values = field.gather(plan, point)
+    jet = field.gather(plan, point, jet=True)
+    assert values.shape == (len(indices),) and jet.shape == (n + 1, len(indices))
+    assert values.flags.c_contiguous and jet.flags.c_contiguous
+    for m, I in enumerate(indices):
+        want = reference_component(field, I, point)
+        assert float.hex(values[m]) == float.hex(want) == float.hex(jet[0, m]), (I, point)
+        for u in range(1, n + 1):
+            assert float.hex(jet[u, m]) == float.hex(reference_component(field, I, point, u))
+
+
+def test_nan_max_ranks_nan_above_every_number():
+    nan = float("nan")
+    assert math.isnan(nan_max([1.0, nan, 3.0]))
+    assert math.isnan(nan_max([nan, 3.0]))
+    assert nan_max([1.0, 3.0, 3.0]) == 3.0
+    assert nan_max([], default=0.0) == 0.0
+    assert nan_max([(1.0, "a"), (-2.0, "b"), (2.0, "c")], key=lambda t: abs(t[0])) == (-2.0, "b")
+    assert math.isnan(nan_max([(1.0, "a"), (nan, "b")], key=lambda t: abs(t[0]))[0])
+    # a NaN coefficient that is not the first one
+    value = FormValue(3, 1, {(1,): 2.0, (2,): nan, (3,): -5.0}, _normalized=True)
+    assert math.isnan(value.max_abs())

@@ -8,9 +8,8 @@ from ghm.errors import DimensionError
 from ghm.expr import ScalarField, parse
 from ghm.exterior import FormField, grad_field, wedge
 from ghm.hdw import (
-    _hatmap_jet,
+    _hatmap_arrays,
     assemble_hatmap,
-    hatmap_rhs,
     kernel_basis,
     min_norm_divergence,
     obstruction_check,
@@ -225,21 +224,57 @@ def test_min_norm_divergence_matches_central_differences(n, k):
 
 
 def test_hatmap_jet_is_the_hatmap_system():
-    # the jet lays A and b out as assemble_hatmap and hatmap_rhs do, signed
-    # zeros included: -x1 evaluates to -0.0 at x1 = 0
+    # the jet lays A and b out as the value arrays do, signed zeros
+    # included: -x1 evaluates to -0.0 at x1 = 0
     w = FormField(3, 2, {(1, 2): parse("-x1", 3), (1, 3): parse("x2*x3 - 1", 3),
                          (2, 3): parse("x3", 3)})
     sigma = FormField(3, 1, {(1,): parse("-x2", 3), (3,): parse("x1 + x3^2", 3)})
     p = (0.0, 0.0, 0.5)
-    A, b, dA, db = _hatmap_jet(w, sigma, p)
+    _, A, b = _hatmap_arrays(w, sigma, p, jet=True)
+    A, b, dA, db = A[0], b[0], A[1:], b[1:]
     hat = assemble_hatmap(w, p)
+
+    def rhs(point):
+        return _hatmap_arrays(w, sigma, point)[2]
+
     assert A.tobytes() == hat.matrix.tobytes()
-    assert b.tobytes() == hatmap_rhs(sigma, hat.rows, p).tobytes()
+    assert b.tobytes() == rhs(p).tobytes()
     for u in range(3):
         up, um = list(p), list(p)
         up[u] += 1e-3
         um[u] -= 1e-3
         fd_A = (assemble_hatmap(w, up).matrix - assemble_hatmap(w, um).matrix) / 2e-3
-        fd_b = (hatmap_rhs(sigma, hat.rows, up) - hatmap_rhs(sigma, hat.rows, um)) / 2e-3
+        fd_b = (rhs(up) - rhs(um)) / 2e-3
         np.testing.assert_allclose(dA[u], fd_A, atol=1e-9)
         np.testing.assert_allclose(db[u], fd_b, atol=1e-9)
+
+
+def _form_systems():
+    from pathlib import Path
+
+    from ghm import systems
+    from ghm.cli import load_config
+
+    configs = Path(__file__).resolve().parents[1] / "bench" / "configs"
+    specs = [systems.build(name) for name in sorted(systems.CATALOG)]
+    specs += [systems.build("flat_nambu", n=n, k=k) for n, k in ((4, 3), (5, 4), (4, 2))]
+    specs += [load_config(str(configs / f"{name}.json"))
+              for name in ("oscillator_form", "fourdim_form")]
+    return [s for s in specs if s.form is not None]
+
+
+def test_hatmap_arrays_are_the_former_layout_byte_for_byte():
+    from ghm.dynamics import sample_box
+    from oracles import reference_hatmap
+
+    for system in _form_systems():
+        w, sigma = system.form, system.sigma()
+        for p in sample_box(np.random.default_rng(3), system.domain, 25):
+            for jet in (False, True):
+                _, A, b = _hatmap_arrays(w, sigma, p, jet)
+                ref_A, ref_b = reference_hatmap(w, sigma, p, jet)
+                assert A.flags.c_contiguous and b.flags.c_contiguous
+                assert A.shape == ref_A.shape and b.shape == ref_b.shape
+                assert A.tobytes() == ref_A.tobytes(), (system.name, p, jet)
+                assert b.tobytes() == ref_b.tobytes(), (system.name, p, jet)
+            assert assemble_hatmap(w, p).matrix.tobytes() == A[0].tobytes()

@@ -8,6 +8,7 @@ from ghm.errors import InputError
 from ghm.expr import ScalarField, parse
 from ghm.exterior import FormField, MultiVectorField, VectorField, sort_with_sign
 from ghm.identities import (
+    _dense_pair,
     closure_residual,
     extend_measure_preserving,
     fundamental_identity_residual,
@@ -18,7 +19,7 @@ from ghm.identities import (
 )
 from ghm.structure import build_poisson_k
 from ghm.systems import fourdim, oscillator
-from oracles import jacobi_cyclic
+from oracles import jacobi_cyclic, reference_dense_pair
 
 
 def _fourdim_j2():
@@ -64,14 +65,8 @@ def test_jacobi_matches_brute_force():
 
 def test_jacobi_k_constant():
     J = MultiVectorField.constant(3, 3, {(1, 2, 3): 1.0})
-    rep = jacobi_k_residual(J, True, [(0.0, 0.0, 0.0)])
+    rep = jacobi_k_residual(J, [(0.0, 0.0, 0.0)])
     assert rep.max_residual == 0.0
-
-
-def test_jacobi_k_requires_adapted_flag():
-    J = MultiVectorField.constant(3, 3, {(1, 2, 3): 1.0})
-    with pytest.raises(InputError):
-        jacobi_k_residual(J, False, [(0.0, 0.0, 0.0)])
 
 
 def test_jacobi_k_of_built_tensor_vanishes():
@@ -81,7 +76,7 @@ def test_jacobi_k_of_built_tensor_vanishes():
     n1 = VectorField(3, (ex.ZERO, ex.ZERO, ex.ONE))
     pts = [(0.2, 0.4, 0.1), (-0.5, 0.9, 1.2)]
     J = build_poisson_k(J2, [C], [n1], pts)
-    rep = jacobi_k_residual(J, True, pts)
+    rep = jacobi_k_residual(J, pts)
     assert rep.max_residual <= 1e-12
 
 
@@ -89,7 +84,7 @@ def test_jacobi_k_matches_exhaustive_scan():
     # trailing Casimir axis r = n-k+3 = 4: the reduced tensor is J^{ab4}
     J = MultiVectorField(4, 3, {(1, 2, 3): ex.Coord(1), (1, 2, 4): ex.Coord(2)})
     pts = [(0.7, -0.3, 0.4, 1.1)]
-    rep = jacobi_k_residual(J, True, pts)
+    rep = jacobi_k_residual(J, pts)
     K = MultiVectorField(4, 2, {(a, b): J.component((a, b, 4))
                                 for a, b in itertools.combinations(range(1, 5), 2)})
     assert rep.max_residual == pytest.approx(_brute_jacobi_max(K, pts[0]), abs=1e-14)
@@ -174,7 +169,7 @@ def test_fi_implies_reduced_jacobi_but_not_conversely():
     fd = fourdim()
     pts = [(0.5, -0.3, 0.8, 1.4)]
     assert fundamental_identity_residual(fd.tensor, pts).max_residual <= 1e-12
-    assert jacobi_k_residual(fd.tensor, True, pts).max_residual <= 1e-12
+    assert jacobi_k_residual(fd.tensor, pts).max_residual <= 1e-12
     # oscillator: reduced Jacobi holds while the FI fails
     osc = oscillator()
     opts = [osc.base_point]
@@ -300,3 +295,56 @@ def test_reports_reproducible():
     r1 = jacobi_residual(J2, pts)
     r2 = jacobi_residual(J2, pts)
     assert r1 == r2
+
+
+def test_dense_pair_is_the_former_scatter():
+    # equal as numbers; an absent odd-order entry now reads -0.0
+    import dataclasses
+
+    from ghm import systems
+    from ghm.dynamics import sample_box
+
+    specs = [systems.build(name) for name in sorted(systems.CATALOG)]
+    specs += [systems.build("flat_nambu", n=4, k=3), systems.build("fourdim", hamiltonian="x2")]
+    for system in specs:
+        for J in {id(t): t for t in (system.tensor, system.reduced_tensor)
+                  if t is not None}.values():
+            for p in sample_box(np.random.default_rng(4), system.domain, 10):
+                A, D = _dense_pair(J, p)
+                ref_A, ref_D = reference_dense_pair(J, p)
+                assert np.array_equal(A, ref_A) and np.array_equal(D, ref_D), (system.name, p)
+                assert A.shape == (J.n,) * J.k and D.shape == (J.n,) * (J.k + 1)
+
+
+def test_an_all_zero_scan_reports_plus_zero():
+    # flat_nambu(3, 3) scans to exactly zero; the argmax of an all-zero scan
+    # is flat index 0, which holds +0.0 even where absent entries read -0.0
+    from ghm import systems
+
+    system = systems.build("flat_nambu")
+    pts = [(0.3, -0.2, 0.9), (-1.0, 0.5, 0.25)]
+    for rep in (fundamental_identity_residual(system.tensor, pts),
+                jacobi_residual(system.reduced_tensor, pts)):
+        assert rep.max_residual == 0.0
+        assert float.hex(rep.signed_at_argmax) == float.hex(0.0)
+
+
+def test_a_nan_residual_is_reported_and_fails():
+    # the coefficient is 0 at x1 = 0 and inf - inf = NaN elsewhere, so the
+    # Jacobi scan is NaN only at the second point; plain max() would keep
+    # the first point's 0.0
+    nan_away_from_0 = parse("x1^2*1e200*1e200 - x1^2*1e200*1e200", 3)
+    J = MultiVectorField(3, 2, {(1, 2): parse("x3", 3), (1, 3): parse("x2*x3", 3),
+                                (2, 3): nan_away_from_0})
+    rep = jacobi_residual(J, [(0.0, 0.5, 0.5), (1.0, 0.5, 0.5)])
+    assert np.isnan(rep.max_residual) and rep.argmax_point == (1.0, 0.5, 0.5)
+    assert not rep.passes(1e300)
+    # dw = dx1^dx2 + NaN dx1^dx3: the NaN coefficient is not the first
+    w = FormField(3, 1, {(2,): parse("x1", 3), (3,): ex.mul(ex.Coord(1), ex.const(float("nan")))})
+    rep = closure_residual(w, [(0.1, 0.2, 0.3)])
+    assert np.isnan(rep.max_residual) and rep.argmax_index == (1, 3)
+
+
+def test_a_scan_needs_a_sample_point():
+    with pytest.raises(InputError):
+        jacobi_residual(_fourdim_j2(), [])

@@ -341,3 +341,20 @@ def test_divergence_vanishes_in_flat_chart():
     for _ in range(5):
         u = tuple(rng.uniform(0.5, 1.5, size=4))
         assert abs(divergence_in_chart(X, chart_map, u)) <= 1e-6
+
+
+def test_more_constraints_than_coordinates_are_typed_errors():
+    Cs = [ScalarField.from_text(text, 2) for text in ("x1", "x2", "x1 + x2")]
+    with pytest.raises(DualityError):
+        propose_dual_frame(Cs, [(0.5, 0.5)])
+    with pytest.raises(ChartError):
+        LevelSetChart(tuple(Cs), (0.0, 0.0, 0.0), (0.5, 0.5))
+
+
+def test_a_nan_inverse_defect_is_not_dropped():
+    # the second spanning field is NaN: plain max() would keep the first defect
+    w = FormField.constant(2, 2, {(1, 2): 1.0})
+    J = MultiVectorField.constant(2, 2, {(1, 2): 1.0})
+    nan_field = VectorField(2, (ex.const(float("nan")), ex.ZERO))
+    delta = Distribution.spanned_by([VectorField(2, (ex.ONE, ex.ZERO)), nan_field])
+    assert np.isnan(delta_inverse_residual(w, J, delta, [(0.1, 0.2)]))

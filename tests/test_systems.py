@@ -43,7 +43,7 @@ def test_oscillator_w_is_closed_and_sigma_consistent():
 def test_oscillator_invariants_conserved():
     osc = oscillator(lam=0.1)
     traj = integrate(osc, osc.base_point, t_end=20.0, dt=1e-3)
-    drifts = conservation_report(traj, osc)
+    drifts = conservation_report(traj)
     assert drifts["H"] <= 1e-7
     assert drifts["G1"] <= 1e-7
     assert drifts["G2"] <= 1e-7
