@@ -12,13 +12,18 @@ A system carries up to two degree-k structures generating the same dynamics:
 
 The two routes agree up to ``route_sign`` modulo ker(hat map); for canonical
 flat pairs that sign is ``exterior.hdw_vs_bracket_sign(k)``.
+
+Flattening is verified by pullback along a closed-form flow or the RK4 flow
+of the deformation field, whose Jacobian is exact for the discrete flow.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, reduce
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -43,7 +48,6 @@ from .hdw import RCOND, _hatmap_system, _min_norm_solve, _solve_report, min_norm
 from .identities import closure_residual
 from .structure import build_w_from_omega
 
-FD_STEP = 1e-5
 CSV_CHUNK_ROWS = 1024  # bounds the table of values behind the CSV rows
 BOX_SLACK = 1e-9  # relative widening of the domain box in ``box_test``
 FLOW_STEPS_PER_UNIT = 512  # RK4 steps per unit time of the numeric flattening flow
@@ -71,6 +75,14 @@ def box_test(box: Sequence[tuple[float, float]]) -> Callable[[Sequence[float]], 
             f"    return lambda x: {tests}", "box")
     return _GENERATED["box", n](*(b for lo, hi in box for b in (
         lo - BOX_SLACK * (1 + abs(lo)), hi + BOX_SLACK * (1 + abs(hi)))))
+
+
+def _step_count(steps: float, what: str) -> int:
+    """The RK4 step count ``int(steps)`` of ``integrate`` and ``_numeric_flow``;
+    a count that is not finite or beyond ``sys.maxsize`` is an InputError."""
+    if not steps <= sys.maxsize:
+        raise InputError(f"{what} needs more RK4 steps than a float can count")
+    return int(steps)
 
 
 def _generated(source: str, name: str) -> Callable:
@@ -212,7 +224,7 @@ class SystemSpec:
                     f"(residual {rep.max_residual:g} at {rep.argmax_point})")
         base = self.base_point or tuple((lo + hi) / 2 for lo, hi in self.domain)
         S = self.sigma().at(base)
-        if S.max_abs() < 1e-8:
+        if not S.max_abs() >= 1e-8:  # NaN fails
             raise InputError(
                 f"system {self.name!r}: Hamiltonian differentials are dependent "
                 f"at the base point {base}")
@@ -398,9 +410,10 @@ def integrate(system: SystemSpec, x0: Sequence[float], t_end: float, dt: float =
     try:
         if method == "rk4":
             # full steps of dt, then one adjusted step landing exactly on t_end
-            full = int(t_end / dt + 1e-9)
+            full = _step_count(t_end / dt + 1e-9, f"t_end {t_end:g} at dt {dt:g}")
             remainder = t_end - full * dt
-            plan = [dt] * full + ([remainder] if remainder > 1e-12 * t_end else [])
+            plan = itertools.chain(itertools.repeat(dt, full),
+                                   [remainder] if remainder > 1e-12 * t_end else [])
             for h in plan:
                 x = step(f, x, h)
                 t += h
@@ -508,18 +521,23 @@ def moser_family_residual(w0: FormField, X_t: Callable[[float], VectorField],
 
 
 def _numeric_flow(problem: MoserProblem, t: float):
-    """Fixed-step RK4 flow map of the deformation field."""
-    f, rk4 = problem.X.compiled, stepper("rk4", problem.n)
-    if not math.isfinite(abs(t) * FLOW_STEPS_PER_UNIT):
-        raise InputError(f"flow time {t:g} needs more RK4 steps than a float can count")
-    nsteps = max(1, round(abs(t) * FLOW_STEPS_PER_UNIT))
+    """p -> (Phi_t(p), DPhi_t(p)) of the fixed-step RK4 flow of the deformation
+    field, run on (x, J row-major) with J' = DX(x) J, J(0) = I.  An RK map's
+    Jacobian is that RK map on the variational system, so DPhi_t is exact for
+    the discrete flow (Hairer, Lubich & Wanner, Geometric Numerical
+    Integration, 2nd ed., ch. VI)."""
+    n, X = problem.n, problem.X.components
+    nsteps = max(1, _step_count(abs(t) * FLOW_STEPS_PER_UNIT + 0.5, f"flow time {t:g}"))
     h = t / nsteps
+    DXJ = (reduce(ex.add, (ex.mul(ex.differentiate(X[r], m + 1), ex.Coord(n + 1 + m * n + c))
+                           for m in range(n))) for r in range(n) for c in range(n))
+    f, rk4 = ex.compile_vector((*X, *DXJ)), stepper("rk4", n + n * n)
 
-    def flow_map(p: Sequence[float]) -> np.ndarray:
-        x = list(map(float, p))
+    def flow_map(p: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        y = (*map(float, p), *np.eye(n).ravel().tolist())
         for _ in range(nsteps):
-            x = rk4(f, x, h)
-        return np.array(x)
+            y = rk4(f, y, h)
+        return np.array(y[:n]), np.array(y[n:]).reshape(n, n)
 
     return flow_map
 
@@ -530,33 +548,23 @@ def verify_flattening(problem: MoserProblem, t: float,
     """Max over points of |Phi_t^* w_t - w0| with w_t = t w + (1-t) w0.
 
     ``flow='closed'`` uses the problem's closed-form time-t map with its exact
-    symbolic Jacobian; ``flow='numeric'`` integrates the deformation field and
-    differentiates the flow map by central differences.
+    symbolic Jacobian; ``flow='numeric'`` integrates the deformation field
+    with RK4 together with its variational equation, so its Jacobian is exact
+    for the discrete flow (``_numeric_flow``).
     """
     wt = problem.w.scale(float(t)) + problem.w0.scale(1.0 - t)
-    worst = 0.0
     if flow == "closed":
         if problem.flow is None:
             raise InputError(f"problem {problem.name!r} has no closed-form flow")
         phi = problem.flow(t)
-        for p in points:
-            target = phi.at(p)
-            pulled = pullback_with_jacobian(phi.jacobian(p), wt.at(target))
-            worst = nan_max((worst, (pulled - problem.w0.at(p)).max_abs()))
-        return worst
-    if flow != "numeric":
+        flow_map = lambda p: (phi.at(p), phi.jacobian(p))
+    elif flow == "numeric":
+        flow_map = _numeric_flow(problem, t)
+    else:
         raise InputError(f"unknown flow route {flow!r}")
-    fmap = _numeric_flow(problem, t)
-    n = problem.n
+    worst = 0.0
     for p in points:
-        target = fmap(p)
-        J = np.empty((n, n))
-        for i in range(n):
-            up = list(p)
-            um = list(p)
-            up[i] += FD_STEP
-            um[i] -= FD_STEP
-            J[:, i] = (fmap(up) - fmap(um)) / (2 * FD_STEP)
+        target, J = flow_map(p)
         pulled = pullback_with_jacobian(J, wt.at(target))
         worst = nan_max((worst, (pulled - problem.w0.at(p)).max_abs()))
     return worst

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, EvalDomainError
 from .exterior import FormField, increasing_indices
 
 # relative singular-value cutoff for rank decisions
@@ -120,9 +120,14 @@ def solve_hdw(w: FormField, sigma: FormField, point: Sequence[float],
     """Minimum-norm least-squares solution of the hat-map system.
 
     Inconsistency is a report state, not an error: ``consistent`` holds iff
-    the residual is within tolerance * (1 + |sigma|).
+    the residual is within tolerance * (1 + |sigma|).  A residual or solution
+    that is not finite raises ``EvalDomainError``.
     """
-    return _solve_report(*_hatmap_system(w, sigma, point), tolerance)
+    report = _solve_report(*_hatmap_system(w, sigma, point), tolerance)
+    if not all(map(math.isfinite, (report.residual, *report.x))):
+        raise EvalDomainError(f"floating-point overflow in the hat-map solve at {tuple(point)}: "
+                              f"residual {report.residual:g}")
+    return report
 
 
 def _solve_report(hat: HatMapMatrix, b: np.ndarray,

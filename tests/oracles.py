@@ -631,3 +631,40 @@ def reference_dense_pair(J, point):
         arr.flat[p] = sg * values[sl]
         out.append(arr)
     return out[0], out[1]
+
+
+# ---------------------------------------------------------------------------
+# Central differences: the former derivatives of the flattening and chart checks
+# ---------------------------------------------------------------------------
+
+def reference_flow_jacobian(flow_map, point, step=1e-5):
+    """Central-difference Jacobian of a point map, one column per axis: the
+    former derivative of the numeric flattening's discrete flow."""
+    import numpy as np
+
+    n = len(point)
+    J = np.empty((n, n))
+    for i in range(n):
+        up, um = list(point), list(point)
+        up[i] += step
+        um[i] -= step
+        J[:, i] = (np.asarray(flow_map(up)) - np.asarray(flow_map(um))) / (2 * step)
+    return J
+
+
+def reference_divergence_in_chart(X, chart_map, u, step=1e-5):
+    """Central differences of J^(-1) X(phi(u)), summed over the diagonal:
+    the former ``divergence_in_chart``."""
+    import numpy as np
+
+    def field_in_chart(uu):
+        return np.linalg.solve(chart_map.jacobian(uu), X.at(chart_map.at(uu)))
+
+    total = 0.0
+    u = np.asarray(u, dtype=float)
+    for i in range(X.n):
+        up, um = u.copy(), u.copy()
+        up[i] += step
+        um[i] -= step
+        total += (field_in_chart(up)[i] - field_in_chart(um)[i]) / (2 * step)
+    return float(total)

@@ -471,11 +471,31 @@ def test_a_bad_numeric_flag_is_an_input_error(capsys, argv, flag):
 
 
 def test_a_flow_time_beyond_the_step_count_is_an_input_error(capsys):
-    # |t| * FLOW_STEPS_PER_UNIT overflows to inf, which round() cannot count
+    # |t| * FLOW_STEPS_PER_UNIT overflows to inf, which no step count holds
     code, out, err = run(capsys, "flatten", "moser1", "--numeric", "--t", "1e308",
                          "--samples", "1")
     assert (code, out) == (2, "")
     assert err.startswith("error: flow time 1e+308 needs more RK4 steps")
+
+
+def test_a_run_beyond_the_step_count_is_an_input_error(capsys):
+    code, out, err = run(capsys, "simulate", "oscillator", "--x0", "0,1,1,0,0,2",
+                         "--t-end", "1e308", "--dt", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: t_end 1e+308 at dt 1 needs more RK4 steps")
+
+
+def test_an_overflowed_solve_prints_nothing(capsys):
+    code, out, err = run(capsys, "solve", "oscillator", "--point", "1e308,1,1,0,0,2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: floating-point overflow in the hat-map solve")
+
+
+@pytest.mark.parametrize("argv", [["moser1", "--f", "2", "--t", "1"], ["moser2"]])
+def test_numeric_flatten_residual_is_that_of_the_discrete_flow(capsys, argv):
+    code, out, _ = run(capsys, "flatten", *argv, "--numeric")
+    assert code == 0
+    assert float(out.split("max pullback residual = ")[1]) <= 1e-11
 
 
 def test_moser_examples_reject_a_non_finite_parameter():

@@ -12,8 +12,11 @@ from ghm.expr import ScalarField
 from ghm.exterior import FormField, MultiVectorField, VectorField
 from ghm.dynamics import (
     CSV_CHUNK_ROWS,
+    FLOW_STEPS_PER_UNIT,
+    MoserProblem,
     SystemSpec,
     Trajectory,
+    _numeric_flow,
     conservation_report,
     divergence,
     integrate,
@@ -25,6 +28,7 @@ from ghm.dynamics import (
     verify_flattening,
 )
 from ghm.systems import (
+    build_moser,
     flat_nambu,
     fourdim,
     moser_example_1,
@@ -34,6 +38,7 @@ from ghm.systems import (
 )
 from oracles import (
     csv_reference,
+    reference_flow_jacobian,
     reference_integrate,
     reference_rk4_step,
     reference_rkf45_step,
@@ -255,6 +260,59 @@ def test_verify_flattening_routes():
     numeric = verify_flattening(m1, 1.0, pts[:4], flow="numeric")
     assert numeric <= 1e-6
     assert abs(numeric - verify_flattening(m1, 1.0, pts[:4])) <= 1e-6
+
+
+@pytest.mark.parametrize("name", ["moser1", "moser2", "shear"])
+def test_variational_jacobian_is_the_derivative_of_the_discrete_flow(name):
+    if name == "shear":  # a flow whose Jacobian is not symmetric
+        w0 = FormField.constant(3, 2, {(1, 2): 1.0})
+        X = VectorField(3, tuple(ex.parse(t, 3)
+                                 for t in ("0.5*x2*x3", "sin(x1)", "0.2*x1 - x2^2")))
+        m = MoserProblem("shear", 3, 2, w0, X, w0, ((-1.0, 1.0),) * 3)
+    else:
+        m = build_moser(name)
+
+    def discrete_flow(q):  # the time-1 RK4 flow of X alone, step by step
+        x = list(map(float, q))
+        for _ in range(FLOW_STEPS_PER_UNIT):
+            x = reference_rk4_step(m.X.compiled, x, 1.0 / FLOW_STEPS_PER_UNIT)
+        return x
+
+    flow = _numeric_flow(m, 1.0)
+    for p in sample_box(np.random.default_rng(8), m.domain, 3):
+        target, J = flow(p)
+        assert target.tobytes() == np.array(discrete_flow(p)).tobytes()
+        assert np.max(np.abs(J - reference_flow_jacobian(discrete_flow, p))) <= 1e-7
+        if m.flow is not None:
+            assert np.max(np.abs(J - m.flow(1.0).jacobian(p))) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["moser1", "moser2"])
+def test_numeric_flattening_is_exact_for_the_discrete_flow(name):
+    m = build_moser(name)
+    pts = sample_box(np.random.default_rng(9), m.domain, 4)
+    assert verify_flattening(m, 1.0, pts, flow="numeric") <= 1e-11
+    assert verify_flattening(m, 0.0, pts, flow="numeric") == 0.0
+
+
+def test_a_step_count_beyond_an_index_is_an_input_error():
+    s = flat_nambu(3, 3)
+    for t_end, dt in ((1e308, 1.0), (1e300, 1e-300), (2.0 ** 64, 1.0)):
+        with pytest.raises(InputError, match="needs more RK4 steps"):
+            integrate(s, (0.0, 0.0, 0.0), t_end=t_end, dt=dt)
+    m = moser_example_1(f=2.0)
+    for t in (1e308, 1e17, float("nan")):
+        with pytest.raises(InputError, match="needs more RK4 steps"):
+            _numeric_flow(m, t)
+
+
+def test_dependent_hamiltonians_reject_a_nan_differential():
+    nan_h = ScalarField(2, ex.mul(ex.const(float("nan")), ex.Coord(2)), "H1")
+    s = SystemSpec(name="nan", n=2, k=2, hamiltonians=(nan_h,),
+                   tensor=MultiVectorField.constant(2, 2, {(1, 2): 1.0}))
+    with pytest.raises(InputError, match="dependent"):
+        s.validate()
+    _flat_plane("tensor").validate()
 
 
 def test_trajectory_csv_format():

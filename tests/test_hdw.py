@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ghm.expr as ex
-from ghm.errors import DimensionError
+from ghm.errors import DimensionError, EvalDomainError
 from ghm.expr import ScalarField, parse
 from ghm.exterior import FormField, grad_field, wedge
 from ghm.hdw import (
@@ -15,6 +15,7 @@ from ghm.hdw import (
     obstruction_check,
     solve_hdw,
 )
+from ghm.systems import oscillator
 
 
 def _sigma_from(hams):
@@ -178,6 +179,13 @@ def test_decomposable_sigma_solvable_despite_obstruction():
     rep = solve_hdw(w, sigma, (0.0,) * 4)
     assert rep.consistent and rep.residual <= 1e-12
     assert rep.surjectivity_possible is False
+
+
+def test_an_overflowed_solve_is_a_domain_error():
+    osc = oscillator(lam=0.1)
+    with pytest.raises(EvalDomainError, match="floating-point overflow"):
+        solve_hdw(osc.form, osc.sigma(), (1e308, 1.0, 1.0, 0.0, 0.0, 2.0))
+    assert solve_hdw(osc.form, osc.sigma(), osc.base_point).consistent
 
 
 def test_report_json_round_trip():

@@ -27,6 +27,7 @@ from ghm.structure import (
     divergence_in_chart,
 )
 from ghm.systems import fourdim, oscillator
+from oracles import reference_divergence_in_chart
 
 
 def _coord(n, i, name=""):
@@ -340,7 +341,34 @@ def test_divergence_vanishes_in_flat_chart():
     rng = np.random.default_rng(17)
     for _ in range(5):
         u = tuple(rng.uniform(0.5, 1.5, size=4))
-        assert abs(divergence_in_chart(X, chart_map, u)) <= 1e-6
+        assert divergence_in_chart(X, chart_map, u) == 0.0
+
+
+def test_divergence_in_a_nonlinear_chart_matches_central_differences():
+    rng = np.random.default_rng(18)
+    chart = PointMap(3, tuple(parse(t, 3) for t in
+                              ("x1 + 0.3*sin(x2)", "x2*exp(0.2*x3)", "x3 + 0.1*x1^2")))
+    Y = VectorField(3, tuple(parse(t, 3) for t in ("x2*x3", "sin(x1) + x3^2", "x1*x2*x3")))
+    for _ in range(5):
+        u = tuple(rng.uniform(0.5, 1.5, size=3))
+        got = divergence_in_chart(Y, chart, u)
+        assert abs(got - reference_divergence_in_chart(Y, chart, u)) <= 1e-7
+        assert abs(got) > 0.1
+
+
+def test_a_nan_duality_or_kernel_defect_fails():
+    nan = ex.const(float("nan"))
+    x3 = _coord(3, 3)
+    J2 = MultiVectorField.constant(3, 2, {(1, 2): 1.0})
+    nan_frame = VectorField(3, (ex.ZERO, ex.ZERO, nan))
+    pts = [(0.1, 0.2, 0.3)]
+    with pytest.raises(DualityError, match="iota_n1 dC1 = nan"):
+        build_poisson_k(J2, [x3], [nan_frame], pts)
+    with pytest.raises(DualityError, match="iota_n1 dC1 = nan"):
+        extract_omega(FormField.constant(3, 3, {(1, 2, 3): 1.0}), [nan_frame], [x3], pts)
+    nan_J2 = MultiVectorField(3, 2, {(1, 2): ex.ONE, (2, 3): nan})
+    with pytest.raises(DualityError, match="not in ker"):
+        build_poisson_k(nan_J2, [x3], [_axis_field(3, 3)], pts)
 
 
 def test_more_constraints_than_coordinates_are_typed_errors():
