@@ -170,31 +170,34 @@ def load_config(path: str) -> SystemSpec:
     return system
 
 
+# every system flag by its dest: (flag, the built-in system that takes it)
+_SYSTEM_FLAGS = {"lam": ("--lam", "oscillator"), "hamiltonian": ("--H", "fourdim"),
+                 "psi": ("--psi", "quasisymmetry"), "bvec": ("--bvec", "quasisymmetry"),
+                 "n": ("--n", "flat_nambu"), "k": ("--k", "flat_nambu")}
+
+
 def _resolve_system(args) -> SystemSpec:
-    if getattr(args, "config", None):
+    """The ``--config`` system, or the built-in system named with its flags.
+    A system flag given to another system, or a name or system flag next to
+    ``--config``, is an input error: no flag is dropped silently."""
+    given = {dest: getattr(args, dest) for dest in _SYSTEM_FLAGS
+             if getattr(args, dest) is not None}
+    if args.config is not None:
+        if args.system is not None or given:
+            raise InputError("--config takes no system name or system flag")
         return load_config(args.config)
     name = args.system
     if name is None:
         raise InputError("a system name or --config is required")
-    kwargs = {}
-    if name == "oscillator" and args.lam is not None:
-        kwargs["lam"] = args.lam
-    if name == "fourdim" and getattr(args, "hamiltonian", None):
-        kwargs["hamiltonian"] = args.hamiltonian
-    if name == "quasisymmetry":
-        if getattr(args, "psi", None):
-            kwargs["psi"] = args.psi
-        if getattr(args, "bvec", None):
-            parts = args.bvec.split(";")
-            if len(parts) != 3:
-                raise InputError("--bvec needs three ';'-separated expressions")
-            kwargs["bvec"] = tuple(parts)
-    if name == "flat_nambu":
-        if args.n is not None:
-            kwargs["n"] = args.n
-        if args.k is not None:
-            kwargs["k"] = args.k
-    return build(name, **kwargs)
+    for dest in given:
+        flag, owner = _SYSTEM_FLAGS[dest]
+        if name != owner and name in CATALOG:
+            raise InputError(f"{flag} applies only to {owner}, not to {name}")
+    if "bvec" in given:
+        given["bvec"] = tuple(given["bvec"].split(";"))
+        if len(given["bvec"]) != 3:
+            raise InputError("--bvec needs three ';'-separated expressions")
+    return build(name, **given)
 
 
 def _parse_point(text: str, n: int, what: str) -> tuple[float, ...]:
@@ -258,8 +261,10 @@ def cmd_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     points = sample_box(rng, system.domain, args.samples)
     checks = _available_checks(system, points)
-    if args.identities:
+    if args.identities is not None:
         wanted = [t.strip() for t in args.identities.split(",") if t.strip()]
+        if not wanted:
+            raise InputError("--identities names no identity")
         have = {token for token, _, _ in checks}
         unknown = [t for t in wanted if t not in {"closure", "jacobi", "fi", "measure"}]
         if unknown:

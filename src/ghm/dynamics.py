@@ -44,7 +44,7 @@ from .exterior import (
     nan_max,
     pullback_with_jacobian,
 )
-from .hdw import RCOND, _hatmap_system, _min_norm_solve, _solve_report, min_norm_divergence
+from .hdw import _hatmap_arrays, _min_norm, _report, min_norm_divergence
 from .identities import closure_residual
 from .structure import build_w_from_omega
 
@@ -168,17 +168,7 @@ class SystemSpec:
     @cached_property
     def _compiled_eom(self) -> Callable[[Sequence[float]], Sequence[float]]:
         """The integrated field of ``mode``'s route."""
-        if self.mode == "tensor":
-            return self.bracket_field.compiled
-        form, sigma = self.form, self.sigma()
-
-        def f(x):
-            X, residual, consistent, _ = _min_norm_solve(*_hatmap_system(form, sigma, x))
-            if not consistent:
-                raise IntegrationError(_inconsistent(x, residual))
-            return X
-
-        return f
+        return self.bracket_field.compiled if self.mode == "tensor" else self._form_route[0]
 
     @cached_property
     def _divergence(self) -> Callable[[Sequence[float]], float]:
@@ -188,15 +178,35 @@ class SystemSpec:
         at the point it was given."""
         if self.mode == "tensor":
             return ex.compile_expr(self.bracket_field.divergence_expr())
+        return self._form_route[1]
+
+    @cached_property
+    def _form_route(self) -> tuple[Callable, Callable]:
+        """(field, divergence) of the form route, one hat-map SVD per call.
+        The divergence keeps its state and the field value there; ``integrate``
+        hands that same tuple to the next step's first stage, which returns
+        the kept value: a tuple of floats cannot change, so a fresh solve
+        would give the same one."""
         form, sigma = self.form, self.sigma()
+        last = [(None, None)]  # (state, field value) of the last divergence, read as one
+
+        def field(x):
+            state, value = last[0]
+            if x is state:
+                return value
+            solve = _min_norm(*_hatmap_arrays(form, sigma, x)[1:], x)
+            if not solve.consistent:
+                raise IntegrationError(_inconsistent(x, solve.residual))
+            return solve.x.tolist()
 
         def exact_div(x):
-            div, residual, consistent = min_norm_divergence(form, sigma, x)
-            if not consistent:
-                raise IntegrationError(_inconsistent(x, residual))
+            div, solve = min_norm_divergence(form, sigma, x)
+            if not solve.consistent:
+                raise IntegrationError(_inconsistent(x, solve.residual))
+            last[0] = x, tuple(solve.x.tolist())
             return div
 
-        return exact_div
+        return field, exact_div
 
     @cached_property
     def _diagnostics(self) -> Callable[[Sequence[float]], tuple]:
@@ -251,7 +261,7 @@ def vector_field_of(system: SystemSpec, point: Sequence[float], *,
     with ``cross_check``, the route-agreement diagnostics: the bracket field
     must satisfy the hat-map system, and its kernel-orthogonal projection
     must match route_sign times the minimum-norm solution.  The hat-map
-    system is assembled and solved once per call.
+    system is assembled and factored once per call.
     """
     route = route or system.mode
     if route not in ("tensor", "form"):
@@ -263,22 +273,20 @@ def vector_field_of(system: SystemSpec, point: Sequence[float], *,
     if route == "tensor":
         X = np.asarray(system.bracket_field.at(point), dtype=float)
     if route == "form" or cross_check:
-        hat, b = _hatmap_system(system.form, system.sigma(), point)
-        report = _solve_report(hat, b)
+        _, A, b = _hatmap_arrays(system.form, system.sigma(), point)
+        solve = _min_norm(A, b, point)
     if route == "form":
-        if not report.consistent:
-            raise IntegrationError(_inconsistent(point, report.residual))
-        X = np.array(report.x)
-        info["solve_report"] = report
+        if not solve.consistent:
+            raise IntegrationError(_inconsistent(point, solve.residual))
+        info["solve_report"] = _report(system.form, solve, point)
+        X = solve.x
 
     if cross_check:
-        Xt = np.asarray(system.bracket_field.at(point), dtype=float)
-        info["bracket_hdw_residual"] = float(
-            np.linalg.norm(hat.apply(system.route_sign * Xt) - b))
+        sXt = system.route_sign * np.asarray(system.bracket_field.at(point), dtype=float)
+        info["bracket_hdw_residual"] = float(np.linalg.norm(A @ sXt - b))
         # kernel-orthogonal projection of the bracket field
-        A = hat.matrix
-        sol, *_ = np.linalg.lstsq(A, A @ (system.route_sign * Xt), rcond=RCOND)
-        info["route_disagreement"] = float(np.linalg.norm(sol - np.array(report.x)))
+        projected = solve.Vt.T @ (solve.Vt @ sXt)
+        info["route_disagreement"] = float(np.linalg.norm(projected - solve.x))
     return X, info
 
 
@@ -382,8 +390,9 @@ def integrate(system: SystemSpec, x0: Sequence[float], t_end: float, dt: float =
     """
     if len(x0) != system.n:
         raise InputError(f"x0 must have length {system.n}")
-    if dt <= 0 or t_end <= 0:
-        raise InputError("need positive dt and t_end")
+    if not (0 < dt < math.inf and 0 < t_end < math.inf and 0 < reltol < math.inf):
+        raise InputError(f"need finite positive dt, t_end and reltol, got {dt!r}, {t_end!r} "
+                         f"and {reltol!r}")
     inside = box_test(system.domain)
     if not inside(x0):
         raise InputError(f"x0 {tuple(x0)} outside the domain box")

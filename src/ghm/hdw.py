@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import asdict, dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,8 +27,9 @@ TOLERANCE = 1e-9
 def numerical_rank(sv: np.ndarray) -> int:
     """The number of singular values above ``RCOND`` times the largest: the
     one rank rule.  A zero or empty spectrum has rank 0."""
-    cutoff = sv[0] * RCOND if sv.size and sv[0] > 0 else 0.0
-    return int(np.sum(sv > cutoff))
+    sv = sv.tolist()  # a few values: Python floats compare faster than an array
+    cutoff = sv[0] * RCOND if sv and sv[0] > 0 else 0.0
+    return len([s for s in sv if s > cutoff])
 
 
 def obstruction_check(n: int, k: int) -> bool:
@@ -47,9 +48,6 @@ class HatMapMatrix:
     k: int
     rows: tuple[tuple[int, ...], ...]
     matrix: np.ndarray  # shape (C(n, k-1), n)
-
-    def apply(self, X: Sequence[float]) -> np.ndarray:
-        return self.matrix @ np.asarray(X, dtype=float)
 
 
 def _hatmap_plan(w: FormField):
@@ -99,20 +97,40 @@ class SolveReport:
     tolerance: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "k": self.k,
-                "x": list(self.x),
-                "residual": self.residual,
-                "kernel_dim": self.kernel_dim,
-                "unique": self.unique,
-                "surjectivity_possible": self.surjectivity_possible,
-                "consistent": self.consistent,
-                "tolerance": self.tolerance,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
+
+
+class MinNorm(NamedTuple):
+    """x = A^+ b from one reduced SVD cut at ``numerical_rank``, with
+    r = b - A x, its norm, consistency and the kept factors; the rank is
+    ``len(sv)`` and pinv = (Vt^T / sv) U^T."""
+
+    x: np.ndarray
+    r: np.ndarray
+    residual: float
+    consistent: bool
+    pinv: np.ndarray
+    sv: np.ndarray
+    Vt: np.ndarray
+
+
+def _min_norm(A: np.ndarray, b: np.ndarray, point: Sequence[float],
+              tolerance: float = TOLERANCE) -> MinNorm:
+    """The one solve of the hat-map system A x = b gathered at ``point``.  A
+    non-finite A or b raises ``EvalDomainError`` before LAPACK sees it; an
+    overflow after the SVD leaves inf or NaN for the callers' checks."""
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise EvalDomainError(f"floating-point overflow in the hat-map solve at {tuple(point)}")
+    U, sv, Vt = np.linalg.svd(A, full_matrices=False)
+    rank = numerical_rank(sv)
+    sv, Vt = sv[:rank], Vt[:rank]
+    with np.errstate(over="ignore", invalid="ignore"):
+        pinv = (Vt.T / sv) @ U[:, :rank].T
+        x = pinv @ b
+        r = b - A @ x
+        residual = math.sqrt(r @ r)  # np.linalg.norm's sqrt(dot) without its checks
+        consistent = residual <= tolerance * (1.0 + math.sqrt(b @ b))
+    return MinNorm(x, r, residual, consistent, pinv, sv, Vt)
 
 
 def solve_hdw(w: FormField, sigma: FormField, point: Sequence[float],
@@ -120,85 +138,58 @@ def solve_hdw(w: FormField, sigma: FormField, point: Sequence[float],
     """Minimum-norm least-squares solution of the hat-map system.
 
     Inconsistency is a report state, not an error: ``consistent`` holds iff
-    the residual is within tolerance * (1 + |sigma|).  A residual or solution
-    that is not finite raises ``EvalDomainError``.
+    the residual is within tolerance * (1 + |sigma|).  A hat map, residual
+    or solution that is not finite raises ``EvalDomainError``.
     """
-    report = _solve_report(*_hatmap_system(w, sigma, point), tolerance)
-    if not all(map(math.isfinite, (report.residual, *report.x))):
+    _, A, b = _hatmap_arrays(w, sigma, point)
+    return _report(w, _min_norm(A, b, point, tolerance), point, tolerance)
+
+
+def _report(w: FormField, solve: MinNorm, point: Sequence[float],
+            tolerance: float = TOLERANCE) -> SolveReport:
+    """``solve_hdw``'s report of a solve of w's hat-map system at ``point``."""
+    if not all(map(math.isfinite, (solve.residual, *solve.x))):
         raise EvalDomainError(f"floating-point overflow in the hat-map solve at {tuple(point)}: "
-                              f"residual {report.residual:g}")
-    return report
-
-
-def _solve_report(hat: HatMapMatrix, b: np.ndarray,
-                  tolerance: float = TOLERANCE) -> SolveReport:
-    """``solve_hdw``'s report for an assembled hat-map system."""
-    x, residual, consistent, rank = _min_norm_solve(hat, b, tolerance)
-    kernel_dim = hat.n - rank
-    return SolveReport(
-        n=hat.n,
-        k=hat.k,
-        x=tuple(x),
-        residual=residual,
-        kernel_dim=kernel_dim,
-        unique=consistent and kernel_dim == 0,
-        surjectivity_possible=obstruction_check(hat.n, hat.k),
-        consistent=consistent,
-        tolerance=tolerance,
-    )
-
-
-def _hatmap_system(w: FormField, sigma: FormField,
-                   point: Sequence[float]) -> tuple[HatMapMatrix, np.ndarray]:
-    """The hat map at a point and the right-hand side -sigma over its rows."""
-    rows, A, b = _hatmap_arrays(w, sigma, point)
-    return HatMapMatrix(w.n, w.k, rows, A), b
-
-
-def _min_norm_solve(hat: HatMapMatrix, b: np.ndarray,
-                    tolerance: float = TOLERANCE) -> tuple[list, float, bool, int]:
-    """(x as a list of floats, residual, consistent, rank): the one solve
-    path, under ``solve_hdw``'s report and the form route's RK stages."""
-    x, _, rank, _ = np.linalg.lstsq(hat.matrix, b, rcond=RCOND)
-    residual = float(np.linalg.norm(hat.matrix @ x - b))
-    return x.tolist(), residual, _consistent(residual, b, tolerance), int(rank)
-
-
-def _consistent(residual: float, b: np.ndarray, tolerance: float) -> bool:
-    return residual <= tolerance * (1.0 + float(np.linalg.norm(b)))
+                              f"residual {solve.residual:g}")
+    kernel_dim = w.n - len(solve.sv)
+    return SolveReport(w.n, w.k, tuple(solve.x.tolist()), solve.residual, kernel_dim,
+                       solve.consistent and kernel_dim == 0, obstruction_check(w.n, w.k),
+                       solve.consistent, tolerance)
 
 
 def min_norm_divergence(w: FormField, sigma: FormField,
-                        point: Sequence[float]) -> tuple[float, float, bool]:
-    """(div, residual, consistent) of the minimum-norm field X = A^+ b of
-    iota_X w = -sigma, where the hat map A has constant rank near the point.
+                        point: Sequence[float]) -> tuple[float, MinNorm]:
+    """(div, solve): the divergence of the minimum-norm field X = A^+ b of
+    iota_X w = -sigma, where the hat map A has constant rank near the point,
+    and the solve at the point.
 
     The derivative of the pseudo-inverse at constant rank (Golub & Pereyra,
     SIAM J. Numer. Anal. 10(2), 1973) gives, with r = b - A X,
 
         dX = A^+ (db - dA X) + A^+ A^+T dA^T r + (I - A^+ A) dA^T A^+T X,
 
-    and div X is the trace of dX over the coordinate axes.  The rank is cut
-    at ``RCOND`` and ``consistent`` uses ``TOLERANCE``, as in ``solve_hdw``
-    with its default tolerance, which the RK stages use.
+    and div X is the trace of dX over the coordinate axes.  The solve uses
+    the default ``TOLERANCE``, as the RK stages do.
     """
     _, A, b = _hatmap_arrays(w, sigma, point, jet=True)
-    A, b, dA, db = A[0], b[0], A[1:], b[1:]
-    U, sv, Vt = np.linalg.svd(A, full_matrices=False)
-    rank = numerical_rank(sv)
-    U, sv, Vt = U[:, :rank], sv[:rank], Vt[:rank]
-    pinv = (Vt.T / sv) @ U.T
-    X = pinv @ b
-    r = b - A @ X
-    div = (np.sum(pinv * (db - dA @ X))
-           + np.sum(((Vt.T / sv ** 2) @ Vt) * (r @ dA))
+    solve = _min_norm(A[0], b[0], point)
+    X, pinv, sv, Vt, dA = solve.x, solve.pinv, solve.sv, solve.Vt, A[1:]
+    div = (np.sum(pinv * (b[1:] - dA @ X))
+           + np.sum(((Vt.T / sv ** 2) @ Vt) * (solve.r @ dA))
            + np.sum((np.eye(w.n) - Vt.T @ Vt) * ((pinv.T @ X) @ dA)))
-    residual = float(np.linalg.norm(r))
-    return float(div), residual, _consistent(residual, b, TOLERANCE)
+    return float(div), solve
+
+
+def _null_space(M: np.ndarray, point: Sequence[float]) -> np.ndarray:
+    """Orthonormal rows spanning ker M from a full SVD cut at
+    ``numerical_rank``; a non-finite M, read at ``point``, raises
+    ``EvalDomainError`` before LAPACK sees it."""
+    if not np.isfinite(M).all():
+        raise EvalDomainError(f"floating-point overflow in a kernel SVD at {tuple(point)}")
+    _, sv, vh = np.linalg.svd(M)
+    return vh[numerical_rank(sv):]
 
 
 def kernel_basis(w: FormField, point: Sequence[float]) -> list[np.ndarray]:
     """Orthonormal basis of ker(hat map) at the point; empty iff injective."""
-    hat = assemble_hatmap(w, point)
-    _, sv, vh = np.linalg.svd(hat.matrix)
-    return [vh[i, :].copy() for i in range(numerical_rank(sv), w.n)]
+    return [v.copy() for v in _null_space(assemble_hatmap(w, point).matrix, point)]

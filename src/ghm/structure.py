@@ -33,7 +33,7 @@ from .exterior import (
     pullback_with_jacobian,
     wedge,
 )
-from .hdw import numerical_rank
+from .hdw import _null_space, numerical_rank
 
 DUALITY_TOL = 1e-9
 
@@ -71,8 +71,7 @@ class Distribution:
         if self.fields:
             return [f.at(point) for f in self.fields]
         G = np.array([c.gradient(point) for c in self.constraints])
-        _, sv, vh = np.linalg.svd(G)
-        return [vh[i, :].copy() for i in range(numerical_rank(sv), self.n)]
+        return [v.copy() for v in _null_space(G, point)]
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +376,7 @@ def rank_wrt(omega: FormField, Cs: Sequence[ScalarField],
     plan = omega.gather_plan(itertools.product(range(1, n + 1), repeat=2))
     ranks = []
     for p in points:
-        G = np.array([c.gradient(p) for c in Cs])
-        _, svg, vh = np.linalg.svd(G)
-        basis = vh[numerical_rank(svg):, :]  # rows span ker dC
+        basis = _null_space(np.array([c.gradient(p) for c in Cs]), p)  # rows span ker dC
         W = omega.gather(plan, p).reshape(n, n)
         M = basis @ W @ basis.T
         r = numerical_rank(np.linalg.svd(M, compute_uv=False))

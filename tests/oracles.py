@@ -451,10 +451,10 @@ def reference_integrate(system, x0, t_end, dt=1e-3, method="rk4", reltol=1e-9):
             return report.x
 
         def div_fn(x):
-            div, residual, consistent = min_norm_divergence(system.form, sigma, x)
-            if not consistent:
+            div, solve = min_norm_divergence(system.form, sigma, x)
+            if not solve.consistent:
                 raise IntegrationError(f"hat-map system inconsistent at {tuple(x)}: "
-                                       f"residual {residual:g}")
+                                       f"residual {solve.residual:g}")
             return div
 
     lows = [lo - 1e-9 * (1 + abs(lo)) for lo, _ in system.domain]
@@ -520,6 +520,18 @@ def reference_integrate(system, x0, t_end, dt=1e-3, method="rk4", reltol=1e-9):
                       invariants=np.array(invariants), divergences=np.array(divs),
                       truncated=truncated, note=note)
     return traj, rejected
+
+
+def reference_min_norm_solve(A, b, tolerance=1e-9):
+    """(x, residual, consistent, rank) of the former hat-map solve: LAPACK
+    gelsd through ``np.linalg.lstsq`` at ``hdw.RCOND``, the residual norm
+    of b - A x, and consistency at tolerance * (1 + |b|)."""
+    import numpy as np
+    from ghm.hdw import RCOND
+
+    x, _, rank, _ = np.linalg.lstsq(A, b, rcond=RCOND)
+    residual = float(np.linalg.norm(A @ x - b))
+    return x, residual, residual <= tolerance * (1.0 + float(np.linalg.norm(b))), int(rank)
 
 
 # ---------------------------------------------------------------------------

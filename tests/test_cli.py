@@ -574,3 +574,39 @@ def test_cli_exits_with_a_documented_code(data):
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
     assert code != 1 or command == "check", (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("point", ["0,0,0,0,1e308,0", "0,0,0,0,1e200,0"])
+def test_an_overflowed_hatmap_exits_2_with_one_error_line(point):
+    # at 1e308 the hat map holds inf, which LAPACK used to reject with DLASCL
+    # lines and a traceback (exit 1); at 1e200 |sigma| overflows, which numpy
+    # used to report with a RuntimeWarning
+    code, out, err = ghm_fresh("solve", "oscillator", f"--point={point}")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: floating-point overflow in the hat-map solve at (0.0, ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "oscillator", "--identities", ","], "--identities names no identity"),
+    (["check", "oscillator", "--identities", ""], "--identities names no identity"),
+    (["check", "fourdim", "--lam", "3", "--n", "9", "--psi", "x1"],
+     "--lam applies only to oscillator, not to fourdim"),
+    (["check", "oscillator", "--H", "x1"], "--H applies only to fourdim"),
+    (["check", "flat_nambu", "--psi", "x1"], "--psi applies only to quasisymmetry"),
+    (["check", "fourdim", "--bvec=-x2;x1;1"], "--bvec applies only to quasisymmetry"),
+    (["solve", "oscillator", "--n", "3", "--point", "0,1,1,0,0,2"],
+     "--n applies only to flat_nambu"),
+    (["simulate", "quasisymmetry", "--k", "3", "--x0", "1.2,0.9,0.4", "--t-end", "0.01"],
+     "--k applies only to flat_nambu"),
+    (["check", "oscillator", "--config", _CONFIG], "--config takes no system name"),
+    (["check", "--config", _CONFIG, "--lam", "0.2"], "--config takes no system name"),
+    (["solve", "--config", _CONFIG, "--H", "x1", "--point", "0,1,1,0,0,2"],
+     "--config takes no system name"),
+    (["check", "fourdim", "--H", ""], "unexpected end of input"),
+    (["check", "quasisymmetry", "--psi", ""], "unexpected end of input"),
+])
+def test_system_input_that_would_be_dropped_is_an_input_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err

@@ -2,6 +2,8 @@ import dataclasses
 import io
 import itertools
 import math
+import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +124,44 @@ def test_integrate_rejects_bad_inputs():
         integrate(osc, osc.base_point, t_end=1.0, dt=-1e-3)
     with pytest.raises(InputError):
         integrate(osc, osc.base_point, t_end=1.0, method="euler")
+
+    # dt = nan and, with RKF45, t_end = inf used to loop forever; the alarm
+    # turns such a hang into a failure
+    def hang(*_):
+        raise AssertionError("integrate did not return within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        for method in ("rk4", "rkf45"):
+            for bad in ({"dt": math.nan}, {"dt": math.inf}, {"t_end": math.inf},
+                        {"t_end": math.nan}, {"reltol": math.nan}, {"reltol": math.inf},
+                        {"reltol": 0.0}, {"reltol": -1e-9}):
+                kwargs = {"t_end": 1.0, "dt": 1e-3, "method": method, **bad}
+                with pytest.raises(InputError, match="need finite positive dt, t_end and reltol"):
+                    integrate(osc, osc.base_point, **kwargs)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_an_rk4_form_step_factors_the_hat_map_four_times(monkeypatch):
+    # 3 stage solves and the div column per step, 1 div at x0: the first
+    # stage reads the field value of the div solve at the same state
+    from ghm.cli import load_config
+
+    system = load_config(str(Path(__file__).resolve().parents[1] / "bench" / "configs"
+                             / "oscillator_form.json"))
+    svd, calls = np.linalg.svd, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    traj = integrate(system, system.base_point, t_end=0.01, dt=1e-3)
+    assert len(traj.times) == 11
+    assert len(calls) == 41
 
 
 def test_conservation_over_moderate_horizon():
@@ -415,6 +455,9 @@ INTEGRATIONS = {
                         1e-13),
     "oscillator form": (lambda: dataclasses.replace(oscillator(lam=0.1), mode="form"), None,
                         0.02, 1e-3, "rk4", 1e-9),
+    # a rejected step repeats the first stage at the state whose div was taken
+    "form rkf45 rejections": (lambda: dataclasses.replace(oscillator(lam=0.1), mode="form"),
+                              None, 0.5, 0.5, "rkf45", 1e-10),
     "flat_nambu(4,3) form": (lambda: flat_nambu(4, 3), (0.1, -0.2, 0.3, 0.4), 0.02, 1e-3,
                              "rk4", 1e-9),
     "quasisymmetry rk4": (lambda: quasisymmetry(), None, 0.05, 1e-3, "rk4", 1e-9),

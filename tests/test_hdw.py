@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from ghm.hdw import (
     solve_hdw,
 )
 from ghm.systems import oscillator
+
+CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 
 
 def _sigma_from(hams):
@@ -69,7 +72,7 @@ def test_hatmap_reproduces_interior_product():
     hat = assemble_hatmap(w, p)
     for _ in range(5):
         X = rng.standard_normal(n)
-        applied = hat.apply(X)
+        applied = hat.matrix @ X
         direct = interior_vector(X, w.at(p))
         for r, key in enumerate(hat.rows):
             assert applied[r] == pytest.approx(direct.coeffs.get(key, 0.0), abs=1e-12)
@@ -188,6 +191,26 @@ def test_an_overflowed_solve_is_a_domain_error():
     assert solve_hdw(osc.form, osc.sigma(), osc.base_point).consistent
 
 
+def test_a_non_finite_matrix_is_a_domain_error_before_lapack(capfd):
+    # LAPACK would print DLASCL lines on a NaN or inf input and fail to converge
+    from ghm.structure import Distribution, rank_wrt
+
+    osc = oscillator(lam=0.1)
+    p = (0.0, 0.0, 0.0, 0.0, 1e308, 0.0)  # -2 q2 overflows to -inf
+    with pytest.raises(EvalDomainError, match=r"overflow in the hat-map solve at \(0\.0, "):
+        solve_hdw(osc.form, osc.sigma(), p)
+    with pytest.raises(EvalDomainError, match="overflow in the hat-map solve"):
+        min_norm_divergence(osc.form, osc.sigma(), p)
+    with pytest.raises(EvalDomainError, match="overflow in a kernel SVD"):
+        kernel_basis(osc.form, p)
+    cube = ScalarField.from_text("x1*x1*x1", 3)  # its gradient is inf at x1 = 1e200
+    with pytest.raises(EvalDomainError, match="overflow in a kernel SVD"):
+        Distribution.annihilating([cube]).spanning_at((1e200, 0.0, 0.0))
+    with pytest.raises(EvalDomainError, match="overflow in a kernel SVD"):
+        rank_wrt(FormField.constant(3, 2, {(1, 2): 1.0}), [cube], [(1e200, 0.0, 0.0)])
+    assert capfd.readouterr().err == ""
+
+
 def test_report_json_round_trip():
     import json
 
@@ -225,10 +248,10 @@ def test_min_norm_divergence_matches_central_differences(n, k):
             up[i] += 1e-5
             um[i] -= 1e-5
             fd += (solve_hdw(w, sigma, up).x[i] - solve_hdw(w, sigma, um).x[i]) / 2e-5
-        div, residual, consistent = min_norm_divergence(w, sigma, p)
+        div, solve = min_norm_divergence(w, sigma, p)
         assert div == pytest.approx(fd, rel=1e-6, abs=1e-7)
-        assert residual == pytest.approx(rep.residual, rel=1e-9)
-        assert consistent is rep.consistent is False
+        assert solve.residual == pytest.approx(rep.residual, rel=1e-9)
+        assert solve.consistent is rep.consistent is False
 
 
 def test_hatmap_jet_is_the_hatmap_system():
@@ -258,15 +281,12 @@ def test_hatmap_jet_is_the_hatmap_system():
 
 
 def _form_systems():
-    from pathlib import Path
-
     from ghm import systems
     from ghm.cli import load_config
 
-    configs = Path(__file__).resolve().parents[1] / "bench" / "configs"
     specs = [systems.build(name) for name in sorted(systems.CATALOG)]
     specs += [systems.build("flat_nambu", n=n, k=k) for n, k in ((4, 3), (5, 4), (4, 2))]
-    specs += [load_config(str(configs / f"{name}.json"))
+    specs += [load_config(str(CONFIGS / f"{name}.json"))
               for name in ("oscillator_form", "fourdim_form")]
     return [s for s in specs if s.form is not None]
 
@@ -286,3 +306,23 @@ def test_hatmap_arrays_are_the_former_layout_byte_for_byte():
                 assert A.tobytes() == ref_A.tobytes(), (system.name, p, jet)
                 assert b.tobytes() == ref_b.tobytes(), (system.name, p, jet)
             assert assemble_hatmap(w, p).matrix.tobytes() == A[0].tobytes()
+
+
+def test_the_svd_solve_is_the_former_lstsq_solve():
+    # every built-in form route and bench form config, the inconsistent one
+    # included: the same rank and consistency, x to 1e-14 relative and the
+    # residual to 1e-14 (1 + |sigma|)
+    from ghm.cli import load_config
+    from ghm.dynamics import sample_box
+    from oracles import reference_min_norm_solve
+
+    for system in _form_systems() + [load_config(str(CONFIGS / "inconsistent_form.json"))]:
+        w, sigma = system.form, system.sigma()
+        for p in sample_box(np.random.default_rng(9), system.domain, 200):
+            rep = solve_hdw(w, sigma, p)
+            _, A, b = _hatmap_arrays(w, sigma, p)
+            x, residual, consistent, rank = reference_min_norm_solve(A, b)
+            assert (rep.kernel_dim, rep.consistent) == (w.n - rank, consistent), (system.name, p)
+            assert np.linalg.norm(np.subtract(rep.x, x)) <= 1e-14 * np.linalg.norm(x), \
+                (system.name, p)
+            assert abs(rep.residual - residual) <= 1e-14 * (1 + np.linalg.norm(b))
