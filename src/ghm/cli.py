@@ -12,7 +12,7 @@ import functools
 import json
 import math
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -240,19 +240,21 @@ def _check_numbers(args) -> None:
 # ---------------------------------------------------------------------------
 
 def _available_checks(system: SystemSpec, points):
-    checks: list[tuple[str, str, IdentityReport]] = []  # (token, label, report)
+    """(token, label, thunk) of each identity that applies to the system, in
+    report order; a thunk computes its report only when called."""
+    checks: list[tuple[str, str, Callable[[], IdentityReport]]] = []
     if system.form is not None:
-        checks.append(("closure", "closure(w)", closure_residual(system.form, points)))
+        checks.append(("closure", "closure(w)", lambda: closure_residual(system.form, points)))
     if system.reduced_tensor is not None:
         checks.append(("jacobi", system.jacobi_label,
-                       jacobi_residual(system.reduced_tensor, points)))
+                       lambda: jacobi_residual(system.reduced_tensor, points)))
     if system.tensor is not None and system.tensor.k == 3:
         checks.append(("fi", "fundamental-identity",
-                       fundamental_identity_residual(system.tensor, points)))
+                       lambda: fundamental_identity_residual(system.tensor, points)))
     if system.tensor is not None:
         weight = system.measure_weight if system.measure_weight is not None else 1.0
         checks.append(("measure", "measure",
-                       measure_residual(system.tensor, weight, points)))
+                       lambda: measure_residual(system.tensor, weight, points)))
     return checks
 
 
@@ -274,6 +276,7 @@ def cmd_check(args) -> int:
             raise InputError(
                 f"identities not applicable to {system.name!r}: {', '.join(missing)}")
         checks = [c for c in checks if c[0] in wanted]
+    reports = [(token, label, run()) for token, label, run in checks]
 
     print(f"system {system.name}  n={system.n} k={system.k}  "
           f"samples={args.samples} seed={args.seed} rng={RNG_NAME} tol={args.tol:g}")
@@ -281,7 +284,7 @@ def cmd_check(args) -> int:
     print(header)
     all_pass = True
     digests = []
-    for token, label, rep in checks:
+    for token, label, rep in reports:
         ok = rep.passes(args.tol)
         all_pass &= ok
         point_text = "(" + ", ".join(f"{v:.4g}" for v in rep.argmax_point) + ")"

@@ -13,6 +13,10 @@ A system carries up to two degree-k structures generating the same dynamics:
 The two routes agree up to ``route_sign`` modulo ker(hat map); for canonical
 flat pairs that sign is ``exterior.hdw_vs_bracket_sign(k)``.
 
+Integration evaluates each accepted state once (``SystemSpec._state``): one
+call gives its row of Hamiltonians, invariants and div, and its field, which
+the next RK step takes as its first stage.
+
 Flattening is verified by pullback along a closed-form flow or the RK4 flow
 of the deformation field, whose Jacobian is exact for the discrete flow.
 """
@@ -44,7 +48,7 @@ from .exterior import (
     nan_max,
     pullback_with_jacobian,
 )
-from .hdw import _hatmap_arrays, _min_norm, _report, min_norm_divergence
+from .hdw import MinNorm, _hatmap_arrays, _min_norm, _report, min_norm_divergence
 from .identities import closure_residual
 from .structure import build_w_from_omega
 
@@ -167,58 +171,42 @@ class SystemSpec:
 
     @cached_property
     def _compiled_eom(self) -> Callable[[Sequence[float]], Sequence[float]]:
-        """The integrated field of ``mode``'s route."""
-        return self.bracket_field.compiled if self.mode == "tensor" else self._form_route[0]
-
-    @cached_property
-    def _divergence(self) -> Callable[[Sequence[float]], float]:
-        """Exact divergence of the integrated field: symbolic on the tensor
-        route; on the form route, the derivative of the minimum-norm solution
-        under constant hat-map rank, which also stops an inconsistent system
-        at the point it was given."""
+        """The stage function of ``mode``'s route: the compiled bracket field,
+        or one hat-map SVD per call that stops an inconsistent system at the
+        point it was given."""
         if self.mode == "tensor":
-            return ex.compile_expr(self.bracket_field.divergence_expr())
-        return self._form_route[1]
-
-    @cached_property
-    def _form_route(self) -> tuple[Callable, Callable]:
-        """(field, divergence) of the form route, one hat-map SVD per call.
-        The divergence keeps its state and the field value there; ``integrate``
-        hands that same tuple to the next step's first stage, which returns
-        the kept value: a tuple of floats cannot change, so a fresh solve
-        would give the same one."""
+            return self.bracket_field.compiled
         form, sigma = self.form, self.sigma()
-        last = [(None, None)]  # (state, field value) of the last divergence, read as one
-
-        def field(x):
-            state, value = last[0]
-            if x is state:
-                return value
-            solve = _min_norm(*_hatmap_arrays(form, sigma, x)[1:], x)
-            if not solve.consistent:
-                raise IntegrationError(_inconsistent(x, solve.residual))
-            return solve.x.tolist()
-
-        def exact_div(x):
-            div, solve = min_norm_divergence(form, sigma, x)
-            if not solve.consistent:
-                raise IntegrationError(_inconsistent(x, solve.residual))
-            last[0] = x, tuple(solve.x.tolist())
-            return div
-
-        return field, exact_div
+        return lambda x: _consistent(
+            _min_norm(*_hatmap_arrays(form, sigma, x)[1:], x), x).x.tolist()
 
     @cached_property
-    def _diagnostics(self) -> Callable[[Sequence[float]], tuple]:
-        """The row (Hamiltonians..., invariants..., div) at a state: one
-        compiled bundle, which on the tensor route includes the symbolic
-        divergence; the form route appends ``_divergence``'s value."""
-        exprs = [h.expression for h in self.hamiltonians]
-        exprs += [h.expression for h in self.invariants.values()]
+    def _row(self) -> Callable[[Sequence[float]], tuple]:
+        """The compiled Hamiltonians and invariants at a state, followed on
+        the tensor route by the symbolic divergence of the field."""
+        exprs = [h.expression for h in (*self.hamiltonians, *self.invariants.values())]
         if self.mode == "tensor":
-            return ex.compile_vector(exprs + [self.bracket_field.divergence_expr()])
-        bundle, div = ex.compile_vector(exprs), self._divergence
-        return lambda x: bundle(x) + (div(x),)
+            exprs.append(self.bracket_field.divergence_expr())
+        return ex.compile_vector(exprs)
+
+    @cached_property
+    def _state(self) -> Callable[[Sequence[float]], tuple[tuple, Sequence[float]]]:
+        """(row, X) at an accepted state: the row (Hamiltonians...,
+        invariants..., div) and the integrated field X.  Tensor route:
+        ``_row``, then the stage function.  Form route: ``_row``, then one
+        hat-map SVD whose exact divergence closes the row and whose solution
+        is X; an inconsistent system stops there."""
+        row, field = self._row, self._compiled_eom
+        if self.mode == "tensor":
+            return lambda x: (row(x), field(x))
+        form, sigma = self.form, self.sigma()
+
+        def state(x):
+            values = row(x)
+            div, solve = min_norm_divergence(form, sigma, x)
+            return values + (div,), _consistent(solve, x).x.tolist()
+
+        return state
 
     # -- validation -------------------------------------------------------
 
@@ -240,16 +228,26 @@ class SystemSpec:
                 f"at the base point {base}")
 
 
-def _inconsistent(point: Sequence[float], residual: float) -> str:
-    return f"hat-map system inconsistent at {tuple(point)}: residual {residual:g}"
+def _consistent(solve: MinNorm, point: Sequence[float]) -> MinNorm:
+    """The solve of the hat-map system at ``point``; IntegrationError if inconsistent."""
+    if not solve.consistent:
+        raise IntegrationError(
+            f"hat-map system inconsistent at {tuple(point)}: residual {solve.residual:g}")
+    return solve
 
 
 def divergence(system: SystemSpec, point: Sequence[float]) -> float:
     """sum_i dX^i/dx^i of the system's equations of motion: exact-symbolic on
-    the tensor route; on the form route, exact for the minimum-norm field
-    where the hat map's rank is constant near the point.  An inconsistent
-    hat-map system raises ``IntegrationError``."""
-    return float(system._divergence(tuple(point)))
+    the tensor route (the last entry of ``_row``, which evaluates the
+    Hamiltonians and invariants too); on the form route, exact for the
+    minimum-norm field where the hat map's rank is constant near the point.
+    An inconsistent hat-map system raises ``IntegrationError``."""
+    p = tuple(point)
+    if system.mode == "tensor":
+        return float(system._row(p)[-1])
+    div, solve = min_norm_divergence(system.form, system.sigma(), p)
+    _consistent(solve, p)
+    return float(div)
 
 
 def vector_field_of(system: SystemSpec, point: Sequence[float], *,
@@ -276,9 +274,7 @@ def vector_field_of(system: SystemSpec, point: Sequence[float], *,
         _, A, b = _hatmap_arrays(system.form, system.sigma(), point)
         solve = _min_norm(A, b, point)
     if route == "form":
-        if not solve.consistent:
-            raise IntegrationError(_inconsistent(point, solve.residual))
-        info["solve_report"] = _report(system.form, solve, point)
+        info["solve_report"] = _report(system.form, _consistent(solve, point), point)
         X = solve.x
 
     if cross_check:
@@ -340,10 +336,11 @@ _RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 
 def stepper(method: str, n: int) -> Callable:
     """The RK step for n-dimensional states, generated once per (method, n):
-    ``rk4(f, x, dt)`` returns the next state and ``rkf45(f, x, h)`` the pair
-    (x4, x5).  The state is unpacked into locals and ``f`` is called once per
-    stage.  Every value is the float expression of the loop form, in its
-    order: stage states x + h2*k and x + (h*a)*k summed in tableau order,
+    ``rk4(f, x, k, dt)`` returns the next state and ``rkf45(f, x, k, h)`` the
+    pair (x4, x5).  ``k`` is the first stage f(x), which the caller already
+    holds; the state and k are unpacked into locals and ``f`` is called once
+    per later stage.  Every value is the float expression of the loop form,
+    in its order: stage states x + h2*k and x + (h*a)*k summed in tableau order,
     x + w*(a + 2*b + 2*c + d), and the B4/B5 sums as 0 + b0*k0 + b1*k1 + ...
     with the zero weights kept.  That is ``sum()`` on Python 3.11; writing it
     out keeps the result on 3.12+, whose ``sum()`` of floats is compensated."""
@@ -353,17 +350,17 @@ def stepper(method: str, n: int) -> Callable:
     def vec(component):  # a tuple display over the n components
         return "(" + "".join(component(i) + ", " for i in range(n)) + ")"
 
-    def stage(k, point):  # one call of f, unpacked into k0, k1, ...
-        return "".join(f"{k}{i}, " for i in range(n)) + f"= f({point})"
+    def stage(k, point=None):  # f at point, or else the given k, unpacked into k0, k1, ...
+        return "".join(f"{k}{i}, " for i in range(n)) + (f"= f({point})" if point else "= k")
 
     if method == "rk4":
-        body = [stage("a", "x"), "h2 = dt / 2",
+        body = [stage("a"), "h2 = dt / 2",
                 stage("b", vec(lambda i: f"x{i} + h2 * a{i}")),
                 stage("c", vec(lambda i: f"x{i} + h2 * b{i}")),
                 stage("d", vec(lambda i: f"x{i} + dt * c{i}")), "w = dt / 6",
                 "return " + vec(lambda i: f"x{i} + w * (a{i} + 2 * b{i} + 2 * c{i} + d{i})")]
     else:
-        body = [stage("k0_", "x")]
+        body = [stage("k0_")]
         for s, row in enumerate(_RKF_A[1:], start=1):
             body += [f"h{s}_{j} = h * {a!r}" for j, a in enumerate(row)]
             body.append(stage(f"k{s}_", vec(lambda i: f"x{i}" + "".join(
@@ -371,7 +368,7 @@ def stepper(method: str, n: int) -> Callable:
         body.append("return " + ", ".join(vec(lambda i: f"x{i} + h * (0" + "".join(
             f" + {b!r} * k{j}_{i}" for j, b in enumerate(weights)) + ")")
             for weights in (_RKF_B4, _RKF_B5)))
-    head = f"def {method}(f, x, {'dt' if method == 'rk4' else 'h'}):\n    "
+    head = f"def {method}(f, x, k, {'dt' if method == 'rk4' else 'h'}):\n    "
     state = "".join(f"x{i}, " for i in range(n)) + "= x\n    "
     fn = _GENERATED[method, n] = _generated(head + state + "\n    ".join(body), method)
     return fn
@@ -383,8 +380,10 @@ def integrate(system: SystemSpec, x0: Sequence[float], t_end: float, dt: float =
     vector field.  Each step is the straight-line function ``stepper``
     generates once per (method, n); it keeps the float operations of the
     loop form in their order, B4/B5 sums included, so the states are the
-    same bit for bit.  At every accepted step one compiled call records the
-    row of Hamiltonians, invariants and div (``SystemSpec._diagnostics``).
+    same bit for bit.  Every accepted state, x0 included, is evaluated once
+    (``SystemSpec._state``): its row of Hamiltonians, invariants and div is
+    recorded, and its field is the next step's first stage, kept across an
+    RKF45 rejection.  A fault in either raises ``IntegrationError``.
     Leaving the domain box truncates the trajectory with a note (never
     extrapolates).
     """
@@ -399,24 +398,21 @@ def integrate(system: SystemSpec, x0: Sequence[float], t_end: float, dt: float =
     if method not in ("rk4", "rkf45"):
         raise InputError(f"unknown method {method!r}")
 
-    f = system._compiled_eom
-    diagnostics = system._diagnostics
-    step = stepper(method, system.n)
-
+    f, state, step = system._compiled_eom, system._state, stepper(method, system.n)
     t = 0.0
     x = tuple(map(float, x0))
-    times, states, rows = [t], [x], [diagnostics(x)]
+    times, states, rows = [], [], []
 
-    def accept(when: float, state: tuple) -> bool:
-        """Record an accepted state, or return False if it left the box."""
-        if not inside(state):
-            return False
+    def accept(when: float, new: tuple) -> Sequence[float]:
+        """Record an accepted state inside the box and return its field."""
+        row, k = state(new)
         times.append(when)
-        states.append(state)
-        rows.append(diagnostics(state))
-        return True
+        states.append(new)
+        rows.append(row)
+        return k
 
     try:
+        k = accept(t, x)
         if method == "rk4":
             # full steps of dt, then one adjusted step landing exactly on t_end
             full = _step_count(t_end / dt + 1e-9, f"t_end {t_end:g} at dt {dt:g}")
@@ -424,22 +420,24 @@ def integrate(system: SystemSpec, x0: Sequence[float], t_end: float, dt: float =
             plan = itertools.chain(itertools.repeat(dt, full),
                                    [remainder] if remainder > 1e-12 * t_end else [])
             for h in plan:
-                x = step(f, x, h)
+                x = step(f, x, k, h)
                 t += h
-                if not accept(t, x):
+                if not inside(x):
                     break
+                k = accept(t, x)
         else:
             h = dt
             while t < t_end - 1e-14:
                 h = min(h, t_end - t)
-                x4, x5 = step(f, x, h)
+                x4, x5 = step(f, x, k, h)
                 err = math.sqrt(sum((a - b) ** 2 for a, b in zip(x4, x5)))
                 scale = reltol * (1.0 + math.sqrt(sum(v * v for v in x)))
                 if err <= scale:
                     t += h
                     x = x4
-                    if not accept(t, x):
+                    if not inside(x):
                         break
+                    k = accept(t, x)
                 factor = 0.9 * (scale / err) ** 0.2 if err > 0 else 5.0
                 h *= min(5.0, max(0.2, factor))
                 if h < 1e-14:
@@ -545,7 +543,7 @@ def _numeric_flow(problem: MoserProblem, t: float):
     def flow_map(p: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         y = (*map(float, p), *np.eye(n).ravel().tolist())
         for _ in range(nsteps):
-            y = rk4(f, y, h)
+            y = rk4(f, y, f(y), h)
         return np.array(y[:n]), np.array(y[n:]).reshape(n, n)
 
     return flow_map

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from .errors import ChartError, DimensionError, DualityError
+from .errors import ChartError, DimensionError, DualityError, EvalDomainError
 from .expr import Expr, ScalarField
 from .exterior import (
     FormField,
@@ -369,7 +369,8 @@ def rank_wrt(omega: FormField, Cs: Sequence[ScalarField],
              points: Sequence[Sequence[float]]) -> RankReport:
     """Rank of the restriction of a 2-form to the level set through each
     sample point (even by antisymmetry; counted singular values are rounded
-    down to even)."""
+    down to even).  A restricted form that is not finite raises
+    ``EvalDomainError`` before LAPACK sees it."""
     if omega.k != 2:
         raise DimensionError("rank_wrt applies to 2-forms")
     n, m = omega.n, len(Cs)
@@ -378,7 +379,11 @@ def rank_wrt(omega: FormField, Cs: Sequence[ScalarField],
     for p in points:
         basis = _null_space(np.array([c.gradient(p) for c in Cs]), p)  # rows span ker dC
         W = omega.gather(plan, p).reshape(n, n)
-        M = basis @ W @ basis.T
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf in W leaves a non-finite M
+            M = basis @ W @ basis.T
+        if not np.isfinite(M).all():
+            raise EvalDomainError(
+                f"floating-point overflow in the restricted 2-form at {tuple(p)}")
         r = numerical_rank(np.linalg.svd(M, compute_uv=False))
         ranks.append(r - (r % 2))
     rank0 = ranks[0] if ranks else 0

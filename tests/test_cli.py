@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ghm
+import ghm.cli
 from ghm.cli import load_config, main
 from ghm.errors import GhmError, InputError
 
@@ -47,6 +48,27 @@ def test_check_exit_codes(capsys):
 
     code, out, _ = run(capsys, "check", "oscillator", "--identities", "closure,jacobi")
     assert code == 0
+
+
+def test_check_runs_only_the_named_identities(tmp_path, capsys, monkeypatch):
+    # the FI scan faults at log(x1 + 2) for x1 < -2; the measure scan alone does not
+    doc = {"name": "log-nambu", "n": 3, "k": 3, "mode": "tensor",
+           "coefficients": {"1,2,3": "log(x1 + 2)"}, "hamiltonians": ["x2", "x3"],
+           "domain": [[-3, 3], [-1, 1], [-1, 1]]}
+    path = tmp_path / "log.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "check", "--config", str(path))
+    assert code == 2 and "log of nonpositive value" in err
+    code, out, err = run(capsys, "check", "--config", str(path), "--identities", "measure")
+    assert (code, err) == (1, "")
+    assert [line.split()[0] for line in out.splitlines()[2:]] == ["measure", "overall:"]
+
+    def no_fi_scan(*_args):
+        raise AssertionError("the FI scan ran")
+
+    monkeypatch.setattr(ghm.cli, "fundamental_identity_residual", no_fi_scan)
+    code, out, _ = run(capsys, "check", "oscillator", "--identities", "closure")
+    assert code == 0 and "closure(w)" in out
 
 
 def test_check_deterministic_stdout(capsys):
@@ -428,11 +450,13 @@ def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
     # X = (1, 0) reaches x1 = 0 exactly after two steps, where the field is
     # defined but its divergence, in the diagnostics row, divides 0 by 0
     ("1 + x2*x1*sqrt(x1^2)", "-0.25,0", "0.125", "division by zero at node"),
+    # X^1 = -sqrt(x2) faults at x0, where H = -x2 and div = 0 do not
+    ("sqrt(x2)", "0,-1", "1e-3", "sqrt of negative value at node sqrt(x2)"),
 ])
 def test_domain_fault_while_integrating_exits_3(tmp_path, coefficient, x0, dt, message):
     doc = {"name": "fault", "n": 2, "k": 2, "mode": "tensor",
            "coefficients": {"1,2": coefficient},
-           "hamiltonians": ["-x2" if coefficient == "sqrt(x1)" else "x2"]}
+           "hamiltonians": ["-x2" if coefficient.startswith("sqrt") else "x2"]}
     path = tmp_path / "fault.json"
     path.write_text(json.dumps(doc))
     code, out, err = ghm_fresh("simulate", "--config", str(path), f"--x0={x0}",

@@ -29,6 +29,7 @@ from ghm.dynamics import (
     vector_field_of,
     verify_flattening,
 )
+from ghm.hdw import min_norm_divergence
 from ghm.systems import (
     build_moser,
     flat_nambu,
@@ -245,6 +246,31 @@ def test_form_route_divergence_with_kernel_matches_central_differences():
             um[i] -= 1e-5
             fd += (f(up)[i] - f(um)[i]) / 2e-5
         assert abs(divergence(osc, p) - fd) <= 1e-7
+
+
+def test_a_tensor_state_compiles_its_divergence_once(monkeypatch):
+    # integrate and divergence compile two bundles on a fresh spec: the field
+    # (the stage function) and the row (Hamiltonians, invariants, div)
+    s = quasisymmetry(bvec=("-x2", "x1", "1 + x3 + 0.2718*x1"))
+    compile_, compiled = ex._compile, []
+
+    def counted(exprs, scalar):
+        compiled.append(exprs)
+        return compile_(exprs, scalar)
+
+    monkeypatch.setattr(ex, "_compile", counted)
+    traj = integrate(s, s.base_point, t_end=0.01, dt=1e-3)
+    assert divergence(s, s.base_point) == traj.divergences[0]
+    row = tuple(h.expression for h in (*s.hamiltonians, *s.invariants.values()))
+    assert compiled == [s.bracket_field.components, row + (s.bracket_field.divergence_expr(),)]
+
+
+def test_form_route_divergence_is_the_min_norm_divergence_bit_for_bit():
+    for system in (oscillator(lam=0.1), quasisymmetry(bvec=("-x2", "x1", "1 + x3 + 0.3*x1"))):
+        s = dataclasses.replace(system, mode="form")
+        for p in sample_box(np.random.default_rng(11), s.domain, 10):
+            want = min_norm_divergence(s.form, s.sigma(), p)[0]
+            assert divergence(s, p).hex() == want.hex()
 
 
 def test_form_route_divergence_of_inconsistent_system_raises():
@@ -489,9 +515,9 @@ def test_generated_steps_are_bit_identical_for_every_dimension(n):
     for _ in range(20):
         x = tuple(rng.uniform(-2, 2, n))
         h = float(rng.uniform(1e-4, 0.3))
-        assert np.array(stepper("rk4", n)(f, x, h)).tobytes() == \
+        assert np.array(stepper("rk4", n)(f, x, f(x), h)).tobytes() == \
             np.array(reference_rk4_step(f, x, h)).tobytes()
-        assert np.array(stepper("rkf45", n)(f, x, h)).tobytes() == \
+        assert np.array(stepper("rkf45", n)(f, x, f(x), h)).tobytes() == \
             np.array(reference_rkf45_step(f, x, h)).tobytes()
     def staged(values):  # call i returns values[i % 6] in every component
         calls = itertools.count()
@@ -503,7 +529,8 @@ def test_generated_steps_are_bit_identical_for_every_dimension(n):
     spike = (1.0, math.inf, 1.0, 1.0, 1.0, 1.0)
     for values, x in ((zeros, (-0.0,) * n), (spike, (0.5,) * n)):
         for method, reference in (("rk4", reference_rk4_step), ("rkf45", reference_rkf45_step)):
-            got = np.array(stepper(method, n)(staged(values), x, 0.1))
+            f = staged(values)
+            got = np.array(stepper(method, n)(f, x, f(x), 0.1))
             assert got.tobytes() == np.array(reference(staged(values), x, 0.1)).tobytes()
     assert stepper("rk4", n) is stepper("rk4", n)
     for route in ("tensor", "form"):
@@ -561,6 +588,18 @@ def test_domain_fault_in_the_diagnostics_is_an_integration_error(mode):
             reference_integrate(s, (5e-4, 0.0), 0.01, 1e-3, method)
         with pytest.raises(IntegrationError, match="sqrt of negative value"):
             integrate(s, (5e-4, 0.0), t_end=0.01, dt=1e-3, method=method)
+
+
+@pytest.mark.parametrize("coefficient, hamiltonian", [
+    ("sqrt(x2)", "-x2"),  # X^1 = -sqrt(x2) faults at x0; H and div (0) do not
+    ("1", "log(x2)"),  # H faults at x0; the field (1, 0) does not
+])
+def test_a_fault_at_x0_is_an_integration_error(coefficient, hamiltonian):
+    s = SystemSpec(name="x0", n=2, k=2, hamiltonians=(ScalarField.from_text(hamiltonian, 2),),
+                   tensor=MultiVectorField(2, 2, {(1, 2): ex.parse(coefficient, 2)}))
+    for method in ("rk4", "rkf45"):
+        with pytest.raises(IntegrationError, match="of negative value|of nonpositive value"):
+            integrate(s, (0.0, -1.0), t_end=0.01, dt=1e-3, method=method)
 
 
 def test_domain_fault_in_a_stage_is_an_integration_error():

@@ -208,6 +208,10 @@ def test_a_non_finite_matrix_is_a_domain_error_before_lapack(capfd):
         Distribution.annihilating([cube]).spanning_at((1e200, 0.0, 0.0))
     with pytest.raises(EvalDomainError, match="overflow in a kernel SVD"):
         rank_wrt(FormField.constant(3, 2, {(1, 2): 1.0}), [cube], [(1e200, 0.0, 0.0)])
+    # the kernel of dx3 is finite, but the 2-form restricted to it is not
+    omega = FormField(3, 2, {(1, 2): cube.expression, (2, 3): ex.const(1.0)})
+    with pytest.raises(EvalDomainError, match=r"overflow in the restricted 2-form at \(1e\+200, "):
+        rank_wrt(omega, [ScalarField.from_text("x3", 3)], [(1e200, 0.0, 0.0)])
     assert capfd.readouterr().err == ""
 
 
