@@ -56,6 +56,7 @@ CSV_CHUNK_ROWS = 1024  # bounds the table of values behind the CSV rows
 BOX_SLACK = 1e-9  # relative widening of the domain box in ``box_test``
 FLOW_STEPS_PER_UNIT = 512  # RK4 steps per unit time of the numeric flattening flow
 VALIDATE_SAMPLES = 20  # domain samples of the closure check in ``validate``
+_EVAL_FAULTS = (EvalDomainError, ValueError, ZeroDivisionError, OverflowError)
 
 
 def sample_box(rng: np.random.Generator, box: Sequence[tuple[float, float]],
@@ -195,14 +196,18 @@ class SystemSpec:
         invariants..., div) and the integrated field X.  Tensor route:
         ``_row``, then the stage function.  Form route: ``_row``, then one
         hat-map SVD whose exact divergence closes the row and whose solution
-        is X; an inconsistent system stops there."""
+        is X; an inconsistent system stops there.  A fault in ``_row`` is
+        an ``IntegrationError`` that names the row, not the field."""
         row, field = self._row, self._compiled_eom
-        if self.mode == "tensor":
-            return lambda x: (row(x), field(x))
-        form, sigma = self.form, self.sigma()
+        form, sigma = (self.form, self.sigma()) if self.mode == "form" else (None, None)
 
         def state(x):
-            values = row(x)
+            try:
+                values = row(x)
+            except _EVAL_FAULTS as exc:
+                raise IntegrationError(f"diagnostics row evaluation failed: {exc}") from exc
+            if form is None:
+                return values, field(x)
             div, solve = min_norm_divergence(form, sigma, x)
             return values + (div,), _consistent(solve, x).x.tolist()
 
@@ -383,7 +388,9 @@ def integrate(system: SystemSpec, x0: Sequence[float], t_end: float, dt: float =
     same bit for bit.  Every accepted state, x0 included, is evaluated once
     (``SystemSpec._state``): its row of Hamiltonians, invariants and div is
     recorded, and its field is the next step's first stage, kept across an
-    RKF45 rejection.  A fault in either raises ``IntegrationError``.
+    RKF45 rejection.  A fault in either raises ``IntegrationError``: a
+    "diagnostics row" failure for the row, a "vector-field" failure for the
+    field or a stage.
     Leaving the domain box truncates the trajectory with a note (never
     extrapolates).
     """
@@ -442,7 +449,7 @@ def integrate(system: SystemSpec, x0: Sequence[float], t_end: float, dt: float =
                 h *= min(5.0, max(0.2, factor))
                 if h < 1e-14:
                     raise IntegrationError(f"step size underflow at t={t:.6g}")
-    except (EvalDomainError, ValueError, ZeroDivisionError, OverflowError) as exc:
+    except _EVAL_FAULTS as exc:
         raise IntegrationError(f"vector-field evaluation failed: {exc}") from exc
 
     table = np.array(rows)

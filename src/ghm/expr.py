@@ -28,13 +28,17 @@ One compiler.  ``compile_vector`` turns a list of expressions into one
 straight-line function with one temporary per unique node, in left-to-right
 post-order; each temporary is the single ``float`` or ``math`` operation of
 its node, so values are bit for bit those of a node-by-node evaluation.
-Owners cache their compiled function (fields on themselves, ``compile_expr``
-and ``evaluate`` on the node).  A ZeroDivisionError, ValueError or
+Code is compiled once per source shape: each constant is a parameter
+``_c<i>`` defaulting to its value, so expressions that differ only in
+constants share one source text, the key of a bounded LRU cache of code
+objects that holds no node.  Each function has its own globals and nodes.
+Owners cache their function (fields on themselves, ``compile_expr`` and
+``evaluate`` on the node).  A ZeroDivisionError, ValueError or
 OverflowError raised by the generated code is mapped through the
-traceback's line to its node and re-raised as ``EvalDomainError`` naming
-that node; the first fault in walk order is the one reported.  There is no
-numpy target: numpy's transcendental ufuncs can differ from ``math`` in the
-last ulp, which would change printed results.
+traceback's line to its function's node and re-raised as
+``EvalDomainError`` naming that node; the first fault in walk order is the
+one reported.  There is no numpy target: numpy's transcendental ufuncs can
+differ from ``math`` in the last ulp, which would change printed results.
 """
 
 from __future__ import annotations
@@ -42,11 +46,11 @@ from __future__ import annotations
 import math
 import re
 import struct
-import sys
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import CodeType, FunctionType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import EvalDomainError, ParseError
@@ -450,11 +454,7 @@ def to_str(e: Expr) -> str:
 _BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 _FAULTS = (ZeroDivisionError, ValueError, OverflowError)
 _FIRST_NODE_LINE = 3  # line 1 is the def, line 2 the try
-# CPython interns every name it compiles and drops the name with the last
-# code object using it.  Holding "t0", "t1", ... here keeps each compile from
-# adding and removing hundreds of entries in the interpreter-wide table of
-# interned strings, whose resizes would otherwise raise peak memory.
-_TEMP_NAMES: list[str] = []
+_CODE_CACHE_SIZE = 256  # distinct source shapes whose code stays compiled
 _NAMESPACE = {"_float": float, "_pow": math.pow, "_FAULTS": _FAULTS,
               **{f"_{fn}": getattr(math, fn) for fn in FUNCTIONS}}
 
@@ -481,13 +481,13 @@ def _fault(exc: Exception, nodes: Sequence) -> Exception:
     return EvalDomainError(message, "" if node is None else to_str(node))
 
 
-def _rhs(e: Expr, i: int, index: Mapping[Expr, int], namespace: dict) -> str:
-    """Source of the one operation node ``i`` performs on its operands."""
+def _rhs(e: Expr, i: int, index: Mapping[Expr, int], consts: dict[str, float]) -> str:
+    """Source of the one operation node ``i`` performs on its operands; a
+    constant becomes the parameter ``_c<i>``, added to ``consts``."""
     if isinstance(e, Const):
-        if math.isfinite(e.value):
-            return repr(e.value)
-        namespace[f"_c{i}"] = e.value
-        return f"_c{i}"
+        name = f"_c{i}"
+        consts[name] = e.value
+        return name
     if isinstance(e, Coord):
         return f"_float(x[{e.axis - 1}])"
     if isinstance(e, Param):
@@ -503,9 +503,16 @@ def _rhs(e: Expr, i: int, index: Mapping[Expr, int], namespace: dict) -> str:
     return f"t{index[e.a]} {_BINARY[type(e)]} t{index[e.b]}"
 
 
+@lru_cache(maxsize=_CODE_CACHE_SIZE)
+def _code(source: str) -> CodeType:
+    """The code of the one function ``source`` defines.  Keyed by the text
+    alone, so the cache holds no node."""
+    module = compile(source, "<ghm.expr compiled>", "exec")
+    return next(c for c in module.co_consts if isinstance(c, CodeType))
+
+
 def _compile(exprs: Sequence[Expr], scalar: bool) -> Callable:
     nodes = unique_nodes(exprs)
-    _TEMP_NAMES.extend(sys.intern(f"t{i}") for i in range(len(_TEMP_NAMES), len(nodes)))
     index = {e: i for i, e in enumerate(nodes)}
     line_nodes: list = list(nodes)  # for naming a faulting node
     if scalar:
@@ -513,14 +520,14 @@ def _compile(exprs: Sequence[Expr], scalar: bool) -> Callable:
         # strong reference back would be a cycle that only the collector frees
         line_nodes[-1] = weakref.ref(nodes[-1])
     namespace = dict(_NAMESPACE, _fault=_fault, _nodes=line_nodes)
+    consts: dict[str, float] = {}
     results = [f"t{index[e]}" for e in exprs]
-    lines = ["def _f(x):", " try:"]
-    lines += [f"  t{i} = {_rhs(e, i, index, namespace)}" for i, e in enumerate(nodes)]
+    body = [f"  t{i} = {_rhs(e, i, index, consts)}" for i, e in enumerate(nodes)]
+    lines = [f"def _f(x{''.join(', ' + name for name in consts)}):", " try:", *body]
     lines.append(f"  return {results[0]}" if scalar
                  else f"  return ({''.join(r + ',' for r in results)})")
     lines += [" except _FAULTS as exc:", "  raise _fault(exc, _nodes) from None"]
-    exec(compile("\n".join(lines), "<ghm.expr compiled>", "exec"), namespace)
-    return namespace.pop("_f")  # the function's globals must not refer back to it
+    return FunctionType(_code("\n".join(lines)), namespace, "_f", tuple(consts.values()))
 
 
 def compile_vector(exprs: Iterable[Expr]) -> Callable[[Sequence[float]], tuple]:

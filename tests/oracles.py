@@ -465,21 +465,25 @@ def reference_integrate(system, x0, t_end, dt=1e-3, method="rk4", reltol=1e-9):
 
     ham_fns = [h.compiled for h in system.hamiltonians]
     inv_fns = [h.compiled for h in system.invariants.values()]
-    times = [0.0]
-    states = [list(map(float, x0))]
-    hams = [[fn(states[0]) for fn in ham_fns]]
-    invariants = [[fn(states[0]) for fn in inv_fns]]
-    divs = [div_fn(states[0])]
+    times, states, hams, invariants, divs = [], [], [], [], []
     truncated, note, rejected = False, "", 0
 
     def record(t, x):
+        # the diagnostics row: Hamiltonians, invariants and, on the tensor
+        # route only, the symbolic div; the form route's div is the field's SVD
+        try:
+            row = ([fn(x) for fn in ham_fns], [fn(x) for fn in inv_fns],
+                   div_fn(x) if system.mode == "tensor" else None)
+        except EvalDomainError as exc:
+            raise IntegrationError(f"diagnostics row evaluation failed: {exc}") from exc
         times.append(t)
         states.append(x)
-        hams.append([fn(x) for fn in ham_fns])
-        invariants.append([fn(x) for fn in inv_fns])
-        divs.append(div_fn(x))
+        hams.append(row[0])
+        invariants.append(row[1])
+        divs.append(row[2] if system.mode == "tensor" else div_fn(x))
 
     try:
+        record(0.0, list(map(float, x0)))
         if method == "rk4":
             full = int(t_end / dt + 1e-9)
             remainder = t_end - full * dt

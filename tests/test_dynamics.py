@@ -581,12 +581,13 @@ def test_domain_fault_in_the_diagnostics_is_an_integration_error(mode):
     # the first few steps from x1 = 5e-4 leave
     bad = ScalarField.from_text("sqrt(1e-6 - x1^2)", 2, name="bad")
     s = _flat_plane(mode, {"H1": ScalarField(2, ex.Coord(2)), "bad": bad})
-    with pytest.raises(IntegrationError, match="sqrt of negative value"):
+    message = "^diagnostics row evaluation failed: sqrt of negative value"
+    with pytest.raises(IntegrationError, match=message):
         integrate(s, (5e-4, 0.0), t_end=0.01, dt=1e-3)
     for method in ("rk4", "rkf45"):
-        with pytest.raises(IntegrationError, match="sqrt of negative value"):
+        with pytest.raises(IntegrationError, match=message):
             reference_integrate(s, (5e-4, 0.0), 0.01, 1e-3, method)
-        with pytest.raises(IntegrationError, match="sqrt of negative value"):
+        with pytest.raises(IntegrationError, match=message):
             integrate(s, (5e-4, 0.0), t_end=0.01, dt=1e-3, method=method)
 
 
@@ -597,9 +598,14 @@ def test_domain_fault_in_the_diagnostics_is_an_integration_error(mode):
 def test_a_fault_at_x0_is_an_integration_error(coefficient, hamiltonian):
     s = SystemSpec(name="x0", n=2, k=2, hamiltonians=(ScalarField.from_text(hamiltonian, 2),),
                    tensor=MultiVectorField(2, 2, {(1, 2): ex.parse(coefficient, 2)}))
+    message = ("^diagnostics row evaluation failed: log of nonpositive value at node log"
+               if hamiltonian == "log(x2)"
+               else "^vector-field evaluation failed: sqrt of negative value at node sqrt")
     for method in ("rk4", "rkf45"):
-        with pytest.raises(IntegrationError, match="of negative value|of nonpositive value"):
+        with pytest.raises(IntegrationError, match=message):
             integrate(s, (0.0, -1.0), t_end=0.01, dt=1e-3, method=method)
+        with pytest.raises(IntegrationError, match=message):
+            reference_integrate(s, (0.0, -1.0), 0.01, 1e-3, method)
 
 
 def test_domain_fault_in_a_stage_is_an_integration_error():
@@ -607,5 +613,6 @@ def test_domain_fault_in_a_stage_is_an_integration_error():
     s = SystemSpec(name="sink", n=2, k=2, hamiltonians=(ScalarField.from_text("-x2", 2),),
                    tensor=MultiVectorField(2, 2, {(1, 2): ex.parse("sqrt(x1)", 2)}))
     for method in ("rk4", "rkf45"):
-        with pytest.raises(IntegrationError, match="sqrt of negative value at node sqrt"):
+        with pytest.raises(IntegrationError,
+                           match="^vector-field evaluation failed: sqrt of negative value at node sqrt"):
             integrate(s, (1e-9, 0.0), t_end=0.01, dt=1e-3, method=method)

@@ -1,4 +1,5 @@
 import math
+import struct
 from fractions import Fraction
 
 import pytest
@@ -282,3 +283,90 @@ def test_constant_folding_keeps_trees_small():
     assert evaluate(e, (5.0, 7.0)) == pytest.approx(7.0 + 5.0 + 1.0)
     assert ex.is_zero(ex.mul(Const(0.0), Coord(1)))
     assert ex.mul(Const(1.0), Coord(2)) == Coord(2)
+
+
+def _constant_family(a: str):
+    from ghm import systems
+
+    return systems.quasisymmetry(bvec=("-x2", "x1", f"1 + x3 + {a}*x1"))
+
+
+def test_systems_differing_in_constants_share_code_but_not_values():
+    first, second = _constant_family("0.2718"), _constant_family("0.3141")
+    fields = [s.bracket_field for s in (first, second)]
+    assert fields[0].compiled.__code__ is fields[1].compiled.__code__
+    assert first._row.__code__ is second._row.__code__
+    for field, a in zip(fields, ("0.2718", "0.3141")):
+        for point in ((1.0, 0.5, 0.3), (1.7, -1.2, 0.9)):
+            want = [tree_walk(e, point).hex() for e in field.components]
+            assert [v.hex() for v in field.compiled(point)] == want
+        # B vanishes at (0, 0, -1): grad|B| divides 0 by 0 in a node holding a
+        with pytest.raises(EvalDomainError) as got:
+            field.compiled((0.0, 0.0, -1.0))
+        with pytest.raises(EvalDomainError) as want:
+            [tree_walk(e, (0.0, 0.0, -1.0)) for e in field.components]
+        assert got.value.node == want.value.node and a in got.value.node
+    assert first.bracket_field.compiled((1.0, 0.5, 0.3)) != second.bracket_field.compiled(
+        (1.0, 0.5, 0.3))
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -0.0])
+def test_a_non_finite_or_signed_zero_constant_keeps_its_bits(value):
+    bits = struct.Struct("<d").pack
+    for e in (Const(value), ex.mul(Const(value), Coord(1)), ex.add(Coord(1), Const(value))):
+        for point in ((2.0,), (-0.0,), (0.0,)):
+            want = bits(tree_walk(e, point))
+            assert bits(compile_expr(e)(point)) == want
+            assert bits(ex.compile_vector([e, e])(point)[1]) == want
+
+
+def test_the_code_cache_is_bounded_and_an_evicted_shape_recompiles():
+    shapes = [ex.powc(Coord(1), k) for k in range(2, ex._CODE_CACHE_SIZE + 3)]
+    first = ex.compile_vector([shapes[0]])
+    for e in shapes[1:]:
+        ex.compile_vector([e])
+    assert ex._code.cache_info().currsize == ex._CODE_CACHE_SIZE
+    misses = ex._code.cache_info().misses
+    again = ex.compile_vector([shapes[0]])  # evicted as the least recent
+    assert ex._code.cache_info().misses == misses + 1
+    assert again.__code__ is not first.__code__
+    assert again((1.5,)) == first((1.5,)) == (1.5 ** 2,)
+
+
+def test_the_code_cache_keeps_no_node_alive():
+    import gc
+    import weakref
+
+    def shape(c, d):
+        e = ex.div(ex.call("exp", ex.mul(Const(c), Coord(3))), ex.add(Coord(2), Const(d)))
+        return [e, ex.neg(e)]
+
+    exprs = shape(0.8125, 7.25)
+    ref = weakref.ref(exprs[0])
+    fn = ex.compile_vector(exprs)
+    code = fn.__code__
+    assert fn((0.0, 1.0, 2.0))[0] == math.exp(0.8125 * 2.0) / 8.25
+    del exprs, fn
+    gc.collect()
+    assert ref() is None
+    misses = ex._code.cache_info().misses
+    again = ex.compile_vector(shape(0.5, 7.0))
+    assert again.__code__ is code and ex._code.cache_info().misses == misses
+    assert again((0.0, 1.0, 2.0)) == (math.exp(1.0) / 8.0, -(math.exp(1.0) / 8.0))
+
+
+def test_building_a_system_again_with_new_constants_compiles_nothing_new(capsys):
+    from ghm.cli import main
+
+    def build_and_check(a):
+        s = _constant_family(a)
+        s.bracket_field.compiled(s.base_point)
+        s._row(s.base_point)
+        assert main(["check", "quasisymmetry", f"--bvec=-x2;x1;1 + x3 + {a}*x1",
+                     "--samples", "3"]) == 0
+        return capsys.readouterr().out
+
+    build_and_check("0.2718")
+    misses = ex._code.cache_info().misses
+    assert "overall: PASS" in build_and_check("0.3141")
+    assert ex._code.cache_info().misses == misses
