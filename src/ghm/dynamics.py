@@ -226,7 +226,12 @@ class SystemSpec:
                     f"system {self.name!r}: form structure is not closed "
                     f"(residual {rep.max_residual:g} at {rep.argmax_point})")
         base = self.base_point or tuple((lo + hi) / 2 for lo, hi in self.domain)
-        S = self.sigma().at(base)
+        try:
+            S = self.sigma().at(base)
+        except _EVAL_FAULTS as exc:
+            raise InputError(
+                f"system {self.name!r}: Hamiltonian independence check failed "
+                f"at the base point {base}: {exc}") from exc
         if not S.max_abs() >= 1e-8:  # NaN fails
             raise InputError(
                 f"system {self.name!r}: Hamiltonian differentials are dependent "

@@ -549,18 +549,22 @@ def pullback_with_jacobian(J: np.ndarray, omega: FormValue) -> FormValue:
     """Pull a form value back through a (possibly rectangular) differential.
 
     ``J`` has shape (omega.n, n_source); the result lives on the source chart.
+    Every minor det(J[K rows, I cols]) comes from one stacked ``det`` call
+    (a 0 x 0 minor is 1.0); each coefficient then sums its terms in
+    ``omega.coeffs`` order, so the floats are those of a per-minor loop.
     """
     if J.shape[0] != omega.n:
         raise DimensionError(f"jacobian rows {J.shape[0]} != form dimension {omega.n}")
     n_src, k = int(J.shape[1]), omega.k
+    sources = increasing_indices(n_src, k)
+    rows = np.array(list(omega.coeffs), dtype=np.intp).reshape(len(omega.coeffs), k) - 1
+    cols = np.array(sources, dtype=np.intp).reshape(len(sources), k) - 1
+    dets = np.linalg.det(J[rows[:, None, :, None], cols[None, :, None, :]]).T.tolist()
     out: dict[Key, float] = {}
-    for I in increasing_indices(n_src, k):
-        cols = [i - 1 for i in I]
+    for I, minors in zip(sources, dets):
         total = 0.0
-        for K, c in omega.coeffs.items():
-            rows = [a - 1 for a in K]
-            minor = J[np.ix_(rows, cols)]
-            total += c * float(np.linalg.det(minor)) if k > 0 else c
+        for c, d in zip(omega.coeffs.values(), minors):
+            total += c * d
         if total != 0.0:
             out[I] = total
     return FormValue(n_src, k, out, _normalized=True)

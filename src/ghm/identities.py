@@ -1,7 +1,8 @@
 """Residual checkers for algebraic structure identities.
 
 Every checker samples a list of points, scans index tuples exhaustively
-(dense numpy over n^3..n^6 tuples; n <= 8 keeps this at desk scale), and
+(dense numpy over n^3..n^6 tuples, built per point from one contraction or
+outer product and its transposes; n <= 8 keeps this at desk scale), and
 reports the maximum absolute violation together with the signed value and
 location of the argmax.  Reports are exactly reproducible given the same
 point list.
@@ -119,6 +120,19 @@ def jacobi_k_residual(J: MultiVectorField,
 # Fundamental identity
 # ---------------------------------------------------------------------------
 
+def _fundamental_identity_arrays(A: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """FIa[i, j, k, v, q] and FIb[i, j, k, u, v, q] at one point, from
+    A = J and D[u, i, j, k] = d_u J^{ijk}; see fundamental_identity_residual."""
+    T = np.einsum("uab,ucde->abcde", A, D)
+    fia = (T.transpose(2, 3, 4, 0, 1) - T.transpose(2, 0, 1, 3, 4)
+           - T.transpose(1, 2, 0, 3, 4) - T)
+    P = np.multiply.outer(A, A) + 0.0
+    fib = (P + P.transpose(4, 1, 2, 3, 0, 5) + P.transpose(1, 3, 2, 0, 4, 5)
+           + P.transpose(4, 3, 2, 0, 1, 5) + P.transpose(2, 1, 3, 0, 4, 5)
+           + P.transpose(4, 1, 3, 0, 2, 5))
+    return fia, fib
+
+
 def fundamental_identity_residual(J: MultiVectorField,
                                   points: Sequence[Sequence[float]]) -> IdentityReport:
     """Exhaustive scan of the two derivative-distribution conditions for a
@@ -135,26 +149,19 @@ def fundamental_identity_residual(J: MultiVectorField,
 
         J^{ijk} J^{uvq} + J^{vjk} J^{uiq} + J^{uik} J^{jvq}
         + J^{uvk} J^{jiq} + J^{uji} J^{kvq} + J^{ujv} J^{kiq} = 0.
+
+    Per point, each FIa term is a transpose of one contraction
+    T[a, b, c, d, e] = J^{uab} d_u J^{cde}, and each FIb term a transpose of
+    one outer product P = J (x) J; the terms are summed in the order written
+    above.  P carries a ``+ 0.0`` so that a product that is -0.0 reads +0.0,
+    as it does in ``einsum``, which accumulates every product from +0.0; a
+    sum of -0.0 terms would otherwise report a zero residual as -0.0.
     """
     if J.k != 3:
         raise DimensionError("fundamental identity applies to degree-3 multivectors")
     candidates = []  # (signed, point, index, sub-identity label)
     for p in points:
-        A, D = _dense_pair(J, p)  # D[u, i, j, k]
-        fia = (
-            np.einsum("uvq,uijk->ijkvq", A, D)
-            - np.einsum("ujk,uivq->ijkvq", A, D)
-            - np.einsum("uki,ujvq->ijkvq", A, D)
-            - np.einsum("uij,ukvq->ijkvq", A, D)
-        )
-        fib = (
-            np.einsum("ijk,uvq->ijkuvq", A, A)
-            + np.einsum("vjk,uiq->ijkuvq", A, A)
-            + np.einsum("uik,jvq->ijkuvq", A, A)
-            + np.einsum("uvk,jiq->ijkuvq", A, A)
-            + np.einsum("uji,kvq->ijkuvq", A, A)
-            + np.einsum("ujv,kiq->ijkuvq", A, A)
-        )
+        fia, fib = _fundamental_identity_arrays(*_dense_pair(J, p))
         sa, ia = _argmax_signed(fia)
         sb, ib = _argmax_signed(fib)
         candidates.append((sa, tuple(p), ia, "FIa"))

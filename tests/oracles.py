@@ -684,3 +684,48 @@ def reference_divergence_in_chart(X, chart_map, u, step=1e-5):
         um[i] -= step
         total += (field_in_chart(up)[i] - field_in_chart(um)[i]) / (2 * step)
     return float(total)
+
+
+# ---------------------------------------------------------------------------
+# Loop and per-term forms of the stacked pullback and the FI kernel
+# ---------------------------------------------------------------------------
+
+def reference_pullback_with_jacobian(J, omega):
+    """The former per-minor pullback: one ``np.ix_`` minor and one ``det``
+    per (I, K) pair, summed in ``omega.coeffs`` order."""
+    import numpy as np
+    from ghm.exterior import FormValue, increasing_indices
+
+    n_src, k = int(J.shape[1]), omega.k
+    out = {}
+    for I in increasing_indices(n_src, k):
+        cols = [i - 1 for i in I]
+        total = 0.0
+        for K, c in omega.coeffs.items():
+            rows = [a - 1 for a in K]
+            minor = J[np.ix_(rows, cols)]
+            total += c * float(np.linalg.det(minor)) if k > 0 else c
+        if total != 0.0:
+            out[I] = total
+    return FormValue(n_src, k, out, _normalized=True)
+
+
+def reference_fundamental_identity_arrays(A, D):
+    """The former FI kernel: one ``einsum`` per term of FIa and FIb."""
+    import numpy as np
+
+    fia = (
+        np.einsum("uvq,uijk->ijkvq", A, D)
+        - np.einsum("ujk,uivq->ijkvq", A, D)
+        - np.einsum("uki,ujvq->ijkvq", A, D)
+        - np.einsum("uij,ukvq->ijkvq", A, D)
+    )
+    fib = (
+        np.einsum("ijk,uvq->ijkuvq", A, A)
+        + np.einsum("vjk,uiq->ijkuvq", A, A)
+        + np.einsum("uik,jvq->ijkuvq", A, A)
+        + np.einsum("uvk,jiq->ijkuvq", A, A)
+        + np.einsum("uji,kvq->ijkuvq", A, A)
+        + np.einsum("ujv,kiq->ijkuvq", A, A)
+    )
+    return fia, fib

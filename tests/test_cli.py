@@ -280,6 +280,22 @@ def test_overflowing_literal_is_a_parse_error(tmp_path):
     assert "/coefficients/1,2" in err and "offset 0" in err
 
 
+def test_a_domain_fault_in_the_independence_check_names_check_and_point(tmp_path, capsys):
+    # no base_point: the check runs at the centre of the box, where
+    # d log(x2) = dx2/x2 divides by zero; the config is usable away from x2 = 0
+    doc = {"name": "logh", "n": 2, "k": 2, "mode": "tensor", "coefficients": {"1,2": "1"},
+           "hamiltonians": ["log(x2)"], "domain": [[-1, 1], [-1, 1]]}
+    path = tmp_path / "logh.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError):
+        load_config(str(path))
+    code, out, err = run(capsys, "simulate", "--config", str(path), "--x0", "0.5,0.5",
+                         "--t-end", "1")
+    assert (code, out) == (2, "")
+    assert err == ("error: system 'logh': Hamiltonian independence check failed at the "
+                   "base point (0.0, 0.0): division by zero at node 1.0/x2\n")
+
+
 def test_config_k2_tensor_mode_checks_jacobi(tmp_path, capsys):
     path = tmp_path / "plane.json"
     path.write_text(json.dumps(dict(PLANE, mode="tensor")))

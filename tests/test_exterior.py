@@ -29,6 +29,7 @@ from ghm.exterior import (
     nan_max,
     pairing,
     pullback,
+    pullback_with_jacobian,
     sort_with_sign,
     wedge,
 )
@@ -43,6 +44,7 @@ from oracles import (
     reference_field_constant,
     reference_component,
     reference_field_wedge,
+    reference_pullback_with_jacobian,
     reference_wedge,
 )
 
@@ -356,6 +358,33 @@ def test_pullback_identity():
     w = _random_value(rng, 3, 2)
     out = pullback(phi, w, (0.1, 0.2, 0.3))
     assert (out - w).max_abs() == 0.0
+
+
+_JACOBIAN_ENTRIES = st.one_of(st.floats(-3, 3, allow_subnormal=False),
+                              st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]))
+
+
+@pytest.mark.parametrize("shape", ["any", "k=0", "k=n_src", "empty"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_stacked_pullback_is_the_per_minor_loop(shape, data):
+    # square and rectangular J (a chart pullback has n_src < n); compared by
+    # float.hex in key order, so each sum keeps its order and signed zeros
+    n = data.draw(st.integers(1, 6))
+    n_src = data.draw(st.integers(0, n))
+    k = {"k=0": 0, "k=n_src": n_src}.get(shape)
+    if k is None:
+        k = data.draw(st.integers(0, n))
+    keys = [] if shape == "empty" else data.draw(
+        st.lists(st.sampled_from(increasing_indices(n, k)), unique=True, max_size=8))
+    omega = FormValue(n, k, {key: data.draw(st.floats(-3, 3, allow_subnormal=False))
+                             for key in keys})
+    J = np.array(data.draw(st.lists(_JACOBIAN_ENTRIES, min_size=n * n_src,
+                                    max_size=n * n_src))).reshape(n, n_src)
+    got, want = pullback_with_jacobian(J, omega), reference_pullback_with_jacobian(J, omega)
+    assert (got.n, got.k) == (want.n, want.k) == (n_src, k)
+    assert [(key, type(c), float.hex(c)) for key, c in got.coeffs.items()] == \
+        [(key, type(c), float.hex(c)) for key, c in want.coeffs.items()]
 
 
 def _random_affine(rng, n):

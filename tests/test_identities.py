@@ -19,7 +19,7 @@ from ghm.identities import (
 )
 from ghm.structure import build_poisson_k
 from ghm.systems import fourdim, oscillator
-from oracles import jacobi_cyclic, reference_dense_pair
+from oracles import jacobi_cyclic, reference_dense_pair, reference_fundamental_identity_arrays
 
 
 def _fourdim_j2():
@@ -348,3 +348,40 @@ def test_a_nan_residual_is_reported_and_fails():
 def test_a_scan_needs_a_sample_point():
     with pytest.raises(InputError):
         jacobi_residual(_fourdim_j2(), [])
+
+
+def _random_n4_tensor():
+    # the random n = 4 tensor of test_fundamental_identity_matches_brute_force
+    n = 4
+    keys = list(itertools.combinations(range(1, n + 1), 3))
+    texts = ["x1*x2", "x4^2", "0.3*x3", "x1 - x4"]
+    return MultiVectorField(n, 3, {key: parse(texts[i % 4], n) for i, key in enumerate(keys)})
+
+
+@pytest.mark.parametrize("name", ["oscillator", "fourdim", "flat_nambu", "quasisymmetry",
+                                  "random-n4"])
+def test_fi_kernel_is_the_ten_einsum_formulas_bit_for_bit(name, monkeypatch):
+    # one contraction and one outer product give the per-term einsums' arrays,
+    # each signed zero included (compared as int64), and the same report
+    from ghm import identities, systems
+    from ghm.dynamics import sample_box
+
+    if name == "random-n4":
+        J, domain = _random_n4_tensor(), ((-1.0, 1.0),) * 4
+    else:
+        system = systems.build(name)
+        J, domain = system.tensor, system.domain
+    pts = [tuple(p) for p in sample_box(np.random.default_rng(12), domain, 8)]
+    for p in pts:
+        A, D = _dense_pair(J, p)
+        got, want = (identities._fundamental_identity_arrays(A, D),
+                     reference_fundamental_identity_arrays(A, D))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.array_equal(g.view(np.int64), w.view(np.int64)), (name, p)
+    rep = fundamental_identity_residual(J, pts)
+    monkeypatch.setattr(identities, "_fundamental_identity_arrays",
+                        reference_fundamental_identity_arrays)
+    ref = fundamental_identity_residual(J, pts)
+    assert rep == ref
+    assert rep.signed_at_argmax.hex() == ref.signed_at_argmax.hex()
