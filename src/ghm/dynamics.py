@@ -48,7 +48,7 @@ from .exterior import (
     nan_max,
     pullback_with_jacobian,
 )
-from .hdw import MinNorm, _hatmap_arrays, _min_norm, _report, min_norm_divergence
+from .hdw import MinNorm, _hatmap_arrays, _hatmap_system, _min_norm, _report, min_norm_divergence
 from .identities import closure_residual
 from .structure import build_w_from_omega
 
@@ -177,9 +177,8 @@ class SystemSpec:
         point it was given."""
         if self.mode == "tensor":
             return self.bracket_field.compiled
-        form, sigma = self.form, self.sigma()
-        return lambda x: _consistent(
-            _min_norm(*_hatmap_arrays(form, sigma, x)[1:], x), x).x.tolist()
+        system = _hatmap_system(self.form, self.sigma())
+        return lambda x: _consistent(_min_norm(*_hatmap_arrays(system, x)), x).x.tolist()
 
     @cached_property
     def _row(self) -> Callable[[Sequence[float]], tuple]:
@@ -220,7 +219,16 @@ class SystemSpec:
         independence of the Hamiltonian differentials at the base point."""
         if self.form is not None:
             points = sample_box(np.random.default_rng(0), self.domain, VALIDATE_SAMPLES)
-            rep = closure_residual(self.form, points)
+            try:
+                rep = closure_residual(self.form, points)
+            except _EVAL_FAULTS:
+                for p in points:  # the scan stopped at the first sample that faults
+                    try:
+                        closure_residual(self.form, [p])
+                    except _EVAL_FAULTS as exc:
+                        raise InputError(f"system {self.name!r}: closure check failed at "
+                                         f"the domain sample {p}: {exc}") from exc
+                raise
             if not rep.passes(1e-10):
                 raise InputError(
                     f"system {self.name!r}: form structure is not closed "
@@ -281,8 +289,8 @@ def vector_field_of(system: SystemSpec, point: Sequence[float], *,
     if route == "tensor":
         X = np.asarray(system.bracket_field.at(point), dtype=float)
     if route == "form" or cross_check:
-        _, A, b = _hatmap_arrays(system.form, system.sigma(), point)
-        solve = _min_norm(A, b, point)
+        A, b = _hatmap_arrays(_hatmap_system(system.form, system.sigma()), point)
+        solve = _min_norm(A, b)
     if route == "form":
         info["solve_report"] = _report(system.form, _consistent(solve, point), point)
         X = solve.x

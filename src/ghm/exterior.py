@@ -347,12 +347,9 @@ class _AltField(_Alt):
         reads +0.0, as does every absent partial."""
         slots, signs = plan
         if jet:
-            values, axes, partial_slots = self.memo("jet", _jet_plan)
-            v = values(point)
-            size = len(self.coeffs)
-            c = np.zeros((self.n + 1, size + 1))
-            c[0, :size] = v[:size]
-            c[axes, partial_slots] = v[size:]
+            values, positions = self.memo("jet", _jet_plan)
+            c = np.zeros((self.n + 1, len(self.coeffs) + 1))
+            c.put(positions, values(point))
         else:
             c = np.array(self.coefficient_values(point) + (0.0,))
         c += 0.0  # -0.0 + 0.0 is +0.0; no other value changes
@@ -366,18 +363,14 @@ class _AltField(_Alt):
 
 def _jet_plan(f: _AltField):
     """One compiled function for the coefficients, then their nonzero exact
-    partials; and the (axis, slot) of each partial, axes 1-based."""
-    exprs = list(f.coeffs.values())
-    axes, slots, partials = [], [], []
-    for slot, e in enumerate(exprs):
-        for u in range(1, f.n + 1):
-            d = ex.differentiate(e, u)
-            if not ex.is_zero(d):
-                axes.append(u)
-                slots.append(slot)
-                partials.append(d)
-    return (ex.compile_vector(exprs + partials),
-            np.array(axes, dtype=np.intp), np.array(slots, dtype=np.intp))
+    partials; and the flat position of each in ``gather``'s table, whose row
+    0 holds the values and row u the partials d/dx^u."""
+    exprs, width = list(f.coeffs.values()), len(f.coeffs) + 1
+    partials = [(u * width + slot, ex.differentiate(e, u))
+                for slot, e in enumerate(exprs) for u in range(1, f.n + 1)]
+    partials = [(position, d) for position, d in partials if not ex.is_zero(d)]
+    return (ex.compile_vector(exprs + [d for _, d in partials]),
+            np.array([*range(len(exprs)), *(position for position, _ in partials)], dtype=np.intp))
 
 
 class FormField(_AltField):

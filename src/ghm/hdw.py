@@ -1,9 +1,10 @@
 """Pointwise linear solves of iota_X w = -sigma via the hat map.
 
 The hat map sends a vector to the coefficient list of its contraction with a
-degree-k form.  Its matrix at a point has C(n, k-1) rows (one per increasing
-(k-1) multi-index, lexicographic for reproducibility) and n columns, with
-entry(row I, col j) equal to the sign-sorted full component w_{jI}.
+degree-k form.  Its matrix A at a point has C(n, k-1) rows (increasing (k-1)
+multi-indices, lexicographic) and n columns, entry (row I, col j) the
+sign-sorted full component w_{jI}.  A solve reads A and b = -sigma with one
+compiled call and one gather of the hat-map system of (w, sigma).
 """
 
 from __future__ import annotations
@@ -50,36 +51,43 @@ class HatMapMatrix:
     matrix: np.ndarray  # shape (C(n, k-1), n)
 
 
-def _hatmap_plan(w: FormField):
-    rows = tuple(increasing_indices(w.n, w.k - 1))
-    return rows, w.gather_plan((j,) + I for I in rows for j in range(1, w.n + 1))
-
-
-def _hatmap_arrays(w: FormField, sigma: FormField | None, point: Sequence[float],
-                   jet: bool = False):
-    """(rows, A, b): the hat-map rows, the matrix with entry (row I, col j) the
-    component w_{jI}, and the right-hand side -sigma_I over the rows, None
-    without sigma.  With ``jet``, A and b gain a leading axis: row 0 holds
-    the values and row u the exact partials d/dx^u.  Each field's index plan
-    is built once."""
+def _hatmap_system(w: FormField, sigma: FormField | None):
+    """(rows, both, plan, eye) of iota_X w = -sigma, memoized on w per sigma object.
+    ``both`` holds w's coefficients, then sigma's (keys of degree k, then k-1),
+    for one compiled function and one jet; ``plan`` gathers A, then b = -sigma,
+    which reads zeros without sigma."""
     if sigma is not None and (sigma.k != w.k - 1 or sigma.n != w.n):
         raise DimensionError(
             f"sigma must have degree k-1={w.k - 1} on n={w.n}, got ({sigma.n}, {sigma.k})")
     if w.k < 2:
         raise DimensionError("hat map needs a form of degree >= 2")
-    rows, plan = w.memo("hatmap", _hatmap_plan)
-    A = w.gather(plan, point, jet)
-    A = A.reshape(A.shape[:-1] + (len(rows), w.n))
-    if sigma is None:
-        return rows, A, None
-    rhs = sigma.memo("hatmap_rhs", lambda f: f.gather_plan(increasing_indices(f.n, f.k)))
-    return rows, A, -sigma.gather(rhs, point, jet)
+
+    def build(w):
+        rows = tuple(increasing_indices(w.n, w.k - 1))
+        coeffs = w.coeffs if sigma is None else {**w.coeffs, **sigma.coeffs}
+        both = FormField(w.n, w.k, coeffs, _normalized=True)  # no cycle back to w
+        plan = both.gather_plan([(j, *I) for I in rows for j in range(1, w.n + 1)] + [*rows])
+        plan[1][len(rows) * w.n:] *= -1.0
+        return rows, both, plan, np.eye(w.n)
+    return w.memo(("hatmap", sigma), build)
+
+
+def _hatmap_arrays(system: tuple, point: Sequence[float], jet: bool = False):
+    """(A, b) at ``point`` from one gather: A[I, j] = w_{jI}, b[I] = -sigma_I.
+    With ``jet`` both gain a leading axis, row u holding d/dx^u, copied C-order
+    for the batched products.  A non-finite value (not partial) raises EvalDomainError."""
+    rows, both, plan, _ = system
+    g = both.gather(plan, point, jet)
+    if not np.isfinite(g[0] if jet else g).all():
+        raise EvalDomainError(f"floating-point overflow in the hat-map solve at {tuple(point)}")
+    A, b = g[..., :-len(rows)].reshape(g.shape[:-1] + (len(rows), both.n)), g[..., -len(rows):]
+    return (np.ascontiguousarray(A), np.ascontiguousarray(b)) if jet else (A, b)
 
 
 def assemble_hatmap(w: FormField, point: Sequence[float]) -> HatMapMatrix:
     """Entry (row I, col j) is the component w_{jI}."""
-    rows, A, _ = _hatmap_arrays(w, None, point)
-    return HatMapMatrix(w.n, w.k, rows, A)
+    rows, both, plan, _ = _hatmap_system(w, None)
+    return HatMapMatrix(w.n, w.k, rows, both.gather(plan, point)[:-len(rows)].reshape(-1, w.n))
 
 
 @dataclass(frozen=True)
@@ -114,13 +122,9 @@ class MinNorm(NamedTuple):
     Vt: np.ndarray
 
 
-def _min_norm(A: np.ndarray, b: np.ndarray, point: Sequence[float],
-              tolerance: float = TOLERANCE) -> MinNorm:
-    """The one solve of the hat-map system A x = b gathered at ``point``.  A
-    non-finite A or b raises ``EvalDomainError`` before LAPACK sees it; an
-    overflow after the SVD leaves inf or NaN for the callers' checks."""
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
-        raise EvalDomainError(f"floating-point overflow in the hat-map solve at {tuple(point)}")
+def _min_norm(A: np.ndarray, b: np.ndarray, tolerance: float = TOLERANCE) -> MinNorm:
+    """The one solve of a hat-map system A x = b that ``_hatmap_arrays`` found
+    finite; an overflow after the SVD leaves inf or NaN for the callers' checks."""
     U, sv, Vt = np.linalg.svd(A, full_matrices=False)
     rank = numerical_rank(sv)
     sv, Vt = sv[:rank], Vt[:rank]
@@ -141,8 +145,8 @@ def solve_hdw(w: FormField, sigma: FormField, point: Sequence[float],
     the residual is within tolerance * (1 + |sigma|).  A hat map, residual
     or solution that is not finite raises ``EvalDomainError``.
     """
-    _, A, b = _hatmap_arrays(w, sigma, point)
-    return _report(w, _min_norm(A, b, point, tolerance), point, tolerance)
+    A, b = _hatmap_arrays(_hatmap_system(w, sigma), point)
+    return _report(w, _min_norm(A, b, tolerance), point, tolerance)
 
 
 def _report(w: FormField, solve: MinNorm, point: Sequence[float],
@@ -168,15 +172,17 @@ def min_norm_divergence(w: FormField, sigma: FormField,
 
         dX = A^+ (db - dA X) + A^+ A^+T dA^T r + (I - A^+ A) dA^T A^+T X,
 
-    and div X is the trace of dX over the coordinate axes.  The solve uses
-    the default ``TOLERANCE``, as the RK stages do.
+    and div X is the trace of dX over the coordinate axes, with A, b and their
+    partials from one gather of the system's jet.  The solve uses the default
+    ``TOLERANCE``, as the RK stages do.
     """
-    _, A, b = _hatmap_arrays(w, sigma, point, jet=True)
-    solve = _min_norm(A[0], b[0], point)
-    X, pinv, sv, Vt, dA = solve.x, solve.pinv, solve.sv, solve.Vt, A[1:]
-    div = (np.sum(pinv * (b[1:] - dA @ X))
-           + np.sum(((Vt.T / sv ** 2) @ Vt) * (solve.r @ dA))
-           + np.sum((np.eye(w.n) - Vt.T @ Vt) * ((pinv.T @ X) @ dA)))
+    system = _hatmap_system(w, sigma)
+    A, b = _hatmap_arrays(system, point, jet=True)
+    solve = _min_norm(A[0], b[0])
+    X, pinv, sv, Vt, dA, eye = solve.x, solve.pinv, solve.sv, solve.Vt, A[1:], system[3]
+    div = ((pinv * (b[1:] - dA @ X)).sum()
+           + (((Vt.T / sv ** 2) @ Vt) * (solve.r @ dA)).sum()
+           + ((eye - Vt.T @ Vt) * ((pinv.T @ X) @ dA)).sum())
     return float(div), solve
 
 

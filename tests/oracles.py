@@ -616,6 +616,18 @@ def reference_hatmap(w, sigma, point, jet=False):
     return A, b
 
 
+def reference_two_gathers(w, sigma, point, jet=False):
+    """(A, b) of the hat-map system read the former way: one gather of w
+    over the (j, I) index tuples and one of sigma over the rows I, each
+    through the field's own compiled function, then b negated."""
+    from ghm.exterior import increasing_indices
+
+    rows = tuple(increasing_indices(w.n, w.k - 1))
+    A = w.gather(w.gather_plan((j,) + I for I in rows for j in range(1, w.n + 1)), point, jet)
+    A = A.reshape(A.shape[:-1] + (len(rows), w.n))
+    return A, -sigma.gather(sigma.gather_plan(rows), point, jet)
+
+
 def reference_dense_pair(J, point):
     """The former scatter of each coefficient onto every permutation of its
     key: A = J and D = dJ at a point, from np.zeros."""

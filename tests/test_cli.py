@@ -296,6 +296,20 @@ def test_a_domain_fault_in_the_independence_check_names_check_and_point(tmp_path
                    "base point (0.0, 0.0): division by zero at node 1.0/x2\n")
 
 
+def test_a_domain_fault_in_the_closure_check_names_check_and_sample(tmp_path, capsys):
+    # d(sqrt(x3) dx1^dx2) holds 1/sqrt(x3), which faults at the first domain
+    # sample with x3 < 0; the base point itself is fine
+    doc = {"name": "sqrtw", "n": 3, "k": 2, "mode": "form", "coefficients": {"1,2": "sqrt(x3)"},
+           "hamiltonians": ["x1"], "domain": [[-1, 1]] * 3, "base_point": [0.5, 0.5, 0.5]}
+    path = tmp_path / "sqrtw.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: system 'sqrtw': closure check failed at the domain sample "
+                   "(0.2739233746429086, -0.4604265724722594, -0.9180529521276106): "
+                   "sqrt of negative value at node sqrt(x3)\n")
+
+
 def test_config_k2_tensor_mode_checks_jacobi(tmp_path, capsys):
     path = tmp_path / "plane.json"
     path.write_text(json.dumps(dict(PLANE, mode="tensor")))
@@ -627,6 +641,21 @@ def test_an_overflowed_hatmap_exits_2_with_one_error_line(point):
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1
     assert err.startswith("error: floating-point overflow in the hat-map solve at (0.0, ")
+
+
+@pytest.mark.parametrize("coefficient, hamiltonian", [("1 + x1*x1*x1", "x2"), ("1", "x1*x1*x1")])
+def test_a_non_finite_hatmap_entry_while_integrating_exits_3(tmp_path, capfd, coefficient,
+                                                             hamiltonian):
+    # at x1 = 1e200 only A (the first case) or only b = -dH (the second) is inf
+    doc = {"name": "cube", "n": 2, "k": 2, "mode": "form", "coefficients": {"1,2": coefficient},
+           "hamiltonians": [hamiltonian], "domain": [[-1e201, 1e201], [-1, 1]],
+           "base_point": [1, 0]}
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps(doc))
+    code = main(["simulate", "--config", str(path), "--x0=1e200,0", "--t-end", "0.01"])
+    assert (code, capfd.readouterr()) == (3, ("", "integration failure: vector-field evaluation "
+                                              "failed: floating-point overflow in the hat-map "
+                                              "solve at (1e+200, 0.0)\n"))
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -29,7 +29,7 @@ from ghm.dynamics import (
     vector_field_of,
     verify_flattening,
 )
-from ghm.hdw import min_norm_divergence
+from ghm.hdw import min_norm_divergence, solve_hdw
 from ghm.systems import (
     build_moser,
     flat_nambu,
@@ -263,6 +263,30 @@ def test_a_tensor_state_compiles_its_divergence_once(monkeypatch):
     assert divergence(s, s.base_point) == traj.divergences[0]
     row = tuple(h.expression for h in (*s.hamiltonians, *s.invariants.values()))
     assert compiled == [s.bracket_field.components, row + (s.bracket_field.divergence_expr(),)]
+
+
+def test_a_form_state_compiles_its_hatmap_system_once(monkeypatch):
+    # integrate, divergence and solve_hdw compile three bundles on a fresh
+    # form-route spec: the row, the hat-map system's jet (x0's state) and its
+    # values (the stages): w's coefficients, then sigma's, the jet followed by
+    # their nonzero partials; no per-field function of w or sigma
+    s = dataclasses.replace(oscillator(lam=0.1), mode="form")
+    compile_, compiled = ex._compile, []
+
+    def counted(exprs, scalar):
+        compiled.append(exprs)
+        return compile_(exprs, scalar)
+
+    monkeypatch.setattr(ex, "_compile", counted)
+    traj = integrate(s, s.base_point, t_end=0.01, dt=1e-3)
+    assert divergence(s, s.base_point) == traj.divergences[0]
+    solve_hdw(s.form, s.sigma(), s.base_point)  # the simulate note's solve: the same system
+    both = (*s.form.coeffs.values(), *s.sigma().coeffs.values())
+    row = tuple(h.expression for h in (*s.hamiltonians, *s.invariants.values()))
+    partials = tuple(d for e in both for u in range(1, s.n + 1)
+                     if not ex.is_zero(d := ex.differentiate(e, u)))
+    assert compiled == [row, both + partials, both]
+    assert not (s.form._memo.keys() | s.sigma()._memo.keys()) & {"values", "jet"}
 
 
 def test_form_route_divergence_is_the_min_norm_divergence_bit_for_bit():

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ghm.expr as ex
 from ghm.errors import DimensionError, EvalDomainError
@@ -10,6 +11,7 @@ from ghm.expr import ScalarField, parse
 from ghm.exterior import FormField, grad_field, wedge
 from ghm.hdw import (
     _hatmap_arrays,
+    _hatmap_system,
     assemble_hatmap,
     kernel_basis,
     min_norm_divergence,
@@ -265,12 +267,12 @@ def test_hatmap_jet_is_the_hatmap_system():
                          (2, 3): parse("x3", 3)})
     sigma = FormField(3, 1, {(1,): parse("-x2", 3), (3,): parse("x1 + x3^2", 3)})
     p = (0.0, 0.0, 0.5)
-    _, A, b = _hatmap_arrays(w, sigma, p, jet=True)
+    A, b = _hatmap_arrays(_hatmap_system(w, sigma), p, jet=True)
     A, b, dA, db = A[0], b[0], A[1:], b[1:]
     hat = assemble_hatmap(w, p)
 
     def rhs(point):
-        return _hatmap_arrays(w, sigma, point)[2]
+        return _hatmap_arrays(_hatmap_system(w, sigma), point)[1]
 
     assert A.tobytes() == hat.matrix.tobytes()
     assert b.tobytes() == rhs(p).tobytes()
@@ -303,13 +305,109 @@ def test_hatmap_arrays_are_the_former_layout_byte_for_byte():
         w, sigma = system.form, system.sigma()
         for p in sample_box(np.random.default_rng(3), system.domain, 25):
             for jet in (False, True):
-                _, A, b = _hatmap_arrays(w, sigma, p, jet)
+                A, b = _hatmap_arrays(_hatmap_system(w, sigma), p, jet)
                 ref_A, ref_b = reference_hatmap(w, sigma, p, jet)
                 assert A.flags.c_contiguous and b.flags.c_contiguous
                 assert A.shape == ref_A.shape and b.shape == ref_b.shape
                 assert A.tobytes() == ref_A.tobytes(), (system.name, p, jet)
                 assert b.tobytes() == ref_b.tobytes(), (system.name, p, jet)
             assert assemble_hatmap(w, p).matrix.tobytes() == A[0].tobytes()
+
+
+def _bits(a):
+    return a.shape, np.ascontiguousarray(a).view(np.int64).tolist()
+
+
+def _assert_one_gather_is_two(w, sigma, points):
+    from oracles import reference_two_gathers
+
+    system = _hatmap_system(w, sigma)
+    for p in points:
+        for jet in (False, True):
+            A, b = _hatmap_arrays(system, p, jet)
+            ref_A, ref_b = reference_two_gathers(w, sigma, p, jet)
+            assert _bits(A) == _bits(ref_A), (p, jet)
+            assert _bits(b) == _bits(ref_b), (p, jet)
+
+
+@pytest.mark.parametrize("name", ["oscillator_form", "fourdim_form", "flat_nambu", "quasisymmetry"])
+def test_one_gather_is_the_two_per_field_gathers_bit_for_bit(name):
+    from ghm import systems
+    from ghm.cli import load_config
+    from ghm.dynamics import sample_box
+
+    if name.endswith("_form"):
+        system = load_config(str(CONFIGS / f"{name}.json"))
+    else:
+        system = systems.build(name, **({"n": 4, "k": 3} if name == "flat_nambu" else {}))
+    points = sample_box(np.random.default_rng(13), system.domain, 20)
+    _assert_one_gather_is_two(system.form, system.sigma(), points)
+
+
+# -x1 and x1*x2 give -0.0 at signed-zero coordinates, and so do their partials
+_COEFFICIENTS = ("-x1", "x1*x2", "1 - x2", "-x1*x2 + 3", "x2^3", "2")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_one_gather_is_the_two_per_field_gathers_on_drawn_forms(data):
+    # absent keys, keys given in odd order (the field negates them), empty
+    # forms, and points with signed zeros
+    n = data.draw(st.integers(2, 5), label="n")
+    k = data.draw(st.integers(2, n), label="k")
+
+    def form(degree):
+        coeffs = {}
+        for key in itertools.combinations(range(1, n + 1), degree):
+            if data.draw(st.booleans()):
+                order = tuple(data.draw(st.permutations(key)))
+                coeffs[order] = parse(data.draw(st.sampled_from(_COEFFICIENTS)), n)
+        return FormField(n, degree, coeffs)
+
+    w, sigma = form(k), form(k - 1)
+    coordinate = st.sampled_from((0.0, -0.0, 0.5, -1.25, 3.0))
+    points = [tuple(data.draw(st.lists(coordinate, min_size=n, max_size=n))) for _ in range(2)]
+    _assert_one_gather_is_two(w, sigma, points)
+    _assert_one_gather_is_two(w, form(k - 1), points)  # one system per sigma on the same w
+
+
+@pytest.mark.parametrize("where", ["A", "b"])
+def test_a_non_finite_entry_of_a_or_of_b_alone_stops_before_lapack(where, capfd, monkeypatch):
+    # x1*x1*x1 overflows to inf at x1 = 1e200: in w, only A holds it; in H,
+    # only b = -dH does
+    from oracles import reference_two_gathers
+
+    cube = ScalarField.from_text("x1*x1*x1", 2)
+    if where == "A":
+        w = FormField(2, 2, {(1, 2): cube.expression})
+        sigma = grad_field(ScalarField.from_text("x2", 2))
+    else:
+        w, sigma = FormField.constant(2, 2, {(1, 2): 1.0}), grad_field(cube)
+    p = (1e200, 0.0)
+    A, b = reference_two_gathers(w, sigma, p)
+    assert (np.isfinite(A).all(), np.isfinite(b).all()) == (where == "b", where == "A")
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("the SVD ran on a non-finite hat map")
+
+    monkeypatch.setattr(np.linalg, "svd", no_lapack)
+    with pytest.raises(EvalDomainError, match=r"overflow in the hat-map solve at \(1e\+200, 0\.0\)"):
+        solve_hdw(w, sigma, p)
+    with pytest.raises(EvalDomainError, match=r"overflow in the hat-map solve at \(1e\+200, 0\.0\)"):
+        min_norm_divergence(w, sigma, p)
+    assert capfd.readouterr() == ("", "")
+
+
+def test_the_finiteness_check_reads_values_not_partials():
+    # at x1 = 1e-160, w = dx1^dx2 / x1 is 1e160 but its partial -1/x1^2 is
+    # -inf: the solve runs, as before the one gather, and the div is not finite
+    w = FormField(2, 2, {(1, 2): parse("1/x1", 2)})
+    sigma = grad_field(ScalarField.from_text("x2", 2))
+    p = (1e-160, 0.0)
+    with np.errstate(all="ignore"):
+        div, solve = min_norm_divergence(w, sigma, p)
+    assert not np.isfinite(div)
+    assert solve.x.tolist() == list(solve_hdw(w, sigma, p).x) == [-1e-160, 0.0]
 
 
 def test_the_svd_solve_is_the_former_lstsq_solve():
@@ -324,7 +422,7 @@ def test_the_svd_solve_is_the_former_lstsq_solve():
         w, sigma = system.form, system.sigma()
         for p in sample_box(np.random.default_rng(9), system.domain, 200):
             rep = solve_hdw(w, sigma, p)
-            _, A, b = _hatmap_arrays(w, sigma, p)
+            A, b = _hatmap_arrays(_hatmap_system(w, sigma), p)
             x, residual, consistent, rank = reference_min_norm_solve(A, b)
             assert (rep.kernel_dim, rep.consistent) == (w.n - rank, consistent), (system.name, p)
             assert np.linalg.norm(np.subtract(rep.x, x)) <= 1e-14 * np.linalg.norm(x), \
