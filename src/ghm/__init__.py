@@ -24,8 +24,7 @@ from .exterior import (
     VectorField,
     exterior_derivative,
     hdw_vs_bracket_sign,
-    interior_by_form,
-    interior_by_multivector,
+    interior,
     interior_form,
     interior_vector,
     inverse_law_sign,

@@ -164,7 +164,7 @@ def load_config(path: str) -> SystemSpec:
         name=name, n=n, k=k, hamiltonians=tuple(hams), mode=mode,
         form=FormField(n, k, coeffs) if mode == "form" else None, tensor=tensor,
         reduced_tensor=tensor if k == 2 else None,
-        domain=domain, aliases=aliases_t, base_point=base_t,
+        domain=domain, base_point=base_t,
     )
     system.validate()
     return system

@@ -43,7 +43,7 @@ from .exterior import (
     VectorField,
     grad_field,
     hdw_vs_bracket_sign,
-    interior_form_field,
+    iterated_interior,
     lie_derivative,
     nan_max,
     pullback_with_jacobian,
@@ -122,7 +122,6 @@ class SystemSpec:
     form_hamiltonians: tuple[ScalarField, ...] | None = None
     mode: str = "tensor"  # route generating the equations of motion
     domain: tuple[tuple[float, float], ...] = ()
-    aliases: tuple[str, ...] | None = None
     base_point: tuple[float, ...] | None = None
     invariants: Mapping[str, ScalarField] = dc_field(default_factory=dict)
     measure_weight: ScalarField | None = None
@@ -164,9 +163,7 @@ class SystemSpec:
         """Symbolic tensor-route field -iota_{dH^1}...iota_{dH^{k-1}} J."""
         if self.tensor is None:
             raise InputError(f"system {self.name!r} has no tensor structure")
-        T = self.tensor
-        for h in reversed(self.hamiltonians):
-            T = interior_form_field(grad_field(h), T)
+        T = iterated_interior(self.hamiltonians, self.tensor)
         comps = tuple(ex.neg(T.coeffs.get((i,), ex.ZERO)) for i in range(1, self.n + 1))
         return VectorField(self.n, comps)
 
@@ -265,7 +262,7 @@ def divergence(system: SystemSpec, point: Sequence[float]) -> float:
         return float(system._row(p)[-1])
     div, solve = min_norm_divergence(system.form, system.sigma(), p)
     _consistent(solve, p)
-    return float(div)
+    return div
 
 
 def vector_field_of(system: SystemSpec, point: Sequence[float], *,

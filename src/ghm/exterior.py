@@ -18,6 +18,12 @@ a decomposable element act first-factor-first:
     iota_{J_1 ^ ... ^ J_m} w      = iota_{J_m} ... iota_{J_1} w
     iota_{a^1 ^ ... ^ a^m} T      = iota_{a^m} ... iota_{a^1} T
 
+``interior`` is that kernel for values and fields alike, as ``wedge`` is for
+the product.  It loops over the target's keys first and, within each, over
+the contracting keys, so a field result's keys and interned nodes come in the
+target's order.  ``iterated_interior`` contracts by exact differentials
+df^1..df^m, the rightmost first.
+
 Consequences used throughout (``k`` is the degree of the form/multivector):
 
     <dx^I, d_I>                         = +1           (pairing, all k)
@@ -214,65 +220,53 @@ class MultiVectorValue(_AltValue):
     """Contravariant degree-k value (pointwise multivector)."""
 
 
-def pairing(J: MultiVectorValue, w: FormValue) -> float:
-    """<d_I, dx^J> pairing extended bilinearly; equal degrees required."""
-    if J.n != w.n or J.k != w.k:
-        raise DimensionError("pairing requires equal n and k")
-    small, large = (J.coeffs, w.coeffs) if len(J.coeffs) <= len(w.coeffs) else (w.coeffs, J.coeffs)
-    return sum(c * large.get(key, 0.0) for key, c in small.items())
-
-
-def _interior(by: _AltValue, target: _AltValue) -> _AltValue:
-    """iota_by target, the one value kernel: each key of ``by`` contracts its
-    axes one at a time, first axis first, each with its slot sign.  Terms
-    c * (+-v) accumulate by-key-major into one dict; exact zeros drop out."""
+def interior(by: _Alt, target: _Alt) -> _Alt:
+    """iota_by target, the one contraction kernel over either ring: for each
+    key of ``target``, each key of ``by`` removes its axes one at a time,
+    first axis first, each with its slot sign, and adds ``mul(c, v)``
+    (negated on an odd sign) to the remaining key."""
     if by.n != target.n:
         raise DimensionError("dimension mismatch")
     if by.k > target.k:
         raise DimensionError(f"contraction degree {by.k} exceeds degree {target.k}")
-    out: dict[Key, float] = {}
-    for by_key, c in by.coeffs.items():
-        for key, v in target.coeffs.items():
-            rest, sign = key, 1.0
+    zero, neg, add, mul = target._zero, target._neg, target._add, target._mul
+    out: dict = {}
+    for key, v in target.coeffs.items():
+        for by_key, c in by.coeffs.items():
+            rest, odd = key, 0
             for axis in by_key:
                 if axis not in rest:
                     break
                 pos = rest.index(axis)
                 rest = rest[:pos] + rest[pos + 1:]
-                sign = -sign if pos % 2 else sign
+                odd ^= pos & 1
             else:
-                total = out.get(rest, 0.0) + c * (sign * v)
-                if total != 0.0:
-                    out[rest] = total
-                else:
-                    out.pop(rest, None)
+                term = mul(c, v)
+                out[rest] = add(out.get(rest, zero), neg(term) if odd else term)
     return type(target)(target.n, target.k - by.k, out, _normalized=True)
+
+
+def pairing(J: MultiVectorValue, w: FormValue) -> float:
+    """<d_I, dx^J> pairing extended bilinearly; equal degrees required."""
+    if J.n != w.n or J.k != w.k:
+        raise DimensionError("pairing requires equal n and k")
+    return interior(J, w).coeffs.get((), 0.0)
 
 
 def interior_vector(X: Sequence[float], w: FormValue) -> FormValue:
     """iota_X w for a vector of components X^1..X^n."""
     if len(X) != w.n:
         raise DimensionError(f"vector length {len(X)} != n={w.n}")
-    return _interior(MultiVectorValue(w.n, 1, {(j,): x for j, x in enumerate(X, start=1)},
-                                      _normalized=True), w)
+    return interior(MultiVectorValue(w.n, 1, {(j,): x for j, x in enumerate(X, start=1)},
+                                     _normalized=True), w)
 
 
 def interior_form(alpha: Sequence[float], J: MultiVectorValue) -> MultiVectorValue:
     """iota_alpha J for a 1-form of components alpha_1..alpha_n."""
     if len(alpha) != J.n:
         raise DimensionError(f"covector length {len(alpha)} != n={J.n}")
-    return _interior(FormValue(J.n, 1, {(j,): a for j, a in enumerate(alpha, start=1)},
-                               _normalized=True), J)
-
-
-def interior_by_form(w: FormValue, J: MultiVectorValue) -> MultiVectorValue:
-    """iota_w J: iterated single contractions, first wedge factor first."""
-    return _interior(w, J)
-
-
-def interior_by_multivector(J: MultiVectorValue, w: FormValue) -> FormValue:
-    """iota_J w: iterated single contractions, first wedge factor first."""
-    return _interior(J, w)
+    return interior(FormValue(J.n, 1, {(j,): a for j, a in enumerate(alpha, start=1)},
+                              _normalized=True), J)
 
 
 def inverse_law_sign(k: int) -> int:
@@ -407,7 +401,8 @@ class VectorField:
 
     def as_multivector(self) -> MultiVectorField:
         return MultiVectorField(self.n, 1,
-                                {(i,): c for i, c in enumerate(self.components, start=1)})
+                                {(i,): c for i, c in enumerate(self.components, start=1)},
+                                _normalized=True)
 
     def scale(self, factor: Expr | float) -> "VectorField":
         f = ex.const(factor) if isinstance(factor, (int, float)) else factor
@@ -443,39 +438,25 @@ def exterior_derivative(w: FormField) -> FormField:
     return FormField(w.n, w.k + 1, out, _normalized=True)
 
 
-def _interior_field(comps: Sequence[Expr], T: _AltField) -> _AltField:
-    """iota T by the degree-1 field with components comps[0..n-1]: the field
-    twin of ``_interior``, one interned term per (key, slot)."""
-    if len(comps) != T.n:
-        raise DimensionError("dimension mismatch")
-    out: dict[Key, Expr] = {}
-    for key, e in T.coeffs.items():
-        for pos, axis in enumerate(key):
-            comp = comps[axis - 1]
-            if ex.is_zero(comp):
-                continue
-            term = ex.mul(comp, e)
-            rest = key[:pos] + key[pos + 1:]
-            out[rest] = ex.add(out.get(rest, ex.ZERO), ex.neg(term) if pos % 2 else term)
-    return type(T)(T.n, T.k - 1, out, _normalized=True)
-
-
 def interior_vector_field(X: VectorField, w: FormField) -> FormField:
     """iota_X w with expression coefficients."""
-    return _interior_field(X.components, w)
+    return interior(X.as_multivector(), w)
 
 
-def interior_form_field(alpha: FormField, T: MultiVectorField) -> MultiVectorField:
-    """iota_alpha T for a 1-form field against a multivector field."""
-    if alpha.k != 1:
-        raise DimensionError("interior_form_field needs a 1-form")
-    return _interior_field([alpha.coeffs.get((i,), ex.ZERO) for i in range(1, alpha.n + 1)], T)
+interior_form_field = interior  # an older name, still called by bench/layers.py
+
+
+def iterated_interior(fs: Sequence[ScalarField], T: _Alt) -> _Alt:
+    """iota_{df^1} ... iota_{df^m} T, the rightmost contraction first."""
+    for f in reversed(fs):
+        T = interior(grad_field(f), T)
+    return T
 
 
 def lie_derivative(X: VectorField, w: FormField) -> FormField:
     """Cartan's formula L_X w = d(iota_X w) + iota_X (dw), all symbolic."""
-    return exterior_derivative(interior_vector_field(X, w)) + \
-        interior_vector_field(X, exterior_derivative(w))
+    by = X.as_multivector()
+    return exterior_derivative(interior(by, w)) + interior(by, exterior_derivative(w))
 
 
 # ---------------------------------------------------------------------------

@@ -174,16 +174,20 @@ def min_norm_divergence(w: FormField, sigma: FormField,
 
     and div X is the trace of dX over the coordinate axes, with A, b and their
     partials from one gather of the system's jet.  The solve uses the default
-    ``TOLERANCE``, as the RK stages do.
+    ``TOLERANCE``, as the RK stages do.  A divergence that is not finite
+    raises ``EvalDomainError``.
     """
     system = _hatmap_system(w, sigma)
     A, b = _hatmap_arrays(system, point, jet=True)
     solve = _min_norm(A[0], b[0])
     X, pinv, sv, Vt, dA, eye = solve.x, solve.pinv, solve.sv, solve.Vt, A[1:], system[3]
-    div = ((pinv * (b[1:] - dA @ X)).sum()
-           + (((Vt.T / sv ** 2) @ Vt) * (solve.r @ dA)).sum()
-           + ((eye - Vt.T @ Vt) * ((pinv.T @ X) @ dA)).sum())
-    return float(div), solve
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        div = float((pinv * (b[1:] - dA @ X)).sum()
+                    + (((Vt.T / sv ** 2) @ Vt) * (solve.r @ dA)).sum()
+                    + ((eye - Vt.T @ Vt) * ((pinv.T @ X) @ dA)).sum())
+    if not math.isfinite(div):
+        raise EvalDomainError(f"floating-point overflow in the hat-map divergence at {tuple(point)}")
+    return div, solve
 
 
 def _null_space(M: np.ndarray, point: Sequence[float]) -> np.ndarray:

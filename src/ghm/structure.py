@@ -24,11 +24,10 @@ from .exterior import (
     PointMap,
     VectorField,
     grad_field,
-    interior_by_form,
-    interior_form_field,
+    interior,
     interior_vector,
-    interior_vector_field,
     inverse_law_sign,
+    iterated_interior,
     nan_max,
     pullback_with_jacobian,
     wedge,
@@ -81,7 +80,7 @@ class Distribution:
 def _inverse_defect(w: FormField, J: MultiVectorField, Y: np.ndarray,
                     point: Sequence[float], sign: int) -> float:
     contracted = interior_vector(Y, w.at(point))
-    recovered = interior_by_form(contracted, J.at(point))
+    recovered = interior(contracted, J.at(point))
     vec = np.array([recovered.component((i,)) for i in range(1, w.n + 1)])
     return float(np.linalg.norm(sign * vec - Y))
 
@@ -137,7 +136,7 @@ def build_poisson_k(J2: MultiVectorField, Cs: Sequence[ScalarField],
     if points:
         _check_duality(ns, Cs, points)
         for j, Cj in enumerate(Cs):
-            kerfield = interior_form_field(grad_field(Cj), J2)
+            kerfield = interior(grad_field(Cj), J2)
             for p in points:
                 V = kerfield.at(p)
                 if not V.max_abs() <= DUALITY_TOL:  # NaN fails
@@ -153,10 +152,7 @@ def reduce_k_to_2(J: MultiVectorField, Cs: Sequence[ScalarField]) -> MultiVector
     """iota_{dC^1} ... iota_{dC^{k-2}} J (rightmost contraction first)."""
     if len(Cs) != J.k - 2:
         raise DimensionError(f"need k-2={J.k - 2} constraints, got {len(Cs)}")
-    out = J
-    for C in reversed(Cs):
-        out = interior_form_field(grad_field(C), out)
-    return out
+    return iterated_interior(Cs, J)
 
 
 def build_w_from_omega(omega: FormField, Cs: Sequence[ScalarField]) -> FormField:
@@ -179,7 +175,7 @@ def extract_omega(w: FormField, ns: Sequence[VectorField],
         _check_duality(ns, Cs, points)
     out = w
     for ni in ns:
-        out = interior_vector_field(ni, out)
+        out = interior(ni.as_multivector(), out)
     return out
 
 
@@ -334,13 +330,6 @@ class LevelSetChart:
                 continue
             out[tuple(axis_map[a] for a in key)] = convert(e)
         return FormField(nr, f.k, out)
-
-
-def restrict_to_level_set(chart: LevelSetChart, f: ScalarField | FormField):
-    """Exact restriction to the level set for coordinate constraints; see
-    :meth:`LevelSetChart.pull_form` / :meth:`pull_scalar` for the general,
-    pointwise route."""
-    return chart.restrict_field(f)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .exterior import (
     PointMap,
     VectorField,
     hdw_vs_bracket_sign,
+    iterated_interior,
     lie_derivative,
 )
 from .structure import build_poisson_k, build_w_from_omega, reduce_k_to_2
@@ -78,7 +79,6 @@ def oscillator(lam: float = 0.1) -> SystemSpec:
         form_hamiltonians=(Htilde, G2),
         mode="tensor",
         domain=tuple((-10.0, 10.0) for _ in range(n)),
-        aliases=OSCILLATOR_ALIASES,
         base_point=(0.0, 1.0, 1.0, 0.0, 0.0, 2.0),
         invariants={"H": H, "G1": G1, "G2": G2},
         measure_weight=None,  # the flat phase-space volume is invariant
@@ -115,9 +115,7 @@ def fourdim(hamiltonian: str = "x1") -> SystemSpec:
     J3 = build_poisson_k(J2, [x4], [_basis_vector(n, 4)])
 
     # displayed equations of motion: X = (1/x4)(H_1 d_2 - H_2 d_1 - H_4 d_3)
-    from .exterior import grad_field, interior_form_field
-
-    X_display = interior_form_field(grad_field(H), J2)
+    X_display = iterated_interior([H], J2)
     X_display = VectorField(n, tuple(ex.neg(X_display.coeffs.get((i,), ex.ZERO))
                                      for i in range(1, n + 1)))
 

@@ -234,6 +234,58 @@ def reference_field_constant(n, k, coeffs):
     return reference_field_coeffs(n, k, {key: ex.const(c) for key, c in coeffs.items()})
 
 
+def reference_interior(by, target):
+    """iota_by target on values, by-key-major: each key of ``by`` contracts
+    its axes one at a time, first axis first, each with its slot sign, and
+    terms ``c * (sign * v)`` accumulate into one dict; a sum that reaches an
+    exact zero drops out at once."""
+    from ghm.errors import DimensionError
+
+    if by.n != target.n:
+        raise DimensionError("dimension mismatch")
+    if by.k > target.k:
+        raise DimensionError(f"contraction degree {by.k} exceeds degree {target.k}")
+    out = {}
+    for by_key, c in by.coeffs.items():
+        for key, v in target.coeffs.items():
+            rest, sign = key, 1.0
+            for axis in by_key:
+                if axis not in rest:
+                    break
+                pos = rest.index(axis)
+                rest = rest[:pos] + rest[pos + 1:]
+                sign = -sign if pos % 2 else sign
+            else:
+                total = out.get(rest, 0.0) + c * (sign * v)
+                if total != 0.0:
+                    out[rest] = total
+                else:
+                    out.pop(rest, None)
+    return type(target)(target.n, target.k - by.k, out, _normalized=True)
+
+
+def reference_interior_field(by, T):
+    """Coefficients of iota_by T on fields, slot by slot: for each key of T,
+    each increasing set of its positions p_0 < ... < p_{m-1} whose axes form
+    a key of ``by`` adds ``mul(c, e)`` with the sign (-1)^(sum_i p_i - i) to
+    the key left over.  At m = 1 this is the loop over a degree-1 field's
+    components, one interned term per (key, slot)."""
+    from ghm import expr as ex
+
+    m = by.k
+    out = {}
+    for key, e in T.coeffs.items():
+        for positions in itertools.combinations(range(len(key)), m):
+            c = by.coeffs.get(tuple(key[p] for p in positions))
+            if c is None:
+                continue
+            term = ex.mul(c, e)
+            rest = tuple(a for p, a in enumerate(key) if p not in positions)
+            odd = (sum(positions) - m * (m - 1) // 2) % 2
+            out[rest] = ex.add(out.get(rest, ex.ZERO), ex.neg(term) if odd else term)
+    return reference_field_coeffs(T.n, T.k - m, out, normalized=True)
+
+
 # ---------------------------------------------------------------------------
 # Expressions: the reference tree walk
 # ---------------------------------------------------------------------------

@@ -658,6 +658,19 @@ def test_a_non_finite_hatmap_entry_while_integrating_exits_3(tmp_path, capfd, co
                                               "solve at (1e+200, 0.0)\n"))
 
 
+def test_an_overflowed_form_route_divergence_exits_3(tmp_path, capfd):
+    # at x1 = 1e-160 the hat map holds 1e160, whose square in the exact
+    # divergence overflows, which used to write nan in every div cell
+    doc = {"name": "inv", "n": 2, "k": 2, "mode": "form", "coefficients": {"1,2": "1/x1"},
+           "hamiltonians": ["x2"], "domain": [[1e-200, 1], [-1, 1]], "base_point": [0.5, 0]}
+    path = tmp_path / "inv.json"
+    path.write_text(json.dumps(doc))
+    code = main(["simulate", "--config", str(path), "--x0=1e-160,0", "--t-end", "0.002"])
+    assert (code, capfd.readouterr()) == (3, ("", "integration failure: vector-field evaluation "
+                                              "failed: floating-point overflow in the hat-map "
+                                              "divergence at (1e-160, 0.0)\n"))
+
+
 @pytest.mark.parametrize("argv, message", [
     (["check", "oscillator", "--identities", ","], "--identities names no identity"),
     (["check", "oscillator", "--identities", ""], "--identities names no identity"),

@@ -19,8 +19,7 @@ from ghm.exterior import (
     grad_field,
     hdw_vs_bracket_sign,
     increasing_indices,
-    interior_by_form,
-    interior_by_multivector,
+    interior,
     interior_form,
     interior_vector,
     interior_vector_field,
@@ -39,11 +38,14 @@ from oracles import (
     ReferenceValue,
     dense_exterior_derivative,
     dense_interior,
+    dense_pairing,
     dense_wedge,
     reference_field_add,
     reference_field_constant,
     reference_component,
     reference_field_wedge,
+    reference_interior,
+    reference_interior_field,
     reference_pullback_with_jacobian,
     reference_wedge,
 )
@@ -138,8 +140,8 @@ def test_interior_vector_general_expansion():
 
 
 def test_interior_vector_against_dense_oracle():
-    # interior_vector and interior_form, then interior_by_multivector and
-    # interior_by_form by every degree m >= 2 up to k
+    # interior_vector and interior_form, then interior by every degree
+    # m >= 2 up to k, in both variances
     rng = np.random.default_rng(11)
 
     def assert_matches(got, by, m, target):
@@ -157,9 +159,9 @@ def test_interior_vector_against_dense_oracle():
         assert_matches(interior_form(alpha, J), {(j,): a for j, a in enumerate(alpha, 1)}, 1, J)
         for m in range(2, k + 1):
             A = _random_value(rng, n, m, MultiVectorValue)
-            assert_matches(interior_by_multivector(A, w), A.coeffs, m, w)
+            assert_matches(interior(A, w), A.coeffs, m, w)
             B = _random_value(rng, n, m)
-            assert_matches(interior_by_form(B, J), B.coeffs, m, J)
+            assert_matches(interior(B, J), B.coeffs, m, J)
 
 
 def test_interior_form_mirror():
@@ -175,7 +177,7 @@ def test_interior_form_mirror():
 def test_interior_multi_two_step():
     J = MultiVectorValue(3, 3, {(1, 2, 3): 1.0})
     w12 = FormValue(3, 2, {(1, 2): 1.0})
-    assert interior_by_form(w12, J).coeffs == {(3,): 1.0}
+    assert interior(w12, J).coeffs == {(3,): 1.0}
 
 
 def test_interior_multi_reduces_to_pairing():
@@ -183,9 +185,10 @@ def test_interior_multi_reduces_to_pairing():
     for n, k in [(4, 2), (5, 3)]:
         w = _random_value(rng, n, k)
         J = _random_value(rng, n, k, MultiVectorValue)
-        via_multi = interior_by_form(w, J)
+        via_multi = interior(w, J)
         assert via_multi.k == 0
-        assert via_multi.coeffs.get((), 0.0) == pytest.approx(pairing(J, w), abs=1e-12)
+        assert via_multi.coeffs.get((), 0.0) == pytest.approx(dense_pairing(J.coeffs, w.coeffs),
+                                                              abs=1e-12)
 
 
 def test_interior_multi_matches_iterated_single():
@@ -194,7 +197,7 @@ def test_interior_multi_matches_iterated_single():
     for k, m in [(2, 1), (3, 2), (4, 3), (4, 4)]:
         J = _random_value(rng, n, k, MultiVectorValue)
         w = _random_value(rng, n, m)
-        got = interior_by_form(w, J)
+        got = interior(w, J)
         expect = MultiVectorValue(n, k - m)
         for key, c in w.coeffs.items():
             term = J
@@ -216,7 +219,7 @@ def test_iterated_contraction_order_identity():
         dH = rng.standard_normal(n)
         w = wedge(FormValue(n, 1, {(i,): dC[i - 1] for i in range(1, n + 1)}),
                   FormValue(n, 1, {(i,): dH[i - 1] for i in range(1, n + 1)}))
-        lhs = interior_by_form(w, J)
+        lhs = interior(w, J)
         rhs = interior_form(dH, interior_form(dC, J))
         assert (lhs - rhs).max_abs() <= 1e-12
 
@@ -228,7 +231,7 @@ def test_delta_expansion_identity():
         w = FormValue(n, 2, {(m, nn): 1.0})
         for i, j, k in itertools.combinations(range(1, n + 1), 3):
             J = MultiVectorValue(n, 3, {(i, j, k): 1.0})
-            got = interior_by_form(w, J)
+            got = interior(w, J)
             want = MultiVectorValue(n, 1)
             if (m, nn) == (i, j):
                 want = want + MultiVectorValue(n, 1, {(k,): 1.0})
@@ -252,7 +255,7 @@ def test_interior_by_multivector_mirror():
     w = FormValue(3, 3, {(1, 2, 3): 1.0})
     J = MultiVectorValue(3, 2, {(1, 2): 1.0})
     # iota_{d_{12}} dx^{123} = iota_{d_2} iota_{d_1} dx^{123} = iota_{d_2} dx^{23} = dx^3
-    assert interior_by_multivector(J, w).coeffs == {(3,): 1.0}
+    assert interior(J, w).coeffs == {(3,): 1.0}
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +444,7 @@ def test_inverse_law_sign_realized_on_canonical_pairs():
         for j in range(1, n + 1):
             X = [0.0] * n
             X[j - 1] = 1.0
-            back = interior_by_form(interior_vector(X, w), J)
+            back = interior(interior_vector(X, w), J)
             assert back.coeffs == {(j,): float(inverse_law_sign(k))}
 
 
@@ -559,6 +562,94 @@ def test_field_wedge_constant_and_sum_build_the_same_nodes():
         want = reference_field_constant(4, 3, coeffs)
         assert list(got) == list(want)
         assert all(got[key] is want[key] for key in want)
+
+
+def _drawn_keys(data, n, deg, ascending):
+    keys = data.draw(st.lists(st.sampled_from(increasing_indices(n, deg)), unique=True,
+                              max_size=6))
+    return sorted(keys) if ascending else keys
+
+
+# interned coefficients, some of which cancel in a sum
+INTERIOR_POOL = ["x{i}", "-x{i}", "x{i}*x{j}", "x{i} - x{j}", "2.5", "-1", "sin(x{i})"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_field_interior_builds_the_nodes_of_the_slot_loop(data):
+    """``interior`` on fields, by every degree 1..k in both variances and
+    with keys and axes given in any order, stores for each key the very
+    interned node of the slot-by-slot oracle, and in the oracle's key order
+    whenever the keys of ``by`` are ascending."""
+    n = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(1, n))
+    m = data.draw(st.integers(1, k))
+    target_cls, by_cls = data.draw(st.sampled_from([(FormField, MultiVectorField),
+                                                    (MultiVectorField, FormField)]))
+
+    def field(cls, deg):
+        coeffs = {}
+        for key in _drawn_keys(data, n, deg, data.draw(st.booleans())):
+            i, j = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
+            text = data.draw(st.sampled_from(INTERIOR_POOL)).format(i=i, j=j)
+            coeffs[tuple(data.draw(st.permutations(key)))] = parse(text, n)
+        return cls(n, deg, coeffs)
+
+    T, by = field(target_cls, k), field(by_cls, m)
+    got, want = interior(by, T), reference_interior_field(by, T)
+    assert type(got) is target_cls and got.k == k - m
+    assert set(got.coeffs) == set(want)
+    assert all(got.coeffs[key] is want[key] for key in want)
+    if list(by.coeffs) == sorted(by.coeffs):
+        assert list(got.coeffs) == list(want)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_value_interior_sums_in_target_key_order(data):
+    """``interior`` on values sums each key's terms in target-key order: bit
+    for bit the by-key-major reference when the target's keys are
+    lexicographic and ``by`` is a degree-1 element with ascending keys, and
+    otherwise within 1e-15 of the sum of the terms' magnitudes."""
+    n = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(1, n))
+    m = data.draw(st.integers(1, k))
+    target_cls, by_cls = data.draw(st.sampled_from([(FormValue, MultiVectorValue),
+                                                    (MultiVectorValue, FormValue)]))
+    coefficient = st.one_of(st.sampled_from([1.0, -1.0, 0.5, -2.0, 3.0]),
+                            st.floats(-1e3, 1e3, allow_nan=False))
+    lexicographic, ascending = data.draw(st.booleans()), data.draw(st.booleans())
+
+    def value(cls, deg, ordered):
+        return cls(n, deg, {key: data.draw(coefficient)
+                            for key in _drawn_keys(data, n, deg, ordered)}, _normalized=True)
+
+    T, by = value(target_cls, k, lexicographic), value(by_cls, m, ascending)
+    got, want = interior(by, T), reference_interior(by, T)
+    assert type(got) is target_cls and got.k == k - m
+    if lexicographic and ascending and m == 1:
+        assert {key: float.hex(c) for key, c in got.coeffs.items()} == \
+            {key: float.hex(c) for key, c in want.coeffs.items()}
+        return
+    scale = {}  # the sum of the magnitudes of each key's terms
+    for key, v in T.coeffs.items():
+        for by_key, c in by.coeffs.items():
+            if set(by_key) <= set(key):
+                rest = tuple(a for a in key if a not in by_key)
+                scale[rest] = scale.get(rest, 0.0) + abs(c * v)
+    for key in set(got.coeffs) | set(want.coeffs):
+        error = abs(got.coeffs.get(key, 0.0) - want.coeffs.get(key, 0.0))
+        assert error <= 1e-15 * scale[key], key
+
+
+def test_interior_rejects_what_the_reference_rejects():
+    w = FormValue(3, 2, {(1, 2): 1.0})
+    for by in (MultiVectorValue(4, 1, {(1,): 1.0}), MultiVectorValue(3, 3, {(1, 2, 3): 1.0})):
+        with pytest.raises(DimensionError) as got:
+            interior(by, w)
+        with pytest.raises(DimensionError) as want:
+            reference_interior(by, w)
+        assert str(got.value) == str(want.value)
 
 
 # coefficients that evaluate to +-0.0 at the drawn points, as well as others

@@ -400,14 +400,14 @@ def test_a_non_finite_entry_of_a_or_of_b_alone_stops_before_lapack(where, capfd,
 
 def test_the_finiteness_check_reads_values_not_partials():
     # at x1 = 1e-160, w = dx1^dx2 / x1 is 1e160 but its partial -1/x1^2 is
-    # -inf: the solve runs, as before the one gather, and the div is not finite
+    # -inf: the solve runs, as before the one gather, and the divergence,
+    # which is not finite, is the one that raises
     w = FormField(2, 2, {(1, 2): parse("1/x1", 2)})
     sigma = grad_field(ScalarField.from_text("x2", 2))
     p = (1e-160, 0.0)
-    with np.errstate(all="ignore"):
-        div, solve = min_norm_divergence(w, sigma, p)
-    assert not np.isfinite(div)
-    assert solve.x.tolist() == list(solve_hdw(w, sigma, p).x) == [-1e-160, 0.0]
+    with pytest.raises(EvalDomainError, match=r"overflow in the hat-map divergence at \(1e-160"):
+        min_norm_divergence(w, sigma, p)
+    assert list(solve_hdw(w, sigma, p).x) == [-1e-160, 0.0]
 
 
 def test_the_svd_solve_is_the_former_lstsq_solve():
