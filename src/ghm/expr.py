@@ -15,19 +15,25 @@ not repeat, shadow a parameter or function, or give x<i> to an axis other
 than i (``alias_fault``): each would rebind a name silently.  Functions:
 sqrt, sin, cos, exp, log.  Exponents are constant integers or rationals,
 which keeps differentiation closed over the node set.  A numeric literal
-that overflows a float is a ParseError.
+that overflows a float is a ParseError, and so is a tree more than
+``MAX_EXPR_DEPTH`` levels deep or nested deeper than that: every walk of a
+tree recurses once per level, and the limit keeps the deepest of them within
+Python's default recursion limit.
 
 Interned nodes.  Nodes are immutable and hash-consed: constructing a node
 returns the live node with the same type and fields (floats by their bits,
 so Const(-0.0) is not Const(0.0)), so equality is identity and hashing is
 O(1).  The intern table holds nodes weakly.  Constructors fold constants
 and algebraic units (0 + e, 1 * e, e^1, ...); nothing else is rewritten.
-``differentiate`` is memoized per (node, axis) on the node.
+``differentiate`` is memoized per (node, axis) on the node.  No node class
+is subclassed, so walks, derivatives and folding dispatch on ``type(e)``.
 
 One compiler.  ``compile_vector`` turns a list of expressions into one
 straight-line function with one temporary per unique node, in left-to-right
 post-order; each temporary is the single ``float`` or ``math`` operation of
-its node, so values are bit for bit those of a node-by-node evaluation.
+its node, so values are bit for bit those of a node-by-node evaluation.  The
+source is written in one pass: the walk numbers a node and writes its line
+the first time it reaches it, after its operands.
 Code is compiled once per source shape: each constant is a parameter
 ``_c<i>`` defaulting to its value, so expressions that differ only in
 constants share one source text, the key of a bounded LRU cache of code
@@ -56,6 +62,13 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .errors import EvalDomainError, ParseError
 
 FUNCTIONS = ("sqrt", "sin", "cos", "exp", "log")
+
+# The deepest tree, and nesting, ``parse`` accepts.  The deepest recursions
+# the package runs take about 5 frames per parsed level (the parser's descent
+# through a parenthesis; differentiating a first derivative, up to 2.5 times
+# deeper than its source, at 2 frames a level), so 150 levels need under 800
+# frames of Python's default limit of 1000.
+MAX_EXPR_DEPTH = 150
 
 
 # ---------------------------------------------------------------------------
@@ -169,44 +182,49 @@ class Pow(Expr):
 ZERO = Const(0.0)
 ONE = Const(1.0)
 
+# Node classes are never subclassed, so every walk dispatches on ``type(e)``
+# alone: one identity test per class instead of an ``isinstance`` chain.
+_BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+
 
 def is_zero(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value == 0.0
+    return type(e) is Const and e.value == 0.0
 
 
 def is_one(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value == 1.0
+    return type(e) is Const and e.value == 1.0
 
 
 def children(e: Expr) -> tuple[Expr, ...]:
     """Operands in evaluation order (left to right)."""
-    if isinstance(e, (Add, Sub, Mul, Div)):
+    t = type(e)
+    if t in _BINARY:
         return (e.a, e.b)
-    if isinstance(e, (Neg, Call)):
+    if t is Neg or t is Call:
         return (e.arg,)
-    if isinstance(e, Pow):
+    if t is Pow:
         return (e.base,)
     return ()
 
 
-def unique_nodes(exprs: Iterable[Expr]) -> list[Expr]:
-    """Every node reachable from ``exprs`` once, children before parents, in
-    the order a left-to-right post-order walk first reaches it."""
-    seen: set[Expr] = set()
-    order: list[Expr] = []
-    for e in exprs:
-        _visit(e, seen, order)
-    return order
-
-
-def _visit(e: Expr, seen: set, order: list) -> None:
-    # module level, not a closure: a recursive closure is a reference cycle
-    # that would keep every node it saw alive until the next collection
-    if e not in seen:
-        seen.add(e)
-        for c in children(e):
-            _visit(c, seen, order)
-        order.append(e)
+def tree_depth(e: Expr) -> int:
+    """Nodes on the longest path from ``e`` down to a leaf, measured with an
+    explicit stack so that no tree is too deep to measure."""
+    depth: dict[Expr, int] = {}
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if node in depth:
+            stack.pop()
+            continue
+        operands = children(node)
+        pending = [c for c in operands if c not in depth]
+        if pending:
+            stack += pending
+        else:
+            stack.pop()
+            depth[node] = 1 + max((depth[c] for c in operands), default=0)
+    return depth[e]
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +240,7 @@ def add(a: Expr, b: Expr) -> Expr:
         return b
     if is_zero(b):
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
+    if type(a) is Const and type(b) is Const:
         return Const(a.value + b.value)
     return Add(a, b)
 
@@ -232,15 +250,16 @@ def sub(a: Expr, b: Expr) -> Expr:
         return a
     if is_zero(a):
         return neg(b)
-    if isinstance(a, Const) and isinstance(b, Const):
+    if type(a) is Const and type(b) is Const:
         return Const(a.value - b.value)
     return Sub(a, b)
 
 
 def neg(a: Expr) -> Expr:
-    if isinstance(a, Const):
+    t = type(a)
+    if t is Const:
         return Const(-a.value)
-    if isinstance(a, Neg):
+    if t is Neg:
         return a.arg
     return Neg(a)
 
@@ -252,7 +271,7 @@ def mul(a: Expr, b: Expr) -> Expr:
         return b
     if is_one(b):
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
+    if type(a) is Const and type(b) is Const:
         return Const(a.value * b.value)
     return Mul(a, b)
 
@@ -262,7 +281,7 @@ def div(a: Expr, b: Expr) -> Expr:
         return a
     if is_zero(a) and not is_zero(b):
         return ZERO
-    if isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0:
+    if type(a) is Const and type(b) is Const and b.value != 0.0:
         return Const(a.value / b.value)
     return Div(a, b)
 
@@ -273,7 +292,7 @@ def powc(base: Expr, exponent: Fraction | int) -> Expr:
         return ONE
     if exponent == 1:
         return base
-    if isinstance(base, Const):
+    if type(base) is Const:
         try:
             return Const(_pow_value(base.value, exponent))
         except (ValueError, ZeroDivisionError, OverflowError):
@@ -284,7 +303,7 @@ def powc(base: Expr, exponent: Fraction | int) -> Expr:
 def call(fn: str, arg: Expr) -> Expr:
     if fn not in FUNCTIONS:
         raise ValueError(f"unknown function {fn!r}")
-    if isinstance(arg, Const):
+    if type(arg) is Const:
         try:
             return Const(getattr(math, fn)(arg.value))
         except (ValueError, OverflowError):
@@ -321,26 +340,27 @@ def differentiate(e: Expr, axis: int) -> Expr:
 
 
 def _derive(e: Expr, axis: int) -> Expr:
-    if isinstance(e, (Const, Param)):
-        return ZERO
-    if isinstance(e, Coord):
-        return ONE if e.axis == axis else ZERO
-    if isinstance(e, Neg):
-        return neg(differentiate(e.arg, axis))
-    if isinstance(e, Add):
-        return add(differentiate(e.a, axis), differentiate(e.b, axis))
-    if isinstance(e, Sub):
-        return sub(differentiate(e.a, axis), differentiate(e.b, axis))
-    if isinstance(e, Mul):
+    t = type(e)
+    if t is Mul:
         return add(mul(differentiate(e.a, axis), e.b), mul(e.a, differentiate(e.b, axis)))
-    if isinstance(e, Div):
-        da, db = differentiate(e.a, axis), differentiate(e.b, axis)
-        return div(sub(mul(da, e.b), mul(e.a, db)), powc(e.b, 2))
-    if isinstance(e, Pow):
+    if t is Add:
+        return add(differentiate(e.a, axis), differentiate(e.b, axis))
+    if t is Sub:
+        return sub(differentiate(e.a, axis), differentiate(e.b, axis))
+    if t is Coord:
+        return ONE if e.axis == axis else ZERO
+    if t is Const or t is Param:
+        return ZERO
+    if t is Pow:
         db = differentiate(e.base, axis)
         coeff = mul(Const(float(e.exponent)), powc(e.base, e.exponent - 1))
         return mul(coeff, db)
-    if isinstance(e, Call):
+    if t is Div:
+        da, db = differentiate(e.a, axis), differentiate(e.b, axis)
+        return div(sub(mul(da, e.b), mul(e.a, db)), powc(e.b, 2))
+    if t is Neg:
+        return neg(differentiate(e.arg, axis))
+    if t is Call:
         da = differentiate(e.arg, axis)
         if e.fn == "sqrt":
             return div(da, mul(Const(2.0), call("sqrt", e.arg)))
@@ -374,24 +394,31 @@ def _substitute(e: Expr, memo: dict[Expr, Expr]) -> Expr:
     """``memo`` starts as the leaf map and collects every rewritten node."""
     out = memo.get(e)
     if out is None:
-        if isinstance(e, (Const, Coord, Param)):
-            out = e
-        elif isinstance(e, Pow):
+        t = type(e)
+        fold = _FOLD.get(t)
+        if fold is not None:  # one frame per level: no generator over children
+            out = (fold(_substitute(e.arg, memo)) if t is Neg
+                   else fold(_substitute(e.a, memo), _substitute(e.b, memo)))
+        elif t is Pow:
             out = powc(_substitute(e.base, memo), e.exponent)
-        elif isinstance(e, Call):
+        elif t is Call:
             out = call(e.fn, _substitute(e.arg, memo))
         else:
-            out = _FOLD[type(e)](*(_substitute(c, memo) for c in children(e)))
+            out = e
         memo[e] = out
     return out
 
 
 def bind_params(e: Expr, values: Mapping[str, float]) -> Expr:
     """Replace parameter leaves by constants; an unbound one is an error."""
-    for node in unique_nodes((e,)):
-        if isinstance(node, Param) and node.name not in values:
+    memo: dict[Expr, Expr] = {Param(name): Const(float(v)) for name, v in values.items()}
+    out = _substitute(e, memo)
+    # the leaf map comes first, then every node in post-order: the first
+    # unbound parameter there is the first one a left-to-right walk meets
+    for node in memo:
+        if type(node) is Param and node.name not in values:
             raise EvalDomainError(f"unbound parameter {node.name!r}")
-    return substitute(e, {Param(name): Const(float(v)) for name, v in values.items()})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -399,50 +426,41 @@ def bind_params(e: Expr, values: Mapping[str, float]) -> Expr:
 # ---------------------------------------------------------------------------
 
 _LVL_ADD, _LVL_MUL, _LVL_UNARY, _LVL_POW, _LVL_ATOM = 1, 2, 3, 4, 5
+_PREC = {Add: _LVL_ADD, Sub: _LVL_ADD, Mul: _LVL_MUL, Div: _LVL_MUL, Neg: _LVL_UNARY,
+         Pow: _LVL_POW}
+# binary class -> (symbol, level its left operand needs, level its right one needs)
+_INFIX = {Add: (" + ", _LVL_ADD, _LVL_MUL), Sub: (" - ", _LVL_ADD, _LVL_MUL),
+          Mul: ("*", _LVL_MUL, _LVL_UNARY), Div: ("/", _LVL_MUL, _LVL_UNARY)}
 
 
-def _prec(e: Expr) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _LVL_ADD
-    if isinstance(e, (Mul, Div)):
-        return _LVL_MUL
-    if isinstance(e, Neg):
-        return _LVL_UNARY
-    if isinstance(e, Pow):
-        return _LVL_POW
-    if isinstance(e, Const) and e.value < 0:
-        return _LVL_UNARY
-    return _LVL_ATOM
-
-
-def _wrap(e: Expr, need: int) -> str:
-    s = to_str(e)
-    return f"({s})" if _prec(e) < need else s
+def _operand(e: Expr, s: str, need: int) -> str:
+    """``s``, the text of ``e``, parenthesized when ``e`` binds looser than ``need``."""
+    t = type(e)
+    level = (_LVL_UNARY if e.value < 0 else _LVL_ATOM) if t is Const else _PREC.get(t, _LVL_ATOM)
+    return f"({s})" if level < need else s
 
 
 def to_str(e: Expr) -> str:
-    """Parseable infix form; ``parse(to_str(e))`` evaluates identically to ``e``."""
-    if isinstance(e, Const):
+    """Parseable infix form; ``parse(to_str(e))`` evaluates identically to ``e``.
+    One frame per level of the tree."""
+    t = type(e)
+    infix = _INFIX.get(t)
+    if infix is not None:
+        op, left, right = infix
+        return _operand(e.a, to_str(e.a), left) + op + _operand(e.b, to_str(e.b), right)
+    if t is Const:
         return repr(e.value)
-    if isinstance(e, Coord):
+    if t is Coord:
         return f"x{e.axis}"
-    if isinstance(e, Param):
+    if t is Param:
         return e.name
-    if isinstance(e, Neg):
-        return f"-{_wrap(e.arg, _LVL_UNARY)}"
-    if isinstance(e, Add):
-        return f"{_wrap(e.a, _LVL_ADD)} + {_wrap(e.b, _LVL_MUL)}"
-    if isinstance(e, Sub):
-        return f"{_wrap(e.a, _LVL_ADD)} - {_wrap(e.b, _LVL_MUL)}"
-    if isinstance(e, Mul):
-        return f"{_wrap(e.a, _LVL_MUL)}*{_wrap(e.b, _LVL_UNARY)}"
-    if isinstance(e, Div):
-        return f"{_wrap(e.a, _LVL_MUL)}/{_wrap(e.b, _LVL_UNARY)}"
-    if isinstance(e, Pow):
+    if t is Neg:
+        return "-" + _operand(e.arg, to_str(e.arg), _LVL_UNARY)
+    if t is Pow:
         ex = e.exponent
         estr = str(ex.numerator) if ex.denominator == 1 else f"({ex.numerator}/{ex.denominator})"
-        return f"{_wrap(e.base, _LVL_ATOM)}^{estr}"
-    if isinstance(e, Call):
+        return f"{_operand(e.base, to_str(e.base), _LVL_ATOM)}^{estr}"
+    if t is Call:
         return f"{e.fn}({to_str(e.arg)})"
     raise TypeError(f"not an Expr: {e!r}")
 
@@ -451,7 +469,6 @@ def to_str(e: Expr) -> str:
 # Compilation: one straight-line function per list of expressions
 # ---------------------------------------------------------------------------
 
-_BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 _FAULTS = (ZeroDivisionError, ValueError, OverflowError)
 _FIRST_NODE_LINE = 3  # line 1 is the def, line 2 the try
 _CODE_CACHE_SIZE = 256  # distinct source shapes whose code stays compiled
@@ -464,43 +481,60 @@ def _fault(exc: Exception, nodes: Sequence) -> Exception:
     node = nodes[exc.__traceback__.tb_lineno - _FIRST_NODE_LINE]
     if isinstance(node, weakref.ref):
         node = node()
+    t = type(node)
     if isinstance(exc, OverflowError):
         message = "floating-point overflow"
-    elif isinstance(node, Div):
+    elif t is Div:
         message = "division by zero"
-    elif isinstance(node, Pow):
+    elif t is Pow:
         message = f"power domain error: {exc}"
-    elif isinstance(node, Call) and node.fn == "sqrt":
+    elif t is Call and node.fn == "sqrt":
         message = "sqrt of negative value"
-    elif isinstance(node, Call) and node.fn == "log":
+    elif t is Call and node.fn == "log":
         message = "log of nonpositive value"
-    elif isinstance(node, Call):
+    elif t is Call:
         message = f"{node.fn} domain error: {exc}"
     else:
         return exc
     return EvalDomainError(message, "" if node is None else to_str(node))
 
 
-def _rhs(e: Expr, i: int, index: Mapping[Expr, int], consts: dict[str, float]) -> str:
-    """Source of the one operation node ``i`` performs on its operands; a
-    constant becomes the parameter ``_c<i>``, added to ``consts``."""
-    if isinstance(e, Const):
-        name = f"_c{i}"
-        consts[name] = e.value
-        return name
-    if isinstance(e, Coord):
-        return f"_float(x[{e.axis - 1}])"
-    if isinstance(e, Param):
-        raise EvalDomainError(f"unbound parameter {e.name!r}")
-    if isinstance(e, Neg):
-        return f"-t{index[e.arg]}"
-    if isinstance(e, Pow):
+def _emit(e: Expr, index: dict, nodes: list, body: list, consts: dict) -> int:
+    """The temporary number of node ``e``.  The first time the walk reaches
+    ``e`` (``index`` is also the seen set), its operands are emitted left to
+    right, then its line ``t<i> = <one operation>``; a constant becomes the
+    parameter ``_c<i>``, added to ``consts``.  A DAG has no cycles, so the
+    numbers follow the left-to-right post-order."""
+    i = index.get(e)
+    if i is not None:
+        return i
+    t = type(e)
+    op = _BINARY.get(t)
+    if op is not None:
+        a = _emit(e.a, index, nodes, body, consts)
+        rhs = f"t{a} {op} t{_emit(e.b, index, nodes, body, consts)}"
+    elif t is Const:
+        rhs = f"_c{len(nodes)}"
+        consts[rhs] = e.value
+    elif t is Coord:
+        rhs = f"_float(x[{e.axis - 1}])"
+    elif t is Pow:
         ex = e.exponent
-        return (f"t{index[e.base]} ** {ex.numerator}" if ex.denominator == 1
-                else f"_pow(t{index[e.base]}, {float(ex)!r})")
-    if isinstance(e, Call):
-        return f"_{e.fn}(t{index[e.arg]})"
-    return f"t{index[e.a]} {_BINARY[type(e)]} t{index[e.b]}"
+        base = _emit(e.base, index, nodes, body, consts)
+        rhs = (f"t{base} ** {ex.numerator}" if ex.denominator == 1
+               else f"_pow(t{base}, {float(ex)!r})")
+    elif t is Call:
+        rhs = f"_{e.fn}(t{_emit(e.arg, index, nodes, body, consts)})"
+    elif t is Neg:
+        rhs = f"-t{_emit(e.arg, index, nodes, body, consts)}"
+    elif t is Param:
+        raise EvalDomainError(f"unbound parameter {e.name!r}")
+    else:
+        raise TypeError(f"not an Expr: {e!r}")
+    index[e] = i = len(nodes)
+    nodes.append(e)
+    body.append(f"  t{i} = {rhs}")
+    return i
 
 
 @lru_cache(maxsize=_CODE_CACHE_SIZE)
@@ -511,23 +545,29 @@ def _code(source: str) -> CodeType:
     return next(c for c in module.co_consts if isinstance(c, CodeType))
 
 
-def _compile(exprs: Sequence[Expr], scalar: bool) -> Callable:
-    nodes = unique_nodes(exprs)
-    index = {e: i for i, e in enumerate(nodes)}
-    line_nodes: list = list(nodes)  # for naming a faulting node
-    if scalar:
-        # compile_expr caches the function on its root, the last node: a
-        # strong reference back would be a cycle that only the collector frees
-        line_nodes[-1] = weakref.ref(nodes[-1])
-    namespace = dict(_NAMESPACE, _fault=_fault, _nodes=line_nodes)
+def _generate(exprs: Sequence[Expr], scalar: bool) -> tuple[str, dict[str, float], list]:
+    """(source, constants by parameter name, node of each temporary): one
+    walk emits each unique node's line as it first reaches the node."""
+    index: dict[Expr, int] = {}
+    nodes: list = []
+    lines = ["", " try:"]  # the def line goes first once the constants are known
     consts: dict[str, float] = {}
-    results = [f"t{index[e]}" for e in exprs]
-    body = [f"  t{i} = {_rhs(e, i, index, consts)}" for i, e in enumerate(nodes)]
-    lines = [f"def _f(x{''.join(', ' + name for name in consts)}):", " try:", *body]
+    results = [f"t{_emit(e, index, nodes, lines, consts)}" for e in exprs]
+    lines[0] = f"def _f(x{''.join(', ' + name for name in consts)}):"
     lines.append(f"  return {results[0]}" if scalar
                  else f"  return ({''.join(r + ',' for r in results)})")
     lines += [" except _FAULTS as exc:", "  raise _fault(exc, _nodes) from None"]
-    return FunctionType(_code("\n".join(lines)), namespace, "_f", tuple(consts.values()))
+    return "\n".join(lines), consts, nodes
+
+
+def _compile(exprs: Sequence[Expr], scalar: bool) -> Callable:
+    source, consts, line_nodes = _generate(exprs, scalar)  # nodes name a faulting line
+    if scalar:
+        # compile_expr caches the function on its root, the last node: a
+        # strong reference back would be a cycle that only the collector frees
+        line_nodes[-1] = weakref.ref(line_nodes[-1])
+    namespace = dict(_NAMESPACE, _fault=_fault, _nodes=line_nodes)
+    return FunctionType(_code(source), namespace, "_f", tuple(consts.values()))
 
 
 def compile_vector(exprs: Iterable[Expr]) -> Callable[[Sequence[float]], tuple]:
@@ -596,6 +636,7 @@ class _Parser:
             self.alias_map = {name: i + 1 for i, name in enumerate(aliases)}
         self.tokens = _tokenize(text)
         self.i = 0
+        self.nesting = 0  # open parentheses, calls and unary minuses
 
     def peek(self):
         return self.tokens[self.i]
@@ -615,7 +656,17 @@ class _Parser:
         kind, val, off = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected token {val!r}", off)
+        # a path down the tree takes at least one token per node
+        if len(self.tokens) - 1 > MAX_EXPR_DEPTH and (depth := tree_depth(e)) > MAX_EXPR_DEPTH:
+            raise ParseError(f"expression is {depth} levels deep, more than {MAX_EXPR_DEPTH}", 0)
         return e
+
+    def enter(self, off: int) -> None:
+        """Open one more level of nesting (the caller closes it), as long as
+        the parser's descent stays within MAX_EXPR_DEPTH levels."""
+        if self.nesting == MAX_EXPR_DEPTH:
+            raise ParseError(f"expression nested more than {MAX_EXPR_DEPTH} levels deep", off)
+        self.nesting += 1
 
     def expr(self) -> Expr:
         e = self.term()
@@ -640,10 +691,13 @@ class _Parser:
                 return e
 
     def factor(self) -> Expr:
-        kind, val, _ = self.peek()
+        kind, val, off = self.peek()
         if kind == "op" and val == "-":
             self.next()
-            return neg(self.factor())
+            self.enter(off)
+            e = neg(self.factor())
+            self.nesting -= 1
+            return e
         return self.power()
 
     def power(self) -> Expr:
@@ -717,8 +771,10 @@ class _Parser:
                 if kind2 != "op" or val2 != "(":
                     raise ParseError(f"function {val!r} requires parenthesized argument", off2)
                 self.next()
+                self.enter(off)
                 arg = self.expr()
                 self.expect_op(")")
+                self.nesting -= 1
                 return call(val, arg)
             if val in self.alias_map:
                 return Coord(self.alias_map[val])
@@ -732,8 +788,10 @@ class _Parser:
                 return Param(val)
             raise ParseError(f"unknown identifier {val!r}", off)
         if kind == "op" and val == "(":
+            self.enter(off)
             e = self.expr()
             self.expect_op(")")
+            self.nesting -= 1
             return e
         raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input", off)
 

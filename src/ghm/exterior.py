@@ -215,16 +215,23 @@ class _AltValue(_Alt):
 class FormValue(_AltValue):
     """Covariant degree-k value (pointwise differential form)."""
 
+    _covariant = True
+
 
 class MultiVectorValue(_AltValue):
     """Contravariant degree-k value (pointwise multivector)."""
+
+    _covariant = False
 
 
 def interior(by: _Alt, target: _Alt) -> _Alt:
     """iota_by target, the one contraction kernel over either ring: for each
     key of ``target``, each key of ``by`` removes its axes one at a time,
     first axis first, each with its slot sign, and adds ``mul(c, v)``
-    (negated on an odd sign) to the remaining key."""
+    (negated on an odd sign) to the remaining key.  One operand is a form,
+    the other a multivector."""
+    if by._covariant == target._covariant:
+        raise DimensionError("interior requires one form and one multivector")
     if by.n != target.n:
         raise DimensionError("dimension mismatch")
     if by.k > target.k:
@@ -369,10 +376,12 @@ def _jet_plan(f: _AltField):
 
 class FormField(_AltField):
     _value_cls = FormValue
+    _covariant = True
 
 
 class MultiVectorField(_AltField):
     _value_cls = MultiVectorValue
+    _covariant = False
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import expr as ex
 from .dynamics import MoserProblem, SystemSpec, sample_box
-from .errors import InputError
+from .errors import EvalDomainError, InputError
 from .expr import ScalarField
 from .exterior import (
     FormField,
@@ -186,12 +186,18 @@ def quasisymmetry(psi: str = "x1^2 + x2^2",
     J = MultiVectorField(n, 3, {(1, 2, 3): ex.div(ex.ONE, f_expr)})
 
     rng = np.random.default_rng(seed)
-    cross_values = ex.compile_vector(cross)
+    screen = ex.compile_vector((f_expr, *cross))  # one bundle: the two share most nodes
     for p in sample_box(rng, domain, 40):
-        fv = f(p)
+        try:
+            fv, *cv = screen(p)
+        except EvalDomainError:
+            # f's lines run first, so the fault is in the cross product's own
+            # nodes; a vanishing f is still the one reported
+            if abs(f(p)) < 1e-6:
+                raise InputError(f"B.grad|B| vanishes near {p}") from None
+            raise
         if abs(fv) < 1e-6:
             raise InputError(f"B.grad|B| vanishes near {p}")
-        cv = np.array(cross_values(p))
         if float(np.linalg.norm(cv)) < 1e-9:
             raise InputError(f"grad(psi) x grad|B| vanishes near {p}")
 

@@ -351,6 +351,105 @@ def tree_walk(e, point, params=None):
     return walk(e)
 
 
+def reference_unique_nodes(exprs):
+    """The former walk: every node reachable from ``exprs`` once, children
+    before parents, in the order a left-to-right post-order walk first
+    reaches it, collected before any source is written."""
+    from ghm import expr as ex
+
+    seen, order = set(), []
+
+    def visit(e):
+        if e not in seen:
+            seen.add(e)
+            for c in ex.children(e):
+                visit(c)
+            order.append(e)
+
+    for e in exprs:
+        visit(e)
+    return order
+
+
+def _reference_rhs(e, i, index, consts):
+    from ghm import expr as ex
+    from ghm.errors import EvalDomainError
+
+    if isinstance(e, ex.Const):
+        name = f"_c{i}"
+        consts[name] = e.value
+        return name
+    if isinstance(e, ex.Coord):
+        return f"_float(x[{e.axis - 1}])"
+    if isinstance(e, ex.Param):
+        raise EvalDomainError(f"unbound parameter {e.name!r}")
+    if isinstance(e, ex.Neg):
+        return f"-t{index[e.arg]}"
+    if isinstance(e, ex.Pow):
+        p = e.exponent
+        return (f"t{index[e.base]} ** {p.numerator}" if p.denominator == 1
+                else f"_pow(t{index[e.base]}, {float(p)!r})")
+    if isinstance(e, ex.Call):
+        return f"_{e.fn}(t{index[e.arg]})"
+    op = {ex.Add: "+", ex.Sub: "-", ex.Mul: "*", ex.Div: "/"}[type(e)]
+    return f"t{index[e.a]} {op} t{index[e.b]}"
+
+
+def reference_generate(exprs, scalar):
+    """The former two-pass source generator: (source, constants by name, node
+    of each line).  The nodes first, then their numbers, then one line each."""
+    nodes = reference_unique_nodes(exprs)
+    index = {e: i for i, e in enumerate(nodes)}
+    consts = {}
+    results = [f"t{index[e]}" for e in exprs]
+    body = [f"  t{i} = {_reference_rhs(e, i, index, consts)}" for i, e in enumerate(nodes)]
+    lines = [f"def _f(x{''.join(', ' + name for name in consts)}):", " try:", *body]
+    lines.append(f"  return {results[0]}" if scalar
+                 else f"  return ({''.join(r + ',' for r in results)})")
+    lines += [" except _FAULTS as exc:", "  raise _fault(exc, _nodes) from None"]
+    return "\n".join(lines), consts, nodes
+
+
+def reference_derive(e, axis):
+    """The former one-level derivative rule, by ``isinstance`` chain; the
+    operands' derivatives come from the library's memo."""
+    from ghm import expr as ex
+
+    d = ex.differentiate
+    if isinstance(e, (ex.Const, ex.Param)):
+        return ex.ZERO
+    if isinstance(e, ex.Coord):
+        return ex.ONE if e.axis == axis else ex.ZERO
+    if isinstance(e, ex.Neg):
+        return ex.neg(d(e.arg, axis))
+    if isinstance(e, ex.Add):
+        return ex.add(d(e.a, axis), d(e.b, axis))
+    if isinstance(e, ex.Sub):
+        return ex.sub(d(e.a, axis), d(e.b, axis))
+    if isinstance(e, ex.Mul):
+        return ex.add(ex.mul(d(e.a, axis), e.b), ex.mul(e.a, d(e.b, axis)))
+    if isinstance(e, ex.Div):
+        da, db = d(e.a, axis), d(e.b, axis)
+        return ex.div(ex.sub(ex.mul(da, e.b), ex.mul(e.a, db)), ex.powc(e.b, 2))
+    if isinstance(e, ex.Pow):
+        db = d(e.base, axis)
+        coeff = ex.mul(ex.Const(float(e.exponent)), ex.powc(e.base, e.exponent - 1))
+        return ex.mul(coeff, db)
+    if isinstance(e, ex.Call):
+        da = d(e.arg, axis)
+        if e.fn == "sqrt":
+            return ex.div(da, ex.mul(ex.Const(2.0), ex.call("sqrt", e.arg)))
+        if e.fn == "sin":
+            return ex.mul(ex.call("cos", e.arg), da)
+        if e.fn == "cos":
+            return ex.neg(ex.mul(ex.call("sin", e.arg), da))
+        if e.fn == "exp":
+            return ex.mul(ex.call("exp", e.arg), da)
+        if e.fn == "log":
+            return ex.div(da, e.arg)
+    raise TypeError(f"not an Expr: {e!r}")
+
+
 def structural_node_count(exprs):
     """Number of structurally distinct nodes under ``exprs``: nodes compare by
     type and fields, floats by their bits (so 0.0 and -0.0 differ)."""

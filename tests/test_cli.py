@@ -671,6 +671,32 @@ def test_an_overflowed_form_route_divergence_exits_3(tmp_path, capfd):
                                               "divergence at (1e-160, 0.0)\n"))
 
 
+def test_a_coefficient_deeper_than_the_limit_exits_2(tmp_path, capfd):
+    # a sum of 1,500 terms used to raise RecursionError while binding
+    doc = {"name": "deep", "n": 2, "k": 2, "mode": "tensor",
+           "coefficients": {"1,2": " + ".join(["x1"] * 1500)}, "hamiltonians": ["x2"]}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check", "--config", str(path)])
+    assert (code, capfd.readouterr()) == (2, ("", "error: config error at /coefficients/1,2: "
+                                              "expression is 1500 levels deep, more than 150 "
+                                              "(offset 0)\n"))
+
+
+def test_a_config_at_the_depth_limit_runs(tmp_path, capsys):
+    # the deepest walks the package takes: the second derivatives of a
+    # Hamiltonian whose quotients nest to the limit, on the form route
+    depth = ghm.expr.MAX_EXPR_DEPTH
+    chain = "/".join("x1" if i % 2 == 0 else "x2" for i in range(depth))
+    doc = {"name": "deep", "n": 2, "k": 2, "mode": "form", "coefficients": {"1,2": "1"},
+           "hamiltonians": [chain], "domain": [[0.5, 1.5], [0.5, 1.5]], "base_point": [1, 1]}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(path), "--x0=1,1", "--t-end", "0.002"]) == 0
+    assert main(["check", "--config", str(path), "--samples", "3"]) in (0, 1)
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["check", "oscillator", "--identities", ","], "--identities names no identity"),
     (["check", "oscillator", "--identities", ""], "--identities names no identity"),

@@ -2,6 +2,7 @@ import math
 import struct
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,10 +10,16 @@ import ghm.expr as ex
 from ghm.errors import EvalDomainError, ParseError
 from ghm.expr import (
     Add,
+    Call,
     Const,
     Coord,
+    Div,
+    Mul,
+    Neg,
+    Param,
     Pow,
     ScalarField,
+    Sub,
     compile_expr,
     differentiate,
     evaluate,
@@ -20,7 +27,13 @@ from ghm.expr import (
     to_str,
 )
 
-from oracles import structural_node_count, tree_walk
+from oracles import (
+    reference_derive,
+    reference_generate,
+    reference_unique_nodes,
+    structural_node_count,
+    tree_walk,
+)
 
 
 def test_parse_basic_tree():
@@ -238,7 +251,7 @@ def test_one_temporary_per_unique_node():
     fn = ex.compile_vector(exprs)
     temporaries = [name for name in fn.__code__.co_varnames if name.startswith("t")]
     assert len(temporaries) == structural_node_count(exprs)
-    assert len(temporaries) == len(ex.unique_nodes(exprs))
+    assert len(temporaries) == len(reference_unique_nodes(exprs))
 
 
 def test_literal_overflow_is_a_parse_error():
@@ -370,3 +383,145 @@ def test_building_a_system_again_with_new_constants_compiles_nothing_new(capsys)
     misses = ex._code.cache_info().misses
     assert "overall: PASS" in build_and_check("0.3141")
     assert ex._code.cache_info().misses == misses
+
+
+# ---------------------------------------------------------------------------
+# The one-pass compiler against the former two-pass generator
+# ---------------------------------------------------------------------------
+
+def _generation(generate, exprs, scalar):
+    """Source text, constants by name with their bits, and the node of each
+    line by identity; or the message of the fault raised while generating."""
+    try:
+        source, consts, nodes = generate(exprs, scalar)
+    except EvalDomainError as exc:
+        return ("fault", str(exc))
+    return source, [(name, float.hex(v)) for name, v in consts.items()], [id(e) for e in nodes]
+
+
+def _assert_generated_as_before(exprs, scalar, axes):
+    assert _generation(ex._generate, exprs, scalar) == _generation(reference_generate, exprs,
+                                                                   scalar)
+    for e in reference_unique_nodes(exprs):
+        for axis in axes:
+            assert ex._derive(e, axis) is reference_derive(e, axis), (to_str(e), axis)
+
+
+_EXPONENTS = [Fraction(2), Fraction(3), Fraction(-1), Fraction(1, 2), Fraction(-3, 2)]
+
+
+@st.composite
+def shared_dags(draw):
+    """Bundles over a pool of nodes in which each new node takes its operands
+    from the earlier ones, so subtrees are shared; every node class, built
+    raw or through the folding constructors, and the constants -0.0, inf
+    and nan."""
+    pool = [Const(-0.0), Const(math.inf), Const(math.nan), Coord(1), Coord(2), Coord(3),
+            Const(draw(st.sampled_from([0.0, 1.0, -2.5, 0.1, 1e300])))]
+    if draw(st.integers(0, 9)) == 0:
+        pool.append(Param("a"))
+    for _ in range(draw(st.integers(1, 30))):
+        a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        kind = draw(st.sampled_from(["add", "sub", "mul", "div", "neg", "pow", "call"]))
+        raw = draw(st.booleans())
+        if kind in ("add", "sub", "mul", "div"):
+            cls = {"add": Add, "sub": Sub, "mul": Mul, "div": Div}[kind]
+            node = cls(a, b) if raw else getattr(ex, kind)(a, b)
+        elif kind == "neg":
+            node = Neg(a) if raw else ex.neg(a)
+        elif kind == "pow":
+            exponent = draw(st.sampled_from(_EXPONENTS))
+            node = Pow(a, exponent) if raw else ex.powc(a, exponent)
+        else:
+            fn = draw(st.sampled_from(ex.FUNCTIONS))
+            node = Call(fn, a) if raw else ex.call(fn, a)
+        pool.append(node)
+    return draw(st.lists(st.sampled_from(pool[-12:]), min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(exprs=shared_dags(), scalar=st.booleans())
+def test_the_one_pass_compiler_writes_the_former_source_on_drawn_dags(exprs, scalar):
+    _assert_generated_as_before(exprs[:1] if scalar else exprs, scalar, axes=(1, 2, 3))
+
+
+def test_the_one_pass_compiler_writes_the_former_source_for_the_systems(monkeypatch, capsys):
+    # every bundle compiled while building and checking the built-ins,
+    # flat_nambu(4, 3) and a quasisymmetric field with drawn constants
+    from ghm.cli import main
+
+    rng = np.random.default_rng(15)
+    a, b, c = (round(float(v), 4) for v in rng.uniform(0.05, 0.3, 3))
+    compile_, bundles = ex._compile, []
+
+    def recorded(exprs, scalar):
+        bundles.append((exprs, scalar))
+        return compile_(exprs, scalar)
+
+    monkeypatch.setattr(ex, "_compile", recorded)
+    for argv in (["oscillator"], ["fourdim"], ["quasisymmetry"], ["flat_nambu"],
+                 ["flat_nambu", "--n", "4", "--k", "3"],
+                 ["quasisymmetry", f"--psi=x1^2 + x2^2 + {a}*x1*x3",
+                  f"--bvec=-x2 + {b}*x3;x1;1 + x3 + {c}*x1^2"]):
+        assert main(["check", *argv, "--samples", "3"]) in (0, 1)  # oscillator fails FI
+    capsys.readouterr()
+    assert len(bundles) >= 20
+    for exprs, scalar in bundles:
+        _assert_generated_as_before(exprs, scalar, axes=range(1, 7))
+
+
+# ---------------------------------------------------------------------------
+# The depth limit
+# ---------------------------------------------------------------------------
+
+def _chain(cls, depth: int) -> str:
+    """Text whose tree is ``depth`` levels deep, every other level (every
+    level for a binary class) a ``cls`` node; binary chains alternate x1 and
+    the parameter a."""
+    if cls in (Add, Sub, Mul, Div):
+        op = {Add: " + ", Sub: " - ", Mul: "*", Div: "/"}[cls]
+        return op.join("a" if i % 2 else "x1" for i in range(depth))
+    text = "x1"
+    for i in range(depth - 1):
+        if cls is Neg:  # -(-e) folds to e: a product between two minuses
+            text = f"-({text})" if i % 2 == 0 else f"x2*{text}"
+        elif cls is Pow:
+            text = f"({text})^(1/2)" if i % 2 else f"({text})^2"
+        else:
+            text = f"{ex.FUNCTIONS[i % len(ex.FUNCTIONS)]}({text})"
+    return text
+
+
+@pytest.mark.parametrize("cls", [Add, Sub, Mul, Div, Neg, Pow, Call])
+def test_a_chain_at_the_depth_limit_runs_every_walk(cls):
+    # parse, bind, substitute, print, both derivative orders and compile,
+    # under Python's default recursion limit
+    import sys
+
+    assert sys.getrecursionlimit() == 1000
+    text = _chain(cls, ex.MAX_EXPR_DEPTH)
+    e = ex.bind_params(parse(text, 2, params={"a"}), {"a": 0.75})
+    assert ex.tree_depth(e) == ex.MAX_EXPR_DEPTH
+    assert ex.tree_depth(parse(text, 2, params={"a"})) == ex.MAX_EXPR_DEPTH
+    assert to_str(ex.substitute(e, {1: Coord(2)}))
+    first = [differentiate(e, u) for u in (1, 2)]
+    second = [differentiate(d, u) for d in first for u in (1, 2)]
+    assert [to_str(d) for d in first + second]
+    values = ex.compile_vector([e, *first, *second])
+    for point in ((0.6, 0.8), (0.0, -0.5)):
+        try:
+            values(point)
+        except EvalDomainError as exc:  # the fault names its node in full
+            assert exc.node
+    with pytest.raises(ParseError, match="more than"):
+        parse(_chain(cls, ex.MAX_EXPR_DEPTH + 1), 2, params={"a"})
+
+
+@pytest.mark.parametrize("opening, closing", [("(", ")"), ("-", ""), ("sin(", ")")],
+                         ids=["parentheses", "minus", "call"])
+def test_nesting_past_the_depth_limit_is_a_parse_error(opening, closing):
+    # the parser's own descent is bounded before any tree exists
+    depth = ex.MAX_EXPR_DEPTH
+    assert parse(opening * (depth - 1) + "x1" + closing * (depth - 1), 1)
+    with pytest.raises(ParseError, match=f"nested more than {depth} levels"):
+        parse(opening * (depth + 1) + "x1" + closing * (depth + 1), 1)

@@ -652,6 +652,23 @@ def test_interior_rejects_what_the_reference_rejects():
         assert str(got.value) == str(want.value)
 
 
+def test_interior_rejects_two_operands_of_the_same_variance():
+    x1, x2 = parse("x1", 3), parse("x2", 3)
+    pairs = [(FormValue(3, 1, {(1,): 1.0}), FormValue(3, 2, {(1, 2): 1.0})),
+             (MultiVectorValue(3, 1, {(1,): 1.0}), MultiVectorValue(3, 2, {(1, 2): 1.0})),
+             (FormField(3, 1, {(1,): x1}), FormField(3, 2, {(1, 2): x2})),
+             (MultiVectorField(3, 1, {(1,): x1}), MultiVectorField(3, 2, {(1, 2): x2})),
+             (FormValue(3, 1, {(1,): 1.0}), FormField(3, 2, {(1, 2): x2}))]
+    for by, target in pairs:
+        with pytest.raises(DimensionError, match="one form and one multivector"):
+            interior(by, target)
+    # opposite variances contract, in either ring
+    assert interior(MultiVectorField(3, 1, {(1,): x1}), FormField(3, 2, {(1, 2): x2})).coeffs \
+        == {(2,): ex.mul(x1, x2)}
+    assert interior(FormValue(3, 1, {(1,): 2.0}), MultiVectorValue(3, 2, {(1, 2): 3.0})).coeffs \
+        == {(2,): 6.0}
+
+
 # coefficients that evaluate to +-0.0 at the drawn points, as well as others
 GATHER_POOL = ["x{i}", "-x{i}", "x{i}*x{j}", "-x{i}*x{j} + 0.5*x{j}^3", "x{i}^2 - 1", "2.5",
                "sin(x{i})"]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ghm.expr as ex
-from ghm.errors import InputError
+from ghm.errors import EvalDomainError, InputError
 from ghm.expr import evaluate, parse
 from ghm.exterior import interior_vector_field, lie_derivative
 from ghm.dynamics import conservation_report, integrate, sample_box, vector_field_of
@@ -114,6 +114,32 @@ def test_quasisymmetry_default_denominator():
     for p in sample_box(rng, qs.domain, 20):
         want = (1 + p[2]) ** 2 / B(p)
         assert f(p) == pytest.approx(want, rel=1e-12)
+
+
+def test_quasisymmetry_screens_with_one_compiled_bundle(monkeypatch):
+    # the denominator f = B.grad|B| and the cross product grad(psi) x grad|B|
+    # share most nodes, so the 40-sample screen compiles them together
+    compile_, compiled = ex._compile, []
+
+    def counted(exprs, scalar):
+        compiled.append(exprs)
+        return compile_(exprs, scalar)
+
+    monkeypatch.setattr(ex, "_compile", counted)
+    qs = quasisymmetry(bvec=("-x2", "x1", "1 + x3 + 0.2817*x1"))
+    f_expr = qs.extras["BgradB"].expression
+    cross = tuple(c.a for c in qs.extras["u"].components)  # u = cross / f
+    assert compiled == [(f_expr, *cross)]
+
+
+def test_quasisymmetry_reports_a_vanishing_denominator_before_a_cross_product_fault():
+    # at x1 = 0, d sqrt(x1) divides by zero, and only the cross product holds it
+    domain = ((0.0, 0.0), (-1.0, 1.0), (-1.0, 1.0))
+    with pytest.raises(InputError, match=r"B\.grad\|B\| vanishes near \(0\.0, "):
+        quasisymmetry(psi="sqrt(x1) + x2", bvec=("x1", "1", "x1*x2"), domain=domain)
+    with pytest.raises(EvalDomainError) as err:  # f = |B| does not vanish there
+        quasisymmetry(psi="sqrt(x1) + x2", bvec=("x1 + 1", "x2", "0"), domain=domain)
+    assert err.value.node == "1.0/(2.0*sqrt(x1))"
 
 
 def test_quasisymmetry_identity_chain_default():
