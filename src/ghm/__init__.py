@@ -9,6 +9,7 @@ from .errors import (
     DimensionError,
     DualityError,
     EvalDomainError,
+    ExprDepthError,
     GhmError,
     InputError,
     IntegrationError,

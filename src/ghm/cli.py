@@ -24,10 +24,12 @@ from .expr import ScalarField
 from .hdw import solve_hdw
 from .identities import (
     IdentityReport,
-    closure_residual,
-    fundamental_identity_residual,
-    jacobi_residual,
-    measure_residual,
+    Scan,
+    closure_scan,
+    fundamental_identity_scan,
+    jacobi_scan,
+    measure_scan,
+    run_scans,
 )
 from .systems import CATALOG, MOSER_CATALOG, build, build_moser
 
@@ -239,35 +241,42 @@ def _check_numbers(args) -> None:
 # check
 # ---------------------------------------------------------------------------
 
-def _available_checks(system: SystemSpec, points):
-    """(token, label, thunk) of each identity that applies to the system, in
-    report order; a thunk computes its report only when called."""
-    checks: list[tuple[str, str, Callable[[], IdentityReport]]] = []
+def _available_checks(system: SystemSpec) -> list[tuple[str, str, Callable[[], Scan]]]:
+    """(token, label, builder) of each identity that applies to the system, in
+    report order; a builder does its symbolic work only when called."""
+    checks: list[tuple[str, str, Callable[[], Scan]]] = []
     if system.form is not None:
-        checks.append(("closure", "closure(w)", lambda: closure_residual(system.form, points)))
+        checks.append(("closure", "closure(w)", lambda: closure_scan(system.form)))
     if system.reduced_tensor is not None:
         checks.append(("jacobi", system.jacobi_label,
-                       lambda: jacobi_residual(system.reduced_tensor, points)))
+                       lambda: jacobi_scan(system.reduced_tensor)))
     if system.tensor is not None and system.tensor.k == 3:
         checks.append(("fi", "fundamental-identity",
-                       lambda: fundamental_identity_residual(system.tensor, points)))
+                       lambda: fundamental_identity_scan(system.tensor)))
     if system.tensor is not None:
         weight = system.measure_weight if system.measure_weight is not None else 1.0
-        checks.append(("measure", "measure",
-                       lambda: measure_residual(system.tensor, weight, points)))
+        checks.append(("measure", "measure", lambda: measure_scan(system.tensor, weight)))
     return checks
+
+
+def _check_reports(system: SystemSpec, points, tokens) -> list[tuple[str, str, IdentityReport]]:
+    """(token, label, report) of each check named in ``tokens``, in report
+    order, from one compiled bundle of their scans evaluated once per point."""
+    checks = [c for c in _available_checks(system) if c[0] in tokens]
+    reports = run_scans([build() for _, _, build in checks], points)
+    return [(token, label, rep) for (token, label, _), rep in zip(checks, reports)]
 
 
 def cmd_check(args) -> int:
     system = _resolve_system(args)
     rng = np.random.default_rng(args.seed)
     points = sample_box(rng, system.domain, args.samples)
-    checks = _available_checks(system, points)
+    have = [token for token, _, _ in _available_checks(system)]
+    wanted = have
     if args.identities is not None:
         wanted = [t.strip() for t in args.identities.split(",") if t.strip()]
         if not wanted:
             raise InputError("--identities names no identity")
-        have = {token for token, _, _ in checks}
         unknown = [t for t in wanted if t not in {"closure", "jacobi", "fi", "measure"}]
         if unknown:
             raise InputError(f"unknown identities: {', '.join(unknown)}")
@@ -275,8 +284,7 @@ def cmd_check(args) -> int:
         if missing:
             raise InputError(
                 f"identities not applicable to {system.name!r}: {', '.join(missing)}")
-        checks = [c for c in checks if c[0] in wanted]
-    reports = [(token, label, run()) for token, label, run in checks]
+    reports = _check_reports(system, points, wanted)
 
     print(f"system {system.name}  n={system.n} k={system.k}  "
           f"samples={args.samples} seed={args.seed} rng={RNG_NAME} tol={args.tol:g}")

@@ -21,6 +21,15 @@ class EvalDomainError(GhmError):
         self.node = node
 
 
+class ExprDepthError(GhmError):
+    """An expression tree too deep for a recursive walk under Python's
+    recursion limit; ``depth`` is its depth in nodes."""
+
+    def __init__(self, message: str, depth: int):
+        super().__init__(message)
+        self.depth = depth
+
+
 class DimensionError(GhmError):
     """Mismatched ambient dimension or tensor degree."""
 

@@ -18,7 +18,11 @@ which keeps differentiation closed over the node set.  A numeric literal
 that overflows a float is a ParseError, and so is a tree more than
 ``MAX_EXPR_DEPTH`` levels deep or nested deeper than that: every walk of a
 tree recurses once per level, and the limit keeps the deepest of them within
-Python's default recursion limit.
+Python's default recursion limit.  A tree built through the constructors
+has no such limit: a walk of it that runs out of recursion at a public entry
+point (``differentiate``, ``substitute``, ``bind_params``, ``to_str``,
+``compile_expr``, ``compile_vector``) raises ``ExprDepthError`` naming the
+depth that ``tree_depth`` measures.
 
 Interned nodes.  Nodes are immutable and hash-consed: constructing a node
 returns the live node with the same type and fields (floats by their bits,
@@ -52,6 +56,7 @@ from __future__ import annotations
 import math
 import re
 import struct
+import sys
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,7 +64,7 @@ from functools import cached_property, lru_cache
 from types import CodeType, FunctionType
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import EvalDomainError, ParseError
+from .errors import EvalDomainError, ExprDepthError, ParseError
 
 FUNCTIONS = ("sqrt", "sin", "cos", "exp", "log")
 
@@ -227,6 +232,14 @@ def tree_depth(e: Expr) -> int:
     return depth[e]
 
 
+def _too_deep(walk: str, exprs: Iterable[Expr]) -> ExprDepthError:
+    """The error for a ``walk`` of ``exprs`` that ran out of Python's
+    recursion limit: every recursive walk takes a frame or more per level."""
+    depth = max(map(tree_depth, exprs), default=0)
+    return ExprDepthError(f"{walk}: expression is {depth} levels deep, too deep to walk "
+                          f"within Python's recursion limit of {sys.getrecursionlimit()}", depth)
+
+
 # ---------------------------------------------------------------------------
 # Folding constructors
 # ---------------------------------------------------------------------------
@@ -327,6 +340,13 @@ def differentiate(e: Expr, axis: int) -> Expr:
     """Exact partial derivative with respect to coordinate ``axis`` (1-based);
     memoized on the node."""
     try:
+        return _differentiate(e, axis)
+    except RecursionError:
+        raise _too_deep("differentiate", [e]) from None
+
+
+def _differentiate(e: Expr, axis: int) -> Expr:
+    try:
         memo = e._derivs
     except AttributeError:
         memo = {}
@@ -342,26 +362,26 @@ def differentiate(e: Expr, axis: int) -> Expr:
 def _derive(e: Expr, axis: int) -> Expr:
     t = type(e)
     if t is Mul:
-        return add(mul(differentiate(e.a, axis), e.b), mul(e.a, differentiate(e.b, axis)))
+        return add(mul(_differentiate(e.a, axis), e.b), mul(e.a, _differentiate(e.b, axis)))
     if t is Add:
-        return add(differentiate(e.a, axis), differentiate(e.b, axis))
+        return add(_differentiate(e.a, axis), _differentiate(e.b, axis))
     if t is Sub:
-        return sub(differentiate(e.a, axis), differentiate(e.b, axis))
+        return sub(_differentiate(e.a, axis), _differentiate(e.b, axis))
     if t is Coord:
         return ONE if e.axis == axis else ZERO
     if t is Const or t is Param:
         return ZERO
     if t is Pow:
-        db = differentiate(e.base, axis)
+        db = _differentiate(e.base, axis)
         coeff = mul(Const(float(e.exponent)), powc(e.base, e.exponent - 1))
         return mul(coeff, db)
     if t is Div:
-        da, db = differentiate(e.a, axis), differentiate(e.b, axis)
+        da, db = _differentiate(e.a, axis), _differentiate(e.b, axis)
         return div(sub(mul(da, e.b), mul(e.a, db)), powc(e.b, 2))
     if t is Neg:
-        return neg(differentiate(e.arg, axis))
+        return neg(_differentiate(e.arg, axis))
     if t is Call:
-        da = differentiate(e.arg, axis)
+        da = _differentiate(e.arg, axis)
         if e.fn == "sqrt":
             return div(da, mul(Const(2.0), call("sqrt", e.arg)))
         if e.fn == "sin":
@@ -387,7 +407,10 @@ def substitute(e: Expr, leaf_map: Mapping[int | Expr, Expr]) -> Expr:
 
     Integer keys name coordinate axes; node keys are Coord or Param leaves."""
     leaves = {Coord(key) if isinstance(key, int) else key: v for key, v in leaf_map.items()}
-    return _substitute(e, leaves)
+    try:
+        return _substitute(e, leaves)
+    except RecursionError:
+        raise _too_deep("substitute", [e]) from None
 
 
 def _substitute(e: Expr, memo: dict[Expr, Expr]) -> Expr:
@@ -412,7 +435,10 @@ def _substitute(e: Expr, memo: dict[Expr, Expr]) -> Expr:
 def bind_params(e: Expr, values: Mapping[str, float]) -> Expr:
     """Replace parameter leaves by constants; an unbound one is an error."""
     memo: dict[Expr, Expr] = {Param(name): Const(float(v)) for name, v in values.items()}
-    out = _substitute(e, memo)
+    try:
+        out = _substitute(e, memo)
+    except RecursionError:
+        raise _too_deep("bind_params", [e]) from None
     # the leaf map comes first, then every node in post-order: the first
     # unbound parameter there is the first one a left-to-right walk meets
     for node in memo:
@@ -441,13 +467,20 @@ def _operand(e: Expr, s: str, need: int) -> str:
 
 
 def to_str(e: Expr) -> str:
-    """Parseable infix form; ``parse(to_str(e))`` evaluates identically to ``e``.
-    One frame per level of the tree."""
+    """Parseable infix form; ``parse(to_str(e))`` evaluates identically to ``e``."""
+    try:
+        return _to_str(e)
+    except RecursionError:
+        raise _too_deep("to_str", [e]) from None
+
+
+def _to_str(e: Expr) -> str:
+    """``to_str``, one frame per level of the tree."""
     t = type(e)
     infix = _INFIX.get(t)
     if infix is not None:
         op, left, right = infix
-        return _operand(e.a, to_str(e.a), left) + op + _operand(e.b, to_str(e.b), right)
+        return _operand(e.a, _to_str(e.a), left) + op + _operand(e.b, _to_str(e.b), right)
     if t is Const:
         return repr(e.value)
     if t is Coord:
@@ -455,13 +488,13 @@ def to_str(e: Expr) -> str:
     if t is Param:
         return e.name
     if t is Neg:
-        return "-" + _operand(e.arg, to_str(e.arg), _LVL_UNARY)
+        return "-" + _operand(e.arg, _to_str(e.arg), _LVL_UNARY)
     if t is Pow:
         ex = e.exponent
         estr = str(ex.numerator) if ex.denominator == 1 else f"({ex.numerator}/{ex.denominator})"
-        return f"{_operand(e.base, to_str(e.base), _LVL_ATOM)}^{estr}"
+        return f"{_operand(e.base, _to_str(e.base), _LVL_ATOM)}^{estr}"
     if t is Call:
-        return f"{e.fn}({to_str(e.arg)})"
+        return f"{e.fn}({_to_str(e.arg)})"
     raise TypeError(f"not an Expr: {e!r}")
 
 
@@ -572,7 +605,11 @@ def _compile(exprs: Sequence[Expr], scalar: bool) -> Callable:
 
 def compile_vector(exprs: Iterable[Expr]) -> Callable[[Sequence[float]], tuple]:
     """One function of a point returning the tuple of the expressions' values."""
-    return _compile(tuple(exprs), scalar=False)
+    exprs = tuple(exprs)
+    try:
+        return _compile(exprs, scalar=False)
+    except RecursionError:
+        raise _too_deep("compile_vector", exprs) from None
 
 
 def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
@@ -580,7 +617,10 @@ def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
     try:
         return e._fn
     except AttributeError:
-        fn = _compile((e,), scalar=True)
+        try:
+            fn = _compile((e,), scalar=True)
+        except RecursionError:
+            raise _too_deep("compile_expr", [e]) from None
         object.__setattr__(e, "_fn", fn)
         return fn
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -52,6 +52,9 @@ from .errors import DimensionError
 from .expr import Expr, ScalarField
 
 MAX_DIM = 12
+
+# the most floats of stacked minors one pullback ``det`` call takes: 16 MiB
+PULLBACK_BLOCK_FLOATS = 1 << 21
 
 Key = tuple[int, ...]
 
@@ -338,21 +341,41 @@ class _AltField(_Alt):
             signs.append(-1.0 if s < 0 else 1.0)
         return np.array(slots, dtype=np.intp), np.array(signs)
 
+    def jet_plan(self) -> tuple[list[Expr], np.ndarray]:
+        """(expressions, positions) of the jet table that ``gather`` reads with
+        ``jet``: the coefficients, then their nonzero exact partials, and the
+        flat position of each in the table, whose row 0 holds the values and
+        row u the partials d/dx^u.  Memoized."""
+        return self.memo("jet_plan", _jet_plan)
+
+    def jet_function(self) -> Callable[[Sequence[float]], tuple]:
+        """One compiled function of ``jet_plan()``'s expressions.  Memoized."""
+        return self.memo("jet", lambda f: ex.compile_vector(f.jet_plan()[0]))
+
     def gather(self, plan: tuple[np.ndarray, np.ndarray], point: Sequence[float],
                jet: bool = False) -> np.ndarray:
         """The components of ``plan``'s index tuples at ``point``, C-contiguous.
         With ``jet``, row 0 holds the components and row u their exact partials
-        d/dx^u, from one compiled function for the coefficients and their
-        nonzero partials.  Coefficients sit in ``coeffs`` order with a trailing
-        zero slot; one that evaluates to -0.0 is dropped from the value, so it
-        reads +0.0, as does every absent partial."""
+        d/dx^u, from one compiled function of ``jet_plan()``'s expressions."""
+        if jet:
+            values = self.jet_function()(point)
+        else:
+            values = self.coefficient_values(point)
+        return self.gather_from(plan, values, jet)
+
+    def gather_from(self, plan: tuple[np.ndarray, np.ndarray], values: tuple[float, ...],
+                    jet: bool = False) -> np.ndarray:
+        """``gather`` from values already computed: the coefficients' values in
+        ``coeffs`` order or, with ``jet``, the values of ``jet_plan()``'s
+        expressions.  The coefficients sit in a table with a trailing zero
+        slot; one that evaluates to -0.0 is dropped from the value, so it reads
+        +0.0, as does every absent partial."""
         slots, signs = plan
         if jet:
-            values, positions = self.memo("jet", _jet_plan)
             c = np.zeros((self.n + 1, len(self.coeffs) + 1))
-            c.put(positions, values(point))
+            c.put(self.jet_plan()[1], values)
         else:
-            c = np.array(self.coefficient_values(point) + (0.0,))
+            c = np.array(values + (0.0,))
         c += 0.0  # -0.0 + 0.0 is +0.0; no other value changes
         return signs * c.take(slots, axis=-1)
 
@@ -362,15 +385,14 @@ class _AltField(_Alt):
                                _normalized=True)
 
 
-def _jet_plan(f: _AltField):
-    """One compiled function for the coefficients, then their nonzero exact
-    partials; and the flat position of each in ``gather``'s table, whose row
-    0 holds the values and row u the partials d/dx^u."""
+def _jet_plan(f: _AltField) -> tuple[list[Expr], np.ndarray]:
+    """The coefficients, then their nonzero exact partials; and the flat
+    position of each in ``gather``'s jet table."""
     exprs, width = list(f.coeffs.values()), len(f.coeffs) + 1
     partials = [(u * width + slot, ex.differentiate(e, u))
                 for slot, e in enumerate(exprs) for u in range(1, f.n + 1)]
     partials = [(position, d) for position, d in partials if not ex.is_zero(d)]
-    return (ex.compile_vector(exprs + [d for _, d in partials]),
+    return (exprs + [d for _, d in partials],
             np.array([*range(len(exprs)), *(position for position, _ in partials)], dtype=np.intp))
 
 
@@ -528,26 +550,40 @@ def pullback(phi: PointMap, omega: FormValue, point: Sequence[float],
     return pullback_with_jacobian(J, omega)
 
 
+@lru_cache(maxsize=None)
+def _source_columns(n_src: int, k: int) -> tuple[list[Key], np.ndarray]:
+    """The degree-k keys of an n_src-dimensional chart and their 0-based
+    axes as an index array, built once per (n_src, k); neither is mutated."""
+    sources = increasing_indices(n_src, k)
+    return sources, np.array(sources, dtype=np.intp).reshape(len(sources), k) - 1
+
+
 def pullback_with_jacobian(J: np.ndarray, omega: FormValue) -> FormValue:
     """Pull a form value back through a (possibly rectangular) differential.
 
     ``J`` has shape (omega.n, n_source); the result lives on the source chart.
-    Every minor det(J[K rows, I cols]) comes from one stacked ``det`` call
-    (a 0 x 0 minor is 1.0); each coefficient then sums its terms in
-    ``omega.coeffs`` order, so the floats are those of a per-minor loop.
+    The minors det(J[K rows, I cols]) come from stacked ``det`` calls (a
+    0 x 0 minor is 1.0), one per block of ``omega``'s keys K, each block
+    holding at most ``PULLBACK_BLOCK_FLOATS`` floats of stacked minors; each
+    coefficient then sums its terms in ``omega.coeffs`` order, so the floats
+    are those of a per-minor loop whatever the blocks.
     """
     if J.shape[0] != omega.n:
         raise DimensionError(f"jacobian rows {J.shape[0]} != form dimension {omega.n}")
     n_src, k = int(J.shape[1]), omega.k
-    sources = increasing_indices(n_src, k)
+    sources, cols = _source_columns(n_src, k)
     rows = np.array(list(omega.coeffs), dtype=np.intp).reshape(len(omega.coeffs), k) - 1
-    cols = np.array(sources, dtype=np.intp).reshape(len(sources), k) - 1
-    dets = np.linalg.det(J[rows[:, None, :, None], cols[None, :, None, :]]).T.tolist()
-    out: dict[Key, float] = {}
-    for I, minors in zip(sources, dets):
-        total = 0.0
-        for c, d in zip(omega.coeffs.values(), minors):
-            total += c * d
-        if total != 0.0:
-            out[I] = total
+    coeffs = list(omega.coeffs.values())
+    block = max(1, PULLBACK_BLOCK_FLOATS // max(1, len(sources) * k * k))
+    totals = [0.0] * len(sources)
+    for start in range(0, len(coeffs), block):
+        dets = np.linalg.det(J[rows[start:start + block, None, :, None],
+                               cols[None, :, None, :]]).T.tolist()
+        terms = coeffs[start:start + block]
+        for i, minors in enumerate(dets):
+            total = totals[i]
+            for c, d in zip(terms, minors):
+                total += c * d
+            totals[i] = total
+    out = {I: total for I, total in zip(sources, totals) if total != 0.0}
     return FormValue(n_src, k, out, _normalized=True)

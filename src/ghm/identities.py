@@ -1,11 +1,17 @@
 """Residual checkers for algebraic structure identities.
 
-Every checker samples a list of points, scans index tuples exhaustively
-(dense numpy over n^3..n^6 tuples, built per point from one contraction or
-outer product and its transposes; n <= 8 keeps this at desk scale), and
-reports the maximum absolute violation together with the signed value and
-location of the argmax.  Reports are exactly reproducible given the same
-point list.
+A scan is the list of expressions it reads and a step that turns their
+values at one point into that point's candidates (signed value, point,
+index).  ``run_scans`` compiles every selected scan's expressions as one
+bundle, evaluates it once per point, and hands each step its dense slice of
+that row: closure reads dw's coefficients, Jacobi and the fundamental
+identity a tensor's jet gathered into full arrays (n^3..n^6 index tuples per
+point from one contraction or outer product and its transposes; n <= 8
+keeps this at desk scale), measure the divergences and then the weight.  A
+value is the same bits in any bundle, and each report names the largest
+violation, NaN first, with its signed value and location, so reports are
+reproducible given the same points.  The scans stop at the first point
+where one faults, naming the first faulting node there in scan order.
 """
 
 from __future__ import annotations
@@ -14,13 +20,14 @@ import dataclasses
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import expr as ex
 from .errors import DimensionError, EvalDomainError, InputError
-from .exterior import MultiVectorField, ScalarField, increasing_indices, nan_max
+from .exterior import (FormField, MultiVectorField, ScalarField, exterior_derivative,
+                       increasing_indices, nan_max)
 
 
 @dataclass(frozen=True)
@@ -51,21 +58,45 @@ class IdentityReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _dense_pair(J: MultiVectorField, point: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Full antisymmetric component arrays at a point: A of shape (n,)*k and
-    D[u, i1..ik] = d J^{i1..ik} / d x^u from exact symbolic partials."""
-    n, k = J.n, J.k
-    plan = J.memo("dense", lambda f: f.gather_plan(itertools.product(range(1, n + 1), repeat=k)))
-    jet = J.gather(plan, point, jet=True)  # every n^k index tuple, row-major
-    return jet[0].reshape((n,) * k), jet[1:].reshape((n,) * (k + 1))
+Candidate = tuple[float, tuple, tuple, str]  # (signed, point, index, detail)
 
 
-def _report(name: str, values: list[tuple[float, tuple, tuple]], samples: int,
-            detail: str = "") -> IdentityReport:
-    """values: (signed, point, index) candidates, one per point (the per-point argmax)."""
-    if not values:
+@dataclass(frozen=True)
+class Scan:
+    """One identity scan: the expressions it reads, and ``step(values,
+    point)``, which turns their values at one point into that point's
+    candidates.  ``compiled``, if given, returns a function of ``exprs``
+    that their owner keeps, which the scan uses when it runs alone."""
+
+    name: str
+    exprs: tuple[ex.Expr, ...]
+    step: Callable[[tuple, tuple], list[Candidate]]
+    compiled: Callable[[], Callable[[Sequence[float]], tuple]] | None = None
+
+
+def run_scans(scans: Sequence[Scan], points: Sequence[Sequence[float]]) -> list[IdentityReport]:
+    """Each scan's report, from one compiled function of every scan's
+    expressions in order, evaluated once per point; each step reads its own
+    slice of that row.  Scans without expressions compile nothing."""
+    exprs = [e for scan in scans for e in scan.exprs]
+    if len(scans) == 1 and scans[0].compiled is not None:
+        row = scans[0].compiled()
+    else:
+        row = ex.compile_vector(exprs) if exprs else lambda point: ()
+    ends = list(itertools.accumulate(len(scan.exprs) for scan in scans))
+    found: list[list[Candidate]] = [[] for _ in scans]
+    for p in points:
+        values, where = row(p), tuple(p)
+        for scan, start, end, out in zip(scans, [0, *ends], ends, found):
+            out += scan.step(values[start:end], where)
+    return [_report(scan.name, out, len(points)) for scan, out in zip(scans, found)]
+
+
+def _report(name: str, candidates: list[Candidate], samples: int) -> IdentityReport:
+    """The report of the candidate with the largest |signed|, a NaN first."""
+    if not candidates:
         raise InputError(f"{name}: no sample points")
-    best = nan_max(values, key=lambda t: abs(t[0]))
+    best = nan_max(candidates, key=lambda t: abs(t[0]))
     return IdentityReport(
         name=name,
         max_residual=abs(best[0]),
@@ -73,7 +104,7 @@ def _report(name: str, values: list[tuple[float, tuple, tuple]], samples: int,
         argmax_index=best[2],
         signed_at_argmax=float(best[0]),
         samples=samples,
-        detail=detail,
+        detail=best[3],
     )
 
 
@@ -84,21 +115,55 @@ def _argmax_signed(arr: np.ndarray) -> tuple[float, tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
+# Dense component arrays
+# ---------------------------------------------------------------------------
+
+def _dense_plan(J: MultiVectorField) -> tuple[np.ndarray, np.ndarray]:
+    """The gather plan of every n^k index tuple, row-major."""
+    return J.memo("dense", lambda f: f.gather_plan(
+        itertools.product(range(1, f.n + 1), repeat=f.k)))
+
+
+def _dense_arrays(J: MultiVectorField, jet: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full antisymmetric component arrays from a gathered jet: A of shape
+    (n,)*k and D[u, i1..ik] = d J^{i1..ik} / d x^u from exact symbolic partials."""
+    return jet[0].reshape((J.n,) * J.k), jet[1:].reshape((J.n,) * (J.k + 1))
+
+
+def _dense_pair(J: MultiVectorField, point: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """``_dense_arrays`` at a point, through the field's own jet function."""
+    return _dense_arrays(J, J.gather(_dense_plan(J), point, jet=True))
+
+
+def _dense_scan(name: str, J: MultiVectorField,
+                step: Callable[[np.ndarray, np.ndarray, tuple], list[Candidate]]) -> Scan:
+    """The scan of J's jet whose ``step(A, D, point)`` reads the dense arrays."""
+    plan = _dense_plan(J)
+
+    def dense_step(values, point):
+        return step(*_dense_arrays(J, J.gather_from(plan, values, jet=True)), point)
+    return Scan(name, tuple(J.jet_plan()[0]), dense_step, J.jet_function)
+
+
+# ---------------------------------------------------------------------------
 # Jacobi identity
 # ---------------------------------------------------------------------------
 
-def jacobi_residual(J2: MultiVectorField, points: Sequence[Sequence[float]]) -> IdentityReport:
+def jacobi_scan(J2: MultiVectorField) -> Scan:
     """Max over points and (i,j,l) of the cyclic first-derivative sum; degree 2 only."""
     if J2.k != 2:
         raise DimensionError("jacobi_residual needs a degree-2 multivector")
-    best = []
-    for p in points:
-        A, D = _dense_pair(J2, p)  # D[m, j, l]
+
+    def step(A, D, point):  # D[m, j, l]
         t1 = np.einsum("im,mjl->ijl", A, D)
-        T = t1 + t1.transpose(1, 2, 0) + t1.transpose(2, 0, 1)
-        signed, idx = _argmax_signed(T)
-        best.append((signed, tuple(p), idx))
-    return _report("jacobi", best, len(points))
+        signed, idx = _argmax_signed(t1 + t1.transpose(1, 2, 0) + t1.transpose(2, 0, 1))
+        return [(signed, point, idx, "")]
+    return _dense_scan("jacobi", J2, step)
+
+
+def jacobi_residual(J2: MultiVectorField, points: Sequence[Sequence[float]]) -> IdentityReport:
+    """``jacobi_scan`` alone."""
+    return run_scans([jacobi_scan(J2)], points)[0]
 
 
 def jacobi_k_residual(J: MultiVectorField,
@@ -122,7 +187,7 @@ def jacobi_k_residual(J: MultiVectorField,
 
 def _fundamental_identity_arrays(A: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """FIa[i, j, k, v, q] and FIb[i, j, k, u, v, q] at one point, from
-    A = J and D[u, i, j, k] = d_u J^{ijk}; see fundamental_identity_residual."""
+    A = J and D[u, i, j, k] = d_u J^{ijk}; see fundamental_identity_scan."""
     T = np.einsum("uab,ucde->abcde", A, D)
     fia = (T.transpose(2, 3, 4, 0, 1) - T.transpose(2, 0, 1, 3, 4)
            - T.transpose(1, 2, 0, 3, 4) - T)
@@ -133,10 +198,10 @@ def _fundamental_identity_arrays(A: np.ndarray, D: np.ndarray) -> tuple[np.ndarr
     return fia, fib
 
 
-def fundamental_identity_residual(J: MultiVectorField,
-                                  points: Sequence[Sequence[float]]) -> IdentityReport:
+def fundamental_identity_scan(J: MultiVectorField) -> Scan:
     """Exhaustive scan of the two derivative-distribution conditions for a
-    degree-3 tensor; reports which sub-identity attains the max.
+    degree-3 tensor; the report's detail names the sub-identity that attains
+    the max.
 
     FIa (first-derivative condition, u summed, the rest free):
 
@@ -159,35 +224,50 @@ def fundamental_identity_residual(J: MultiVectorField,
     """
     if J.k != 3:
         raise DimensionError("fundamental identity applies to degree-3 multivectors")
-    candidates = []  # (signed, point, index, sub-identity label)
-    for p in points:
-        fia, fib = _fundamental_identity_arrays(*_dense_pair(J, p))
+
+    # the previous point's arrays stay alive until the next point's exist: freed
+    # first, their pages go back to the OS and fault in again at every point
+    # (about 150 page faults per point at n = 6)
+    last = [None]
+
+    def step(A, D, point):
+        fia, fib = last[0] = _fundamental_identity_arrays(A, D)
         sa, ia = _argmax_signed(fia)
         sb, ib = _argmax_signed(fib)
-        candidates.append((sa, tuple(p), ia, "FIa"))
-        candidates.append((sb, tuple(p), ib, "FIb"))
-    rep = _report("fundamental-identity", [t[:3] for t in candidates], len(points))
-    return dataclasses.replace(rep, detail=nan_max(candidates, key=lambda t: abs(t[0]))[3])
+        return [(sa, point, ia, "FIa"), (sb, point, ib, "FIb")]
+    return _dense_scan("fundamental-identity", J, step)
+
+
+def fundamental_identity_residual(J: MultiVectorField,
+                                  points: Sequence[Sequence[float]]) -> IdentityReport:
+    """``fundamental_identity_scan`` alone."""
+    return run_scans([fundamental_identity_scan(J)], points)[0]
 
 
 # ---------------------------------------------------------------------------
 # Closure and measure preservation
 # ---------------------------------------------------------------------------
 
-def closure_residual(w, points: Sequence[Sequence[float]]) -> IdentityReport:
-    """Max over points of the largest |coefficient| of the exact-symbolic dw."""
-    from .exterior import exterior_derivative
+def _largest(values: dict[tuple, float], point: tuple) -> list[Candidate]:
+    """The candidate of the key whose value has the largest magnitude, the
+    first on a tie or a NaN; (0.0, ()) when there is no key."""
+    key = nan_max(values, key=lambda kk: abs(values[kk]), default=())
+    return [(values.get(key, 0.0), point, key, "")]
 
+
+def closure_scan(w: FormField) -> Scan:
+    """Max over points of the largest |coefficient| of the exact-symbolic dw."""
     dw = exterior_derivative(w)
-    best = []
-    for p in points:
-        V = dw.at(p)
-        if V.coeffs:
-            key = nan_max(V.coeffs, key=lambda kk: abs(V.coeffs[kk]))
-            best.append((V.coeffs[key], tuple(p), key))
-        else:
-            best.append((0.0, tuple(p), ()))
-    return _report("closure", best, len(points))
+    keys = list(dw.coeffs)
+
+    def step(values, point):  # the nonzero coefficients, as in ``dw.at(point)``
+        return _largest({key: v for key, v in zip(keys, values) if v != 0.0}, point)
+    return Scan("closure", tuple(dw.coeffs.values()), step)
+
+
+def closure_residual(w: FormField, points: Sequence[Sequence[float]]) -> IdentityReport:
+    """``closure_scan`` alone."""
+    return run_scans([closure_scan(w)], points)[0]
 
 
 def divergence_exprs(J: MultiVectorField, g: ScalarField | None = None) -> dict[tuple, ex.Expr]:
@@ -208,9 +288,10 @@ def divergence_exprs(J: MultiVectorField, g: ScalarField | None = None) -> dict[
     return out
 
 
-def measure_residual(J: MultiVectorField, g: ScalarField | float,
-                     points: Sequence[Sequence[float]]) -> IdentityReport:
-    """Max over points and target tuples of |sum_i d_i(g J^{i...})|."""
+def measure_scan(J: MultiVectorField, g: ScalarField | float) -> Scan:
+    """Max over points and target tuples of |sum_i d_i(g J^{i...})|.  A
+    weight other than 1 is the scan's last expression, and a point where it
+    reads 0.0 is an EvalDomainError."""
     gf = None
     if isinstance(g, (int, float)):
         if g != 1:
@@ -218,15 +299,20 @@ def measure_residual(J: MultiVectorField, g: ScalarField | float,
     else:
         gf = g
     exprs = divergence_exprs(J, gf)
-    values = ex.compile_vector(exprs.values())
-    best = []
-    for p in points:
-        if gf is not None and gf(p) == 0.0:
-            raise EvalDomainError(f"measure weight vanishes at {tuple(p)}")
-        vals = dict(zip(exprs, values(p)))
-        key = nan_max(vals, key=lambda kk: abs(vals[kk]), default=())
-        best.append((vals.get(key, 0.0), tuple(p), key))
-    return _report("measure", best, len(points))
+    keys = list(exprs)
+
+    def step(values, point):
+        if gf is not None and values[-1] == 0.0:
+            raise EvalDomainError(f"measure weight vanishes at {point}")
+        return _largest(dict(zip(keys, values)), point)
+    weight = () if gf is None else (gf.expression,)
+    return Scan("measure", (*exprs.values(), *weight), step)
+
+
+def measure_residual(J: MultiVectorField, g: ScalarField | float,
+                     points: Sequence[Sequence[float]]) -> IdentityReport:
+    """``measure_scan`` alone."""
+    return run_scans([measure_scan(J, g)], points)[0]
 
 
 def extend_measure_preserving(J: MultiVectorField) -> MultiVectorField:

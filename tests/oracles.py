@@ -892,3 +892,117 @@ def reference_fundamental_identity_arrays(A, D):
         + np.einsum("ujv,kiq->ijkuvq", A, A)
     )
     return fia, fib
+
+
+# ---------------------------------------------------------------------------
+# The former per-scan check: each scan compiles its own functions and
+# evaluates them over every point before the next scan starts
+# ---------------------------------------------------------------------------
+
+def _reference_report(name, values, samples, detail=""):
+    from ghm.errors import InputError
+    from ghm.exterior import nan_max
+    from ghm.identities import IdentityReport
+
+    if not values:
+        raise InputError(f"{name}: no sample points")
+    best = nan_max(values, key=lambda t: abs(t[0]))
+    return IdentityReport(name=name, max_residual=abs(best[0]),
+                          argmax_point=tuple(float(v) for v in best[1]),
+                          argmax_index=best[2], signed_at_argmax=float(best[0]),
+                          samples=samples, detail=detail)
+
+
+def reference_closure_residual(w, points):
+    """The former closure scan: dw's values through ``dw.at``, point by point."""
+    from ghm.exterior import exterior_derivative, nan_max
+
+    dw = exterior_derivative(w)
+    best = []
+    for p in points:
+        V = dw.at(p)
+        if V.coeffs:
+            key = nan_max(V.coeffs, key=lambda kk: abs(V.coeffs[kk]))
+            best.append((V.coeffs[key], tuple(p), key))
+        else:
+            best.append((0.0, tuple(p), ()))
+    return _reference_report("closure", best, len(points))
+
+
+def reference_jacobi_residual(J2, points):
+    """The former Jacobi scan, through the tensor's own jet function."""
+    import numpy as np
+    from ghm.identities import _argmax_signed, _dense_pair
+
+    best = []
+    for p in points:
+        A, D = _dense_pair(J2, p)
+        t1 = np.einsum("im,mjl->ijl", A, D)
+        T = t1 + t1.transpose(1, 2, 0) + t1.transpose(2, 0, 1)
+        signed, idx = _argmax_signed(T)
+        best.append((signed, tuple(p), idx))
+    return _reference_report("jacobi", best, len(points))
+
+
+def reference_fundamental_identity_residual(J, points):
+    """The former FI scan, through the tensor's own jet function."""
+    import dataclasses
+
+    from ghm.exterior import nan_max
+    from ghm.identities import _argmax_signed, _dense_pair, _fundamental_identity_arrays
+
+    candidates = []
+    for p in points:
+        fia, fib = _fundamental_identity_arrays(*_dense_pair(J, p))
+        sa, ia = _argmax_signed(fia)
+        sb, ib = _argmax_signed(fib)
+        candidates.append((sa, tuple(p), ia, "FIa"))
+        candidates.append((sb, tuple(p), ib, "FIb"))
+    rep = _reference_report("fundamental-identity", [t[:3] for t in candidates], len(points))
+    return dataclasses.replace(rep, detail=nan_max(candidates, key=lambda t: abs(t[0]))[3])
+
+
+def reference_measure_residual(J, g, points):
+    """The former measure scan: the weight compiled alone and tested first
+    at each point, then the divergences from their own function."""
+    from ghm import expr as ex
+    from ghm.errors import EvalDomainError
+    from ghm.exterior import nan_max
+    from ghm.identities import divergence_exprs
+
+    gf = None
+    if isinstance(g, (int, float)):
+        if g != 1:
+            gf = ex.ScalarField(J.n, ex.const(g))
+    else:
+        gf = g
+    exprs = divergence_exprs(J, gf)
+    values = ex.compile_vector(exprs.values())
+    best = []
+    for p in points:
+        if gf is not None and gf(p) == 0.0:
+            raise EvalDomainError(f"measure weight vanishes at {tuple(p)}")
+        vals = dict(zip(exprs, values(p)))
+        key = nan_max(vals, key=lambda kk: abs(vals[kk]), default=())
+        best.append((vals.get(key, 0.0), tuple(p), key))
+    return _reference_report("measure", best, len(points))
+
+
+def reference_check_reports(system, points, tokens):
+    """(token, label, report) of each check named in ``tokens``, the former
+    way: one scan after another, in report order."""
+    checks = []
+    if system.form is not None:
+        checks.append(("closure", "closure(w)",
+                       lambda: reference_closure_residual(system.form, points)))
+    if system.reduced_tensor is not None:
+        checks.append(("jacobi", system.jacobi_label,
+                       lambda: reference_jacobi_residual(system.reduced_tensor, points)))
+    if system.tensor is not None and system.tensor.k == 3:
+        checks.append(("fi", "fundamental-identity",
+                       lambda: reference_fundamental_identity_residual(system.tensor, points)))
+    if system.tensor is not None:
+        weight = system.measure_weight if system.measure_weight is not None else 1.0
+        checks.append(("measure", "measure",
+                       lambda: reference_measure_residual(system.tensor, weight, points)))
+    return [(token, label, run()) for token, label, run in checks if token in tokens]

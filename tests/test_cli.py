@@ -1,11 +1,13 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,7 @@ import ghm
 import ghm.cli
 from ghm.cli import load_config, main
 from ghm.errors import GhmError, InputError
+from oracles import reference_check_reports
 
 # the README's example document
 PLANE = {"name": "plane", "n": 2, "k": 2, "mode": "form", "coefficients": {"1,2": "1"},
@@ -66,9 +69,89 @@ def test_check_runs_only_the_named_identities(tmp_path, capsys, monkeypatch):
     def no_fi_scan(*_args):
         raise AssertionError("the FI scan ran")
 
-    monkeypatch.setattr(ghm.cli, "fundamental_identity_residual", no_fi_scan)
+    monkeypatch.setattr(ghm.cli, "fundamental_identity_scan", no_fi_scan)
     code, out, _ = run(capsys, "check", "oscillator", "--identities", "closure")
     assert code == 0 and "closure(w)" in out
+
+
+_BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
+# a tensor config whose FI scan faults at log(x1 + 2) for x1 < -2
+_LOG_NAMBU = {"name": "log-nambu", "n": 3, "k": 3, "mode": "tensor",
+              "coefficients": {"1,2,3": "log(x1 + 2)"}, "hamiltonians": ["x2", "x3"],
+              "domain": [[-3, 3], [-1, 1], [-1, 1]]}
+_A, _B, _C = (round(float(v), 4) for v in np.random.default_rng(21).uniform(0.05, 0.3, 3))
+_CHECKED = {
+    "oscillator": ["oscillator"], "fourdim": ["fourdim"], "quasisymmetry": ["quasisymmetry"],
+    "flat_nambu": ["flat_nambu"], "flat_nambu(4,3)": ["flat_nambu", "--n", "4", "--k", "3"],
+    "random quasisymmetry": ["quasisymmetry", f"--psi=x1^2 + x2^2 + {_A}*x1*x3",
+                             f"--bvec=-x2 + {_B}*x3;x1;1 + x3 + {_C}*x1^2"],
+    **{name: ["--config", str(_BENCH_CONFIGS / f"{name}.json")]
+       for name in ("oscillator_form", "fourdim_form", "inconsistent_form")},
+    "log-nambu": None,  # written to tmp_path
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CHECKED))
+def test_check_prints_what_the_former_per_scan_check_printed(name, tmp_path, capsys, monkeypatch):
+    # one bundle per check against the former scan-by-scan path: stdout,
+    # stderr, exit code and --json bytes, for the default and every subset
+    argv = _CHECKED[name]
+    if argv is None:
+        (tmp_path / "log.json").write_text(json.dumps(_LOG_NAMBU))
+        argv = ["--config", str(tmp_path / "log.json")]
+    system = ghm.cli._resolve_system(ghm.cli._parser().parse_args(["check", *argv]))
+    tokens = [token for token, _, _ in ghm.cli._available_checks(system)]
+    subsets = [[]] + [["--identities", ",".join(s)] for r in range(1, len(tokens) + 1)
+                      for s in itertools.combinations(tokens, r)]
+    report = tmp_path / "report.json"
+
+    def outputs():
+        got = []
+        for subset in subsets:
+            code, out, err = run(capsys, "check", *argv, "--samples", "5", "--seed", "9",
+                                 "--json", str(report), *subset)
+            got.append((code, out, err, report.read_bytes() if report.exists() else None))
+            report.unlink(missing_ok=True)
+        return got
+
+    new = outputs()
+    codes = {code for code, *_ in new}
+    assert 2 in codes if name == "log-nambu" else codes <= {0, 1}  # the FI scan faults
+    monkeypatch.setattr(ghm.cli, "_check_reports", reference_check_reports)
+    assert new == outputs()
+
+
+@pytest.mark.parametrize("name, tokens, bundles", [
+    ("oscillator", ("closure", "jacobi", "fi", "measure"), 1),
+    ("quasisymmetry", ("closure", "fi", "measure"), 1),
+    ("quasisymmetry", ("fi",), 1),
+    ("quasisymmetry", ("closure",), 0),  # d of a 3-form on R^3 is empty
+    ("flat_nambu", ("closure", "jacobi", "fi", "measure"), 1),
+])
+def test_a_check_compiles_its_scans_as_one_bundle(name, tokens, bundles, monkeypatch):
+    from ghm import expr as ex
+    from ghm import identities
+    from ghm.dynamics import sample_box
+    from ghm.systems import build
+
+    system = build(name)
+    points = sample_box(np.random.default_rng(2), system.domain, 3)
+    scans = [build_scan() for token, _, build_scan in ghm.cli._available_checks(system)
+             if token in tokens]
+    generate, generated = ex._generate, []
+
+    def counted(exprs, scalar):
+        generated.append(exprs)
+        return generate(exprs, scalar)
+
+    monkeypatch.setattr(ex, "_generate", counted)
+    reports = ghm.cli._check_reports(system, points, tokens)
+    assert len(generated) == bundles
+    if bundles:  # every selected scan's expressions, in report order
+        assert generated[0] == tuple(e for scan in scans for e in scan.exprs)
+    monkeypatch.undo()
+    assert [rep for _, _, rep in reports] == [identities.run_scans([scan], points)[0]
+                                              for scan in scans]
 
 
 def test_check_deterministic_stdout(capsys):

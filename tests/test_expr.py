@@ -465,7 +465,8 @@ def test_the_one_pass_compiler_writes_the_former_source_for_the_systems(monkeypa
                   f"--bvec=-x2 + {b}*x3;x1;1 + x3 + {c}*x1^2"]):
         assert main(["check", *argv, "--samples", "3"]) in (0, 1)  # oscillator fails FI
     capsys.readouterr()
-    assert len(bundles) >= 20
+    # a check compiles its scans as one bundle: fewer bundles, the same 89 expressions
+    assert len(bundles) >= 14 and sum(len(exprs) for exprs, _ in bundles) >= 89
     for exprs, scalar in bundles:
         _assert_generated_as_before(exprs, scalar, axes=range(1, 7))
 
@@ -525,3 +526,25 @@ def test_nesting_past_the_depth_limit_is_a_parse_error(opening, closing):
     assert parse(opening * (depth - 1) + "x1" + closing * (depth - 1), 1)
     with pytest.raises(ParseError, match=f"nested more than {depth} levels"):
         parse(opening * (depth + 1) + "x1" + closing * (depth + 1), 1)
+
+
+@pytest.mark.parametrize("walk", ["compile_expr", "compile_vector", "differentiate", "substitute",
+                                  "bind_params", "to_str"])
+def test_a_built_tree_too_deep_to_walk_is_a_typed_error(walk):
+    # no depth limit guards a tree built through the constructors: a sum of
+    # 1,500 terms exceeds Python's recursion limit in every recursive walk
+    from ghm.errors import ExprDepthError, GhmError
+
+    e = Coord(1)
+    for _ in range(1499):
+        e = ex.add(e, Coord(1))
+    calls = {"compile_expr": lambda: compile_expr(e),
+             "compile_vector": lambda: ex.compile_vector([ex.ONE, e]),
+             "differentiate": lambda: differentiate(e, 1),
+             "substitute": lambda: ex.substitute(e, {1: Coord(2)}),
+             "bind_params": lambda: ex.bind_params(e, {}),
+             "to_str": lambda: to_str(e)}
+    for _ in range(2):  # a failed walk leaves nothing behind that changes the next
+        with pytest.raises(ExprDepthError, match=f"^{walk}: expression is 1500 levels deep") as info:
+            calls[walk]()
+        assert isinstance(info.value, GhmError) and info.value.depth == 1500

@@ -390,6 +390,54 @@ def test_stacked_pullback_is_the_per_minor_loop(shape, data):
         [(key, type(c), float.hex(c)) for key, c in want.coeffs.items()]
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_pullback_in_blocks_is_the_one_block_pullback_byte_for_byte(data):
+    # blocks of keys as small as one key per det call; compared by float.hex
+    from ghm import exterior
+
+    n = data.draw(st.integers(1, 6))
+    n_src = data.draw(st.integers(0, n))
+    k = data.draw(st.integers(0, n))
+    keys = data.draw(st.lists(st.sampled_from(increasing_indices(n, k)), unique=True,
+                              max_size=12))
+    omega = FormValue(n, k, {key: data.draw(st.floats(-3, 3, allow_subnormal=False))
+                             for key in keys})
+    J = np.array(data.draw(st.lists(_JACOBIAN_ENTRIES, min_size=n * n_src,
+                                    max_size=n * n_src))).reshape(n, n_src)
+    whole = pullback_with_jacobian(J, omega)
+    default = exterior.PULLBACK_BLOCK_FLOATS
+    exterior.PULLBACK_BLOCK_FLOATS = data.draw(st.integers(1, 100))
+    try:
+        blocked = pullback_with_jacobian(J, omega)
+    finally:
+        exterior.PULLBACK_BLOCK_FLOATS = default
+    assert [(key, float.hex(c)) for key, c in blocked.coeffs.items()] == \
+        [(key, float.hex(c)) for key, c in whole.coeffs.items()]
+
+
+def test_a_pullback_stacks_at_most_a_block_of_minors(monkeypatch):
+    # a full 4-form on R^8: 70 keys x 70 minors of 4 x 4 floats, in blocks of 4 keys
+    from ghm import exterior
+
+    rng = np.random.default_rng(3)
+    omega = FormValue(8, 4, {key: float(rng.uniform(-1, 1)) for key in increasing_indices(8, 4)})
+    J = rng.uniform(-1, 1, size=(8, 8))
+    whole = pullback_with_jacobian(J, omega)
+    det, stacks = np.linalg.det, []
+
+    def recorded(a):
+        stacks.append(a.size)
+        return det(a)
+
+    monkeypatch.setattr(exterior, "PULLBACK_BLOCK_FLOATS", 5000)
+    monkeypatch.setattr(np.linalg, "det", recorded)
+    blocked = pullback_with_jacobian(J, omega)
+    assert stacks == [4 * 70 * 16] * 17 + [2 * 70 * 16]
+    assert [(key, float.hex(c)) for key, c in blocked.coeffs.items()] == \
+        [(key, float.hex(c)) for key, c in whole.coeffs.items()]
+
+
 def _random_affine(rng, n):
     A = rng.uniform(-1, 1, size=(n, n)) + np.eye(n)
     b = rng.uniform(-1, 1, size=n)

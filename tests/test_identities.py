@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -385,3 +386,44 @@ def test_fi_kernel_is_the_ten_einsum_formulas_bit_for_bit(name, monkeypatch):
     ref = fundamental_identity_residual(J, pts)
     assert rep == ref
     assert rep.signed_at_argmax.hex() == ref.signed_at_argmax.hex()
+
+
+def test_of_two_faults_the_earlier_point_wins_then_the_earlier_scan():
+    # dw of sqrt(x2) dx1 faults where x2 < 0; the divergence of x1 log(x1)
+    # d1^d2^d3 faults where x1 <= 0.  One bundle evaluates every scan at a
+    # point before the next point; the former path ran one scan over every
+    # point before the next scan.
+    from ghm.errors import EvalDomainError
+    from ghm.identities import closure_scan, measure_scan, run_scans
+    from oracles import reference_closure_residual, reference_measure_residual
+
+    w = FormField(3, 1, {(1,): parse("sqrt(x2)", 3)})
+    J = MultiVectorField(3, 3, {(1, 2, 3): parse("x1*log(x1)", 3)})
+    measure_faults, closure_faults, both_fault = (-1.0, 1.0, 0.5), (1.0, -1.0, 0.5), (-1.0, -1.0, 0.5)
+    closure_msg, measure_msg = "sqrt of negative value at node sqrt(x2)", \
+        "log of nonpositive value at node log(x1)"
+    points = [measure_faults, closure_faults]
+    # the former path: the closure scan, first, reaches its fault at the
+    # second point before the measure scan runs; each fault alone
+    with pytest.raises(EvalDomainError, match=re.escape(closure_msg)):
+        reference_closure_residual(w, points)
+    with pytest.raises(EvalDomainError, match=re.escape(measure_msg)):
+        reference_measure_residual(J, 1.0, points)
+    for pts, msg in ((points, measure_msg), (points[::-1], closure_msg), ([both_fault], closure_msg)):
+        with pytest.raises(EvalDomainError, match=re.escape(msg)):
+            run_scans([closure_scan(w), measure_scan(J, 1.0)], pts)
+
+
+def test_a_weight_that_vanishes_is_named_in_point_order():
+    # the weight x1 vanishes at the second point; the FI scan, first in scan
+    # order, faults at the third
+    from ghm.errors import EvalDomainError
+    from ghm.identities import fundamental_identity_scan, measure_scan, run_scans
+
+    J = MultiVectorField(3, 3, {(1, 2, 3): parse("log(x2)", 3)})
+    g = ScalarField(3, ex.Coord(1))
+    points = [(0.5, 1.0, 0.0), (0.0, 1.0, 0.0), (0.5, -1.0, 0.0)]
+    with pytest.raises(EvalDomainError, match=re.escape("measure weight vanishes at (0.0, 1.0, 0.0)")):
+        run_scans([fundamental_identity_scan(J), measure_scan(J, g)], points)
+    with pytest.raises(EvalDomainError, match="log of nonpositive value"):
+        run_scans([fundamental_identity_scan(J), measure_scan(J, g)], points[::2])
