@@ -367,7 +367,9 @@ def cmd_flatten(args) -> int:
     kwargs = {}
     if args.f is not None:
         kwargs["f"] = args.f
-    if args.g is not None and args.example == "moser2":
+    if args.g is not None:
+        if args.example != "moser2":
+            raise InputError(f"--g applies only to moser2, not to {args.example}")
         kwargs["g"] = args.g
     problem = build_moser(args.example, **kwargs)
     rng = np.random.default_rng(args.seed)

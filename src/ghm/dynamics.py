@@ -27,7 +27,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -72,14 +72,16 @@ def box_test(box: Sequence[tuple[float, float]]) -> Callable[[Sequence[float]], 
     """Membership in the box widened by BOX_SLACK * (1 + |bound|) on each side:
     one comparison chain, generated once per dimension, over bounds computed
     once per call."""
-    n = len(box)
-    if ("box", n) not in _GENERATED:
-        tests = " and ".join(f"lo{i} <= x[{i}] <= hi{i}" for i in range(n)) or "True"
-        _GENERATED["box", n] = _generated(
-            f"def box({''.join(f'lo{i}, hi{i}, ' for i in range(n))}):\n"
-            f"    return lambda x: {tests}", "box")
-    return _GENERATED["box", n](*(b for lo, hi in box for b in (
+    return _box_factory(len(box))(*(b for lo, hi in box for b in (
         lo - BOX_SLACK * (1 + abs(lo)), hi + BOX_SLACK * (1 + abs(hi)))))
+
+
+@cache
+def _box_factory(n: int) -> Callable:
+    """The generated factory of n-dimensional box tests, taking lo0, hi0, lo1, ..."""
+    tests = " and ".join(f"lo{i} <= x[{i}] <= hi{i}" for i in range(n)) or "True"
+    return _generated(f"def box({''.join(f'lo{i}, hi{i}, ' for i in range(n))}):\n"
+                      f"    return lambda x: {tests}", "box")
 
 
 def _step_count(steps: float, what: str) -> int:
@@ -95,10 +97,6 @@ def _generated(source: str, name: str) -> Callable:
     namespace: dict = {}
     exec(compile(source, f"<ghm.dynamics {name}>", "exec"), namespace)
     return namespace[name]
-
-
-# generated code by (kind, dimension): "rk4", "rkf45" and "box"
-_GENERATED: dict[tuple[str, int], Callable] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +281,8 @@ def vector_field_of(system: SystemSpec, point: Sequence[float], *,
         raise InputError(f"system {system.name!r} has no form structure")
     cross_check = cross_check and system.tensor is not None and system.form is not None
     info: dict = {"route": route}
-    if route == "tensor":
-        X = np.asarray(system.bracket_field.at(point), dtype=float)
+    if route == "tensor" or cross_check:
+        X = bracket = np.asarray(system.bracket_field.at(point), dtype=float)
     if route == "form" or cross_check:
         A, b = _hatmap_arrays(_hatmap_system(system.form, system.sigma()), point)
         solve = _min_norm(A, b)
@@ -293,7 +291,7 @@ def vector_field_of(system: SystemSpec, point: Sequence[float], *,
         X = solve.x
 
     if cross_check:
-        sXt = system.route_sign * np.asarray(system.bracket_field.at(point), dtype=float)
+        sXt = system.route_sign * bracket
         info["bracket_hdw_residual"] = float(np.linalg.norm(A @ sXt - b))
         # kernel-orthogonal projection of the bracket field
         projected = solve.Vt.T @ (solve.Vt @ sXt)
@@ -349,6 +347,7 @@ _RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 _RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 
 
+@cache
 def stepper(method: str, n: int) -> Callable:
     """The RK step for n-dimensional states, generated once per (method, n):
     ``rk4(f, x, k, dt)`` returns the next state and ``rkf45(f, x, k, h)`` the
@@ -359,8 +358,6 @@ def stepper(method: str, n: int) -> Callable:
     x + w*(a + 2*b + 2*c + d), and the B4/B5 sums as 0 + b0*k0 + b1*k1 + ...
     with the zero weights kept.  That is ``sum()`` on Python 3.11; writing it
     out keeps the result on 3.12+, whose ``sum()`` of floats is compensated."""
-    if (method, n) in _GENERATED:
-        return _GENERATED[method, n]
 
     def vec(component):  # a tuple display over the n components
         return "(" + "".join(component(i) + ", " for i in range(n)) + ")"
@@ -385,8 +382,7 @@ def stepper(method: str, n: int) -> Callable:
             for weights in (_RKF_B4, _RKF_B5)))
     head = f"def {method}(f, x, k, {'dt' if method == 'rk4' else 'h'}):\n    "
     state = "".join(f"x{i}, " for i in range(n)) + "= x\n    "
-    fn = _GENERATED[method, n] = _generated(head + state + "\n    ".join(body), method)
-    return fn
+    return _generated(head + state + "\n    ".join(body), method)
 
 
 def integrate(system: SystemSpec, x0: Sequence[float], t_end: float, dt: float = 1e-3,
@@ -402,7 +398,8 @@ def integrate(system: SystemSpec, x0: Sequence[float], t_end: float, dt: float =
     "diagnostics row" failure for the row, a "vector-field" failure for the
     field or a stage.
     Leaving the domain box truncates the trajectory with a note (never
-    extrapolates).
+    extrapolates); a state that is not finite, or an RKF45 error estimate
+    that is NaN, raises ``IntegrationError``.
     """
     if len(x0) != system.n:
         raise InputError(f"x0 must have length {system.n}")
@@ -455,6 +452,8 @@ def integrate(system: SystemSpec, x0: Sequence[float], t_end: float, dt: float =
                     if not inside(x):
                         break
                     k = accept(t, x)
+                elif math.isnan(err):  # would grow h to t_end - t for ever; inf shrinks h
+                    raise IntegrationError(f"the RKF45 error estimate is not finite at t={t:.6g}")
                 factor = 0.9 * (scale / err) ** 0.2 if err > 0 else 5.0
                 h *= min(5.0, max(0.2, factor))
                 if h < 1e-14:
@@ -462,9 +461,11 @@ def integrate(system: SystemSpec, x0: Sequence[float], t_end: float, dt: float =
     except _EVAL_FAULTS as exc:
         raise IntegrationError(f"vector-field evaluation failed: {exc}") from exc
 
+    left = not inside(x)  # only the last step can have left the box
+    if left and not all(map(math.isfinite, x)):
+        raise IntegrationError(f"the state is not finite at t={t:.6g}")
     table = np.array(rows)
     nh = len(system.hamiltonians)
-    left = not inside(x)  # only the last step can have left the box
     return Trajectory(
         times=np.array(times),
         states=np.array(states),
@@ -526,22 +527,6 @@ def moser_residual(problem: MoserProblem, points: Sequence[Sequence[float]]) -> 
     lw = lie_derivative(problem.X, problem.w0)
     llw = lie_derivative(problem.X, lw)
     return nan_max((llw.at(p).max_abs() for p in points), default=0.0)
-
-
-def moser_family_residual(w0: FormField, X_t: Callable[[float], VectorField],
-                          Z: VectorField, t: float,
-                          points: Sequence[Sequence[float]]) -> float:
-    """Pointwise residual of (L_{t X_t} L_Z - L_{Z0 - Z - (1-t) X_t}) w0 for a
-    caller-supplied time-dependent family; checker only, no solver."""
-    n, k = w0.n, w0.k
-    Xt = X_t(t)
-    Z0 = VectorField(n, tuple(ex.mul(ex.const(1.0 / k), ex.Coord(i))
-                              for i in range(1, n + 1)))
-    term1 = lie_derivative(Xt.scale(float(t)), lie_derivative(Z, w0))
-    rest = Z0 - Z - Xt.scale(1.0 - t)
-    term2 = lie_derivative(rest, w0)
-    diff = term1 - term2
-    return nan_max((diff.at(p).max_abs() for p in points), default=0.0)
 
 
 def _numeric_flow(problem: MoserProblem, t: float):

@@ -211,9 +211,6 @@ class _AltValue(_Alt):
         return (type(other) is type(self) and other.n == self.n
                 and other.k == self.k and other.coeffs == self.coeffs)
 
-    def __hash__(self):
-        raise TypeError("alternating values are not hashable")
-
 
 class FormValue(_AltValue):
     """Covariant degree-k value (pointwise differential form)."""
@@ -421,10 +418,8 @@ class VectorField:
         return np.array(self.compiled(point))
 
     def divergence_expr(self) -> Expr:
-        out = ex.ZERO
-        for i, c in enumerate(self.components, start=1):
-            out = ex.add(out, ex.differentiate(c, i))
-        return out
+        """sum_i d_i X^i: ``divergence_exprs`` of the degree-1 multivector."""
+        return divergence_exprs(self.as_multivector())[()]
 
     @cached_property
     def compiled(self) -> Callable[[Sequence[float]], tuple]:
@@ -482,6 +477,21 @@ def iterated_interior(fs: Sequence[ScalarField], T: _Alt) -> _Alt:
     for f in reversed(fs):
         T = interior(grad_field(f), T)
     return T
+
+
+def divergence_exprs(J: MultiVectorField, g: ScalarField | None = None) -> dict[Key, Expr]:
+    """Symbolic sum_i d_i (g J^{i j1..j_{k-1}}) for each increasing target tuple."""
+    out: dict[Key, Expr] = {}
+    for K in increasing_indices(J.n, J.k - 1):
+        total = ex.ZERO
+        for i in range(1, J.n + 1):
+            comp = J.component((i,) + K)  # zero when i is in K
+            if ex.is_zero(comp):
+                continue
+            prod = comp if g is None else ex.mul(g.expression, comp)
+            total = ex.add(total, ex.differentiate(prod, i))
+        out[K] = total
+    return out
 
 
 def lie_derivative(X: VectorField, w: FormField) -> FormField:

@@ -51,12 +51,12 @@ class HatMapMatrix:
     matrix: np.ndarray  # shape (C(n, k-1), n)
 
 
-def _hatmap_system(w: FormField, sigma: FormField | None):
+def _hatmap_system(w: FormField, sigma: FormField):
     """(rows, both, plan, eye) of iota_X w = -sigma, memoized on w per sigma object.
-    ``both`` holds w's coefficients, then sigma's (keys of degree k, then k-1),
-    for one compiled function and one jet; ``plan`` gathers A, then b = -sigma,
-    which reads zeros without sigma."""
-    if sigma is not None and (sigma.k != w.k - 1 or sigma.n != w.n):
+    ``both``, a new field so that w's memo holds no cycle back to w, holds w's
+    coefficients, then sigma's (keys of degree k, then k-1), for one compiled
+    function and one jet; ``plan`` gathers A, then b = -sigma."""
+    if sigma.k != w.k - 1 or sigma.n != w.n:
         raise DimensionError(
             f"sigma must have degree k-1={w.k - 1} on n={w.n}, got ({sigma.n}, {sigma.k})")
     if w.k < 2:
@@ -64,8 +64,7 @@ def _hatmap_system(w: FormField, sigma: FormField | None):
 
     def build(w):
         rows = tuple(increasing_indices(w.n, w.k - 1))
-        coeffs = w.coeffs if sigma is None else {**w.coeffs, **sigma.coeffs}
-        both = FormField(w.n, w.k, coeffs, _normalized=True)  # no cycle back to w
+        both = FormField(w.n, w.k, {**w.coeffs, **sigma.coeffs}, _normalized=True)
         plan = both.gather_plan([(j, *I) for I in rows for j in range(1, w.n + 1)] + [*rows])
         plan[1][len(rows) * w.n:] *= -1.0
         return rows, both, plan, np.eye(w.n)
@@ -85,9 +84,16 @@ def _hatmap_arrays(system: tuple, point: Sequence[float], jet: bool = False):
 
 
 def assemble_hatmap(w: FormField, point: Sequence[float]) -> HatMapMatrix:
-    """Entry (row I, col j) is the component w_{jI}."""
-    rows, both, plan, _ = _hatmap_system(w, None)
-    return HatMapMatrix(w.n, w.k, rows, both.gather(plan, point)[:-len(rows)].reshape(-1, w.n))
+    """Entry (row I, col j) is the component w_{jI}, read from w's own
+    coefficients through a gather plan memoized on w."""
+    if w.k < 2:
+        raise DimensionError("hat map needs a form of degree >= 2")
+
+    def build(w):
+        rows = tuple(increasing_indices(w.n, w.k - 1))
+        return rows, w.gather_plan((j, *I) for I in rows for j in range(1, w.n + 1))
+    rows, plan = w.memo("hatmap", build)
+    return HatMapMatrix(w.n, w.k, rows, w.gather(plan, point).reshape(-1, w.n))
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import expr as ex
 from .errors import DimensionError, EvalDomainError, InputError
-from .exterior import (FormField, MultiVectorField, ScalarField, exterior_derivative,
-                       increasing_indices, nan_max)
+from .exterior import (FormField, MultiVectorField, ScalarField, divergence_exprs,
+                       exterior_derivative, nan_max)
 
 
 @dataclass(frozen=True)
@@ -268,24 +268,6 @@ def closure_scan(w: FormField) -> Scan:
 def closure_residual(w: FormField, points: Sequence[Sequence[float]]) -> IdentityReport:
     """``closure_scan`` alone."""
     return run_scans([closure_scan(w)], points)[0]
-
-
-def divergence_exprs(J: MultiVectorField, g: ScalarField | None = None) -> dict[tuple, ex.Expr]:
-    """Symbolic sum_i d_i (g J^{i j1..j_{k-1}}) for each increasing target tuple."""
-    n, k = J.n, J.k
-    out: dict[tuple, ex.Expr] = {}
-    for K in increasing_indices(n, k - 1):
-        total = ex.ZERO
-        for i in range(1, n + 1):
-            if i in K:
-                continue
-            comp = J.component((i,) + K)
-            if ex.is_zero(comp):
-                continue
-            prod = comp if g is None else ex.mul(g.expression, comp)
-            total = ex.add(total, ex.differentiate(prod, i))
-        out[K] = total
-    return out
 
 
 def measure_scan(J: MultiVectorField, g: ScalarField | float) -> Scan:

@@ -119,7 +119,7 @@ def fourdim(hamiltonian: str = "x1") -> SystemSpec:
     X_display = VectorField(n, tuple(ex.neg(X_display.coeffs.get((i,), ex.ZERO))
                                      for i in range(1, n + 1)))
 
-    extras: dict = {"omega": omega, "J2": J2, "X_display": X_display}
+    extras: dict = {"omega": omega, "X_display": X_display}
     if ex.is_zero(H.partial(4)):
         extras["w4"] = build_w_from_omega(omega, [x3, x4])
         extras["J4"] = build_poisson_k(J2, [x3, x4], [_basis_vector(n, 3), _basis_vector(n, 4)])
@@ -215,7 +215,7 @@ def quasisymmetry(psi: str = "x1^2 + x2^2",
         measure_weight=f,
         reduced_tensor=None,
         route_sign=1,
-        extras={"u": u, "Bvec": Bc, "BgradB": f},
+        extras={"u": u, "BgradB": f},
     )
 
 
@@ -255,18 +255,31 @@ def flat_nambu(n: int = 3, k: int = 3) -> SystemSpec:
 # Flattening examples
 # ---------------------------------------------------------------------------
 
-def _block_flow_components(n: int, pairs: list[tuple[int, int, float]], t: float):
-    """Closed-form flow for fields rate*sqrt(x_a + x_b)(d_a + d_b): the sum
-    s = x_a + x_b obeys sqrt(s(t)) = sqrt(s(0)) + rate*t and the difference
-    is constant."""
-    comps = [ex.Coord(i) for i in range(1, n + 1)]
-    for a, b, rate in pairs:
-        xa, xb = ex.Coord(a), ex.Coord(b)
-        root = ex.add(ex.call("sqrt", ex.add(xa, xb)), ex.const(rate * t))
-        sq = ex.powc(root, 2)
-        comps[a - 1] = ex.add(ex.div(ex.sub(xa, xb), ex.const(2.0)), ex.div(sq, ex.const(2.0)))
-        comps[b - 1] = ex.add(ex.div(ex.sub(xb, xa), ex.const(2.0)), ex.div(sq, ex.const(2.0)))
-    return tuple(comps)
+def _moser(name: str, k: int, w0_keys: list[tuple[int, ...]],
+           blocks: list[tuple[int, int, ex.Expr, float]]) -> MoserProblem:
+    """Target sum of dx^key over ``w0_keys`` on R^(2 + 2 * len(blocks)), deformed by
+    X = c (d_a + d_b) per block (a, b, c = rate sqrt(x_a + x_b), rate), whose flow
+    keeps x_a - x_b and moves sqrt(x_a + x_b) by rate * t."""
+    n = 2 + 2 * len(blocks)
+    w0 = FormField.constant(n, k, {key: 1.0 for key in w0_keys})
+    comps = [ex.ZERO] * n
+    for a, b, c, _ in blocks:
+        comps[a - 1] = comps[b - 1] = c
+    X = VectorField(n, tuple(comps))
+
+    def flow(t: float) -> PointMap:
+        if t == 0:
+            return PointMap.identity(n)
+        phi = [ex.Coord(i) for i in range(1, n + 1)]
+        for a, b, _, rate in blocks:
+            xa, xb = ex.Coord(a), ex.Coord(b)
+            sq = ex.powc(ex.add(ex.call("sqrt", ex.add(xa, xb)), ex.const(rate * t)), 2)
+            phi[a - 1] = ex.add(ex.div(ex.sub(xa, xb), ex.const(2.0)), ex.div(sq, ex.const(2.0)))
+            phi[b - 1] = ex.add(ex.div(ex.sub(xb, xa), ex.const(2.0)), ex.div(sq, ex.const(2.0)))
+        return PointMap(n, tuple(phi))
+
+    return MoserProblem(name=name, n=n, k=k, w0=w0, X=X, w=w0 - lie_derivative(X, w0),
+                        domain=((-2.0, 2.0),) * 2 + ((0.3, 3.0),) * (n - 2), flow=flow)
 
 
 def moser_example_1(f: float = 2.0) -> MoserProblem:
@@ -274,23 +287,8 @@ def moser_example_1(f: float = 2.0) -> MoserProblem:
     X = sqrt((x3+x4) f/2)(d_3 + d_4); closed-form flow available."""
     if not (math.isfinite(f) and f > 0):
         raise InputError("parameter f must be positive and finite")
-    n = 4
-    w0 = FormField.constant(n, 3, {(1, 2, 3): 1.0, (1, 2, 4): 1.0})
     comp = ex.call("sqrt", ex.mul(ex.const(f / 2.0), ex.add(ex.Coord(3), ex.Coord(4))))
-    X = VectorField(n, (ex.ZERO, ex.ZERO, comp, comp))
-    w = w0 - lie_derivative(X, w0)
-    rate = float(np.sqrt(f / 2.0))
-
-    def flow(t: float) -> PointMap:
-        if t == 0:
-            return PointMap.identity(n)
-        return PointMap(n, _block_flow_components(n, [(3, 4, rate)], t))
-
-    return MoserProblem(
-        name="moser1", n=n, k=3, w0=w0, X=X, w=w,
-        domain=((-2.0, 2.0), (-2.0, 2.0), (0.3, 3.0), (0.3, 3.0)),
-        flow=flow,
-    )
+    return _moser("moser1", 3, [(1, 2, 3), (1, 2, 4)], [(3, 4, comp, float(np.sqrt(f / 2.0)))])
 
 
 def moser_example_2(f: float = 1.0, g: float = 1.0) -> MoserProblem:
@@ -298,23 +296,9 @@ def moser_example_2(f: float = 1.0, g: float = 1.0) -> MoserProblem:
     X = f sqrt(x3+x4)(d_3+d_4) + g sqrt(x5+x6)(d_5+d_6)."""
     if not all(math.isfinite(v) and v > 0 for v in (f, g)):
         raise InputError("parameters f and g must be positive and finite")
-    n = 6
-    w0 = FormField.constant(n, 4, {(1, 2, 3, 4): 1.0, (1, 2, 5, 6): 1.0})
-    c34 = ex.mul(ex.const(f), ex.call("sqrt", ex.add(ex.Coord(3), ex.Coord(4))))
-    c56 = ex.mul(ex.const(g), ex.call("sqrt", ex.add(ex.Coord(5), ex.Coord(6))))
-    X = VectorField(n, (ex.ZERO, ex.ZERO, c34, c34, c56, c56))
-    w = w0 - lie_derivative(X, w0)
-
-    def flow(t: float) -> PointMap:
-        if t == 0:
-            return PointMap.identity(n)
-        return PointMap(n, _block_flow_components(n, [(3, 4, f), (5, 6, g)], t))
-
-    return MoserProblem(
-        name="moser2", n=n, k=4, w0=w0, X=X, w=w,
-        domain=((-2.0, 2.0), (-2.0, 2.0), (0.3, 3.0), (0.3, 3.0), (0.3, 3.0), (0.3, 3.0)),
-        flow=flow,
-    )
+    c34, c56 = (ex.mul(ex.const(v), ex.call("sqrt", ex.add(ex.Coord(a), ex.Coord(a + 1))))
+                for v, a in ((f, 3), (g, 5)))
+    return _moser("moser2", 4, [(1, 2, 3, 4), (1, 2, 5, 6)], [(3, 4, c34, f), (5, 6, c56, g)])
 
 
 # ---------------------------------------------------------------------------

@@ -849,6 +849,17 @@ def reference_divergence_in_chart(X, chart_map, u, step=1e-5):
     return float(total)
 
 
+def reference_divergence_expr(X):
+    """The former ``VectorField.divergence_expr``: one sum over every
+    component, zero ones included."""
+    from ghm import expr as ex
+
+    out = ex.ZERO
+    for i, c in enumerate(X.components, start=1):
+        out = ex.add(out, ex.differentiate(c, i))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Loop and per-term forms of the stacked pullback and the FI kernel
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -754,6 +755,33 @@ def test_an_overflowed_form_route_divergence_exits_3(tmp_path, capfd):
                                               "divergence at (1e-160, 0.0)\n"))
 
 
+@pytest.mark.parametrize("method, message", [
+    ("rk4", "the state is not finite at t=0.001"),
+    # a NaN error estimate used to grow the step to t_end - t and loop for ever
+    ("rkf45", "the RKF45 error estimate is not finite at t=0"),
+])
+def test_a_non_finite_field_while_integrating_exits_3(tmp_path, capsys, method, message):
+    # 1e400 - 1e400 is NaN in the field at every state with x1 != 0
+    doc = {"name": "nanfield", "n": 3, "k": 3, "mode": "tensor",
+           "coefficients": {"1,2,3": "1 + x1^2*1e200*1e200 - x1^2*1e200*1e200"},
+           "hamiltonians": ["x2", "x3"], "domain": [[-3, 3], [-1, 1], [-1, 1]]}
+    path = tmp_path / "nanfield.json"
+    path.write_text(json.dumps(doc))
+
+    def hang(*_):
+        raise AssertionError("simulate did not return within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        result = run(capsys, "simulate", "--config", str(path), "--x0", "1,0.5,0.5",
+                     "--t-end", "0.01", "--dt", "0.001", "--method", method)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert result == (3, "", f"integration failure: {message}\n")
+
+
 def test_a_coefficient_deeper_than_the_limit_exits_2(tmp_path, capfd):
     # a sum of 1,500 terms used to raise RecursionError while binding
     doc = {"name": "deep", "n": 2, "k": 2, "mode": "tensor",
@@ -798,6 +826,7 @@ def test_a_config_at_the_depth_limit_runs(tmp_path, capsys):
      "--config takes no system name"),
     (["check", "fourdim", "--H", ""], "unexpected end of input"),
     (["check", "quasisymmetry", "--psi", ""], "unexpected end of input"),
+    (["flatten", "moser1", "--g", "5"], "--g applies only to moser2, not to moser1"),
 ])
 def test_system_input_that_would_be_dropped_is_an_input_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)

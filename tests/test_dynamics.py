@@ -22,7 +22,6 @@ from ghm.dynamics import (
     conservation_report,
     divergence,
     integrate,
-    moser_family_residual,
     moser_residual,
     sample_box,
     stepper,
@@ -330,14 +329,6 @@ def test_moser_residuals():
     bad = type(m1)(name="bad", n=2, k=2, w0=w0, X=X, w=w0,
                    domain=((-1, 1), (-1, 1)))
     assert moser_residual(bad, [(0.3, 0.4)]) == pytest.approx(1.0)
-
-
-def test_moser_family_residual_time_independent_reduction():
-    m1 = moser_example_1(f=2.0)
-    rng = np.random.default_rng(5)
-    pts = sample_box(rng, m1.domain, 10)
-    res = moser_family_residual(m1.w0, lambda t: m1.X, m1.Z, 0.7, pts)
-    assert res <= 1e-12
 
 
 def test_verify_flattening_routes():

@@ -43,6 +43,7 @@ from oracles import (
     reference_field_add,
     reference_field_constant,
     reference_component,
+    reference_divergence_expr,
     reference_field_wedge,
     reference_interior,
     reference_interior_field,
@@ -590,6 +591,22 @@ def _builtin_fields():
         if s.tensor is not None:
             out.append((s.tensor, s.bracket_field.as_multivector()))
     return out
+
+
+def test_a_divergence_is_the_node_the_former_per_component_sum_built():
+    # the bracket fields of the built-ins and of a quasisymmetric field with
+    # drawn constants, whose divergence does not vanish
+    import ghm.identities
+
+    rng = np.random.default_rng(17)
+    a, b, c = (round(float(v), 4) for v in rng.uniform(0.05, 0.3, 3))
+    drawn = systems.quasisymmetry(psi=f"x1^2 + x2^2 + {a}*x1*x3",
+                                  bvec=(f"-x2 + {b}*x3", "x1", f"1 + x3 + {c}*x1^2"))
+    fields = [systems.build(name).bracket_field for name in sorted(systems.CATALOG)]
+    for X in fields + [drawn.bracket_field]:
+        assert X.divergence_expr() is reference_divergence_expr(X)
+    assert not ex.is_zero(drawn.bracket_field.divergence_expr())
+    assert ghm.identities.divergence_exprs is ghm.exterior.divergence_exprs
 
 
 def test_field_wedge_constant_and_sum_build_the_same_nodes():

@@ -54,6 +54,13 @@ def test_assemble_symplectic_plane():
     assert np.array_equal(hat.matrix, np.array([[0, -1], [1, 0]], dtype=float))
 
 
+def test_a_hat_map_needs_a_form_of_degree_two_or_more():
+    w = FormField.constant(3, 1, {(1,): 1.0})
+    for hat_map in (assemble_hatmap, kernel_basis):
+        with pytest.raises(DimensionError, match="degree >= 2"):
+            hat_map(w, (0.0,) * 3)
+
+
 def test_assemble_zero_row():
     w = FormField.constant(4, 3, {(1, 2, 3): 1.0, (1, 2, 4): 1.0})
     hat = assemble_hatmap(w, (0.0,) * 4)
