@@ -168,12 +168,12 @@ class SystemSpec:
     @cached_property
     def _compiled_eom(self) -> Callable[[Sequence[float]], Sequence[float]]:
         """The stage function of ``mode``'s route: the compiled bracket field,
-        or one hat-map SVD per call that stops an inconsistent system at the
+        or one hat-map solve per call that stops an inconsistent system at the
         point it was given."""
         if self.mode == "tensor":
             return self.bracket_field.compiled
         system = _hatmap_system(self.form, self.sigma())
-        return lambda x: _consistent(_min_norm(*_hatmap_arrays(system, x)), x).x.tolist()
+        return lambda x: _consistent(_min_norm(system, *_hatmap_arrays(system, x)), x).x.tolist()
 
     @cached_property
     def _row(self) -> Callable[[Sequence[float]], tuple]:
@@ -189,7 +189,7 @@ class SystemSpec:
         """(row, X) at an accepted state: the row (Hamiltonians...,
         invariants..., div) and the integrated field X.  Tensor route:
         ``_row``, then the stage function.  Form route: ``_row``, then one
-        hat-map SVD whose exact divergence closes the row and whose solution
+        hat-map solve whose exact divergence closes the row and whose solution
         is X; an inconsistent system stops there.  A fault in ``_row`` is
         an ``IntegrationError`` that names the row, not the field."""
         row, field = self._row, self._compiled_eom
@@ -272,7 +272,7 @@ def vector_field_of(system: SystemSpec, point: Sequence[float], *,
     with ``cross_check``, the route-agreement diagnostics: the bracket field
     must satisfy the hat-map system, and its kernel-orthogonal projection
     must match route_sign times the minimum-norm solution.  The hat-map
-    system is assembled and factored once per call.
+    system is assembled and solved once per call.
     """
     route = route or system.mode
     if route not in ("tensor", "form"):
@@ -284,8 +284,9 @@ def vector_field_of(system: SystemSpec, point: Sequence[float], *,
     if route == "tensor" or cross_check:
         X = bracket = np.asarray(system.bracket_field.at(point), dtype=float)
     if route == "form" or cross_check:
-        A, b = _hatmap_arrays(_hatmap_system(system.form, system.sigma()), point)
-        solve = _min_norm(A, b)
+        hatmap = _hatmap_system(system.form, system.sigma())
+        A, b = _hatmap_arrays(hatmap, point)
+        solve = _min_norm(hatmap, A, b)
     if route == "form":
         info["solve_report"] = _report(system.form, _consistent(solve, point), point)
         X = solve.x

@@ -4,7 +4,11 @@ The hat map sends a vector to the coefficient list of its contraction with a
 degree-k form.  Its matrix A at a point has C(n, k-1) rows (increasing (k-1)
 multi-indices, lexicographic) and n columns, entry (row I, col j) the
 sign-sorted full component w_{jI}.  A solve reads A and b = -sigma with one
-compiled call and one gather of the hat-map system of (w, sigma).
+compiled call and one gather of the hat-map system of (w, sigma).  Each
+distinct A is factored once per hat-map system: a solve whose A has the bytes
+of the system's last factored matrix reuses its SVD and pseudo-inverse, so a
+constant hat map, as along a flow of a constant-coefficient form, is factored
+once per trajectory and every result keeps the bits of a fresh factorization.
 """
 
 from __future__ import annotations
@@ -52,10 +56,11 @@ class HatMapMatrix:
 
 
 def _hatmap_system(w: FormField, sigma: FormField):
-    """(rows, both, plan, eye) of iota_X w = -sigma, memoized on w per sigma object.
-    ``both``, a new field so that w's memo holds no cycle back to w, holds w's
-    coefficients, then sigma's (keys of degree k, then k-1), for one compiled
-    function and one jet; ``plan`` gathers A, then b = -sigma."""
+    """(rows, both, plan, eye, last) of iota_X w = -sigma, memoized on w per
+    sigma object.  ``both``, a new field so that w's memo holds no cycle back
+    to w, holds w's coefficients, then sigma's (keys of degree k, then k-1),
+    for one compiled function and one jet; ``plan`` gathers A, then
+    b = -sigma; ``last`` is the one-slot list of ``_min_norm``'s entry."""
     if sigma.k != w.k - 1 or sigma.n != w.n:
         raise DimensionError(
             f"sigma must have degree k-1={w.k - 1} on n={w.n}, got ({sigma.n}, {sigma.k})")
@@ -67,7 +72,7 @@ def _hatmap_system(w: FormField, sigma: FormField):
         both = FormField(w.n, w.k, {**w.coeffs, **sigma.coeffs}, _normalized=True)
         plan = both.gather_plan([(j, *I) for I in rows for j in range(1, w.n + 1)] + [*rows])
         plan[1][len(rows) * w.n:] *= -1.0
-        return rows, both, plan, np.eye(w.n)
+        return rows, both, plan, np.eye(w.n), [(None,) * 5]
     return w.memo(("hatmap", sigma), build)
 
 
@@ -75,7 +80,7 @@ def _hatmap_arrays(system: tuple, point: Sequence[float], jet: bool = False):
     """(A, b) at ``point`` from one gather: A[I, j] = w_{jI}, b[I] = -sigma_I.
     With ``jet`` both gain a leading axis, row u holding d/dx^u, copied C-order
     for the batched products.  A non-finite value (not partial) raises EvalDomainError."""
-    rows, both, plan, _ = system
+    rows, both, plan, _, _ = system
     g = both.gather(plan, point, jet)
     if not np.isfinite(g[0] if jet else g).all():
         raise EvalDomainError(f"floating-point overflow in the hat-map solve at {tuple(point)}")
@@ -115,9 +120,11 @@ class SolveReport:
 
 
 class MinNorm(NamedTuple):
-    """x = A^+ b from one reduced SVD cut at ``numerical_rank``, with
+    """x = A^+ b from the reduced SVD of A cut at ``numerical_rank``, with
     r = b - A x, its norm, consistency and the kept factors; the rank is
-    ``len(sv)`` and pinv = (Vt^T / sv) U^T."""
+    ``len(sv)`` and pinv = (Vt^T / sv) U^T.  ``pinv``, ``sv`` and ``Vt`` are
+    the hat-map system's entry, shared by every solve of the same A: read them,
+    never write them."""
 
     x: np.ndarray
     r: np.ndarray
@@ -128,14 +135,26 @@ class MinNorm(NamedTuple):
     Vt: np.ndarray
 
 
-def _min_norm(A: np.ndarray, b: np.ndarray, tolerance: float = TOLERANCE) -> MinNorm:
-    """The one solve of a hat-map system A x = b that ``_hatmap_arrays`` found
-    finite; an overflow after the SVD leaves inf or NaN for the callers' checks."""
-    U, sv, Vt = np.linalg.svd(A, full_matrices=False)
-    rank = numerical_rank(sv)
-    sv, Vt = sv[:rank], Vt[:rank]
+def _min_norm(system: tuple, A: np.ndarray, b: np.ndarray,
+              tolerance: float = TOLERANCE) -> MinNorm:
+    """The one solve of ``system``'s A x = b at a point where ``_hatmap_arrays``
+    found A and b finite.  The SVD runs only when A's bytes differ from the
+    key of the system's entry (A's bytes, sv, Vt, pinv, the divergence's
+    matrices or None), and the new entry replaces the old one whole, in one
+    statement.  The key is the whole input, so an entry is never stale, and a
+    -0.0/+0.0 twin is factored afresh.  Threads sharing a system may replace
+    each other's entries, which costs an SVD but never pairs one matrix's key
+    with another's factors.  An overflow after the SVD leaves inf or NaN for
+    the callers' checks."""
+    key = A.tobytes()
     with np.errstate(over="ignore", invalid="ignore"):
-        pinv = (Vt.T / sv) @ U[:, :rank].T
+        seen, sv, Vt, pinv, _ = system[4][0]
+        if seen != key:
+            U, sv, Vt = np.linalg.svd(A, full_matrices=False)
+            rank = numerical_rank(sv)
+            sv, Vt = sv[:rank], Vt[:rank]
+            pinv = (Vt.T / sv) @ U[:, :rank].T
+            system[4][0] = (key, sv, Vt, pinv, None)
         x = pinv @ b
         r = b - A @ x
         residual = math.sqrt(r @ r)  # np.linalg.norm's sqrt(dot) without its checks
@@ -151,8 +170,9 @@ def solve_hdw(w: FormField, sigma: FormField, point: Sequence[float],
     the residual is within tolerance * (1 + |sigma|).  A hat map, residual
     or solution that is not finite raises ``EvalDomainError``.
     """
-    A, b = _hatmap_arrays(_hatmap_system(w, sigma), point)
-    return _report(w, _min_norm(A, b, tolerance), point, tolerance)
+    system = _hatmap_system(w, sigma)
+    return _report(w, _min_norm(system, *_hatmap_arrays(system, point), tolerance),
+                   point, tolerance)
 
 
 def _report(w: FormField, solve: MinNorm, point: Sequence[float],
@@ -179,18 +199,27 @@ def min_norm_divergence(w: FormField, sigma: FormField,
         dX = A^+ (db - dA X) + A^+ A^+T dA^T r + (I - A^+ A) dA^T A^+T X,
 
     and div X is the trace of dX over the coordinate axes, with A, b and their
-    partials from one gather of the system's jet.  The solve uses the default
-    ``TOLERANCE``, as the RK stages do.  A divergence that is not finite
-    raises ``EvalDomainError``.
+    partials from one gather of the system's jet.  The A-only matrices
+    (Vt^T / sv^2) Vt and I - Vt^T Vt are kept in the system's entry beside
+    the factors they come from.  The solve uses the default ``TOLERANCE``,
+    as the RK stages do.  A divergence that is not finite raises
+    ``EvalDomainError``.
     """
     system = _hatmap_system(w, sigma)
     A, b = _hatmap_arrays(system, point, jet=True)
-    solve = _min_norm(A[0], b[0])
-    X, pinv, sv, Vt, dA, eye = solve.x, solve.pinv, solve.sv, solve.Vt, A[1:], system[3]
+    solve = _min_norm(system, A[0], b[0])
+    X, pinv, sv, Vt, dA = solve.x, solve.pinv, solve.sv, solve.Vt, A[1:]
+    entry = system[4][0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if entry[3] is pinv and entry[4] is not None:
+            gram, project = entry[4]
+        else:
+            gram, project = (Vt.T / sv ** 2) @ Vt, system[3] - Vt.T @ Vt
+            if entry[3] is pinv:  # else another thread replaced it since the solve
+                system[4][0] = entry[:4] + ((gram, project),)
         div = float((pinv * (b[1:] - dA @ X)).sum()
-                    + (((Vt.T / sv ** 2) @ Vt) * (solve.r @ dA)).sum()
-                    + ((eye - Vt.T @ Vt) * ((pinv.T @ X) @ dA)).sum())
+                    + (gram * (solve.r @ dA)).sum()
+                    + (project * ((pinv.T @ X) @ dA)).sum())
     if not math.isfinite(div):
         raise EvalDomainError(f"floating-point overflow in the hat-map divergence at {tuple(point)}")
     return div, solve

@@ -576,33 +576,34 @@ def reference_rkf45_step(f, x, h):
 
 def reference_integrate(system, x0, t_end, dt=1e-3, method="rk4", reltol=1e-9):
     """(Trajectory, rejected RKF45 steps) from the loop-form integrator: the
-    equations of motion straight from the bracket field or from
-    ``solve_hdw``, and every Hamiltonian, invariant and div evaluated by
-    its own compiled function.  ``ghm.dynamics.integrate`` must agree with
-    it bit for bit."""
+    equations of motion straight from the bracket field or from a fresh SVD
+    of the hat map at every solve (``reference_min_norm``), and every
+    Hamiltonian, invariant and div evaluated by its own compiled function.
+    ``ghm.dynamics.integrate`` must agree with it bit for bit."""
     import math
 
     import numpy as np
     from ghm import expr as ex
     from ghm.dynamics import Trajectory
     from ghm.errors import EvalDomainError, IntegrationError
-    from ghm.hdw import min_norm_divergence, solve_hdw
+    from ghm.hdw import _hatmap_arrays, _hatmap_system, _report
 
     if system.mode == "tensor":
         f = system.bracket_field.compiled
         div_fn = ex.compile_expr(system.bracket_field.divergence_expr())
     else:
         sigma = system.sigma()
+        hatmap = _hatmap_system(system.form, sigma)
 
         def f(x):
-            report = solve_hdw(system.form, sigma, x)
+            report = _report(system.form, reference_min_norm(*_hatmap_arrays(hatmap, x)), x)
             if not report.consistent:
                 raise IntegrationError(f"hat-map system inconsistent at {tuple(x)}: "
                                        f"residual {report.residual:g}")
             return report.x
 
         def div_fn(x):
-            div, solve = min_norm_divergence(system.form, sigma, x)
+            div, solve = reference_min_norm_divergence(system.form, sigma, x)
             if not solve.consistent:
                 raise IntegrationError(f"hat-map system inconsistent at {tuple(x)}: "
                                        f"residual {solve.residual:g}")
@@ -687,6 +688,49 @@ def reference_min_norm_solve(A, b, tolerance=1e-9):
     x, _, rank, _ = np.linalg.lstsq(A, b, rcond=RCOND)
     residual = float(np.linalg.norm(A @ x - b))
     return x, residual, residual <= tolerance * (1.0 + float(np.linalg.norm(b))), int(rank)
+
+
+def reference_min_norm(A, b, tolerance=1e-9):
+    """The hat-map solve of ``ghm.hdw`` before its factorizations were kept:
+    a fresh reduced SVD of A on every call, cut at ``numerical_rank``."""
+    import math
+
+    import numpy as np
+    from ghm.hdw import MinNorm, numerical_rank
+
+    U, sv, Vt = np.linalg.svd(A, full_matrices=False)
+    rank = numerical_rank(sv)
+    sv, Vt = sv[:rank], Vt[:rank]
+    with np.errstate(over="ignore", invalid="ignore"):
+        pinv = (Vt.T / sv) @ U[:, :rank].T
+        x = pinv @ b
+        r = b - A @ x
+        residual = math.sqrt(r @ r)  # np.linalg.norm's sqrt(dot) without its checks
+        consistent = residual <= tolerance * (1.0 + math.sqrt(b @ b))
+    return MinNorm(x, r, residual, consistent, pinv, sv, Vt)
+
+
+def reference_min_norm_divergence(w, sigma, point):
+    """(div, solve) of ``ghm.hdw.min_norm_divergence`` before its
+    factorizations were kept: ``reference_min_norm`` at the point, and the
+    A-only matrices of the divergence computed afresh."""
+    import math
+
+    import numpy as np
+    from ghm.errors import EvalDomainError
+    from ghm.hdw import _hatmap_arrays, _hatmap_system
+
+    system = _hatmap_system(w, sigma)
+    A, b = _hatmap_arrays(system, point, jet=True)
+    solve = reference_min_norm(A[0], b[0])
+    X, pinv, sv, Vt, dA, eye = solve.x, solve.pinv, solve.sv, solve.Vt, A[1:], system[3]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        div = float((pinv * (b[1:] - dA @ X)).sum()
+                    + (((Vt.T / sv ** 2) @ Vt) * (solve.r @ dA)).sum()
+                    + ((eye - Vt.T @ Vt) * ((pinv.T @ X) @ dA)).sum())
+    if not math.isfinite(div):
+        raise EvalDomainError(f"floating-point overflow in the hat-map divergence at {tuple(point)}")
+    return div, solve
 
 
 # ---------------------------------------------------------------------------

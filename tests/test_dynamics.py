@@ -147,21 +147,30 @@ def test_integrate_rejects_bad_inputs():
 
 def test_an_rk4_form_step_factors_the_hat_map_four_times(monkeypatch):
     # 3 stage solves and the div column per step, 1 div at x0: the first
-    # stage reads the field value of the div solve at the same state
-    from ghm.cli import load_config
+    # stage reads the field value of the div solve at the same state.  A
+    # solve factors only a hat map not seen in the previous one: from the
+    # base point p2 = q2 = 0 along the orbit, so the coefficient -2*q2 and
+    # with it A never change; from an x0 with q2 != 0, A changes every solve
+    import ghm.dynamics
+    import ghm.hdw
 
-    system = load_config(str(Path(__file__).resolve().parents[1] / "bench" / "configs"
-                             / "oscillator_form.json"))
-    svd, calls = np.linalg.svd, []
+    svd, min_norm, calls = np.linalg.svd, ghm.hdw._min_norm, {"svd": 0, "solve": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return svd(*args, **kwargs)
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    traj = integrate(system, system.base_point, t_end=0.01, dt=1e-3)
-    assert len(traj.times) == 11
-    assert len(calls) == 41
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+    for module in (ghm.hdw, ghm.dynamics):
+        monkeypatch.setattr(module, "_min_norm", counted("solve", min_norm))
+    for x0, svds in ((None, 1), ((0.1, 1.0, 1.0, 0.2, 0.3, 2.0), 41)):
+        system = _bench_config("oscillator_form")
+        calls.update(svd=0, solve=0)
+        traj = integrate(system, x0 or system.base_point, t_end=0.01, dt=1e-3)
+        assert len(traj.times) == 11
+        assert calls == {"svd": svds, "solve": 41}
 
 
 def test_conservation_over_moderate_horizon():
@@ -503,7 +512,22 @@ INTEGRATIONS = {
                              "rk4", 1e-9),
     "quasisymmetry rk4": (lambda: quasisymmetry(), None, 0.05, 1e-3, "rk4", 1e-9),
     "fourdim rkf45": (lambda: fourdim(), None, 0.5, 1e-2, "rkf45", 1e-11),
+    # the hat map repeats along these orbits, and never along the last one
+    "fourdim form config, A repeats": (lambda: _bench_config("fourdim_form"), None, 0.3, 1e-3,
+                                       "rk4", 1e-9),
+    "flat_nambu(4,3) form, A repeats": (lambda: flat_nambu(4, 3), (0.1, -0.2, 0.3, 0.4), 0.15,
+                                        1e-3, "rk4", 1e-9),
+    "oscillator form config, A never repeats": (lambda: _bench_config("oscillator_form"),
+                                                (0.1, 1.0, 1.0, 0.2, 0.3, 2.0), 0.1, 1e-3,
+                                                "rk4", 1e-9),
 }
+
+
+def _bench_config(name):
+    from ghm.cli import load_config
+
+    return load_config(str(Path(__file__).resolve().parents[1] / "bench" / "configs"
+                           / f"{name}.json"))
 
 
 @pytest.mark.parametrize("case", sorted(INTEGRATIONS))

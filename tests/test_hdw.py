@@ -12,6 +12,7 @@ from ghm.exterior import FormField, grad_field, wedge
 from ghm.hdw import (
     _hatmap_arrays,
     _hatmap_system,
+    _min_norm,
     assemble_hatmap,
     kernel_basis,
     min_norm_divergence,
@@ -435,3 +436,213 @@ def test_the_svd_solve_is_the_former_lstsq_solve():
             assert np.linalg.norm(np.subtract(rep.x, x)) <= 1e-14 * np.linalg.norm(x), \
                 (system.name, p)
             assert abs(rep.residual - residual) <= 1e-14 * (1 + np.linalg.norm(b))
+
+
+# ---------------------------------------------------------------------------
+# The kept factorization of the last hat map of each system
+# ---------------------------------------------------------------------------
+
+def _solve_bytes(solve):
+    return (solve.x.tobytes(), solve.r.tobytes(), solve.residual.hex(), solve.consistent,
+            solve.pinv.tobytes(), solve.sv.tobytes(), solve.Vt.tobytes())
+
+
+def _drawn_jets(jets):
+    """Patch the hat-map gather so that the point ``key`` reads the jet
+    ``jets[key]`` = (A with its partial rows, b with its partial rows)."""
+    from unittest import mock
+
+    return mock.patch("ghm.hdw._hatmap_arrays", lambda system, point, jet=False: jets[point])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except EvalDomainError as exc:
+        return str(exc)
+
+
+@st.composite
+def _hatmap_draws(draw):
+    """(n, matrices, partials, rhs jets): two drawn (m >= n, n) hat maps of a
+    drawn rank or of full rank, one with a zero entry and its -0.0 twin."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(n, n + 3))
+
+    def ints(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size)),
+                        dtype=float).reshape(shape)
+
+    def floats(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(st.floats(-2, 2, allow_nan=False), min_size=size,
+                                      max_size=size))).reshape(shape)
+
+    matrices = []
+    for _ in range(2):
+        rank = draw(st.integers(0, n))
+        A = ints(m, rank) @ ints(rank, n)  # rank <= the drawn one
+        matrices.append(A + floats(m, n) if draw(st.booleans()) else A)
+    zero = matrices[0].copy()
+    zero[0, 0] = 0.0
+    twin = zero.copy()
+    twin[0, 0] = -0.0
+    matrices += [zero, twin]
+    partials = [ints(n, m, n) for _ in matrices]
+    rhs = [floats(n + 1, m) for _ in range(2)]
+    return n, matrices, partials, rhs
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(draws=_hatmap_draws(), data=st.data())
+def test_a_kept_factorization_gives_the_bytes_of_a_fresh_one(draws, data):
+    # two systems interleaved over a drawn sequence of hat maps with repeats,
+    # a -0.0/+0.0 twin among them: every solve and div reads the bytes of a
+    # fresh SVD, and each system factors a hat map only when its bytes differ
+    # from those of that system's previous solve
+    from unittest import mock
+
+    from oracles import reference_min_norm, reference_min_norm_divergence
+
+    n, matrices, partials, rhs = draws
+    assert matrices[2].tobytes() != matrices[3].tobytes()
+    jets = {(i, j): (np.ascontiguousarray(np.concatenate([A[None], dA])), b)
+            for i, (A, dA) in enumerate(zip(matrices, partials)) for j, b in enumerate(rhs)}
+    sigma = grad_field(ScalarField.from_text("x1", n))
+    forms = [FormField.constant(n, 2, {(1, 2): 1.0}) for _ in range(2)]
+    calls = data.draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 3),
+                                         st.integers(0, 1), st.booleans()),
+                               min_size=1, max_size=12))
+    calls += [(0, 2, 0, False), (0, 3, 0, True), (1, 3, 1, False), (1, 2, 1, True)]  # the twins
+    svd, svds = np.linalg.svd, [0]
+
+    def counted(*args, **kwargs):
+        svds[0] += 1
+        return svd(*args, **kwargs)
+
+    last, factored, misses = [None, None], 0, 0
+    with _drawn_jets(jets), mock.patch("numpy.linalg.svd", counted):
+        for s, i, j, div in calls:
+            A, b = jets[i, j][0][0], jets[i, j][1][0]
+            misses += last[s] != A.tobytes()
+            last[s] = A.tobytes()
+            if div:
+                want = _outcome(reference_min_norm_divergence, forms[s], sigma, (i, j))
+                before = svds[0]
+                got = _outcome(min_norm_divergence, forms[s], sigma, (i, j))
+            else:
+                want = reference_min_norm(A, b)
+                before = svds[0]
+                got = _min_norm(_hatmap_system(forms[s], sigma), A, b)
+            factored += svds[0] - before
+            if isinstance(want, str):
+                assert got == want
+            elif div:
+                assert got[0].hex() == want[0].hex()
+                assert _solve_bytes(got[1]) == _solve_bytes(want[1])
+            else:
+                assert _solve_bytes(got) == _solve_bytes(want)
+    assert factored == misses
+
+
+def _two_jets(n=4, m=6):
+    """Two (A, b) jets on R^n, the second A rank-deficient."""
+    rng = np.random.default_rng(18)
+    jets = {}
+    for key in range(2):
+        A = rng.normal(size=(m, n))
+        if key:
+            A[:, -1] = A[:, 0]
+        jets[key] = (np.ascontiguousarray(np.concatenate([A[None], rng.normal(size=(n, m, n))])),
+                     rng.normal(size=(n + 1, m)))
+    return jets
+
+
+def _fresh_bytes(w, sigma, jets):
+    """(solve, div, div's solve) bytes of the fresh oracle at each key of ``jets``."""
+    from oracles import reference_min_norm, reference_min_norm_divergence
+
+    want = {}
+    for key, (A, b) in jets.items():
+        div, solve = reference_min_norm_divergence(w, sigma, key)
+        want[key] = (_solve_bytes(reference_min_norm(A[0], b[0])), div.hex(), _solve_bytes(solve))
+    return want
+
+
+@pytest.mark.parametrize("between", ["solve", "divergence"])
+def test_a_solve_between_a_solve_and_its_divergence_pairs_no_two_matrices(between, monkeypatch):
+    # what another thread may do: replace the system's entry after a
+    # divergence's solve and before it reads the entry's matrices.  The
+    # divergence must not read the other matrix's, nor store its own under
+    # the other matrix's key
+    import ghm.hdw
+
+    n = 4
+    jets = _two_jets(n)
+    sigma = grad_field(ScalarField.from_text("x1", n))
+    w = FormField.constant(n, 2, {(1, 2): 1.0})
+    system = _hatmap_system(w, sigma)
+    with _drawn_jets(jets):
+        want = _fresh_bytes(w, sigma, jets)
+        min_norm, interleave = ghm.hdw._min_norm, [True]
+
+        def interleaved(*args, **kwargs):
+            solve = min_norm(*args, **kwargs)
+            if interleave.pop() if interleave else False:
+                if between == "solve":
+                    min_norm(system, jets[1][0][0], jets[1][1][0])
+                else:
+                    ghm.hdw.min_norm_divergence(w, sigma, 1)
+            return solve
+
+        monkeypatch.setattr(ghm.hdw, "_min_norm", interleaved)
+        div, solve = min_norm_divergence(w, sigma, 0)
+        assert (div.hex(), _solve_bytes(solve)) == want[0][1:]
+        assert system[4][0][0] == jets[1][0][0].tobytes()
+        div, solve = min_norm_divergence(w, sigma, 1)  # a hit on the other matrix's entry
+        assert (div.hex(), _solve_bytes(solve)) == want[1][1:]
+
+
+def test_two_threads_alternating_two_hat_maps_read_fresh_bytes():
+    # one system, two threads, each solving its own hat map, so that the
+    # system's entry alternates between the two; a short switch interval
+    # interleaves them within a solve: every solve and div is the fresh
+    # oracle's, byte for byte
+    import sys
+    import threading
+
+    n = 4
+    jets = _two_jets(n)
+    sigma = grad_field(ScalarField.from_text("x1", n))
+    w = FormField.constant(n, 2, {(1, 2): 1.0})
+    system = _hatmap_system(w, sigma)
+    with _drawn_jets(jets):
+        want = _fresh_bytes(w, sigma, jets)
+        errors, start = [], threading.Barrier(2)
+
+        def run(key):
+            A, b = jets[key]
+            try:
+                start.wait()
+                for _ in range(1500):
+                    div, div_solve = min_norm_divergence(w, sigma, key)
+                    got = (_solve_bytes(_min_norm(system, A[0], b[0])), div.hex(),
+                           _solve_bytes(div_solve))
+                    if got != want[key]:
+                        errors.append(key)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(key,)) for key in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
