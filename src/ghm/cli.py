@@ -128,8 +128,7 @@ def load_config(path: str) -> SystemSpec:
         if not isinstance(expr_text, str):
             raise _config_error("expected an expression string", *path)
         try:
-            e = ex.parse(expr_text, n, params=params.keys(), aliases=aliases_t)
-            coeffs[key] = ex.bind_params(e, params)
+            coeffs[key] = ex.parse(expr_text, n, params, aliases_t)
         except ParseError as exc:
             raise _config_error(str(exc), *path) from None
 
@@ -416,7 +415,6 @@ def cmd_list(_args) -> int:
 def _add_system_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("system", nargs="?", help="built-in system name")
     p.add_argument("--config", help="JSON system definition")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--lam", type=float, default=None, help="oscillator coupling")
     p.add_argument("--H", dest="hamiltonian", default=None, help="fourdim Hamiltonian expression")
     p.add_argument("--psi", default=None, help="quasisymmetry flux expression")
@@ -435,6 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run structural identity checks")
     _add_system_flags(p)
+    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--identities", default=None,
@@ -444,6 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve iota_X w = -sigma at a point")
     _add_system_flags(p)
+    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--point", required=True, help="comma-separated coordinates")
     p.set_defaults(func=cmd_solve)
 

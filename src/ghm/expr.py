@@ -10,7 +10,10 @@ Grammar (infix, precedence pow > unary minus > mul/div > add/sub):
     exponent := ['-'] INT | '(' ['-'] INT ['/' INT] ')'
 
 Coordinates are canonically named x1..xn; callers may declare display
-aliases (q1, xi2, ...) that resolve to axes at parse time.  An alias may
+aliases (q1, xi2, ...) that resolve to axes at parse time.  A parameter is
+a number of the system: ``parse`` reads its name as the constant it is
+given, so a tree holds only constants and coordinates, and a text parses
+as the text with each parameter's value written in.  An alias may
 not repeat, shadow a parameter or function, or give x<i> to an axis other
 than i (``alias_fault``): each would rebind a name silently.  Functions:
 sqrt, sin, cos, exp, log.  Exponents are constant integers or rationals,
@@ -20,9 +23,9 @@ that overflows a float is a ParseError, and so is a tree more than
 tree recurses once per level, and the limit keeps the deepest of them within
 Python's default recursion limit.  A tree built through the constructors
 has no such limit: a walk of it that runs out of recursion at a public entry
-point (``differentiate``, ``substitute``, ``bind_params``, ``to_str``,
-``compile_expr``, ``compile_vector``) raises ``ExprDepthError`` naming the
-depth that ``tree_depth`` measures.
+point (``differentiate``, ``substitute``, ``to_str``, ``compile_expr``,
+``compile_vector``) raises ``ExprDepthError`` naming the depth that
+``tree_depth`` measures.
 
 Interned nodes.  Nodes are immutable and hash-consed: constructing a node
 returns the live node with the same type and fields (floats by their bits,
@@ -133,11 +136,6 @@ class Const(Expr):
 @dataclass(frozen=True, eq=False, slots=True)
 class Coord(Expr):
     axis: int  # 1-based
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class Param(Expr):
-    name: str
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -369,7 +367,7 @@ def _derive(e: Expr, axis: int) -> Expr:
         return sub(_differentiate(e.a, axis), _differentiate(e.b, axis))
     if t is Coord:
         return ONE if e.axis == axis else ZERO
-    if t is Const or t is Param:
+    if t is Const:
         return ZERO
     if t is Pow:
         db = _differentiate(e.base, axis)
@@ -402,11 +400,10 @@ def _derive(e: Expr, axis: int) -> Expr:
 _FOLD = {Neg: neg, Add: add, Sub: sub, Mul: mul, Div: div}
 
 
-def substitute(e: Expr, leaf_map: Mapping[int | Expr, Expr]) -> Expr:
-    """Replace leaves by expressions (map composition, restriction, binding).
-
-    Integer keys name coordinate axes; node keys are Coord or Param leaves."""
-    leaves = {Coord(key) if isinstance(key, int) else key: v for key, v in leaf_map.items()}
+def substitute(e: Expr, leaf_map: Mapping[int, Expr]) -> Expr:
+    """Replace coordinates, keyed by axis, by expressions (map composition,
+    restriction)."""
+    leaves = {Coord(axis): v for axis, v in leaf_map.items()}
     try:
         return _substitute(e, leaves)
     except RecursionError:
@@ -429,21 +426,6 @@ def _substitute(e: Expr, memo: dict[Expr, Expr]) -> Expr:
         else:
             out = e
         memo[e] = out
-    return out
-
-
-def bind_params(e: Expr, values: Mapping[str, float]) -> Expr:
-    """Replace parameter leaves by constants; an unbound one is an error."""
-    memo: dict[Expr, Expr] = {Param(name): Const(float(v)) for name, v in values.items()}
-    try:
-        out = _substitute(e, memo)
-    except RecursionError:
-        raise _too_deep("bind_params", [e]) from None
-    # the leaf map comes first, then every node in post-order: the first
-    # unbound parameter there is the first one a left-to-right walk meets
-    for node in memo:
-        if type(node) is Param and node.name not in values:
-            raise EvalDomainError(f"unbound parameter {node.name!r}")
     return out
 
 
@@ -485,8 +467,6 @@ def _to_str(e: Expr) -> str:
         return repr(e.value)
     if t is Coord:
         return f"x{e.axis}"
-    if t is Param:
-        return e.name
     if t is Neg:
         return "-" + _operand(e.arg, _to_str(e.arg), _LVL_UNARY)
     if t is Pow:
@@ -560,8 +540,6 @@ def _emit(e: Expr, index: dict, nodes: list, body: list, consts: dict) -> int:
         rhs = f"_{e.fn}(t{_emit(e.arg, index, nodes, body, consts)})"
     elif t is Neg:
         rhs = f"-t{_emit(e.arg, index, nodes, body, consts)}"
-    elif t is Param:
-        raise EvalDomainError(f"unbound parameter {e.name!r}")
     else:
         raise TypeError(f"not an Expr: {e!r}")
     index[e] = i = len(nodes)
@@ -613,7 +591,7 @@ def compile_vector(exprs: Iterable[Expr]) -> Callable[[Sequence[float]], tuple]:
 
 
 def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
-    """The scalar function of a parameter-free expression, cached on the node."""
+    """The scalar function of an expression, cached on the node."""
     try:
         return e._fn
     except AttributeError:
@@ -625,9 +603,9 @@ def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
         return fn
 
 
-def evaluate(e: Expr, point: Sequence[float], params: Mapping[str, float] | None = None) -> float:
+def evaluate(e: Expr, point: Sequence[float]) -> float:
     """Value at ``point`` (length n, 0-indexed storage for axes 1..n)."""
-    return compile_expr(bind_params(e, params) if params is not None else e)(point)
+    return compile_expr(e)(point)
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +640,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str, n: int, params: frozenset[str], aliases: Sequence[str] | None):
+    def __init__(self, text: str, n: int, params: Mapping[str, float],
+                 aliases: Sequence[str] | None):
         self.text = text
         self.n = n
         self.params = params
@@ -825,7 +804,7 @@ class _Parser:
                     return Coord(axis)
                 raise ParseError(f"coordinate {val!r} out of range 1..{self.n}", off)
             if val in self.params:
-                return Param(val)
+                return Const(float(self.params[val]))
             raise ParseError(f"unknown identifier {val!r}", off)
         if kind == "op" and val == "(":
             self.enter(off)
@@ -857,11 +836,12 @@ def alias_fault(aliases: Sequence[str], params: Iterable[str]) -> tuple[int, str
 def parse(
     text: str,
     n: int,
-    params: Iterable[str] = (),
+    params: Mapping[str, float] | None = None,
     aliases: Sequence[str] | None = None,
 ) -> Expr:
-    """Parse ``text`` over coordinates x1..xn (plus aliases) and parameter names."""
-    return _Parser(text, n, frozenset(params), aliases).parse()
+    """Parse ``text`` over coordinates x1..xn (plus aliases); a parameter
+    name reads as the constant ``params`` gives it."""
+    return _Parser(text, n, params or {}, aliases).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -879,10 +859,7 @@ class ScalarField:
     @classmethod
     def from_text(cls, text: str, n: int, params: Mapping[str, float] | None = None,
                   aliases: Sequence[str] | None = None, name: str = "") -> "ScalarField":
-        e = parse(text, n, params=(params or {}).keys(), aliases=aliases)
-        if params:
-            e = bind_params(e, params)
-        return cls(n, e, name)
+        return cls(n, parse(text, n, params, aliases), name)
 
     def __call__(self, point: Sequence[float]) -> float:
         return self.compiled(point)

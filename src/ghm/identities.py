@@ -65,13 +65,11 @@ Candidate = tuple[float, tuple, tuple, str]  # (signed, point, index, detail)
 class Scan:
     """One identity scan: the expressions it reads, and ``step(values,
     point)``, which turns their values at one point into that point's
-    candidates.  ``compiled``, if given, returns a function of ``exprs``
-    that their owner keeps, which the scan uses when it runs alone."""
+    candidates."""
 
     name: str
     exprs: tuple[ex.Expr, ...]
     step: Callable[[tuple, tuple], list[Candidate]]
-    compiled: Callable[[], Callable[[Sequence[float]], tuple]] | None = None
 
 
 def run_scans(scans: Sequence[Scan], points: Sequence[Sequence[float]]) -> list[IdentityReport]:
@@ -79,10 +77,7 @@ def run_scans(scans: Sequence[Scan], points: Sequence[Sequence[float]]) -> list[
     expressions in order, evaluated once per point; each step reads its own
     slice of that row.  Scans without expressions compile nothing."""
     exprs = [e for scan in scans for e in scan.exprs]
-    if len(scans) == 1 and scans[0].compiled is not None:
-        row = scans[0].compiled()
-    else:
-        row = ex.compile_vector(exprs) if exprs else lambda point: ()
+    row = ex.compile_vector(exprs) if exprs else lambda point: ()
     ends = list(itertools.accumulate(len(scan.exprs) for scan in scans))
     found: list[list[Candidate]] = [[] for _ in scans]
     for p in points:
@@ -142,7 +137,7 @@ def _dense_scan(name: str, J: MultiVectorField,
 
     def dense_step(values, point):
         return step(*_dense_arrays(J, J.gather_from(plan, values, jet=True)), point)
-    return Scan(name, tuple(J.jet_plan()[0]), dense_step, J.jet_function)
+    return Scan(name, tuple(J.jet_plan()[0]), dense_step)
 
 
 # ---------------------------------------------------------------------------

@@ -295,9 +295,6 @@ class LevelSetChart:
             J[a, :] = dv[row, :]
         return x, J
 
-    def pull_scalar(self, f: ScalarField, u: Sequence[float]) -> float:
-        return f(self.embed(u))
-
     def pull_scalar_gradient(self, f: ScalarField, u: Sequence[float]) -> np.ndarray:
         x, J = self.embedding_jacobian(u)
         return np.asarray(f.gradient(x)) @ J

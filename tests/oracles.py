@@ -5,6 +5,7 @@ tuples -> value, antisymmetrized by permutation parity) and combinatorial
 formulas, deliberately avoiding the library's insertion-sort sign machinery.
 """
 
+import functools
 import itertools
 
 
@@ -290,7 +291,7 @@ def reference_interior_field(by, T):
 # Expressions: the reference tree walk
 # ---------------------------------------------------------------------------
 
-def tree_walk(e, point, params=None):
+def tree_walk(e, point):
     """Evaluate an expression by a plain recursive walk of its tree.
 
     The compiled evaluator in ``ghm.expr`` must agree with this bit for bit,
@@ -307,10 +308,6 @@ def tree_walk(e, point, params=None):
             return e.value
         if isinstance(e, ex.Coord):
             return float(point[e.axis - 1])
-        if isinstance(e, ex.Param):
-            if params is None or e.name not in params:
-                raise EvalDomainError(f"unbound parameter {e.name!r}")
-            return float(params[e.name])
         if isinstance(e, ex.Neg):
             return -walk(e.arg)
         if isinstance(e, (ex.Add, ex.Sub, ex.Mul, ex.Div)):
@@ -373,7 +370,6 @@ def reference_unique_nodes(exprs):
 
 def _reference_rhs(e, i, index, consts):
     from ghm import expr as ex
-    from ghm.errors import EvalDomainError
 
     if isinstance(e, ex.Const):
         name = f"_c{i}"
@@ -381,8 +377,6 @@ def _reference_rhs(e, i, index, consts):
         return name
     if isinstance(e, ex.Coord):
         return f"_float(x[{e.axis - 1}])"
-    if isinstance(e, ex.Param):
-        raise EvalDomainError(f"unbound parameter {e.name!r}")
     if isinstance(e, ex.Neg):
         return f"-t{index[e.arg]}"
     if isinstance(e, ex.Pow):
@@ -416,7 +410,7 @@ def reference_derive(e, axis):
     from ghm import expr as ex
 
     d = ex.differentiate
-    if isinstance(e, (ex.Const, ex.Param)):
+    if isinstance(e, ex.Const):
         return ex.ZERO
     if isinstance(e, ex.Coord):
         return ex.ONE if e.axis == axis else ex.ZERO
@@ -448,6 +442,81 @@ def reference_derive(e, axis):
         if e.fn == "log":
             return ex.div(da, e.arg)
     raise TypeError(f"not an Expr: {e!r}")
+
+
+@functools.cache
+def _reference_parameters():
+    """The former symbolic parameter leaf, the former parser's ``atom``, which
+    read a parameter name as that leaf, and the former ``bind_params``."""
+    import re
+    from dataclasses import dataclass
+    from ghm import expr as ex
+    from ghm.errors import EvalDomainError, ParseError
+
+    @dataclass(frozen=True, eq=False, slots=True)
+    class Param(ex.Expr):
+        name: str
+
+    class SymbolicParser(ex._Parser):
+        def atom(self):
+            kind, val, off = self.next()
+            if kind == "num":
+                return ex.Const(self._number(val, off))
+            if kind == "ident":
+                if val in ex.FUNCTIONS:
+                    kind2, val2, off2 = self.peek()
+                    if kind2 != "op" or val2 != "(":
+                        raise ParseError(f"function {val!r} requires parenthesized argument",
+                                         off2)
+                    self.next()
+                    self.enter(off)
+                    arg = self.expr()
+                    self.expect_op(")")
+                    self.nesting -= 1
+                    return ex.call(val, arg)
+                if val in self.alias_map:
+                    return ex.Coord(self.alias_map[val])
+                m = re.fullmatch(r"x(\d+)", val)
+                if m is not None:
+                    axis = int(m.group(1))
+                    if 1 <= axis <= self.n:
+                        return ex.Coord(axis)
+                    raise ParseError(f"coordinate {val!r} out of range 1..{self.n}", off)
+                if val in self.params:
+                    return Param(val)
+                raise ParseError(f"unknown identifier {val!r}", off)
+            if kind == "op" and val == "(":
+                self.enter(off)
+                e = self.expr()
+                self.expect_op(")")
+                self.nesting -= 1
+                return e
+            raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input",
+                             off)
+
+    def bind_params(e, values):
+        memo = {Param(name): ex.Const(float(v)) for name, v in values.items()}
+        try:
+            out = ex._substitute(e, memo)
+        except RecursionError:
+            raise ex._too_deep("bind_params", [e]) from None
+        # the leaf map comes first, then every node in post-order: the first
+        # unbound parameter there is the first one a left-to-right walk meets
+        for node in memo:
+            if type(node) is Param and node.name not in values:
+                raise EvalDomainError(f"unbound parameter {node.name!r}")
+        return out
+
+    return SymbolicParser, bind_params
+
+
+def reference_parse_then_bind(text, n, params=None, aliases=None):
+    """The former two-step reading of a text with parameters: parse it with
+    each parameter name as a symbolic leaf, then bind the leaves to their
+    values, refolding every node above them."""
+    parser, bind_params = _reference_parameters()
+    e = parser(text, n, frozenset(params or ()), aliases).parse()
+    return bind_params(e, params) if params else e
 
 
 def structural_node_count(exprs):

@@ -380,6 +380,22 @@ def test_a_domain_fault_in_the_independence_check_names_check_and_point(tmp_path
                    "base point (0.0, 0.0): division by zero at node 1.0/x2\n")
 
 
+def test_a_parameter_that_divides_by_zero_is_the_literal_zero(tmp_path, capsys):
+    # a parameter is read as its value, so 0/a at a = 0 is the literal 0/0,
+    # which faults at the base point
+    results = []
+    for coefficient, params in (("1 + 0/a", {"a": 0}), ("1 + 0/0", {})):
+        doc = {"name": "zero", "n": 2, "k": 2, "mode": "form",
+               "coefficients": {"1,2": coefficient}, "hamiltonians": ["x1"], "params": params,
+               "domain": [[-1, 1], [-1, 1]], "base_point": [0.5, 0.5]}
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        results.append(run(capsys, "solve", "--config", str(path), "--point", "0.5,0.5"))
+    code, out, err = results[0]
+    assert (code, out) == (2, "") and "division by zero at node 0.0/0.0" in err
+    assert results[1] == results[0]
+
+
 def test_a_domain_fault_in_the_closure_check_names_check_and_sample(tmp_path, capsys):
     # d(sqrt(x3) dx1^dx2) holds 1/sqrt(x3), which faults at the first domain
     # sample with x3 < 0; the base point itself is fine
@@ -827,8 +843,16 @@ def test_a_config_at_the_depth_limit_runs(tmp_path, capsys):
     (["check", "fourdim", "--H", ""], "unexpected end of input"),
     (["check", "quasisymmetry", "--psi", ""], "unexpected end of input"),
     (["flatten", "moser1", "--g", "5"], "--g applies only to moser2, not to moser1"),
+    (["simulate", "flat_nambu", "--x0=0,0,0", "--t-end", "0.002", "--tol", "123"],
+     "ghm: error: unrecognized arguments: --tol 123"),
 ])
 def test_system_input_that_would_be_dropped_is_an_input_error(capsys, argv, message):
-    code, out, err = run(capsys, *argv)
+    # ghm's one error line, or argparse's usage and then its error line for
+    # a flag that the command does not take
+    try:
+        code, first = main(argv), "error: "
+    except SystemExit as exc:
+        code, first = exc.code, "usage: ghm "
+    out, err = capsys.readouterr()
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and message in err
+    assert err.startswith(first) and message in err

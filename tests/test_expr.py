@@ -1,5 +1,9 @@
+import dataclasses
 import math
+import operator
+import re
 import struct
+from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +20,6 @@ from ghm.expr import (
     Div,
     Mul,
     Neg,
-    Param,
     Pow,
     ScalarField,
     Sub,
@@ -30,6 +33,7 @@ from ghm.expr import (
 from oracles import (
     reference_derive,
     reference_generate,
+    reference_parse_then_bind,
     reference_unique_nodes,
     structural_node_count,
     tree_walk,
@@ -42,18 +46,19 @@ def test_parse_basic_tree():
 
 
 def test_parse_with_aliases_and_params():
-    e = parse("-q1 - lambda*xi2", n=6, params={"lambda"},
+    e = parse("-q1 - lambda*xi2", n=6, params={"lambda": 0.1},
               aliases=("p1", "q1", "xi1", "p2", "q2", "xi2"))
     # -q1 - lambda*xi2 at q1=1, xi2=2, lambda=0.1  ->  -1.2
-    assert evaluate(e, (0, 1, 0, 0, 0, 2), {"lambda": 0.1}) == pytest.approx(-1.2)
+    assert e == Sub(Neg(Coord(2)), Mul(Const(0.1), Coord(6)))
+    assert evaluate(e, (0, 1, 0, 0, 0, 2)) == pytest.approx(-1.2)
 
 
 @pytest.mark.parametrize("aliases, params", [
-    (("q", "q"), ()),
-    (("a", "p"), ("a",)),
-    (("x2", "x1"), ()),
-    (("x3", "p"), ()),
-    (("exp", "p"), ()),
+    (("q", "q"), {}),
+    (("a", "p"), {"a": 1.0}),
+    (("x2", "x1"), {}),
+    (("x3", "p"), {}),
+    (("exp", "p"), {}),
 ])
 def test_parse_rejects_an_alias_that_would_rebind_a_name(aliases, params):
     with pytest.raises(ValueError, match="alias"):
@@ -275,12 +280,98 @@ def test_substitute_composition():
     assert evaluate(sub, (0.0, 2.0)) == pytest.approx(11.0)
 
 
-def test_bind_params():
-    e = parse("a*x1", n=1, params={"a"})
-    bound = ex.bind_params(e, {"a": 3.0})
-    assert evaluate(bound, (2.0,)) == 6.0
-    with pytest.raises(EvalDomainError):
-        compile_expr(e)
+# ---------------------------------------------------------------------------
+# Parameters: numbers from the parse
+# ---------------------------------------------------------------------------
+
+def _exprs_of(value) -> list:
+    """Every expression a system member holds, in a fixed order."""
+    from ghm.exterior import FormField, MultiVectorField, VectorField
+
+    if isinstance(value, ex.Expr):
+        return [value]
+    if isinstance(value, ScalarField):
+        return [value.expression]
+    if isinstance(value, (FormField, MultiVectorField)):
+        return list(value.coeffs.values())
+    if isinstance(value, VectorField):
+        return list(value.components)
+    if isinstance(value, Mapping):
+        value = list(value.values())
+    if isinstance(value, (tuple, list)):
+        return [e for v in value for e in _exprs_of(v)]
+    return []
+
+
+def _config(name: str):
+    from pathlib import Path
+
+    from ghm.cli import load_config
+
+    return lambda: load_config(str(Path(__file__).resolve().parents[1] / "bench" / "configs"
+                                   / f"{name}.json"))
+
+
+def _builders():
+    from ghm import systems
+
+    return {**{f"oscillator lam={lam!r}": (lambda lam=lam: systems.oscillator(lam))
+               for lam in (0.1, 0.0, -0.0, -2.0)},
+            "fourdim": systems.fourdim, "quasisymmetry": systems.quasisymmetry,
+            "flat_nambu": systems.flat_nambu,
+            **{name: _config(name) for name in ("fourdim_form", "inconsistent_form",
+                                                "oscillator_form")}}
+
+
+@pytest.mark.parametrize("name", list(_builders()))
+def test_a_system_parses_to_the_nodes_of_the_former_parse_then_bind(monkeypatch, name):
+    # every expression of the system, built once with the parameters read as
+    # numbers and once with them parsed as leaves and bound afterwards, is
+    # the same interned node
+    build = _builders()[name]
+    system, texts = build(), []
+
+    def former(text, n, params=None, aliases=None):
+        texts.append(text)
+        return reference_parse_then_bind(text, n, params, aliases)
+
+    monkeypatch.setattr(ex, "parse", former)
+    reference = build()
+    assert name == "flat_nambu" or texts  # only flat_nambu parses no text
+    for field in dataclasses.fields(system):
+        got, want = (_exprs_of(getattr(s, field.name)) for s in (system, reference))
+        assert len(got) == len(want) and all(map(operator.is_, got, want)), field.name
+
+
+@st.composite
+def parameter_texts(draw, depth=3):
+    """Texts over x1, x2 and the parameters a and b."""
+    if depth == 0:
+        return draw(st.sampled_from(["a", "b", "x1", "x2", "0", "1", "2.5"]))
+    kind = draw(st.sampled_from(["+", "-", "*", "/", "neg", "pow", "call", "leaf"]))
+    if kind == "leaf":
+        return draw(parameter_texts(depth=0))
+    inner = draw(parameter_texts(depth=depth - 1))
+    if kind == "neg":
+        return f"-{inner}"
+    if kind == "pow":
+        return f"({inner})^{draw(st.sampled_from(['2', '-1', '(1/2)', '(-3/2)']))}"
+    if kind == "call":
+        return f"{draw(st.sampled_from(ex.FUNCTIONS))}({inner})"
+    text = f"{inner} {kind} {draw(parameter_texts(depth=depth - 1))}"
+    return f"({text})" if draw(st.booleans()) else text
+
+
+_PARAMETER_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                              st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=parameter_texts(), a=_PARAMETER_VALUES, b=_PARAMETER_VALUES)
+def test_a_parameter_parses_as_its_value_written_in(text, a, b):
+    values = {"a": a, "b": b}
+    written = re.sub(r"\b[ab]\b", lambda m: f"({values[m.group()]!r})", text)
+    assert parse(text, 2, params=values) is parse(written, 2)
 
 
 def test_scalar_field_gradient():
@@ -418,8 +509,6 @@ def shared_dags(draw):
     and nan."""
     pool = [Const(-0.0), Const(math.inf), Const(math.nan), Coord(1), Coord(2), Coord(3),
             Const(draw(st.sampled_from([0.0, 1.0, -2.5, 0.1, 1e300])))]
-    if draw(st.integers(0, 9)) == 0:
-        pool.append(Param("a"))
     for _ in range(draw(st.integers(1, 30))):
         a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
         kind = draw(st.sampled_from(["add", "sub", "mul", "div", "neg", "pow", "call"]))
@@ -495,15 +584,13 @@ def _chain(cls, depth: int) -> str:
 
 @pytest.mark.parametrize("cls", [Add, Sub, Mul, Div, Neg, Pow, Call])
 def test_a_chain_at_the_depth_limit_runs_every_walk(cls):
-    # parse, bind, substitute, print, both derivative orders and compile,
-    # under Python's default recursion limit
+    # parse, substitute, print, both derivative orders and compile, under
+    # Python's default recursion limit
     import sys
 
     assert sys.getrecursionlimit() == 1000
-    text = _chain(cls, ex.MAX_EXPR_DEPTH)
-    e = ex.bind_params(parse(text, 2, params={"a"}), {"a": 0.75})
+    e = parse(_chain(cls, ex.MAX_EXPR_DEPTH), 2, params={"a": 0.75})
     assert ex.tree_depth(e) == ex.MAX_EXPR_DEPTH
-    assert ex.tree_depth(parse(text, 2, params={"a"})) == ex.MAX_EXPR_DEPTH
     assert to_str(ex.substitute(e, {1: Coord(2)}))
     first = [differentiate(e, u) for u in (1, 2)]
     second = [differentiate(d, u) for d in first for u in (1, 2)]
@@ -515,7 +602,7 @@ def test_a_chain_at_the_depth_limit_runs_every_walk(cls):
         except EvalDomainError as exc:  # the fault names its node in full
             assert exc.node
     with pytest.raises(ParseError, match="more than"):
-        parse(_chain(cls, ex.MAX_EXPR_DEPTH + 1), 2, params={"a"})
+        parse(_chain(cls, ex.MAX_EXPR_DEPTH + 1), 2, params={"a": 0.75})
 
 
 @pytest.mark.parametrize("opening, closing", [("(", ")"), ("-", ""), ("sin(", ")")],
@@ -529,7 +616,7 @@ def test_nesting_past_the_depth_limit_is_a_parse_error(opening, closing):
 
 
 @pytest.mark.parametrize("walk", ["compile_expr", "compile_vector", "differentiate", "substitute",
-                                  "bind_params", "to_str"])
+                                  "to_str"])
 def test_a_built_tree_too_deep_to_walk_is_a_typed_error(walk):
     # no depth limit guards a tree built through the constructors: a sum of
     # 1,500 terms exceeds Python's recursion limit in every recursive walk
@@ -542,7 +629,6 @@ def test_a_built_tree_too_deep_to_walk_is_a_typed_error(walk):
              "compile_vector": lambda: ex.compile_vector([ex.ONE, e]),
              "differentiate": lambda: differentiate(e, 1),
              "substitute": lambda: ex.substitute(e, {1: Coord(2)}),
-             "bind_params": lambda: ex.bind_params(e, {}),
              "to_str": lambda: to_str(e)}
     for _ in range(2):  # a failed walk leaves nothing behind that changes the next
         with pytest.raises(ExprDepthError, match=f"^{walk}: expression is 1500 levels deep") as info:

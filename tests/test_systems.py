@@ -177,7 +177,7 @@ def test_quasisymmetry_chain_with_random_fields():
                 _random_poly_field(rng, 3),
                 _random_poly_field(rng, 3))
         try:
-            qs = quasisymmetry(psi=psi, bvec=bvec, seed=0)
+            qs = quasisymmetry(psi=psi, bvec=bvec)
         except InputError:
             continue
         built += 1
