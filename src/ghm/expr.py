@@ -45,12 +45,13 @@ Code is compiled once per source shape: each constant is a parameter
 ``_c<i>`` defaulting to its value, so expressions that differ only in
 constants share one source text, the key of a bounded LRU cache of code
 objects that holds no node.  Each function has its own globals and nodes.
-Owners cache their function (fields on themselves, ``compile_expr`` and
-``evaluate`` on the node).  A ZeroDivisionError, ValueError or
-OverflowError raised by the generated code is mapped through the
-traceback's line to its function's node and re-raised as
-``EvalDomainError`` naming that node; the first fault in walk order is the
-one reported.  There is no numpy target: numpy's transcendental ufuncs can
+``compile_expr`` is the value of an expression's one-element bundle, and
+``evaluate`` compiles that bundle on every call; no node caches a function,
+its owners do (``ScalarField.compiled``, the fields' ``compiled``).  A
+ZeroDivisionError, ValueError or OverflowError raised by the generated code
+is mapped through the traceback's line to its function's node and re-raised
+as ``EvalDomainError`` naming that node; the first fault in walk order is
+the one reported.  There is no numpy target: numpy's transcendental ufuncs can
 differ from ``math`` in the last ulp, which would change printed results.
 """
 
@@ -106,8 +107,8 @@ class Expr(metaclass=_Interned):
     """Base node.  Subclasses are frozen dataclasses, interned on construction."""
 
     # memo: axis -> weak reference to the derivative (which may contain the
-    # node itself, and a strong reference would make a cycle); compiled value
-    __slots__ = ("_derivs", "_fn", "__weakref__")
+    # node itself, and a strong reference would make a cycle)
+    __slots__ = ("_derivs", "__weakref__")
 
     @classmethod
     def _key(cls, args: tuple) -> tuple:
@@ -492,8 +493,6 @@ _NAMESPACE = {"_float": float, "_pow": math.pow, "_FAULTS": _FAULTS,
 def _fault(exc: Exception, nodes: Sequence) -> Exception:
     """The EvalDomainError for a fault raised at a generated line."""
     node = nodes[exc.__traceback__.tb_lineno - _FIRST_NODE_LINE]
-    if isinstance(node, weakref.ref):
-        node = node()
     t = type(node)
     if isinstance(exc, OverflowError):
         message = "floating-point overflow"
@@ -509,7 +508,7 @@ def _fault(exc: Exception, nodes: Sequence) -> Exception:
         message = f"{node.fn} domain error: {exc}"
     else:
         return exc
-    return EvalDomainError(message, "" if node is None else to_str(node))
+    return EvalDomainError(message, to_str(node))
 
 
 def _emit(e: Expr, index: dict, nodes: list, body: list, consts: dict) -> int:
@@ -556,7 +555,7 @@ def _code(source: str) -> CodeType:
     return next(c for c in module.co_consts if isinstance(c, CodeType))
 
 
-def _generate(exprs: Sequence[Expr], scalar: bool) -> tuple[str, dict[str, float], list]:
+def _generate(exprs: Sequence[Expr]) -> tuple[str, dict[str, float], list]:
     """(source, constants by parameter name, node of each temporary): one
     walk emits each unique node's line as it first reaches the node."""
     index: dict[Expr, int] = {}
@@ -565,18 +564,13 @@ def _generate(exprs: Sequence[Expr], scalar: bool) -> tuple[str, dict[str, float
     consts: dict[str, float] = {}
     results = [f"t{_emit(e, index, nodes, lines, consts)}" for e in exprs]
     lines[0] = f"def _f(x{''.join(', ' + name for name in consts)}):"
-    lines.append(f"  return {results[0]}" if scalar
-                 else f"  return ({''.join(r + ',' for r in results)})")
+    lines.append(f"  return ({''.join(r + ',' for r in results)})")
     lines += [" except _FAULTS as exc:", "  raise _fault(exc, _nodes) from None"]
     return "\n".join(lines), consts, nodes
 
 
-def _compile(exprs: Sequence[Expr], scalar: bool) -> Callable:
-    source, consts, line_nodes = _generate(exprs, scalar)  # nodes name a faulting line
-    if scalar:
-        # compile_expr caches the function on its root, the last node: a
-        # strong reference back would be a cycle that only the collector frees
-        line_nodes[-1] = weakref.ref(line_nodes[-1])
+def _compile(exprs: Sequence[Expr]) -> Callable:
+    source, consts, line_nodes = _generate(exprs)  # nodes name a faulting line
     namespace = dict(_NAMESPACE, _fault=_fault, _nodes=line_nodes)
     return FunctionType(_code(source), namespace, "_f", tuple(consts.values()))
 
@@ -585,22 +579,19 @@ def compile_vector(exprs: Iterable[Expr]) -> Callable[[Sequence[float]], tuple]:
     """One function of a point returning the tuple of the expressions' values."""
     exprs = tuple(exprs)
     try:
-        return _compile(exprs, scalar=False)
+        return _compile(exprs)
     except RecursionError:
         raise _too_deep("compile_vector", exprs) from None
 
 
 def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
-    """The scalar function of an expression, cached on the node."""
+    """The scalar function of an expression: the value of its one-element
+    bundle."""
     try:
-        return e._fn
-    except AttributeError:
-        try:
-            fn = _compile((e,), scalar=True)
-        except RecursionError:
-            raise _too_deep("compile_expr", [e]) from None
-        object.__setattr__(e, "_fn", fn)
-        return fn
+        fn = _compile((e,))
+    except RecursionError:
+        raise _too_deep("compile_expr", [e]) from None
+    return lambda point: fn(point)[0]
 
 
 def evaluate(e: Expr, point: Sequence[float]) -> float:

@@ -548,16 +548,14 @@ class PointMap:
         return PointMap(self.n, tuple(ex.substitute(c, mapping) for c in self.components))
 
 
-def pullback(phi: PointMap, omega: FormValue, point: Sequence[float],
-             jacobian: np.ndarray | None = None) -> FormValue:
+def pullback(phi: PointMap, omega: FormValue, point: Sequence[float]) -> FormValue:
     """phi^* omega at ``point`` for a form value given at phi(point).
 
     (phi^* omega)_I = sum_K omega_K det(J[K rows, I cols]).
     """
     if phi.n != omega.n:
         raise DimensionError("dimension mismatch")
-    J = phi.jacobian(point) if jacobian is None else jacobian
-    return pullback_with_jacobian(J, omega)
+    return pullback_with_jacobian(phi.jacobian(point), omega)
 
 
 @lru_cache(maxsize=None)

@@ -4,11 +4,11 @@ The hat map sends a vector to the coefficient list of its contraction with a
 degree-k form.  Its matrix A at a point has C(n, k-1) rows (increasing (k-1)
 multi-indices, lexicographic) and n columns, entry (row I, col j) the
 sign-sorted full component w_{jI}.  A solve reads A and b = -sigma with one
-compiled call and one gather of the hat-map system of (w, sigma).  Each
-distinct A is factored once per hat-map system: a solve whose A has the bytes
-of the system's last factored matrix reuses its SVD and pseudo-inverse, so a
-constant hat map, as along a flow of a constant-coefficient form, is factored
-once per trajectory and every result keeps the bits of a fresh factorization.
+compiled call and one gather of the hat-map system of (w, sigma).  The
+system's SVD with its pseudo-inverse, and the divergence's matrices, come
+from two ``functools.lru_cache(maxsize=1)`` functions of A's bytes, so a run
+of solves of one A, as along a flow of a constant-coefficient form, factors
+it once, and every result keeps the bits of a fresh factorization.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple, Sequence
+from functools import lru_cache
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,12 +56,24 @@ class HatMapMatrix:
     matrix: np.ndarray  # shape (C(n, k-1), n)
 
 
-def _hatmap_system(w: FormField, sigma: FormField):
-    """(rows, both, plan, eye, last) of iota_X w = -sigma, memoized on w per
-    sigma object.  ``both``, a new field so that w's memo holds no cycle back
-    to w, holds w's coefficients, then sigma's (keys of degree k, then k-1),
-    for one compiled function and one jet; ``plan`` gathers A, then
-    b = -sigma; ``last`` is the one-slot list of ``_min_norm``'s entry."""
+class HatMapSystem(NamedTuple):
+    """iota_X w = -sigma.  ``both``, a new field so that w's memo holds no
+    cycle back to w, holds w's coefficients, then sigma's (keys of degree k,
+    then k-1), for one compiled function and one jet; ``plan`` gathers A, then
+    b = -sigma.  ``factor(key)`` is (sv, Vt, pinv) of the A whose bytes are
+    ``key``, and ``matrices(key)`` the divergence's (Vt^T / sv^2) Vt and
+    I - Vt^T Vt; each keeps its last value, closes over n (and I) but never
+    over w, and runs under its caller's ``np.errstate``."""
+
+    rows: tuple
+    both: FormField
+    plan: tuple
+    factor: Callable
+    matrices: Callable
+
+
+def _hatmap_system(w: FormField, sigma: FormField) -> HatMapSystem:
+    """The hat-map system of (w, sigma), memoized on w per sigma object."""
     if sigma.k != w.k - 1 or sigma.n != w.n:
         raise DimensionError(
             f"sigma must have degree k-1={w.k - 1} on n={w.n}, got ({sigma.n}, {sigma.k})")
@@ -68,20 +81,35 @@ def _hatmap_system(w: FormField, sigma: FormField):
         raise DimensionError("hat map needs a form of degree >= 2")
 
     def build(w):
-        rows = tuple(increasing_indices(w.n, w.k - 1))
-        both = FormField(w.n, w.k, {**w.coeffs, **sigma.coeffs}, _normalized=True)
-        plan = both.gather_plan([(j, *I) for I in rows for j in range(1, w.n + 1)] + [*rows])
-        plan[1][len(rows) * w.n:] *= -1.0
-        return rows, both, plan, np.eye(w.n), [(None,) * 5]
+        n = w.n
+        rows = tuple(increasing_indices(n, w.k - 1))
+        both = FormField(n, w.k, {**w.coeffs, **sigma.coeffs}, _normalized=True)
+        plan = both.gather_plan([(j, *I) for I in rows for j in range(1, n + 1)] + [*rows])
+        plan[1][len(rows) * n:] *= -1.0
+
+        @lru_cache(maxsize=1)
+        def factor(key):
+            U, sv, Vt = np.linalg.svd(np.frombuffer(key).reshape(-1, n), full_matrices=False)
+            rank = numerical_rank(sv)
+            sv, Vt = sv[:rank], Vt[:rank]
+            return sv, Vt, (Vt.T / sv) @ U[:, :rank].T
+
+        eye = np.eye(n)
+
+        @lru_cache(maxsize=1)
+        def matrices(key):
+            sv, Vt, _ = factor(key)
+            return (Vt.T / sv ** 2) @ Vt, eye - Vt.T @ Vt
+        return HatMapSystem(rows, both, plan, factor, matrices)
     return w.memo(("hatmap", sigma), build)
 
 
-def _hatmap_arrays(system: tuple, point: Sequence[float], jet: bool = False):
+def _hatmap_arrays(system: HatMapSystem, point: Sequence[float], jet: bool = False):
     """(A, b) at ``point`` from one gather: A[I, j] = w_{jI}, b[I] = -sigma_I.
     With ``jet`` both gain a leading axis, row u holding d/dx^u, copied C-order
     for the batched products.  A non-finite value (not partial) raises EvalDomainError."""
-    rows, both, plan, _, _ = system
-    g = both.gather(plan, point, jet)
+    rows, both = system.rows, system.both
+    g = both.gather(system.plan, point, jet)
     if not np.isfinite(g[0] if jet else g).all():
         raise EvalDomainError(f"floating-point overflow in the hat-map solve at {tuple(point)}")
     A, b = g[..., :-len(rows)].reshape(g.shape[:-1] + (len(rows), both.n)), g[..., -len(rows):]
@@ -123,8 +151,8 @@ class MinNorm(NamedTuple):
     """x = A^+ b from the reduced SVD of A cut at ``numerical_rank``, with
     r = b - A x, its norm, consistency and the kept factors; the rank is
     ``len(sv)`` and pinv = (Vt^T / sv) U^T.  ``pinv``, ``sv`` and ``Vt`` are
-    the hat-map system's entry, shared by every solve of the same A: read them,
-    never write them."""
+    the hat-map system's ``factor`` of A, shared by every solve of the same
+    A: read them, never write them."""
 
     x: np.ndarray
     r: np.ndarray
@@ -135,26 +163,14 @@ class MinNorm(NamedTuple):
     Vt: np.ndarray
 
 
-def _min_norm(system: tuple, A: np.ndarray, b: np.ndarray,
+def _min_norm(system: HatMapSystem, A: np.ndarray, b: np.ndarray,
               tolerance: float = TOLERANCE) -> MinNorm:
     """The one solve of ``system``'s A x = b at a point where ``_hatmap_arrays``
-    found A and b finite.  The SVD runs only when A's bytes differ from the
-    key of the system's entry (A's bytes, sv, Vt, pinv, the divergence's
-    matrices or None), and the new entry replaces the old one whole, in one
-    statement.  The key is the whole input, so an entry is never stale, and a
-    -0.0/+0.0 twin is factored afresh.  Threads sharing a system may replace
-    each other's entries, which costs an SVD but never pairs one matrix's key
-    with another's factors.  An overflow after the SVD leaves inf or NaN for
-    the callers' checks."""
-    key = A.tobytes()
+    found A and b finite, from the system's ``factor`` of A's bytes: the whole
+    input is the key, so a -0.0/+0.0 twin is factored afresh.  An overflow
+    after the SVD leaves inf or NaN for the callers' checks."""
     with np.errstate(over="ignore", invalid="ignore"):
-        seen, sv, Vt, pinv, _ = system[4][0]
-        if seen != key:
-            U, sv, Vt = np.linalg.svd(A, full_matrices=False)
-            rank = numerical_rank(sv)
-            sv, Vt = sv[:rank], Vt[:rank]
-            pinv = (Vt.T / sv) @ U[:, :rank].T
-            system[4][0] = (key, sv, Vt, pinv, None)
+        sv, Vt, pinv = system.factor(A.tobytes())
         x = pinv @ b
         r = b - A @ x
         residual = math.sqrt(r @ r)  # np.linalg.norm's sqrt(dot) without its checks
@@ -200,23 +216,17 @@ def min_norm_divergence(w: FormField, sigma: FormField,
 
     and div X is the trace of dX over the coordinate axes, with A, b and their
     partials from one gather of the system's jet.  The A-only matrices
-    (Vt^T / sv^2) Vt and I - Vt^T Vt are kept in the system's entry beside
-    the factors they come from.  The solve uses the default ``TOLERANCE``,
-    as the RK stages do.  A divergence that is not finite raises
-    ``EvalDomainError``.
+    (Vt^T / sv^2) Vt and I - Vt^T Vt are the system's ``matrices`` of A,
+    read before the solve, which then finds A's ``factor`` kept.  The solve
+    uses the default ``TOLERANCE``, as the RK stages do.  A divergence that
+    is not finite raises ``EvalDomainError``.
     """
     system = _hatmap_system(w, sigma)
     A, b = _hatmap_arrays(system, point, jet=True)
-    solve = _min_norm(system, A[0], b[0])
-    X, pinv, sv, Vt, dA = solve.x, solve.pinv, solve.sv, solve.Vt, A[1:]
-    entry = system[4][0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if entry[3] is pinv and entry[4] is not None:
-            gram, project = entry[4]
-        else:
-            gram, project = (Vt.T / sv ** 2) @ Vt, system[3] - Vt.T @ Vt
-            if entry[3] is pinv:  # else another thread replaced it since the solve
-                system[4][0] = entry[:4] + ((gram, project),)
+        gram, project = system.matrices(A[0].tobytes())
+        solve = _min_norm(system, A[0], b[0])
+        X, pinv, dA = solve.x, solve.pinv, A[1:]
         div = float((pinv * (b[1:] - dA @ X)).sum()
                     + (gram * (solve.r @ dA)).sum()
                     + (project * ((pinv.T @ X) @ dA)).sum())

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -53,9 +52,6 @@ class IdentityReport:
             "samples": self.samples,
             "detail": self.detail,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 Candidate = tuple[float, tuple, tuple, str]  # (signed, point, index, detail)

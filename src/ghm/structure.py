@@ -219,7 +219,7 @@ class LevelSetChart:
         if len(self.complementary_axes) != n - m:
             raise ChartError(f"need {n - m} complementary axes")
         G = np.array([c.gradient(self.base_point) for c in self.constraints])
-        if np.linalg.matrix_rank(G) < m:
+        if numerical_rank(np.linalg.svd(G, compute_uv=False)) < m:
             raise ChartError("constraint differentials are dependent at the base point")
         B = G[:, [a - 1 for a in self.dependent_axes]]
         if abs(np.linalg.det(B)) < 1e-12:
@@ -340,15 +340,6 @@ class RankReport:
     constant_over_samples: bool
     ranks: tuple[int, ...]
     points: tuple[tuple[float, ...], ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "corank": self.corank,
-            "constant_over_samples": self.constant_over_samples,
-            "ranks": list(self.ranks),
-            "points": [list(p) for p in self.points],
-        }
 
 
 def rank_wrt(omega: FormField, Cs: Sequence[ScalarField],

@@ -215,7 +215,7 @@ def quasisymmetry(psi: str = "x1^2 + x2^2",
         measure_weight=f,
         reduced_tensor=None,
         route_sign=1,
-        extras={"u": u, "BgradB": f},
+        extras={"u": u},
     )
 
 

@@ -792,7 +792,7 @@ def reference_min_norm_divergence(w, sigma, point):
     system = _hatmap_system(w, sigma)
     A, b = _hatmap_arrays(system, point, jet=True)
     solve = reference_min_norm(A[0], b[0])
-    X, pinv, sv, Vt, dA, eye = solve.x, solve.pinv, solve.sv, solve.Vt, A[1:], system[3]
+    X, pinv, sv, Vt, dA, eye = solve.x, solve.pinv, solve.sv, solve.Vt, A[1:], np.eye(w.n)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         div = float((pinv * (b[1:] - dA @ X)).sum()
                     + (((Vt.T / sv ** 2) @ Vt) * (solve.r @ dA)).sum()

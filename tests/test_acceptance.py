@@ -236,7 +236,7 @@ def test_a9_quasisymmetry_identity_chain():
             qs = quasisymmetry(psi=psi, bvec=bvec)
         except Exception:
             continue
-        f = qs.extras["BgradB"]
+        f = qs.measure_weight
         pts = sample_box(np.random.default_rng(5), qs.domain, 30)
         if min(abs(f(p)) for p in pts) < 0.1:
             continue

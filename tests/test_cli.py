@@ -141,9 +141,9 @@ def test_a_check_compiles_its_scans_as_one_bundle(name, tokens, bundles, monkeyp
              if token in tokens]
     generate, generated = ex._generate, []
 
-    def counted(exprs, scalar):
+    def counted(exprs):
         generated.append(exprs)
-        return generate(exprs, scalar)
+        return generate(exprs)
 
     monkeypatch.setattr(ex, "_generate", counted)
     reports = ghm.cli._check_reports(system, points, tokens)

@@ -262,9 +262,9 @@ def test_a_tensor_state_compiles_its_divergence_once(monkeypatch):
     s = quasisymmetry(bvec=("-x2", "x1", "1 + x3 + 0.2718*x1"))
     compile_, compiled = ex._compile, []
 
-    def counted(exprs, scalar):
+    def counted(exprs):
         compiled.append(exprs)
-        return compile_(exprs, scalar)
+        return compile_(exprs)
 
     monkeypatch.setattr(ex, "_compile", counted)
     traj = integrate(s, s.base_point, t_end=0.01, dt=1e-3)
@@ -281,9 +281,9 @@ def test_a_form_state_compiles_its_hatmap_system_once(monkeypatch):
     s = dataclasses.replace(oscillator(lam=0.1), mode="form")
     compile_, compiled = ex._compile, []
 
-    def counted(exprs, scalar):
+    def counted(exprs):
         compiled.append(exprs)
-        return compile_(exprs, scalar)
+        return compile_(exprs)
 
     monkeypatch.setattr(ex, "_compile", counted)
     traj = integrate(s, s.base_point, t_end=0.01, dt=1e-3)

@@ -480,19 +480,19 @@ def test_building_a_system_again_with_new_constants_compiles_nothing_new(capsys)
 # The one-pass compiler against the former two-pass generator
 # ---------------------------------------------------------------------------
 
-def _generation(generate, exprs, scalar):
+def _generation(generate, exprs):
     """Source text, constants by name with their bits, and the node of each
     line by identity; or the message of the fault raised while generating."""
     try:
-        source, consts, nodes = generate(exprs, scalar)
+        source, consts, nodes = generate(exprs)
     except EvalDomainError as exc:
         return ("fault", str(exc))
     return source, [(name, float.hex(v)) for name, v in consts.items()], [id(e) for e in nodes]
 
 
-def _assert_generated_as_before(exprs, scalar, axes):
-    assert _generation(ex._generate, exprs, scalar) == _generation(reference_generate, exprs,
-                                                                   scalar)
+def _assert_generated_as_before(exprs, axes):
+    assert _generation(ex._generate, exprs) == _generation(
+        lambda exprs: reference_generate(exprs, scalar=False), exprs)
     for e in reference_unique_nodes(exprs):
         for axis in axes:
             assert ex._derive(e, axis) is reference_derive(e, axis), (to_str(e), axis)
@@ -529,9 +529,10 @@ def shared_dags(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(exprs=shared_dags(), scalar=st.booleans())
-def test_the_one_pass_compiler_writes_the_former_source_on_drawn_dags(exprs, scalar):
-    _assert_generated_as_before(exprs[:1] if scalar else exprs, scalar, axes=(1, 2, 3))
+@given(exprs=shared_dags(), single=st.booleans())
+def test_the_one_pass_compiler_writes_the_former_source_on_drawn_dags(exprs, single):
+    # a one-element bundle is what compile_expr compiles
+    _assert_generated_as_before(exprs[:1] if single else exprs, axes=(1, 2, 3))
 
 
 def test_the_one_pass_compiler_writes_the_former_source_for_the_systems(monkeypatch, capsys):
@@ -543,9 +544,9 @@ def test_the_one_pass_compiler_writes_the_former_source_for_the_systems(monkeypa
     a, b, c = (round(float(v), 4) for v in rng.uniform(0.05, 0.3, 3))
     compile_, bundles = ex._compile, []
 
-    def recorded(exprs, scalar):
-        bundles.append((exprs, scalar))
-        return compile_(exprs, scalar)
+    def recorded(exprs):
+        bundles.append(exprs)
+        return compile_(exprs)
 
     monkeypatch.setattr(ex, "_compile", recorded)
     for argv in (["oscillator"], ["fourdim"], ["quasisymmetry"], ["flat_nambu"],
@@ -555,9 +556,9 @@ def test_the_one_pass_compiler_writes_the_former_source_for_the_systems(monkeypa
         assert main(["check", *argv, "--samples", "3"]) in (0, 1)  # oscillator fails FI
     capsys.readouterr()
     # a check compiles its scans as one bundle: fewer bundles, the same 89 expressions
-    assert len(bundles) >= 14 and sum(len(exprs) for exprs, _ in bundles) >= 89
-    for exprs, scalar in bundles:
-        _assert_generated_as_before(exprs, scalar, axes=range(1, 7))
+    assert len(bundles) >= 14 and sum(len(exprs) for exprs in bundles) >= 89
+    for exprs in bundles:
+        _assert_generated_as_before(exprs, axes=range(1, 7))
 
 
 # ---------------------------------------------------------------------------

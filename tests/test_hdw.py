@@ -268,6 +268,26 @@ def test_min_norm_divergence_matches_central_differences(n, k):
         assert solve.consistent is rep.consistent is False
 
 
+def test_a_form_is_freed_after_its_solves_without_the_collector():
+    # the hat-map system is memoized on w, and its cached factor and
+    # matrices functions close over n alone: nothing refers back to w
+    import gc
+    import weakref
+
+    w = FormField(3, 2, {(1, 2): parse("x3", 3), (1, 3): parse("1 + x1^2", 3),
+                         (2, 3): parse("x2", 3)})
+    sigma = grad_field(ScalarField.from_text("x1*x2", 3))
+    gc.disable()
+    try:
+        solve_hdw(w, sigma, (0.3, -0.2, 0.5))
+        min_norm_divergence(w, sigma, (0.1, 0.4, -0.7))
+        ref = weakref.ref(w)
+        del w
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_hatmap_jet_is_the_hatmap_system():
     # the jet lays A and b out as the value arrays do, signed zeros
     # included: -x1 evaluates to -0.0 at x1 = 0
@@ -572,10 +592,9 @@ def _fresh_bytes(w, sigma, jets):
 
 @pytest.mark.parametrize("between", ["solve", "divergence"])
 def test_a_solve_between_a_solve_and_its_divergence_pairs_no_two_matrices(between, monkeypatch):
-    # what another thread may do: replace the system's entry after a
-    # divergence's solve and before it reads the entry's matrices.  The
-    # divergence must not read the other matrix's, nor store its own under
-    # the other matrix's key
+    # what another thread may do: factor another matrix right after a
+    # divergence's solve.  The divergence must not read the other matrix's
+    # factors, and the system's cached factors stay the other matrix's
     import ghm.hdw
 
     n = 4
@@ -599,14 +618,16 @@ def test_a_solve_between_a_solve_and_its_divergence_pairs_no_two_matrices(betwee
         monkeypatch.setattr(ghm.hdw, "_min_norm", interleaved)
         div, solve = min_norm_divergence(w, sigma, 0)
         assert (div.hex(), _solve_bytes(solve)) == want[0][1:]
-        assert system[4][0][0] == jets[1][0][0].tobytes()
-        div, solve = min_norm_divergence(w, sigma, 1)  # a hit on the other matrix's entry
+        hits = system.factor.cache_info().hits
+        system.factor(jets[1][0][0].tobytes())
+        assert system.factor.cache_info().hits == hits + 1
+        div, solve = min_norm_divergence(w, sigma, 1)  # a hit on the other matrix's factors
         assert (div.hex(), _solve_bytes(solve)) == want[1][1:]
 
 
 def test_two_threads_alternating_two_hat_maps_read_fresh_bytes():
     # one system, two threads, each solving its own hat map, so that the
-    # system's entry alternates between the two; a short switch interval
+    # system's cached factors alternate between the two; a short switch interval
     # interleaves them within a solve: every solve and div is the fresh
     # oracle's, byte for byte
     import sys

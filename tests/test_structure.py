@@ -245,6 +245,14 @@ def test_chart_invariant_violation():
         LevelSetChart(constraints=(C,), values=(0.0,), base_point=(0.0, 0.0))
 
 
+def test_nearly_dependent_constraints_are_dependent_by_the_one_rank_rule():
+    # numpy's matrix_rank counts 2 here and the dependent block's det is
+    # 1e-11; hdw.numerical_rank counts 1
+    Cs = (ScalarField.from_text("x1", 3), ScalarField.from_text("x1 + 1e-11*x2", 3))
+    with pytest.raises(ChartError, match="dependent at the base point"):
+        LevelSetChart(constraints=Cs, values=(0.0, 0.0), base_point=(0.0, 0.0, 0.0))
+
+
 def test_pull_form_matches_exact_restriction():
     fd = fourdim()
     omega = fd.extras["omega"]

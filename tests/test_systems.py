@@ -109,7 +109,7 @@ def test_fourdim_jacobi_value():
 def test_quasisymmetry_default_denominator():
     qs = quasisymmetry()
     B = qs.hamiltonians[1]
-    f = qs.extras["BgradB"]
+    f = qs.measure_weight
     rng = np.random.default_rng(23)
     for p in sample_box(rng, qs.domain, 20):
         want = (1 + p[2]) ** 2 / B(p)
@@ -121,13 +121,13 @@ def test_quasisymmetry_screens_with_one_compiled_bundle(monkeypatch):
     # share most nodes, so the 40-sample screen compiles them together
     compile_, compiled = ex._compile, []
 
-    def counted(exprs, scalar):
+    def counted(exprs):
         compiled.append(exprs)
-        return compile_(exprs, scalar)
+        return compile_(exprs)
 
     monkeypatch.setattr(ex, "_compile", counted)
     qs = quasisymmetry(bvec=("-x2", "x1", "1 + x3 + 0.2817*x1"))
-    f_expr = qs.extras["BgradB"].expression
+    f_expr = qs.measure_weight.expression
     cross = tuple(c.a for c in qs.extras["u"].components)  # u = cross / f
     assert compiled == [(f_expr, *cross)]
 
