@@ -35,7 +35,7 @@ from .exterior import (
     sort_with_sign,
     wedge,
 )
-from .hdw import SolveReport, assemble_hatmap, kernel_basis, obstruction_check, solve_hdw
+from .hdw import SolveReport, assemble_hatmap, obstruction_check, solve_hdw
 from .identities import (
     IdentityReport,
     closure_residual,

@@ -479,9 +479,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _check_numbers(args)
         return args.func(args)
-    except (InputError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except IntegrationError as exc:
         print(f"integration failure: {exc}", file=sys.stderr)
         return 3

@@ -210,8 +210,9 @@ class SystemSpec:
     # -- validation -------------------------------------------------------
 
     def validate(self) -> None:
-        """Closure of the form structure over seeded domain samples and
-        independence of the Hamiltonian differentials at the base point."""
+        """Closure and coefficients of the form structure over seeded domain
+        samples, and independence of the Hamiltonian differentials at the
+        base point."""
         if self.form is not None:
             points = sample_box(np.random.default_rng(0), self.domain, VALIDATE_SAMPLES)
             try:
@@ -228,6 +229,12 @@ class SystemSpec:
                 raise InputError(
                     f"system {self.name!r}: form structure is not closed "
                     f"(residual {rep.max_residual:g} at {rep.argmax_point})")
+            for p in points:  # dw can miss a fault of w itself, and is empty when k = n
+                try:
+                    self.form.coefficient_values(p)
+                except _EVAL_FAULTS as exc:
+                    raise InputError(f"system {self.name!r}: form evaluation failed at "
+                                     f"the domain sample {p}: {exc}") from exc
         base = self.base_point or tuple((lo + hi) / 2 for lo, hi in self.domain)
         try:
             S = self.sigma().at(base)

@@ -534,19 +534,6 @@ class PointMap:
         return ex.compile_vector(ex.differentiate(comp, i) for comp in self.components
                                  for i in range(1, self.n + 1))
 
-    @cached_property
-    def _compiled_second(self) -> Callable[[Sequence[float]], tuple]:  # d_a J for a = 1..n
-        return ex.compile_vector(ex.differentiate(ex.differentiate(comp, i), a)
-                                 for a in range(1, self.n + 1) for comp in self.components
-                                 for i in range(1, self.n + 1))
-
-    def compose(self, inner: "PointMap") -> "PointMap":
-        """self after inner: (self o inner)(x) = self(inner(x))."""
-        if inner.n != self.n:
-            raise DimensionError("dimension mismatch")
-        mapping = {i + 1: c for i, c in enumerate(inner.components)}
-        return PointMap(self.n, tuple(ex.substitute(c, mapping) for c in self.components))
-
 
 def pullback(phi: PointMap, omega: FormValue, point: Sequence[float]) -> FormValue:
     """phi^* omega at ``point`` for a form value given at phi(point).

@@ -50,8 +50,6 @@ def obstruction_check(n: int, k: int) -> bool:
 class HatMapMatrix:
     """Dense matrix of X -> iota_X w at a point; rows indexed by ``rows``."""
 
-    n: int
-    k: int
     rows: tuple[tuple[int, ...], ...]
     matrix: np.ndarray  # shape (C(n, k-1), n)
 
@@ -126,7 +124,7 @@ def assemble_hatmap(w: FormField, point: Sequence[float]) -> HatMapMatrix:
         rows = tuple(increasing_indices(w.n, w.k - 1))
         return rows, w.gather_plan((j, *I) for I in rows for j in range(1, w.n + 1))
     rows, plan = w.memo("hatmap", build)
-    return HatMapMatrix(w.n, w.k, rows, w.gather(plan, point).reshape(-1, w.n))
+    return HatMapMatrix(rows, w.gather(plan, point).reshape(-1, w.n))
 
 
 @dataclass(frozen=True)
@@ -243,8 +241,3 @@ def _null_space(M: np.ndarray, point: Sequence[float]) -> np.ndarray:
         raise EvalDomainError(f"floating-point overflow in a kernel SVD at {tuple(point)}")
     _, sv, vh = np.linalg.svd(M)
     return vh[numerical_rank(sv):]
-
-
-def kernel_basis(w: FormField, point: Sequence[float]) -> list[np.ndarray]:
-    """Orthonormal basis of ker(hat map) at the point; empty iff injective."""
-    return [v.copy() for v in _null_space(assemble_hatmap(w, point).matrix, point)]

@@ -305,20 +305,3 @@ def extend_measure_preserving(J: MultiVectorField) -> MultiVectorField:
         if not ex.is_zero(total):
             coeffs[(i, j, n + 1)] = ex.neg(ex.mul(xnp1, total))
     return MultiVectorField(n + 1, 3, coeffs)
-
-
-# ---------------------------------------------------------------------------
-# Triple bracket (used by the derivative-distribution spot check)
-# ---------------------------------------------------------------------------
-
-def triple_bracket(J: MultiVectorField, f: ScalarField, g: ScalarField,
-                   h: ScalarField) -> ScalarField:
-    """{f, g, h} = J^{ijk} f_i g_j h_k as an exact symbolic scalar field."""
-    if J.k != 3:
-        raise DimensionError("triple bracket needs a degree-3 multivector")
-    total = ex.ZERO
-    for key in J.coeffs:
-        for i, j, kk in itertools.permutations(key):
-            term = ex.mul(f.grad[i - 1], ex.mul(g.grad[j - 1], h.grad[kk - 1]))
-            total = ex.add(total, ex.mul(J.component((i, j, kk)), term))
-    return ScalarField(J.n, total)

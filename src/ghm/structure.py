@@ -51,10 +51,6 @@ class Distribution:
     constraints: tuple[ScalarField, ...] = ()
 
     @classmethod
-    def spanned_by(cls, fields: Sequence[VectorField]) -> "Distribution":
-        return cls(fields[0].n, tuple(fields), ())
-
-    @classmethod
     def annihilating(cls, constraints: Sequence[ScalarField]) -> "Distribution":
         return cls(constraints[0].n, (), tuple(constraints))
 
@@ -417,16 +413,3 @@ def verify_flat_decomposition(w: FormField, chart_map: PointMap, ell: int,
         diff = pulled - target.at(u)
         worst = nan_max((worst, diff.max_abs()))
     return worst
-
-
-def divergence_in_chart(X: VectorField, chart_map: PointMap, u: Sequence[float]) -> float:
-    """Divergence at reduced point u of the coordinate-transformed field
-    Y = J^(-1) X(phi(u)), exact: (div X)(phi(u)) - Y . grad log|det J|(u),
-    where d_a log|det J| = tr(J^(-1) d_a J) and the second partials of phi
-    come from ``differentiate``."""
-    n, u = X.n, np.asarray(u, dtype=float)
-    x, J = chart_map.at(u), chart_map.jacobian(u)
-    dJ = np.array(chart_map._compiled_second(u)).reshape(n, n, n)  # dJ[a - 1] = d_a J
-    grad_log_det = np.trace(np.linalg.solve(J, dJ), axis1=1, axis2=2)
-    Y = np.linalg.solve(J, X.at(x))
-    return float(ex.compile_expr(X.divergence_expr())(x) - Y @ grad_log_det)

@@ -944,24 +944,6 @@ def reference_flow_jacobian(flow_map, point, step=1e-5):
     return J
 
 
-def reference_divergence_in_chart(X, chart_map, u, step=1e-5):
-    """Central differences of J^(-1) X(phi(u)), summed over the diagonal:
-    the former ``divergence_in_chart``."""
-    import numpy as np
-
-    def field_in_chart(uu):
-        return np.linalg.solve(chart_map.jacobian(uu), X.at(chart_map.at(uu)))
-
-    total = 0.0
-    u = np.asarray(u, dtype=float)
-    for i in range(X.n):
-        up, um = u.copy(), u.copy()
-        up[i] += step
-        um[i] -= step
-        total += (field_in_chart(up)[i] - field_in_chart(um)[i]) / (2 * step)
-    return float(total)
-
-
 def reference_divergence_expr(X):
     """The former ``VectorField.divergence_expr``: one sum over every
     component, zero ones included."""

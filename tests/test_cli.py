@@ -410,6 +410,39 @@ def test_a_domain_fault_in_the_closure_check_names_check_and_sample(tmp_path, ca
                    "sqrt of negative value at node sqrt(x3)\n")
 
 
+@pytest.mark.parametrize("coefficient, hamiltonian, base_point, fault", [
+    # 0/0 is undefined everywhere; with k = n there is no dw to scan
+    ("1 + 0/0", "x1", None,
+     "(0.2739233746429086, -0.4604265724722594): division by zero at node 0.0/0.0"),
+    # log(x1) is undefined at every sample with x1 <= 0, but not at the base point
+    ("1 + log(x1)", "x2", [0.5, 0],
+     "(-0.9180529521276106, -0.9669447289429418): log of nonpositive value at node log(x1)"),
+])
+def test_a_form_undefined_at_a_domain_sample_exits_2(tmp_path, capsys, coefficient,
+                                                     hamiltonian, base_point, fault):
+    doc = {"name": "undef", "n": 2, "k": 2, "mode": "form", "coefficients": {"1,2": coefficient},
+           "hamiltonians": [hamiltonian], "domain": [[-1, 1], [-1, 1]]}
+    if base_point is not None:
+        doc["base_point"] = base_point
+    path = tmp_path / "undef.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: system 'undef': form evaluation failed at the domain sample {fault}\n"
+
+
+def test_a_form_that_faults_only_at_the_base_point_still_loads(tmp_path, capsys):
+    # the base point (0, 0, 0) is a pole of 1/x1, which no domain sample hits
+    doc = {"name": "inv", "n": 3, "k": 2, "mode": "form", "coefficients": {"1,2": "1/x1"},
+           "hamiltonians": ["x3"], "domain": [[-1, 1]] * 3}
+    path = tmp_path / "inv.json"
+    path.write_text(json.dumps(doc))
+    assert load_config(str(path)).base_point is None
+    code, out, err = run(capsys, "check", "--config", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "overall: PASS"
+
+
 def test_config_k2_tensor_mode_checks_jacobi(tmp_path, capsys):
     path = tmp_path / "plane.json"
     path.write_text(json.dumps(dict(PLANE, mode="tensor")))

@@ -13,8 +13,8 @@ from ghm.hdw import (
     _hatmap_arrays,
     _hatmap_system,
     _min_norm,
+    _null_space,
     assemble_hatmap,
-    kernel_basis,
     min_norm_divergence,
     obstruction_check,
     solve_hdw,
@@ -57,9 +57,8 @@ def test_assemble_symplectic_plane():
 
 def test_a_hat_map_needs_a_form_of_degree_two_or_more():
     w = FormField.constant(3, 1, {(1,): 1.0})
-    for hat_map in (assemble_hatmap, kernel_basis):
-        with pytest.raises(DimensionError, match="degree >= 2"):
-            hat_map(w, (0.0,) * 3)
+    with pytest.raises(DimensionError, match="degree >= 2"):
+        assemble_hatmap(w, (0.0,) * 3)
 
 
 def test_assemble_zero_row():
@@ -117,18 +116,22 @@ def test_solve_harmonic_oscillator_plane():
     assert rep.unique
 
 
+def _kernel(w, point):
+    return _null_space(assemble_hatmap(w, point).matrix, point)
+
+
 def test_kernel_examples():
     w12 = FormField.constant(3, 2, {(1, 2): 1.0})
-    basis = kernel_basis(w12, (0.0,) * 3)
+    basis = _kernel(w12, (0.0,) * 3)
     assert len(basis) == 1
     assert abs(basis[0][2]) == pytest.approx(1.0)
     assert basis[0][0] == basis[0][1] == pytest.approx(0.0)
 
     w123 = FormField.constant(3, 3, {(1, 2, 3): 1.0})
-    assert kernel_basis(w123, (0.0,) * 3) == []
+    assert len(_kernel(w123, (0.0,) * 3)) == 0
 
     w = FormField(4, 3, {(1, 2, 4): ex.Coord(4)})  # x4 (dx12 + dx34) ^ dx4
-    basis = kernel_basis(w, (0.0, 0.0, 0.0, 1.0))
+    basis = _kernel(w, (0.0, 0.0, 0.0, 1.0))
     assert len(basis) == 1
     assert abs(basis[0][2]) == pytest.approx(1.0)
 
@@ -154,7 +157,7 @@ def test_kernel_shifts_still_solve():
     p = (0.1, 0.2, 0.3, 2.0)
     rep = solve_hdw(w, sigma, p)
     assert rep.consistent
-    for Y in kernel_basis(w, p):
+    for Y in _kernel(w, p):
         shifted = np.array(rep.x) + 0.7 * Y
         resid = interior_vector(shifted, w.at(p)) + sigma.at(p)
         assert resid.norm() <= 1e-10
@@ -212,7 +215,7 @@ def test_a_non_finite_matrix_is_a_domain_error_before_lapack(capfd):
     with pytest.raises(EvalDomainError, match="overflow in the hat-map solve"):
         min_norm_divergence(osc.form, osc.sigma(), p)
     with pytest.raises(EvalDomainError, match="overflow in a kernel SVD"):
-        kernel_basis(osc.form, p)
+        _kernel(osc.form, p)
     cube = ScalarField.from_text("x1*x1*x1", 3)  # its gradient is inf at x1 = 1e200
     with pytest.raises(EvalDomainError, match="overflow in a kernel SVD"):
         Distribution.annihilating([cube]).spanning_at((1e200, 0.0, 0.0))
