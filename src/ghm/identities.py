@@ -5,9 +5,12 @@ values at one point into that point's candidates (signed value, point,
 index).  ``run_scans`` compiles every selected scan's expressions as one
 bundle, evaluates it once per point, and hands each step its dense slice of
 that row: closure reads dw's coefficients, Jacobi and the fundamental
-identity a tensor's jet gathered into full arrays (n^3..n^6 index tuples per
-point from one contraction or outer product and its transposes; n <= 8
-keeps this at desk scale), measure the divergences and then the weight.  A
+identity a tensor's jet gathered into full arrays, measure the divergences
+and then the weight.  Jacobi and the fundamental identity's FIa build every
+entry (n^3 and n^5 index tuples per point, from one contraction and its
+transposes); FIb, a product of two entries of J at each of n^6 tuples, reads
+only the entries its support plan names, which J's structural support fixes
+once per support (``_fib_plan``), so its cost follows J's nonzero pairs.  A
 value is the same bits in any bundle, and each report names the largest
 violation, NaN first, with its signed value and location, so reports are
 reproducible given the same points.  The scans stop at the first point
@@ -17,6 +20,7 @@ where one faults, naming the first faulting node there in scan order.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -99,10 +103,15 @@ def _report(name: str, candidates: list[Candidate], samples: int) -> IdentityRep
     )
 
 
-def _argmax_signed(arr: np.ndarray) -> tuple[float, tuple[int, ...]]:
-    flat = int(np.argmax(np.abs(arr)))
-    idx = np.unravel_index(flat, arr.shape)
-    return float(arr[idx]), tuple(int(i) + 1 for i in idx)
+def _argmax_signed(values: np.ndarray, shape: tuple[int, ...] | None = None,
+                   positions: np.ndarray | None = None) -> tuple[float, tuple[int, ...]]:
+    """The first entry of largest magnitude, a NaN first, and its 1-based
+    index: in ``values``' own shape or, for flat ``values`` at the flat
+    ``positions`` of an array of ``shape``, in that array."""
+    i = int(np.argmax(np.abs(values)))
+    flat = i if positions is None else int(positions[i])
+    idx = np.unravel_index(flat, values.shape if shape is None else shape)
+    return float(values.flat[i]), tuple(int(d) + 1 for d in idx)
 
 
 # ---------------------------------------------------------------------------
@@ -176,17 +185,38 @@ def jacobi_k_residual(J: MultiVectorField,
 # Fundamental identity
 # ---------------------------------------------------------------------------
 
-def _fundamental_identity_arrays(A: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """FIa[i, j, k, v, q] and FIb[i, j, k, u, v, q] at one point, from
-    A = J and D[u, i, j, k] = d_u J^{ijk}; see fundamental_identity_scan."""
-    T = np.einsum("uab,ucde->abcde", A, D)
-    fia = (T.transpose(2, 3, 4, 0, 1) - T.transpose(2, 0, 1, 3, 4)
-           - T.transpose(1, 2, 0, 3, 4) - T)
-    P = np.multiply.outer(A, A) + 0.0
-    fib = (P + P.transpose(4, 1, 2, 3, 0, 5) + P.transpose(1, 3, 2, 0, 4, 5)
-           + P.transpose(4, 3, 2, 0, 1, 5) + P.transpose(2, 1, 3, 0, 4, 5)
-           + P.transpose(4, 1, 3, 0, 2, 5))
-    return fia, fib
+_FIB_TERMS = ((0, 1, 2, 3, 4, 5), (4, 1, 2, 3, 0, 5), (1, 3, 2, 0, 4, 5),
+              (4, 3, 2, 0, 1, 5), (2, 1, 3, 0, 4, 5), (4, 1, 3, 0, 2, 5))
+
+
+@functools.lru_cache(maxsize=16)
+def _fib_plan(n: int, support: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(positions, left, right) of FIb for a degree-3 tensor that is nonzero
+    only where the boolean n^3 mask ``support`` is: the sorted flat positions
+    of P = J (x) J, 0 included, where one of the six transposes of P in
+    ``fundamental_identity_scan`` can be nonzero, and the flat indices into J
+    of the two factors, left[m] * right[m], that term m reads there."""
+    s = np.frombuffer(support, dtype=bool).reshape((n,) * 3)
+    pairs = np.multiply.outer(s, s)
+    mask = np.zeros(pairs.shape, dtype=bool)
+    for t in _FIB_TERMS:
+        mask |= pairs.transpose(t)
+    mask.flat[0] = True
+    positions = np.flatnonzero(mask)
+    # P.transpose(t) at digits i reads P at digits j with j[t[d]] = i[d]
+    digits = np.unravel_index(positions, mask.shape)
+    sources = np.stack([np.ravel_multi_index([digits[t.index(d)] for d in range(6)], mask.shape)
+                        for t in _FIB_TERMS])
+    return (positions, *np.divmod(sources, n ** 3))
+
+
+def _fib_entries(A: np.ndarray, plan: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """FIb at the positions of ``_fib_plan``'s ``plan``: per entry, the
+    products and sums of the full array, in its order."""
+    _, left, right = plan
+    Af = A.ravel()
+    p = Af[left] * Af[right] + 0.0
+    return p[0] + p[1] + p[2] + p[3] + p[4] + p[5]
 
 
 def fundamental_identity_scan(J: MultiVectorField) -> Scan:
@@ -209,22 +239,33 @@ def fundamental_identity_scan(J: MultiVectorField) -> Scan:
     Per point, each FIa term is a transpose of one contraction
     T[a, b, c, d, e] = J^{uab} d_u J^{cde}, and each FIb term a transpose of
     one outer product P = J (x) J; the terms are summed in the order written
-    above.  P carries a ``+ 0.0`` so that a product that is -0.0 reads +0.0,
-    as it does in ``einsum``, which accumulates every product from +0.0; a
-    sum of -0.0 terms would otherwise report a zero residual as -0.0.
+    above.  FIa is built in full: a sum over u in a fixed order gives its
+    numbers, but where two different NaNs meet, the one ``einsum`` keeps
+    depends on n and on the vector loop it takes.  FIb is read only at the
+    positions of its support plan, ``_fib_plan`` of J's structural support
+    (the slots of ``_dense_plan`` that hold a coefficient): every term is a
+    product of two entries of J, so elsewhere each is a product with a zero.
+    P carries a ``+ 0.0`` so that a product that is -0.0 reads +0.0, as in
+    ``einsum``; for a finite J every entry off the plan is then exactly +0.0,
+    and the plan's first entry is the array's first, so the largest entry,
+    its index and its bits are those of the full array.  Where J has an
+    entry that is not finite, and 0 * inf is NaN, the plan is that of every
+    position.
     """
     if J.k != 3:
         raise DimensionError("fundamental identity applies to degree-3 multivectors")
-
-    # the previous point's arrays stay alive until the next point's exist: freed
-    # first, their pages go back to the OS and fault in again at every point
-    # (about 150 page faults per point at n = 6)
-    last = [None]
+    n = J.n
+    support = J.memo("fib_support", lambda f: bytes(slot != len(f.coeffs)
+                                                    for slot in _dense_plan(f)[0].tolist()))
+    every = bytes([True]) * n ** 3
 
     def step(A, D, point):
-        fia, fib = last[0] = _fundamental_identity_arrays(A, D)
+        T = np.einsum("uab,ucde->abcde", A, D)
+        fia = (T.transpose(2, 3, 4, 0, 1) - T.transpose(2, 0, 1, 3, 4)
+               - T.transpose(1, 2, 0, 3, 4) - T)
+        plan = _fib_plan(n, support if np.isfinite(A).all() else every)
         sa, ia = _argmax_signed(fia)
-        sb, ib = _argmax_signed(fib)
+        sb, ib = _argmax_signed(_fib_entries(A, plan), (n,) * 6, plan[0])
         return [(sa, point, ia, "FIa"), (sb, point, ib, "FIb")]
     return _dense_scan("fundamental-identity", J, step)
 

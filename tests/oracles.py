@@ -1050,20 +1050,53 @@ def reference_jacobi_residual(J2, points):
     return _reference_report("jacobi", best, len(points))
 
 
-def reference_fundamental_identity_residual(J, points):
-    """The former FI scan, through the tensor's own jet function."""
+def reference_dense_fundamental_identity_arrays(A, D):
+    """The former dense FI kernel: FIa and FIb at every index tuple, each term
+    a transpose of one contraction T or one outer product P = J (x) J, summed
+    in order; P carries ``+ 0.0`` so that a -0.0 product reads +0.0."""
+    import numpy as np
+
+    T = np.einsum("uab,ucde->abcde", A, D)
+    fia = (T.transpose(2, 3, 4, 0, 1) - T.transpose(2, 0, 1, 3, 4)
+           - T.transpose(1, 2, 0, 3, 4) - T)
+    P = np.multiply.outer(A, A) + 0.0
+    fib = (P + P.transpose(4, 1, 2, 3, 0, 5) + P.transpose(1, 3, 2, 0, 4, 5)
+           + P.transpose(4, 3, 2, 0, 1, 5) + P.transpose(2, 1, 3, 0, 4, 5)
+           + P.transpose(4, 1, 3, 0, 2, 5))
+    return fia, fib
+
+
+def reference_argmax_signed(arr):
+    """The first entry of largest magnitude, a NaN first, and its 1-based index."""
+    import numpy as np
+
+    flat = int(np.argmax(np.abs(arr)))
+    idx = np.unravel_index(flat, arr.shape)
+    return float(arr[idx]), tuple(int(i) + 1 for i in idx)
+
+
+def reference_fundamental_identity_candidates(A, D, point,
+                                              kernel=reference_dense_fundamental_identity_arrays):
+    """The former FI step: the FIa and FIb candidates of the dense arrays."""
+    fia, fib = kernel(A, D)
+    sa, ia = reference_argmax_signed(fia)
+    sb, ib = reference_argmax_signed(fib)
+    return [(sa, point, ia, "FIa"), (sb, point, ib, "FIb")]
+
+
+def reference_fundamental_identity_residual(J, points,
+                                            kernel=reference_dense_fundamental_identity_arrays):
+    """The former FI scan over the dense arrays, through the tensor's own jet
+    function."""
     import dataclasses
 
     from ghm.exterior import nan_max
-    from ghm.identities import _argmax_signed, _dense_pair, _fundamental_identity_arrays
+    from ghm.identities import _dense_pair
 
     candidates = []
     for p in points:
-        fia, fib = _fundamental_identity_arrays(*_dense_pair(J, p))
-        sa, ia = _argmax_signed(fia)
-        sb, ib = _argmax_signed(fib)
-        candidates.append((sa, tuple(p), ia, "FIa"))
-        candidates.append((sb, tuple(p), ib, "FIb"))
+        candidates += reference_fundamental_identity_candidates(*_dense_pair(J, p), tuple(p),
+                                                                kernel)
     rep = _reference_report("fundamental-identity", [t[:3] for t in candidates], len(points))
     return dataclasses.replace(rep, detail=nan_max(candidates, key=lambda t: abs(t[0]))[3])
 

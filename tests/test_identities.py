@@ -1,8 +1,10 @@
 import itertools
 import re
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ghm.expr as ex
 from ghm.errors import InputError
@@ -19,7 +21,13 @@ from ghm.identities import (
 )
 from ghm.structure import build_poisson_k
 from ghm.systems import fourdim, oscillator
-from oracles import jacobi_cyclic, reference_dense_pair, reference_fundamental_identity_arrays
+from oracles import (
+    jacobi_cyclic,
+    reference_dense_fundamental_identity_arrays,
+    reference_dense_pair,
+    reference_fundamental_identity_arrays,
+    reference_fundamental_identity_residual,
+)
 
 
 def _fourdim_j2():
@@ -360,12 +368,17 @@ def _random_n4_tensor():
     return MultiVectorField(n, 3, {key: parse(texts[i % 4], n) for i, key in enumerate(keys)})
 
 
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
 @pytest.mark.parametrize("name", ["oscillator", "fourdim", "flat_nambu", "quasisymmetry",
                                   "random-n4"])
-def test_fi_kernel_is_the_ten_einsum_formulas_bit_for_bit(name, monkeypatch):
-    # one contraction and one outer product give the per-term einsums' arrays,
-    # each signed zero included (compared as int64), and the same report
-    from ghm import identities, systems
+def test_fi_kernel_is_the_ten_einsum_formulas_bit_for_bit(name):
+    # the dense arrays are the per-term einsums' arrays, each signed zero
+    # included (compared as int64); the support-plan scan reports what the
+    # dense arrays and the einsums report: value bits, index, point, detail
+    from ghm import systems
     from ghm.dynamics import sample_box
 
     if name == "random-n4":
@@ -376,17 +389,97 @@ def test_fi_kernel_is_the_ten_einsum_formulas_bit_for_bit(name, monkeypatch):
     pts = [tuple(p) for p in sample_box(np.random.default_rng(12), domain, 8)]
     for p in pts:
         A, D = _dense_pair(J, p)
-        got, want = (identities._fundamental_identity_arrays(A, D),
+        got, want = (reference_dense_fundamental_identity_arrays(A, D),
                      reference_fundamental_identity_arrays(A, D))
         for g, w in zip(got, want):
             assert g.shape == w.shape
             assert np.array_equal(g.view(np.int64), w.view(np.int64)), (name, p)
     rep = fundamental_identity_residual(J, pts)
-    monkeypatch.setattr(identities, "_fundamental_identity_arrays",
-                        reference_fundamental_identity_arrays)
-    ref = fundamental_identity_residual(J, pts)
-    assert rep == ref
-    assert rep.signed_at_argmax.hex() == ref.signed_at_argmax.hex()
+    for kernel in (reference_dense_fundamental_identity_arrays,
+                   reference_fundamental_identity_arrays):
+        ref = reference_fundamental_identity_residual(J, pts, kernel)
+        assert rep == ref
+        assert (rep.signed_at_argmax.hex(), rep.argmax_index, rep.argmax_point, rep.detail) == \
+            (ref.signed_at_argmax.hex(), ref.argmax_index, ref.argmax_point, ref.detail)
+
+
+# a coefficient's exact partials are nonzero along the coordinates it names
+_LINEAR = st.lists(st.integers(1, 6), max_size=3, unique=True)
+# exact zeros twice as often; 1e200 squared overflows: a finite J whose FIb
+# reads inf, and NaN from inf - inf
+_ENTRY = st.sampled_from((0.0, -0.0, 0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 3.0, 1e200, -1e200))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_the_support_plan_reports_the_dense_candidates_byte_for_byte(data):
+    # J over a drawn subset of keys, each with drawn partial directions; the
+    # jet row is drawn freely (exact zeros, -0.0, ties, overflow, and a few
+    # inf and NaN entries); each point's two candidates must match the dense
+    # arrays' in signed value bits, index and detail
+    from ghm.identities import (_dense_arrays, _dense_plan, _fib_entries, _fib_plan,
+                                fundamental_identity_scan)
+    from oracles import reference_fundamental_identity_candidates
+
+    n = data.draw(st.integers(3, 6), label="n")
+    coeffs = {}
+    for key in itertools.combinations(range(1, n + 1), 3):
+        if data.draw(st.integers(0, 3)) == 0:
+            axes = [u for u in data.draw(_LINEAR) if u <= n]
+            coeffs[key] = parse(" + ".join(["1", *(f"x{u}" for u in axes)]), n)
+    J = MultiVectorField(n, 3, coeffs)
+    width = len(J.jet_plan()[0])
+    values = data.draw(st.lists(_ENTRY, min_size=width, max_size=width), label="jet")
+    for _ in range(data.draw(st.integers(0, 2 if width else 0))):
+        position = data.draw(st.integers(0, width - 1))
+        values[position] = data.draw(st.sampled_from((np.inf, -np.inf, np.nan)))
+    values, point = tuple(values), (0.25,) * n
+    A, D = _dense_arrays(J, J.gather_from(_dense_plan(J), values, jet=True))
+    support = _dense_plan(J)[0] != len(J.coeffs)  # the slots that hold a coefficient
+    plan = _fib_plan(n, (support if np.isfinite(A).all() else support | True).tobytes())
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = fundamental_identity_scan(J).step(values, point)
+        want = reference_fundamental_identity_candidates(A, D, point)
+        entries, dense = _fib_entries(A, plan), reference_dense_fundamental_identity_arrays(A, D)[1]
+    assert [(_bits(s), p, i, d) for s, p, i, d in got] == \
+        [(_bits(s), p, i, d) for s, p, i, d in want]
+    # each planned FIb entry has the full array's bits there; every other one is +0.0
+    dense = dense.ravel()
+    assert np.array_equal(entries.view(np.int64), dense[plan[0]].view(np.int64))
+    assert not np.delete(dense, plan[0]).view(np.int64).any()
+
+
+def test_random_quasisymmetric_fields_share_one_fi_plan():
+    # the plan is keyed by (n, support bytes), never by the field
+    from ghm import identities, systems
+
+    first = systems.build("quasisymmetry", psi="x1^2 + x2^2 + x1", bvec=("-x2", "x1", "2 + x3"))
+    second = systems.build("quasisymmetry", psi="x1^2 + 2*x2^2", bvec=("-x2", "x1 + x3", "1 + x3"))
+    pts = [(1.0, 0.5, 0.3), (1.5, -0.7, 0.1)]
+    fundamental_identity_residual(first.tensor, pts)
+    before = identities._fib_plan.cache_info()
+    fundamental_identity_residual(second.tensor, pts)
+    after = identities._fib_plan.cache_info()
+    assert second.tensor is not first.tensor
+    assert after.misses == before.misses and after.hits == before.hits + len(pts)
+
+
+def test_a_tensor_is_freed_after_its_fi_scan_without_the_collector():
+    # the plan cache holds support bytes and index arrays, nothing that refers
+    # back to the field
+    import gc
+    import weakref
+
+    J = MultiVectorField(4, 3, {(1, 2, 3): parse("x4", 4), (1, 2, 4): parse("1 + x1*x3", 4),
+                                (2, 3, 4): parse("x2", 4)})
+    gc.disable()
+    try:
+        fundamental_identity_residual(J, [(0.3, -0.2, 0.5, 0.1), (0.1, 0.4, -0.7, 0.2)])
+        ref = weakref.ref(J)
+        del J
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_of_two_faults_the_earlier_point_wins_then_the_earlier_scan():
