@@ -26,12 +26,9 @@ from .exterior import (
     exterior_derivative,
     hdw_vs_bracket_sign,
     interior,
-    interior_form,
     interior_vector,
     inverse_law_sign,
     lie_derivative,
-    pairing,
-    pullback,
     sort_with_sign,
     wedge,
 )
@@ -41,19 +38,16 @@ from .identities import (
     closure_residual,
     extend_measure_preserving,
     fundamental_identity_residual,
-    jacobi_k_residual,
     jacobi_residual,
     measure_residual,
 )
 from .structure import (
     Distribution,
     LevelSetChart,
-    RankReport,
     build_poisson_k,
     build_w_from_omega,
     delta_inverse_residual,
     extract_omega,
-    rank_wrt,
     reduce_k_to_2,
     strong_inverse_residual,
 )

@@ -142,6 +142,10 @@ class SystemSpec:
             raise InputError("form mode requires a form structure")
         if not self.domain:
             object.__setattr__(self, "domain", tuple((-10.0, 10.0) for _ in range(self.n)))
+        if len(self.domain) != self.n:
+            raise DimensionError(f"need n={self.n} domain intervals, got {len(self.domain)}")
+        if self.base_point is not None and len(self.base_point) != self.n:
+            raise DimensionError(f"base point {self.base_point} is not in R^{self.n}")
         invariants = self.invariants or {f"H{i + 1}": h for i, h in enumerate(self.hamiltonians)}
         object.__setattr__(self, "invariants", MappingProxyType(dict(invariants)))
 
@@ -506,8 +510,6 @@ class MoserProblem:
 
     ``w0`` is the flat reference, ``X`` the (time-independent) deformation
     field with w = (1 - L_X) w0, ``flow`` an optional closed-form time-t map.
-    ``Z0`` is the dilation (1/k) x^i d_i with L_{Z0} w0 = w0, and
-    Z = Z0 - X satisfies L_Z w0 = w.
     """
 
     name: str
@@ -518,16 +520,6 @@ class MoserProblem:
     w: FormField
     domain: tuple[tuple[float, float], ...]
     flow: Callable[[float], PointMap] | None = None
-
-    @property
-    def Z0(self) -> VectorField:
-        scale = ex.const(1.0 / self.k)
-        return VectorField(self.n, tuple(ex.mul(scale, ex.Coord(i))
-                                         for i in range(1, self.n + 1)))
-
-    @property
-    def Z(self) -> VectorField:
-        return self.Z0 - self.X
 
 
 def moser_residual(problem: MoserProblem, points: Sequence[Sequence[float]]) -> float:

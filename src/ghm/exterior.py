@@ -26,7 +26,7 @@ df^1..df^m, the rightmost first.
 
 Consequences used throughout (``k`` is the degree of the form/multivector):
 
-    <dx^I, d_I>                         = +1           (pairing, all k)
+    iota_{d_I} dx^I                     = +1           (all k)
     iota_{iota_{d_j} dx^{1..k}} d_{1..k} = (-1)^(k+1) d_j
 
 so the canonical flat pair (dx^{1..k}, d_{1..k}) is an exact inverse only up
@@ -204,9 +204,6 @@ class _AltValue(_Alt):
     def max_abs(self) -> float:
         return nan_max((abs(c) for c in self.coeffs.values()), default=0.0)
 
-    def norm(self) -> float:
-        return float(np.sqrt(sum(c * c for c in self.coeffs.values())))
-
     def __eq__(self, other) -> bool:
         return (type(other) is type(self) and other.n == self.n
                 and other.k == self.k and other.coeffs == self.coeffs)
@@ -253,27 +250,12 @@ def interior(by: _Alt, target: _Alt) -> _Alt:
     return type(target)(target.n, target.k - by.k, out, _normalized=True)
 
 
-def pairing(J: MultiVectorValue, w: FormValue) -> float:
-    """<d_I, dx^J> pairing extended bilinearly; equal degrees required."""
-    if J.n != w.n or J.k != w.k:
-        raise DimensionError("pairing requires equal n and k")
-    return interior(J, w).coeffs.get((), 0.0)
-
-
 def interior_vector(X: Sequence[float], w: FormValue) -> FormValue:
     """iota_X w for a vector of components X^1..X^n."""
     if len(X) != w.n:
         raise DimensionError(f"vector length {len(X)} != n={w.n}")
     return interior(MultiVectorValue(w.n, 1, {(j,): x for j, x in enumerate(X, start=1)},
                                      _normalized=True), w)
-
-
-def interior_form(alpha: Sequence[float], J: MultiVectorValue) -> MultiVectorValue:
-    """iota_alpha J for a 1-form of components alpha_1..alpha_n."""
-    if len(alpha) != J.n:
-        raise DimensionError(f"covector length {len(alpha)} != n={J.n}")
-    return interior(FormValue(J.n, 1, {(j,): a for j, a in enumerate(alpha, start=1)},
-                              _normalized=True), J)
 
 
 def inverse_law_sign(k: int) -> int:
@@ -430,19 +412,6 @@ class VectorField:
                                 {(i,): c for i, c in enumerate(self.components, start=1)},
                                 _normalized=True)
 
-    def scale(self, factor: Expr | float) -> "VectorField":
-        f = ex.const(factor) if isinstance(factor, (int, float)) else factor
-        return VectorField(self.n, tuple(ex.mul(f, c) for c in self.components))
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        if other.n != self.n:
-            raise DimensionError("dimension mismatch")
-        return VectorField(self.n, tuple(ex.add(a, b)
-                                         for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return self + other.scale(-1.0)
-
 
 def grad_field(f: ScalarField) -> FormField:
     """The exact differential df as a 1-form field."""
@@ -533,16 +502,6 @@ class PointMap:
     def _compiled_jacobian(self) -> Callable[[Sequence[float]], tuple]:
         return ex.compile_vector(ex.differentiate(comp, i) for comp in self.components
                                  for i in range(1, self.n + 1))
-
-
-def pullback(phi: PointMap, omega: FormValue, point: Sequence[float]) -> FormValue:
-    """phi^* omega at ``point`` for a form value given at phi(point).
-
-    (phi^* omega)_I = sum_K omega_K det(J[K rows, I cols]).
-    """
-    if phi.n != omega.n:
-        raise DimensionError("dimension mismatch")
-    return pullback_with_jacobian(phi.jacobian(point), omega)
 
 
 @lru_cache(maxsize=None)

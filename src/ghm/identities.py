@@ -19,7 +19,6 @@ where one faults, naming the first faulting node there in scan order.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 from dataclasses import dataclass
@@ -164,21 +163,6 @@ def jacobi_scan(J2: MultiVectorField) -> Scan:
 def jacobi_residual(J2: MultiVectorField, points: Sequence[Sequence[float]]) -> IdentityReport:
     """``jacobi_scan`` alone."""
     return run_scans([jacobi_scan(J2)], points)[0]
-
-
-def jacobi_k_residual(J: MultiVectorField,
-                      points: Sequence[Sequence[float]]) -> IdentityReport:
-    """Jacobi identity for a degree-k tensor in coordinates adapted to its
-    Casimirs: the trailing k-2 slots are the Casimir axes (n-k+3 .. n).
-    Reduces to the degree-2 check on K^{ab} = J^{ab, n-k+3, ..., n}."""
-    n, k = J.n, J.k
-    trailing = tuple(range(n - k + 3, n + 1))
-    K = MultiVectorField(n, 2, {
-        (a, b): J.component((a, b) + trailing)
-        for a in range(1, n + 1) for b in range(a + 1, n + 1)
-    })
-    return dataclasses.replace(jacobi_residual(K, points), name="jacobi_k",
-                               detail=f"trailing axes {trailing}")
 
 
 # ---------------------------------------------------------------------------

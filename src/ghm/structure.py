@@ -1,6 +1,6 @@
 """Structural constructions and verifications: inverses, degree-k tensor
 building and reduction, omega ^ dC decompositions, level-set restriction,
-constant-rank tests, and flat-decomposition verification.
+and dual frames of constraint differentials.
 
 Inverse checks apply the recorded ``inverse_law_sign`` from
 :mod:`ghm.exterior`; tensor coefficients never absorb that sign.
@@ -8,20 +8,18 @@ Inverse checks apply the recorded ``inverse_law_sign`` from
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import expr as ex
-from .errors import ChartError, DimensionError, DualityError, EvalDomainError
+from .errors import ChartError, DimensionError, DualityError
 from .expr import Expr, ScalarField
 from .exterior import (
     FormField,
     FormValue,
     MultiVectorField,
-    PointMap,
     VectorField,
     grad_field,
     interior,
@@ -210,22 +208,20 @@ class LevelSetChart:
             raise ChartError(f"{m} constraints on R^{n}: more constraints than coordinates")
         if len(self.values) != m:
             raise ChartError("one level value per constraint required")
+        G = np.array([c.gradient(self.base_point) for c in self.constraints])
+        if not np.isfinite(G).all():  # LAPACK would fail to converge on it
+            raise ChartError(f"constraint differentials are not finite at {tuple(self.base_point)}")
         if not self.complementary_axes:
-            object.__setattr__(self, "complementary_axes", self._pick_axes())
+            dependent = _pivot_axes(G)
+            object.__setattr__(self, "complementary_axes",
+                               tuple(a for a in range(1, n + 1) if a not in dependent))
         if len(self.complementary_axes) != n - m:
             raise ChartError(f"need {n - m} complementary axes")
-        G = np.array([c.gradient(self.base_point) for c in self.constraints])
         if numerical_rank(np.linalg.svd(G, compute_uv=False)) < m:
             raise ChartError("constraint differentials are dependent at the base point")
         B = G[:, [a - 1 for a in self.dependent_axes]]
         if abs(np.linalg.det(B)) < 1e-12:
             raise ChartError("dependent-axes Jacobian block is singular at the base point")
-
-    def _pick_axes(self) -> tuple[int, ...]:
-        n = self.constraints[0].n
-        dependent = _pivot_axes(np.array([c.gradient(self.base_point)
-                                          for c in self.constraints]))
-        return tuple(a for a in range(1, n + 1) if a not in dependent)
 
     @property
     def n(self) -> int:
@@ -259,8 +255,8 @@ class LevelSetChart:
         for _ in range(50):
             if float(np.linalg.norm(r)) <= 1e-12:
                 return x
-            G = np.array([c.gradient(x) for c in self.constraints])[:, dep]
-            step = np.linalg.solve(G, r)
+            G = np.array([c.gradient(x) for c in self.constraints])
+            step = self._solve_dependent(G, r, x)
             t = 1.0
             while t >= 1e-6:
                 trial = x.copy()
@@ -276,6 +272,13 @@ class LevelSetChart:
             return x
         raise ChartError("Newton did not converge in 50 iterations")
 
+    def _solve_dependent(self, G: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """B^{-1} rhs for the dependent-axes block B of G, the constraint Jacobian at ``x``."""
+        try:
+            return np.linalg.solve(G[:, [a - 1 for a in self.dependent_axes]], rhs)
+        except np.linalg.LinAlgError:
+            raise ChartError(f"dependent-axes block is singular at {tuple(x.tolist())}") from None
+
     def embedding_jacobian(self, u: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """(ambient point, d(ambient)/d(reduced)) via the implicit function rule."""
         x = self.embed(u)
@@ -283,12 +286,10 @@ class LevelSetChart:
         comp = [a - 1 for a in self.complementary_axes]
         dep = [a - 1 for a in self.dependent_axes]
         G = np.array([c.gradient(x) for c in self.constraints])
-        dv = -np.linalg.solve(G[:, dep], G[:, comp])  # shape (m, n-m)
+        dv = -self._solve_dependent(G, G[:, comp], x)  # shape (m, n-m)
         J = np.zeros((n, n - m))
-        for col, a in enumerate(comp):
-            J[a, col] = 1.0
-        for row, a in enumerate(dep):
-            J[a, :] = dv[row, :]
+        J[comp, range(n - m)] = 1.0
+        J[dep] = dv
         return x, J
 
     def pull_scalar_gradient(self, f: ScalarField, u: Sequence[float]) -> np.ndarray:
@@ -326,51 +327,7 @@ class LevelSetChart:
 
 
 # ---------------------------------------------------------------------------
-# Constant rank with respect to constraints
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RankReport:
-    rank: int
-    corank: int
-    constant_over_samples: bool
-    ranks: tuple[int, ...]
-    points: tuple[tuple[float, ...], ...]
-
-
-def rank_wrt(omega: FormField, Cs: Sequence[ScalarField],
-             points: Sequence[Sequence[float]]) -> RankReport:
-    """Rank of the restriction of a 2-form to the level set through each
-    sample point (even by antisymmetry; counted singular values are rounded
-    down to even).  A restricted form that is not finite raises
-    ``EvalDomainError`` before LAPACK sees it."""
-    if omega.k != 2:
-        raise DimensionError("rank_wrt applies to 2-forms")
-    n, m = omega.n, len(Cs)
-    plan = omega.gather_plan(itertools.product(range(1, n + 1), repeat=2))
-    ranks = []
-    for p in points:
-        basis = _null_space(np.array([c.gradient(p) for c in Cs]), p)  # rows span ker dC
-        W = omega.gather(plan, p).reshape(n, n)
-        with np.errstate(over="ignore", invalid="ignore"):  # an inf in W leaves a non-finite M
-            M = basis @ W @ basis.T
-        if not np.isfinite(M).all():
-            raise EvalDomainError(
-                f"floating-point overflow in the restricted 2-form at {tuple(p)}")
-        r = numerical_rank(np.linalg.svd(M, compute_uv=False))
-        ranks.append(r - (r % 2))
-    rank0 = ranks[0] if ranks else 0
-    return RankReport(
-        rank=rank0,
-        corank=(n - m) - rank0,
-        constant_over_samples=all(r == rank0 for r in ranks),
-        ranks=tuple(ranks),
-        points=tuple(tuple(float(v) for v in p) for p in points),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Dual frames and flat-decomposition verification
+# Dual frames
 # ---------------------------------------------------------------------------
 
 def propose_dual_frame(Cs: Sequence[ScalarField],
@@ -392,24 +349,3 @@ def propose_dual_frame(Cs: Sequence[ScalarField],
     _check_duality(frame, Cs, points)
     return tuple(frame)
 
-
-def verify_flat_decomposition(w: FormField, chart_map: PointMap, ell: int,
-                              casimir_axes: Sequence[int],
-                              points: Sequence[Sequence[float]]) -> float:
-    """Check that the pullback of w under the candidate coordinate map equals
-    sum_{i<=ell} dx^{2i-1} ^ dx^{2i} wedged with the Casimir-axis differentials.
-    Verification only; no coordinates are constructed here."""
-    n = w.n
-    flat = FormField.constant(n, 2, {(2 * i - 1, 2 * i): 1.0 for i in range(1, ell + 1)})
-    target = flat
-    for a in casimir_axes:
-        target = wedge(target, FormField.constant(n, 1, {(a,): 1.0}))
-    if target.k != w.k:
-        raise DimensionError("rank/casimir split does not match the form degree")
-    worst = 0.0
-    for u in points:
-        x = chart_map.at(u)
-        pulled = pullback_with_jacobian(chart_map.jacobian(u), w.at(x))
-        diff = pulled - target.at(u)
-        worst = nan_max((worst, diff.max_abs()))
-    return worst

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ghm.expr as ex
-from ghm.errors import InputError, IntegrationError
+from ghm.errors import DimensionError, InputError, IntegrationError
 from ghm.expr import ScalarField
 from ghm.exterior import FormField, MultiVectorField, VectorField
 from ghm.dynamics import (
@@ -604,6 +604,19 @@ def test_system_spec_is_frozen():
     plane = _flat_plane("tensor", invariants)
     invariants["y"] = s.hamiltonians[0]
     assert list(plane.invariants) == ["H1"]
+
+
+def test_a_domain_or_base_point_of_another_dimension_is_a_dimension_error():
+    # an unchecked x3 would leave box_test blind to it
+    spec = dict(name="short", n=3, k=3,
+                hamiltonians=(ScalarField(3, ex.Coord(1)), ScalarField(3, ex.Coord(3))),
+                tensor=MultiVectorField.constant(3, 3, {(1, 2, 3): 1.0}))
+    with pytest.raises(DimensionError, match="need n=3 domain intervals, got 2"):
+        SystemSpec(**spec, domain=((0.0, 1.0),) * 2)
+    with pytest.raises(DimensionError, match=r"base point \(0\.5, 0\.5\) is not in R\^3"):
+        SystemSpec(**spec, base_point=(0.5, 0.5))
+    s = SystemSpec(**spec, domain=((0.0, 1.0),) * 3, base_point=(0.5, 0.5, 0.5))
+    assert len(s.domain) == len(s.base_point) == 3
 
 
 def _flat_plane(mode, invariants=None):

@@ -20,14 +20,11 @@ from ghm.exterior import (
     hdw_vs_bracket_sign,
     increasing_indices,
     interior,
-    interior_form,
     interior_vector,
     interior_vector_field,
     inverse_law_sign,
     lie_derivative,
     nan_max,
-    pairing,
-    pullback,
     pullback_with_jacobian,
     sort_with_sign,
     wedge,
@@ -84,6 +81,11 @@ def _random_value(rng, n, k, cls=FormValue):
     return cls(n, k, coeffs)
 
 
+def _one_form(alpha):
+    """The 1-form value of components alpha_1..alpha_n."""
+    return FormValue(len(alpha), 1, {(j,): a for j, a in enumerate(alpha, 1)})
+
+
 def test_wedge_against_dense_oracle():
     rng = np.random.default_rng(3)
     for n, k, l in [(4, 1, 2), (5, 2, 2), (6, 2, 3), (5, 1, 1)]:
@@ -113,17 +115,6 @@ def test_wedge_odd_degree_squares_to_zero():
         assert wedge(a, a).max_abs() <= 1e-12
 
 
-def test_pairing_examples():
-    assert pairing(MultiVectorValue(3, 2, {(1, 2): 1.0}),
-                   FormValue(3, 2, {(1, 2): 1.0})) == 1.0
-    assert pairing(MultiVectorValue(3, 2, {(1, 2): 1.0}),
-                   FormValue(3, 2, {(1, 3): 1.0})) == 0.0
-    assert pairing(MultiVectorValue(3, 3, {(1, 2, 3): 1.0}),
-                   FormValue(3, 3, {(1, 2, 3): 1.0})) == 1.0
-    with pytest.raises(DimensionError):
-        pairing(MultiVectorValue(3, 2, {(1, 2): 1.0}), FormValue(3, 1, {(1,): 1.0}))
-
-
 def test_interior_vector_slot_signs():
     w = FormValue(3, 3, {(1, 2, 3): 1.0})
     assert interior_vector((1, 0, 0), w).coeffs == {(2, 3): 1.0}
@@ -141,7 +132,7 @@ def test_interior_vector_general_expansion():
 
 
 def test_interior_vector_against_dense_oracle():
-    # interior_vector and interior_form, then interior by every degree
+    # interior_vector and interior by a 1-form, then interior by every degree
     # m >= 2 up to k, in both variances
     rng = np.random.default_rng(11)
 
@@ -157,7 +148,8 @@ def test_interior_vector_against_dense_oracle():
         assert_matches(interior_vector(X, w), {(j,): x for j, x in enumerate(X, 1)}, 1, w)
         J = _random_value(rng, n, k, MultiVectorValue)
         alpha = rng.standard_normal(n)
-        assert_matches(interior_form(alpha, J), {(j,): a for j, a in enumerate(alpha, 1)}, 1, J)
+        assert_matches(interior(_one_form(alpha), J),
+                       {(j,): a for j, a in enumerate(alpha, 1)}, 1, J)
         for m in range(2, k + 1):
             A = _random_value(rng, n, m, MultiVectorValue)
             assert_matches(interior(A, w), A.coeffs, m, w)
@@ -167,12 +159,12 @@ def test_interior_vector_against_dense_oracle():
 
 def test_interior_form_mirror():
     J = MultiVectorValue(3, 3, {(1, 2, 3): 1.0})
-    step1 = interior_form((0, 1, 0), J)
+    step1 = interior(_one_form((0, 1, 0)), J)
     assert step1.coeffs == {(1, 3): -1.0}
-    step2 = interior_form((0, 0, 1), step1)
+    step2 = interior(_one_form((0, 0, 1)), step1)
     assert step2.coeffs == {(1,): 1.0}
     J4 = MultiVectorValue(4, 3, {(1, 2, 3): 1.0})
-    assert interior_form((0, 0, 0, 1), J4).coeffs == {}
+    assert interior(_one_form((0, 0, 0, 1)), J4).coeffs == {}
 
 
 def test_interior_multi_two_step():
@@ -205,7 +197,7 @@ def test_interior_multi_matches_iterated_single():
             for axis in key:
                 alpha = [0.0] * n
                 alpha[axis - 1] = 1.0
-                term = interior_form(alpha, term)
+                term = interior(_one_form(alpha), term)
             expect = expect + term.scale(c)
         assert (got - expect).max_abs() <= 1e-12
 
@@ -221,7 +213,7 @@ def test_iterated_contraction_order_identity():
         w = wedge(FormValue(n, 1, {(i,): dC[i - 1] for i in range(1, n + 1)}),
                   FormValue(n, 1, {(i,): dH[i - 1] for i in range(1, n + 1)}))
         lhs = interior(w, J)
-        rhs = interior_form(dH, interior_form(dC, J))
+        rhs = interior(_one_form(dH), interior(_one_form(dC), J))
         assert (lhs - rhs).max_abs() <= 1e-12
 
 
@@ -352,7 +344,7 @@ def test_lie_derivative_leibniz():
 def test_pullback_linear_map():
     phi = PointMap(2, (parse("2*x1", 2), parse("x2", 2)))
     dx1 = FormValue(2, 1, {(1,): 1.0})
-    out = pullback(phi, dx1, (0.7, 0.3))
+    out = pullback_with_jacobian(phi.jacobian((0.7, 0.3)), dx1)
     assert out.coeffs == {(1,): 2.0}
 
 
@@ -360,7 +352,7 @@ def test_pullback_identity():
     phi = PointMap.identity(3)
     rng = np.random.default_rng(41)
     w = _random_value(rng, 3, 2)
-    out = pullback(phi, w, (0.1, 0.2, 0.3))
+    out = pullback_with_jacobian(phi.jacobian((0.1, 0.2, 0.3)), w)
     assert (out - w).max_abs() == 0.0
 
 
@@ -461,9 +453,9 @@ def test_pullback_functoriality_affine():
         comp = PointMap(n, tuple(ex.substitute(c, inner) for c in phi.components))
         w = _random_value(rng, n, 2)
         p = rng.uniform(-1, 1, size=n)
-        direct = pullback(comp, w, p)
-        mid = pullback(phi, w, psi.at(p))
-        staged = pullback(psi, mid, p)
+        direct = pullback_with_jacobian(comp.jacobian(p), w)
+        mid = pullback_with_jacobian(phi.jacobian(psi.at(p)), w)
+        staged = pullback_with_jacobian(psi.jacobian(p), mid)
         assert (direct - staged).max_abs() <= 1e-12
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -146,7 +147,7 @@ def test_consistent_solution_rechecked_via_exterior():
     rep = solve_hdw(w, sigma, p)
     assert rep.consistent
     resid = interior_vector(rep.x, w.at(p)) + sigma.at(p)
-    assert resid.norm() <= 1e-12
+    assert math.sqrt(sum(c * c for c in resid.coeffs.values())) <= 1e-12
 
 
 def test_kernel_shifts_still_solve():
@@ -160,7 +161,7 @@ def test_kernel_shifts_still_solve():
     for Y in _kernel(w, p):
         shifted = np.array(rep.x) + 0.7 * Y
         resid = interior_vector(shifted, w.at(p)) + sigma.at(p)
-        assert resid.norm() <= 1e-10
+        assert math.sqrt(sum(c * c for c in resid.coeffs.values())) <= 1e-10
 
 
 def test_solutions_annihilate_hamiltonians():
@@ -206,7 +207,7 @@ def test_an_overflowed_solve_is_a_domain_error():
 
 def test_a_non_finite_matrix_is_a_domain_error_before_lapack(capfd):
     # LAPACK would print DLASCL lines on a NaN or inf input and fail to converge
-    from ghm.structure import Distribution, rank_wrt
+    from ghm.structure import Distribution
 
     osc = oscillator(lam=0.1)
     p = (0.0, 0.0, 0.0, 0.0, 1e308, 0.0)  # -2 q2 overflows to -inf
@@ -219,12 +220,6 @@ def test_a_non_finite_matrix_is_a_domain_error_before_lapack(capfd):
     cube = ScalarField.from_text("x1*x1*x1", 3)  # its gradient is inf at x1 = 1e200
     with pytest.raises(EvalDomainError, match="overflow in a kernel SVD"):
         Distribution.annihilating([cube]).spanning_at((1e200, 0.0, 0.0))
-    with pytest.raises(EvalDomainError, match="overflow in a kernel SVD"):
-        rank_wrt(FormField.constant(3, 2, {(1, 2): 1.0}), [cube], [(1e200, 0.0, 0.0)])
-    # the kernel of dx3 is finite, but the 2-form restricted to it is not
-    omega = FormField(3, 2, {(1, 2): cube.expression, (2, 3): ex.const(1.0)})
-    with pytest.raises(EvalDomainError, match=r"overflow in the restricted 2-form at \(1e\+200, "):
-        rank_wrt(omega, [ScalarField.from_text("x3", 3)], [(1e200, 0.0, 0.0)])
     assert capfd.readouterr().err == ""
 
 

@@ -15,11 +15,10 @@ from ghm.identities import (
     closure_residual,
     extend_measure_preserving,
     fundamental_identity_residual,
-    jacobi_k_residual,
     jacobi_residual,
     measure_residual,
 )
-from ghm.structure import build_poisson_k
+from ghm.structure import build_poisson_k, reduce_k_to_2
 from ghm.systems import fourdim, oscillator
 from oracles import (
     jacobi_cyclic,
@@ -71,12 +70,6 @@ def test_jacobi_matches_brute_force():
     assert rep.max_residual == pytest.approx(brute, rel=1e-12)
 
 
-def test_jacobi_k_constant():
-    J = MultiVectorField.constant(3, 3, {(1, 2, 3): 1.0})
-    rep = jacobi_k_residual(J, [(0.0, 0.0, 0.0)])
-    assert rep.max_residual == 0.0
-
-
 def test_jacobi_k_of_built_tensor_vanishes():
     # adapted chart: J2 lives on axes 1..2, Casimir axis 3
     J2 = MultiVectorField(3, 2, {(1, 2): parse("1 + x1^2", 3)})
@@ -84,18 +77,8 @@ def test_jacobi_k_of_built_tensor_vanishes():
     n1 = VectorField(3, (ex.ZERO, ex.ZERO, ex.ONE))
     pts = [(0.2, 0.4, 0.1), (-0.5, 0.9, 1.2)]
     J = build_poisson_k(J2, [C], [n1], pts)
-    rep = jacobi_k_residual(J, pts)
+    rep = jacobi_residual(reduce_k_to_2(J, [C]), pts)
     assert rep.max_residual <= 1e-12
-
-
-def test_jacobi_k_matches_exhaustive_scan():
-    # trailing Casimir axis r = n-k+3 = 4: the reduced tensor is J^{ab4}
-    J = MultiVectorField(4, 3, {(1, 2, 3): ex.Coord(1), (1, 2, 4): ex.Coord(2)})
-    pts = [(0.7, -0.3, 0.4, 1.1)]
-    rep = jacobi_k_residual(J, pts)
-    K = MultiVectorField(4, 2, {(a, b): J.component((a, b, 4))
-                                for a, b in itertools.combinations(range(1, 5), 2)})
-    assert rep.max_residual == pytest.approx(_brute_jacobi_max(K, pts[0]), abs=1e-14)
 
 
 def test_fundamental_identity_canonical():
@@ -177,7 +160,8 @@ def test_fi_implies_reduced_jacobi_but_not_conversely():
     fd = fourdim()
     pts = [(0.5, -0.3, 0.8, 1.4)]
     assert fundamental_identity_residual(fd.tensor, pts).max_residual <= 1e-12
-    assert jacobi_k_residual(fd.tensor, pts).max_residual <= 1e-12
+    casimir = ScalarField(4, ex.Coord(4))
+    assert jacobi_residual(reduce_k_to_2(fd.tensor, [casimir]), pts).max_residual <= 1e-12
     # oscillator: reduced Jacobi holds while the FI fails
     osc = oscillator()
     opts = [osc.base_point]

@@ -7,7 +7,6 @@ from ghm.expr import ScalarField, parse
 from ghm.exterior import (
     FormField,
     MultiVectorField,
-    PointMap,
     VectorField,
     exterior_derivative,
 )
@@ -19,12 +18,10 @@ from ghm.structure import (
     delta_inverse_residual,
     extract_omega,
     propose_dual_frame,
-    rank_wrt,
     reduce_k_to_2,
     strong_inverse_residual,
-    verify_flat_decomposition,
 )
-from ghm.systems import OSCILLATOR_ALIASES, fourdim, oscillator
+from ghm.systems import fourdim, oscillator
 
 
 def _coord(n, i, name=""):
@@ -251,6 +248,28 @@ def test_nearly_dependent_constraints_are_dependent_by_the_one_rank_rule():
         LevelSetChart(constraints=Cs, values=(0.0, 0.0), base_point=(0.0, 0.0, 0.0))
 
 
+def test_a_non_finite_constraint_differential_is_a_chart_error(capfd):
+    # d/dx1 is 1e400 - 1e400, NaN: LAPACK's SVD would fail to converge on it
+    C = ScalarField.from_text("x1*1e200*1e200 - x1*1e200*1e200 + x2", 3)
+    with pytest.raises(ChartError, match=r"not finite at \(1\.0, 0\.0, 0\.0\)"):
+        LevelSetChart(constraints=(C,), values=(0.0,), base_point=(1.0, 0.0, 0.0))
+    assert capfd.readouterr().err == ""
+
+
+def test_a_singular_dependent_block_off_the_base_point_is_a_chart_error():
+    # the circle's dependent axis x1 reaches d/dx1 = 2 x1 = 0 on the Newton path
+    circle = LevelSetChart(constraints=(ScalarField.from_text("x1^2 + x2^2", 3),),
+                           values=(1.0,), base_point=(1.0, 0.0, 0.0))
+    with pytest.raises(ChartError, match=r"singular at \(0\.0, 2\.0, 0\.0\)"):
+        circle.embed((2.0, 0.0))
+    # x1 x3 + x2 = 0 holds where embed starts, and d/dx1 = x3 is 0 there
+    chart = LevelSetChart(constraints=(ScalarField.from_text("x1*x3 + x2", 3),),
+                          values=(0.0,), base_point=(0.0, 0.0, 1.0))
+    assert chart.complementary_axes == (2, 3)
+    with pytest.raises(ChartError, match=r"singular at \(0\.0, 0\.0, 0\.0\)"):
+        chart.embedding_jacobian((0.0, 0.0))
+
+
 def test_pull_form_matches_exact_restriction():
     fd = fourdim()
     omega = fd.extras["omega"]
@@ -284,34 +303,7 @@ def test_hamiltonian_flow_consistency_on_level_set():
 
 
 # ---------------------------------------------------------------------------
-# Rank
-# ---------------------------------------------------------------------------
-
-def test_rank_wrt_fourdim():
-    fd = fourdim()
-    rep = rank_wrt(fd.extras["omega"], [_coord(4, 4)],
-                   [(0.1, 0.2, 0.3, 0.8), (1.0, -0.5, 0.2, 2.5)])
-    assert rep.rank == 2 and rep.constant_over_samples
-    assert rep.corank == 1
-
-
-def test_rank_wrt_oscillator_omega():
-    osc = oscillator()
-    omega = osc.extras["omega"]
-    G2 = ScalarField.from_text("xi2 - q2^2", 6, aliases=OSCILLATOR_ALIASES)
-    rep = rank_wrt(omega, [G2], [osc.base_point, (0.3, 0.1, 0.5, 0.2, 0.7, 1.0)])
-    assert rep.rank == 4 and rep.constant_over_samples
-
-
-def test_rank_wrt_nonconstant():
-    omega = FormField(3, 2, {(1, 2): ex.Coord(1)})
-    rep = rank_wrt(omega, [_coord(3, 3)], [(0.0, 0.5, 0.1), (1.0, 0.5, 0.1)])
-    assert not rep.constant_over_samples
-    assert rep.ranks == (0, 2)
-
-
-# ---------------------------------------------------------------------------
-# Frames and flat decompositions
+# Frames
 # ---------------------------------------------------------------------------
 
 def test_propose_dual_frame_coordinates():
@@ -325,17 +317,6 @@ def test_propose_dual_frame_rejects_shared_axis():
     Cs = [_coord(3, 3), ScalarField.from_text("2*x3", 3)]
     with pytest.raises(DualityError):
         propose_dual_frame(Cs, [(0.1, 0.2, 0.3)])
-
-
-def test_verify_flat_decomposition_fourdim():
-    # w = x4 dx124 equals dP^dQ^dC under (P,Q,G,C) -> (P, Q/C, G, C)
-    w = FormField(4, 3, {(1, 2, 4): ex.Coord(4)})
-    chart_map = PointMap(4, (ex.Coord(1), ex.div(ex.Coord(2), ex.Coord(4)),
-                             ex.Coord(3), ex.Coord(4)))
-    rng = np.random.default_rng(16)
-    pts = [tuple(rng.uniform(0.5, 1.5, size=4)) for _ in range(10)]
-    assert verify_flat_decomposition(w, chart_map, ell=1, casimir_axes=(4,),
-                                     points=pts) <= 1e-9
 
 
 def test_a_nan_duality_or_kernel_defect_fails():

@@ -4,7 +4,7 @@ import pytest
 import ghm.expr as ex
 from ghm.errors import EvalDomainError, InputError
 from ghm.expr import evaluate, parse
-from ghm.exterior import interior_vector_field, lie_derivative
+from ghm.exterior import interior_vector_field
 from ghm.dynamics import conservation_report, integrate, sample_box, vector_field_of
 from ghm.hdw import obstruction_check, solve_hdw
 from ghm.identities import jacobi_residual, measure_residual
@@ -240,16 +240,6 @@ def test_moser_positivity_required():
         moser_example_2(f=0.0, g=1.0)
     with pytest.raises(InputError):
         build_moser("nope")
-
-
-def test_moser_z_fields():
-    m1 = moser_example_1(f=2.0)
-    p = (0.4, -0.2, 0.9, 0.7)
-    # L_Z w0 = w must hold with Z = Z0 - X
-    lz = lie_derivative(m1.Z, m1.w0)
-    assert (lz.at(p) - m1.w.at(p)).max_abs() <= 1e-12
-    z0 = m1.Z0.at(p)
-    assert z0 == pytest.approx(np.array(p) / 3.0)
 
 
 def test_build_unknown_system():
