@@ -42,7 +42,6 @@ from .exterior import (
     PointMap,
     VectorField,
     grad_field,
-    hdw_vs_bracket_sign,
     iterated_interior,
     lie_derivative,
     nan_max,
@@ -514,7 +513,6 @@ class MoserProblem:
 
     name: str
     n: int
-    k: int
     w0: FormField
     X: VectorField
     w: FormField

@@ -48,7 +48,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import expr as ex
-from .errors import DimensionError
+from .errors import DimensionError, EvalDomainError
 from .expr import Expr, ScalarField
 
 MAX_DIM = 12
@@ -346,13 +346,20 @@ class _AltField(_Alt):
                     jet: bool = False) -> np.ndarray:
         """``gather`` from values already computed: the coefficients' values in
         ``coeffs`` order or, with ``jet``, the values of ``jet_plan()``'s
-        expressions.  The coefficients sit in a table with a trailing zero
-        slot; one that evaluates to -0.0 is dropped from the value, so it reads
-        +0.0, as does every absent partial."""
+        expressions, or a (points x values) array of such jet rows, which
+        gives the result a leading axis of points.  The coefficients sit in a
+        table with a trailing zero slot; one that evaluates to -0.0 is dropped
+        from the value, so it reads +0.0, as does every absent partial."""
         slots, signs = plan
         if jet:
-            c = np.zeros((self.n + 1, len(self.coeffs) + 1))
-            c.put(self.jet_plan()[1], values)
+            shape = (self.n + 1, len(self.coeffs) + 1)
+            if isinstance(values, np.ndarray):  # a block: one table per row
+                c = np.zeros((len(values), shape[0] * shape[1]))
+                c[:, self.jet_plan()[1]] = values
+                c = c.reshape((len(values),) + shape)
+            else:
+                c = np.zeros(shape)
+                c.put(self.jet_plan()[1], values)
         else:
             c = np.array(values + (0.0,))
         c += 0.0  # -0.0 + 0.0 is +0.0; no other value changes
@@ -520,10 +527,16 @@ def pullback_with_jacobian(J: np.ndarray, omega: FormValue) -> FormValue:
     0 x 0 minor is 1.0), one per block of ``omega``'s keys K, each block
     holding at most ``PULLBACK_BLOCK_FLOATS`` floats of stacked minors; each
     coefficient then sums its terms in ``omega.coeffs`` order, so the floats
-    are those of a per-minor loop whatever the blocks.
+    are those of a per-minor loop whatever the blocks.  A Jacobian with an
+    inf or NaN entry is an ``EvalDomainError``: ``det`` can read such a minor
+    as a finite number (``det([[nan, -0.0], [1, 0]])`` is 0.0).
     """
     if J.shape[0] != omega.n:
         raise DimensionError(f"jacobian rows {J.shape[0]} != form dimension {omega.n}")
+    if not np.isfinite(J).all():
+        bad = tuple(np.argwhere(~np.isfinite(J))[0])
+        raise EvalDomainError(f"pullback jacobian entry {tuple(int(i) + 1 for i in bad)} "
+                              f"is {J[bad]}")
     n_src, k = int(J.shape[1]), omega.k
     sources, cols = _source_columns(n_src, k)
     rows = np.array(list(omega.coeffs), dtype=np.intp).reshape(len(omega.coeffs), k) - 1

@@ -1,19 +1,23 @@
 """Residual checkers for algebraic structure identities.
 
 A scan is the list of expressions it reads and a step that turns their
-values at one point into that point's candidates (signed value, point,
-index).  ``run_scans`` compiles every selected scan's expressions as one
-bundle, evaluates it once per point, and hands each step its dense slice of
-that row: closure reads dw's coefficients, Jacobi and the fundamental
-identity a tensor's jet gathered into full arrays, measure the divergences
-and then the weight.  Jacobi and the fundamental identity's FIa build every
-entry (n^3 and n^5 index tuples per point, from one contraction and its
-transposes); FIb, a product of two entries of J at each of n^6 tuples, reads
-only the entries its support plan names, which J's structural support fixes
-once per support (``_fib_plan``), so its cost follows J's nonzero pairs.  A
-value is the same bits in any bundle, and each report names the largest
-violation, NaN first, with its signed value and location, so reports are
-reproducible given the same points.  The scans stop at the first point
+values at a block of points into those points' candidates (signed value,
+point, index).  ``run_scans`` compiles every selected scan's expressions as
+one bundle and evaluates it once per point; it stacks the rows into blocks
+of points, each bounded by ``SCAN_BLOCK_FLOATS`` floats of the widest step's
+arrays, and hands each step its columns of a block, so a step makes one set
+of numpy calls per block.  Closure reads dw's coefficients, Jacobi and the
+fundamental identity a tensor's jet gathered into full arrays, measure the
+divergences and then the weight.  At points where the jet is finite, Jacobi
+stacks its contraction over the block, and the fundamental identity reads
+FIa and FIb only at the positions of their support plans (``_fia_plan``,
+``_fib_plan``), which the structural support of J and its partials fixes
+once per support, so their cost follows J's nonzero pairs.  A point whose
+jet has an inf or NaN is computed alone with the dense kernels (FIb where J
+itself has one), since ``einsum`` keeps a NaN whose sign depends on its
+loop.  A value is the same bits in any bundle and any block, and each report
+names the largest violation, NaN first, with its signed value and location,
+so reports are reproducible given the same points.  The scans stop at the first point
 where one faults, naming the first faulting node there in scan order.
 """
 
@@ -30,6 +34,8 @@ from . import expr as ex
 from .errors import DimensionError, EvalDomainError, InputError
 from .exterior import (FormField, MultiVectorField, ScalarField, divergence_exprs,
                        exterior_derivative, nan_max)
+
+SCAN_BLOCK_FLOATS = 2 ** 14  # floats of a step's largest array per block of points
 
 
 @dataclass(frozen=True)
@@ -62,27 +68,43 @@ Candidate = tuple[float, tuple, tuple, str]  # (signed, point, index, detail)
 
 @dataclass(frozen=True)
 class Scan:
-    """One identity scan: the expressions it reads, and ``step(values,
-    point)``, which turns their values at one point into that point's
-    candidates."""
+    """One identity scan: the expressions it reads; ``step(values,
+    points)``, which turns their values at a block of points, one row per
+    point, into those points' candidates in point order; and ``floats``, the
+    size per point of the largest array the step stacks."""
 
     name: str
     exprs: tuple[ex.Expr, ...]
-    step: Callable[[tuple, tuple], list[Candidate]]
+    step: Callable[[np.ndarray, list[tuple]], list[Candidate]]
+    floats: int
 
 
 def run_scans(scans: Sequence[Scan], points: Sequence[Sequence[float]]) -> list[IdentityReport]:
     """Each scan's report, from one compiled function of every scan's
     expressions in order, evaluated once per point; each step reads its own
-    slice of that row.  Scans without expressions compile nothing."""
+    columns of the rows of a block of points.  A row that faults is raised
+    after the steps of the rows before it, so a step's fault at an earlier
+    point comes first.  Scans without expressions compile nothing."""
     exprs = [e for scan in scans for e in scan.exprs]
     row = ex.compile_vector(exprs) if exprs else lambda point: ()
     ends = list(itertools.accumulate(len(scan.exprs) for scan in scans))
+    block = max(1, SCAN_BLOCK_FLOATS // max(1, len(exprs), *(scan.floats for scan in scans)))
     found: list[list[Candidate]] = [[] for _ in scans]
-    for p in points:
-        values, where = row(p), tuple(p)
-        for scan, start, end, out in zip(scans, [0, *ends], ends, found):
-            out += scan.step(values[start:end], where)
+    for start in range(0, len(points), block):
+        rows, fault = [], None
+        for p in points[start:start + block]:
+            try:
+                rows.append(row(p))
+            except EvalDomainError as exc:
+                fault = exc
+                break
+        if rows:
+            values = np.array(rows, dtype=float).reshape(len(rows), len(exprs))
+            where = [tuple(p) for p in points[start:start + len(rows)]]
+            for scan, lo, hi, out in zip(scans, [0, *ends], ends, found):
+                out += scan.step(values[:, lo:hi], where)
+        if fault is not None:
+            raise fault
     return [_report(scan.name, out, len(points)) for scan, out in zip(scans, found)]
 
 
@@ -102,15 +124,33 @@ def _report(name: str, candidates: list[Candidate], samples: int) -> IdentityRep
     )
 
 
-def _argmax_signed(values: np.ndarray, shape: tuple[int, ...] | None = None,
-                   positions: np.ndarray | None = None) -> tuple[float, tuple[int, ...]]:
-    """The first entry of largest magnitude, a NaN first, and its 1-based
-    index: in ``values``' own shape or, for flat ``values`` at the flat
-    ``positions`` of an array of ``shape``, in that array."""
-    i = int(np.argmax(np.abs(values)))
-    flat = i if positions is None else int(positions[i])
-    idx = np.unravel_index(flat, values.shape if shape is None else shape)
-    return float(values.flat[i]), tuple(int(d) + 1 for d in idx)
+def _argmax_rows(values: np.ndarray, n: int, k: int,
+                 positions: np.ndarray | None = None) -> list[tuple[float, tuple[int, ...]]]:
+    """Per row of ``values``: the first entry of largest magnitude, a NaN
+    first, and its 1-based index in an array of shape (n,)*k whose flat
+    ``positions`` the row holds (every position by default)."""
+    best = np.argmax(np.abs(values), axis=1)
+    signed = values[np.arange(len(values)), best].tolist()
+    flat = best if positions is None else positions.take(best)
+    digits = flat[:, None] // n ** np.arange(k - 1, -1, -1) % n + 1
+    return list(zip(signed, map(tuple, digits.tolist())))
+
+
+def _by_rows(finite: np.ndarray, stacked: Callable, single: Callable[[int], object]) -> list:
+    """Per row of a block, in row order: the rows ``finite`` marks from one
+    call ``stacked(rows)``, with ``rows`` an index array or, when every row
+    is marked, a slice of all of them, and each other row r from
+    ``single(r)``."""
+    if finite.all():
+        return stacked(slice(None))
+    out = [None] * len(finite)
+    rows = np.flatnonzero(finite)
+    if len(rows):
+        for r, value in zip(rows.tolist(), stacked(rows)):
+            out[r] = value
+    for r in np.flatnonzero(~finite).tolist():
+        out[r] = single(r)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -123,41 +163,51 @@ def _dense_plan(J: MultiVectorField) -> tuple[np.ndarray, np.ndarray]:
         itertools.product(range(1, f.n + 1), repeat=f.k)))
 
 
-def _dense_arrays(J: MultiVectorField, jet: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full antisymmetric component arrays from a gathered jet: A of shape
-    (n,)*k and D[u, i1..ik] = d J^{i1..ik} / d x^u from exact symbolic partials."""
-    return jet[0].reshape((J.n,) * J.k), jet[1:].reshape((J.n,) * (J.k + 1))
+def _dense_block(J: MultiVectorField, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full antisymmetric component arrays from a block of jet rows, one per
+    point: A[p] of shape (n,)*k and D[p, u, i1..ik] = d J^{i1..ik} / d x^u
+    from exact symbolic partials."""
+    G = J.gather_from(_dense_plan(J), values, jet=True)
+    return G[:, 0].reshape((-1,) + (J.n,) * J.k), G[:, 1:].reshape((-1,) + (J.n,) * (J.k + 1))
 
 
-def _dense_pair(J: MultiVectorField, point: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """``_dense_arrays`` at a point, through the field's own jet function."""
-    return _dense_arrays(J, J.gather(_dense_plan(J), point, jet=True))
-
-
-def _dense_scan(name: str, J: MultiVectorField,
-                step: Callable[[np.ndarray, np.ndarray, tuple], list[Candidate]]) -> Scan:
-    """The scan of J's jet whose ``step(A, D, point)`` reads the dense arrays."""
-    plan = _dense_plan(J)
-
-    def dense_step(values, point):
-        return step(*_dense_arrays(J, J.gather_from(plan, values, jet=True)), point)
-    return Scan(name, tuple(J.jet_plan()[0]), dense_step)
+def _jet_support(J: MultiVectorField) -> np.ndarray:
+    """Where ``_dense_block``'s arrays can be nonzero, as (n + 1, n^k)
+    booleans: row 0 for A, the slots of ``_dense_plan`` that hold a
+    coefficient, and row u for D[u], the partials d/dx^u that ``jet_plan``
+    keeps."""
+    def build(f):
+        table = np.zeros((f.n + 1) * (len(f.coeffs) + 1), dtype=bool)
+        table[f.jet_plan()[1]] = True
+        return table.reshape(f.n + 1, -1)[:, _dense_plan(f)[0]]
+    return J.memo("jet_support", build)
 
 
 # ---------------------------------------------------------------------------
 # Jacobi identity
 # ---------------------------------------------------------------------------
 
+def _jacobi_sums(A: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """The cyclic sum of t1[..., i, j, l] = A[..., i, m] D[..., m, j, l] over
+    (i, j, l), for one point or a stack of points."""
+    t1 = np.einsum("...im,...mjl->...ijl", A, D)
+    return t1 + np.moveaxis(t1, -3, -1) + np.moveaxis(t1, -1, -3)
+
+
 def jacobi_scan(J2: MultiVectorField) -> Scan:
     """Max over points and (i,j,l) of the cyclic first-derivative sum; degree 2 only."""
     if J2.k != 2:
         raise DimensionError("jacobi_residual needs a degree-2 multivector")
+    n = J2.n
 
-    def step(A, D, point):  # D[m, j, l]
-        t1 = np.einsum("im,mjl->ijl", A, D)
-        signed, idx = _argmax_signed(t1 + t1.transpose(1, 2, 0) + t1.transpose(2, 0, 1))
-        return [(signed, point, idx, "")]
-    return _dense_scan("jacobi", J2, step)
+    def step(values, points):  # D[p, m, j, l]
+        A, D = _dense_block(J2, values)
+        sums = _by_rows(np.isfinite(values).all(axis=1),
+                        lambda rows: _argmax_rows(_jacobi_sums(A[rows], D[rows])
+                                                  .reshape(-1, n ** 3), n, 3),
+                        lambda r: _argmax_rows(_jacobi_sums(A[r], D[r]).reshape(1, -1), n, 3)[0])
+        return [(signed, p, idx, "") for (signed, idx), p in zip(sums, points)]
+    return Scan("jacobi", tuple(J2.jet_plan()[0]), step, (n + 1) * n ** 2)
 
 
 def jacobi_residual(J2: MultiVectorField, points: Sequence[Sequence[float]]) -> IdentityReport:
@@ -169,8 +219,62 @@ def jacobi_residual(J2: MultiVectorField, points: Sequence[Sequence[float]]) -> 
 # Fundamental identity
 # ---------------------------------------------------------------------------
 
+_FIA_TERMS = ((2, 3, 4, 0, 1), (2, 0, 1, 3, 4), (1, 2, 0, 3, 4), (0, 1, 2, 3, 4))
 _FIB_TERMS = ((0, 1, 2, 3, 4, 5), (4, 1, 2, 3, 0, 5), (1, 3, 2, 0, 4, 5),
               (4, 3, 2, 0, 1, 5), (2, 1, 3, 0, 4, 5), (4, 1, 3, 0, 2, 5))
+
+
+def _term_sources(mask: np.ndarray, terms) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, sources): the sorted flat positions, 0 included, where one
+    of the transposes ``terms`` of the boolean array ``mask`` is True, and for
+    each term the flat index into ``mask``'s array that it reads there: its
+    transpose t at digits i reads digits j with j[t[d]] = i[d]."""
+    hit = np.zeros(mask.shape, dtype=bool)
+    for t in terms:
+        hit |= mask.transpose(t)
+    hit.flat[0] = True
+    positions = np.flatnonzero(hit)
+    digits = np.unravel_index(positions, mask.shape)
+    return positions, np.stack([np.ravel_multi_index([digits[t.index(d)] for d in range(len(t))],
+                                                     mask.shape) for t in terms])
+
+
+@functools.lru_cache(maxsize=16)
+def _fia_plan(n: int, support: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(positions, ab, cde) of FIa for a degree-3 tensor whose jet is
+    nonzero only where the boolean (n + 1) x n^3 mask ``support`` (of
+    ``_jet_support``) is: the sorted flat positions, 0 included, where one of
+    the four transposes of T[a, b, c, d, e] = J^{uab} d_u J^{cde} in
+    ``fundamental_identity_scan`` can be nonzero, and the flat indices (a, b)
+    into J^{u..} and (c, d, e) into d_u J that term m reads there."""
+    s = np.frombuffer(support, dtype=bool).reshape(n + 1, n, -1)
+    pairs = (s[0].reshape(n, -1).T.astype(np.intp) @ s[1:].reshape(n, -1).astype(np.intp)) > 0
+    positions, sources = _term_sources(pairs.reshape((n,) * 5), _FIA_TERMS)
+    return (positions, *np.divmod(sources, n ** 3))
+
+
+def _fia_entries(A: np.ndarray, D: np.ndarray,
+                 plan: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """FIa at the positions of ``_fia_plan``'s ``plan``, per point of the
+    stacked arrays A and D: each term summed over u from +0.0 in order, which
+    gives ``einsum``'s bits where the jet is finite, then the terms in the
+    order written."""
+    _, ab, cde = plan
+    n = A.shape[1]
+    products = (A.reshape(len(A), n, n * n).take(ab, axis=2)
+                * D.reshape(len(D), n, n ** 3).take(cde, axis=2))
+    T = products[:, 0] + 0.0
+    for u in range(1, n):
+        T += products[:, u]
+    return T[:, 0] - T[:, 1] - T[:, 2] - T[:, 3]
+
+
+def _dense_fia(A: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """FIa at every index tuple of one point, from one contraction and its
+    transposes."""
+    T = np.einsum("uab,ucde->abcde", A, D)
+    return (T.transpose(2, 3, 4, 0, 1) - T.transpose(2, 0, 1, 3, 4)
+            - T.transpose(1, 2, 0, 3, 4) - T)
 
 
 @functools.lru_cache(maxsize=16)
@@ -181,26 +285,19 @@ def _fib_plan(n: int, support: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarra
     ``fundamental_identity_scan`` can be nonzero, and the flat indices into J
     of the two factors, left[m] * right[m], that term m reads there."""
     s = np.frombuffer(support, dtype=bool).reshape((n,) * 3)
-    pairs = np.multiply.outer(s, s)
-    mask = np.zeros(pairs.shape, dtype=bool)
-    for t in _FIB_TERMS:
-        mask |= pairs.transpose(t)
-    mask.flat[0] = True
-    positions = np.flatnonzero(mask)
-    # P.transpose(t) at digits i reads P at digits j with j[t[d]] = i[d]
-    digits = np.unravel_index(positions, mask.shape)
-    sources = np.stack([np.ravel_multi_index([digits[t.index(d)] for d in range(6)], mask.shape)
-                        for t in _FIB_TERMS])
+    positions, sources = _term_sources(np.multiply.outer(s, s), _FIB_TERMS)
     return (positions, *np.divmod(sources, n ** 3))
 
 
 def _fib_entries(A: np.ndarray, plan: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """FIb at the positions of ``_fib_plan``'s ``plan``: per entry, the
-    products and sums of the full array, in its order."""
+    """FIb at the positions of ``_fib_plan``'s ``plan``, per row of the flat
+    A (points x n^3): each product carries ``+ 0.0``, and the terms are
+    summed one at a time in the full array's order."""
     _, left, right = plan
-    Af = A.ravel()
-    p = Af[left] * Af[right] + 0.0
-    return p[0] + p[1] + p[2] + p[3] + p[4] + p[5]
+    total = A.take(left[0], axis=1) * A.take(right[0], axis=1) + 0.0
+    for lm, rm in zip(left[1:], right[1:]):
+        total += A.take(lm, axis=1) * A.take(rm, axis=1) + 0.0
+    return total
 
 
 def fundamental_identity_scan(J: MultiVectorField) -> Scan:
@@ -220,38 +317,47 @@ def fundamental_identity_scan(J: MultiVectorField) -> Scan:
         J^{ijk} J^{uvq} + J^{vjk} J^{uiq} + J^{uik} J^{jvq}
         + J^{uvk} J^{jiq} + J^{uji} J^{kvq} + J^{ujv} J^{kiq} = 0.
 
-    Per point, each FIa term is a transpose of one contraction
-    T[a, b, c, d, e] = J^{uab} d_u J^{cde}, and each FIb term a transpose of
-    one outer product P = J (x) J; the terms are summed in the order written
-    above.  FIa is built in full: a sum over u in a fixed order gives its
-    numbers, but where two different NaNs meet, the one ``einsum`` keeps
-    depends on n and on the vector loop it takes.  FIb is read only at the
-    positions of its support plan, ``_fib_plan`` of J's structural support
-    (the slots of ``_dense_plan`` that hold a coefficient): every term is a
-    product of two entries of J, so elsewhere each is a product with a zero.
-    P carries a ``+ 0.0`` so that a product that is -0.0 reads +0.0, as in
-    ``einsum``; for a finite J every entry off the plan is then exactly +0.0,
-    and the plan's first entry is the array's first, so the largest entry,
-    its index and its bits are those of the full array.  Where J has an
-    entry that is not finite, and 0 * inf is NaN, the plan is that of every
-    position.
+    Each FIa term is a transpose of one contraction T[a, b, c, d, e] =
+    J^{uab} d_u J^{cde}, and each FIb term a transpose of one outer product
+    P = J (x) J; the terms are summed in the order written above.  Both are
+    read only at the positions of their support plans, ``_fia_plan`` of the
+    structural support of J and its partials and ``_fib_plan`` of J's (the
+    slots of ``_dense_plan`` that hold a coefficient or a kept partial):
+    every term is a sum of products of two entries, so elsewhere each
+    product has a zero factor.  An FIa entry of T is summed over u from +0.0
+    in order, and P carries a ``+ 0.0`` so that a product that is -0.0 reads
+    +0.0, as in ``einsum``; for a finite jet every entry off the plans is
+    then exactly +0.0, and each plan's first entry is the array's first, so
+    the largest entry, its index and its bits are those of the full arrays.
+    A point with an inf or NaN in its jet reads FIa from ``einsum`` over
+    every index tuple, whose NaN sign depends on n and on the loop it
+    takes; one with such an entry in J reads FIb at every position, from a
+    plan that this scan builds once and keeps out of the plan cache.
     """
     if J.k != 3:
         raise DimensionError("fundamental identity applies to degree-3 multivectors")
-    n = J.n
-    support = J.memo("fib_support", lambda f: bytes(slot != len(f.coeffs)
-                                                    for slot in _dense_plan(f)[0].tolist()))
-    every = bytes([True]) * n ** 3
+    n, width = J.n, len(J.coeffs)
+    support = _jet_support(J)
+    fia_plan = _fia_plan(n, support.tobytes())
+    fib_plan = _fib_plan(n, support[0].tobytes())
+    every = functools.cache(lambda: _fib_plan.__wrapped__(n, bytes([True]) * n ** 3))
 
-    def step(A, D, point):
-        T = np.einsum("uab,ucde->abcde", A, D)
-        fia = (T.transpose(2, 3, 4, 0, 1) - T.transpose(2, 0, 1, 3, 4)
-               - T.transpose(1, 2, 0, 3, 4) - T)
-        plan = _fib_plan(n, support if np.isfinite(A).all() else every)
-        sa, ia = _argmax_signed(fia)
-        sb, ib = _argmax_signed(_fib_entries(A, plan), (n,) * 6, plan[0])
-        return [(sa, point, ia, "FIa"), (sb, point, ib, "FIb")]
-    return _dense_scan("fundamental-identity", J, step)
+    def step(values, points):
+        A, D = _dense_block(J, values)
+        Af = A.reshape(len(A), -1)
+        fia = _by_rows(np.isfinite(values).all(axis=1),
+                       lambda rows: _argmax_rows(_fia_entries(A[rows], D[rows], fia_plan),
+                                                 n, 5, fia_plan[0]),
+                       lambda r: _argmax_rows(_dense_fia(A[r], D[r]).reshape(1, -1), n, 5)[0])
+        fib = _by_rows(np.isfinite(values[:, :width]).all(axis=1),
+                       lambda rows: _argmax_rows(_fib_entries(Af[rows], fib_plan),
+                                                 n, 6, fib_plan[0]),
+                       lambda r: _argmax_rows(_fib_entries(Af[r:r + 1], every()),
+                                              n, 6, every()[0])[0])
+        return [c for (sa, ia), (sb, ib), p in zip(fia, fib, points)
+                for c in ((sa, p, ia, "FIa"), (sb, p, ib, "FIb"))]
+    floats = max((n + 1) * n ** 3, 4 * n * len(fia_plan[0]), len(fib_plan[0]))
+    return Scan("fundamental-identity", tuple(J.jet_plan()[0]), step, floats)
 
 
 def fundamental_identity_residual(J: MultiVectorField,
@@ -264,11 +370,20 @@ def fundamental_identity_residual(J: MultiVectorField,
 # Closure and measure preservation
 # ---------------------------------------------------------------------------
 
-def _largest(values: dict[tuple, float], point: tuple) -> list[Candidate]:
-    """The candidate of the key whose value has the largest magnitude, the
-    first on a tie or a NaN; (0.0, ()) when there is no key."""
-    key = nan_max(values, key=lambda kk: abs(values[kk]), default=())
-    return [(values.get(key, 0.0), point, key, "")]
+def _largest(values: np.ndarray, keys: list[tuple], points: list[tuple],
+             nonzero: bool = False) -> list[Candidate]:
+    """Per row of ``values``, one column per key: the candidate of the key
+    whose value has the largest magnitude, the first on a tie or a NaN,
+    among the keys whose value is not 0.0 if ``nonzero``; (0.0, ()) for a
+    row without such a key."""
+    if not keys:
+        return [(0.0, p, (), "") for p in points]
+    magnitude = np.abs(values)
+    if nonzero:
+        magnitude[values == 0.0] = -1.0  # below every kept key
+    best = magnitude.argmax(axis=1).tolist()
+    return [(0.0, p, (), "") if nonzero and row[i] == 0.0 else (row[i], p, keys[i], "")
+            for row, i, p in zip(values.tolist(), best, points)]
 
 
 def closure_scan(w: FormField) -> Scan:
@@ -276,9 +391,9 @@ def closure_scan(w: FormField) -> Scan:
     dw = exterior_derivative(w)
     keys = list(dw.coeffs)
 
-    def step(values, point):  # the nonzero coefficients, as in ``dw.at(point)``
-        return _largest({key: v for key, v in zip(keys, values) if v != 0.0}, point)
-    return Scan("closure", tuple(dw.coeffs.values()), step)
+    def step(values, points):  # the nonzero coefficients, as in ``dw.at(point)``
+        return _largest(values, keys, points, nonzero=True)
+    return Scan("closure", tuple(dw.coeffs.values()), step, len(keys))
 
 
 def closure_residual(w: FormField, points: Sequence[Sequence[float]]) -> IdentityReport:
@@ -299,12 +414,13 @@ def measure_scan(J: MultiVectorField, g: ScalarField | float) -> Scan:
     exprs = divergence_exprs(J, gf)
     keys = list(exprs)
 
-    def step(values, point):
-        if gf is not None and values[-1] == 0.0:
-            raise EvalDomainError(f"measure weight vanishes at {point}")
-        return _largest(dict(zip(keys, values)), point)
+    def step(values, points):
+        if gf is not None and (values[:, -1] == 0.0).any():
+            vanish = int(np.argmax(values[:, -1] == 0.0))
+            raise EvalDomainError(f"measure weight vanishes at {points[vanish]}")
+        return _largest(values[:, :len(keys)], keys, points)
     weight = () if gf is None else (gf.expression,)
-    return Scan("measure", (*exprs.values(), *weight), step)
+    return Scan("measure", (*exprs.values(), *weight), step, len(keys) + len(weight))
 
 
 def measure_residual(J: MultiVectorField, g: ScalarField | float,

@@ -278,7 +278,7 @@ def _moser(name: str, k: int, w0_keys: list[tuple[int, ...]],
             phi[b - 1] = ex.add(ex.div(ex.sub(xb, xa), ex.const(2.0)), ex.div(sq, ex.const(2.0)))
         return PointMap(n, tuple(phi))
 
-    return MoserProblem(name=name, n=n, k=k, w0=w0, X=X, w=w0 - lie_derivative(X, w0),
+    return MoserProblem(name=name, n=n, w0=w0, X=X, w=w0 - lie_derivative(X, w0),
                         domain=((-2.0, 2.0),) * 2 + ((0.3, 3.0),) * (n - 2), flow=flow)
 
 

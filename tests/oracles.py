@@ -1035,18 +1035,29 @@ def reference_closure_residual(w, points):
     return _reference_report("closure", best, len(points))
 
 
+def _reference_jet_arrays(J, values):
+    """The dense arrays A and D of one jet row, through the field's own gather."""
+    from ghm.identities import _dense_plan
+
+    G = J.gather_from(_dense_plan(J), tuple(values), jet=True)
+    return G[0].reshape((J.n,) * J.k), G[1:].reshape((J.n,) * (J.k + 1))
+
+
+def reference_jacobi_candidates(A, D, point):
+    """The former Jacobi step at one point: one einsum and its transposes."""
+    import numpy as np
+
+    t1 = np.einsum("im,mjl->ijl", A, D)
+    signed, idx = reference_argmax_signed(t1 + t1.transpose(1, 2, 0) + t1.transpose(2, 0, 1))
+    return [(signed, point, idx, "")]
+
+
 def reference_jacobi_residual(J2, points):
     """The former Jacobi scan, through the tensor's own jet function."""
-    import numpy as np
-    from ghm.identities import _argmax_signed, _dense_pair
-
     best = []
     for p in points:
-        A, D = _dense_pair(J2, p)
-        t1 = np.einsum("im,mjl->ijl", A, D)
-        T = t1 + t1.transpose(1, 2, 0) + t1.transpose(2, 0, 1)
-        signed, idx = _argmax_signed(T)
-        best.append((signed, tuple(p), idx))
+        A, D = _reference_jet_arrays(J2, J2.jet_function()(p))
+        best.append(reference_jacobi_candidates(A, D, tuple(p))[0][:3])
     return _reference_report("jacobi", best, len(points))
 
 
@@ -1091,12 +1102,11 @@ def reference_fundamental_identity_residual(J, points,
     import dataclasses
 
     from ghm.exterior import nan_max
-    from ghm.identities import _dense_pair
 
     candidates = []
     for p in points:
-        candidates += reference_fundamental_identity_candidates(*_dense_pair(J, p), tuple(p),
-                                                                kernel)
+        candidates += reference_fundamental_identity_candidates(
+            *_reference_jet_arrays(J, J.jet_function()(p)), tuple(p), kernel)
     rep = _reference_report("fundamental-identity", [t[:3] for t in candidates], len(points))
     return dataclasses.replace(rep, detail=nan_max(candidates, key=lambda t: abs(t[0]))[3])
 
@@ -1145,3 +1155,59 @@ def reference_check_reports(system, points, tokens):
         checks.append(("measure", "measure",
                        lambda: reference_measure_residual(system.tensor, weight, points)))
     return [(token, label, run()) for token, label, run in checks if token in tokens]
+
+
+# ---------------------------------------------------------------------------
+# The former per-point steps of ``run_scans``: each step turned one point's
+# row of values into that point's candidates
+# ---------------------------------------------------------------------------
+
+def _reference_largest(values, point):
+    """The candidate of the key whose value has the largest magnitude, the
+    first on a tie or a NaN; (0.0, ()) when there is no key."""
+    from ghm.exterior import nan_max
+
+    key = nan_max(values, key=lambda kk: abs(values[kk]), default=())
+    return [(values.get(key, 0.0), point, key, "")]
+
+
+def reference_scan_reports(scans, rows, points):
+    """The reports of the former ``run_scans`` over given rows of values,
+    one step call per scan and point, in point then scan order.  ``scans``
+    holds ("closure", dw's keys), ("jacobi", J2), ("fundamental-identity",
+    J) and ("measure", divergence keys, weighted) in row order; a weighted
+    measure's last column is its weight."""
+    from ghm.errors import EvalDomainError
+    from ghm.exterior import nan_max
+    from ghm.identities import IdentityReport
+
+    def width(scan):
+        kind, subject = scan[:2]
+        if kind in ("closure", "measure"):
+            return len(subject) + (kind == "measure" and scan[2])
+        return len(subject.jet_plan()[0])
+
+    starts = list(itertools.accumulate((width(scan) for scan in scans), initial=0))
+    found = [[] for _ in scans]
+    for row, point in zip(rows, points):
+        point = tuple(point)
+        for scan, lo, hi, out in zip(scans, starts, starts[1:], found):
+            kind, subject, values = scan[0], scan[1], tuple(row[lo:hi])
+            if kind == "closure":
+                out += _reference_largest({key: v for key, v in zip(subject, values)
+                                           if v != 0.0}, point)
+            elif kind == "measure":
+                if scan[2] and values[-1] == 0.0:
+                    raise EvalDomainError(f"measure weight vanishes at {point}")
+                out += _reference_largest(dict(zip(subject, values)), point)
+            elif kind == "jacobi":
+                out += reference_jacobi_candidates(*_reference_jet_arrays(subject, values), point)
+            else:
+                out += reference_fundamental_identity_candidates(
+                    *_reference_jet_arrays(subject, values), point)
+    reports = []
+    for (kind, *_), out in zip(scans, found):
+        best = nan_max(out, key=lambda t: abs(t[0]))
+        reports.append(IdentityReport(kind, abs(best[0]), tuple(float(v) for v in best[1]),
+                                      best[2], float(best[0]), len(points), best[3]))
+    return reports

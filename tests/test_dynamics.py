@@ -335,7 +335,7 @@ def test_moser_residuals():
     # negative control: X = x1 d_1 does not satisfy the second-order condition
     w0 = FormField.constant(2, 2, {(1, 2): 1.0})
     X = VectorField(2, (ex.Coord(1), ex.ZERO))
-    bad = type(m1)(name="bad", n=2, k=2, w0=w0, X=X, w=w0,
+    bad = type(m1)(name="bad", n=2, w0=w0, X=X, w=w0,
                    domain=((-1, 1), (-1, 1)))
     assert moser_residual(bad, [(0.3, 0.4)]) == pytest.approx(1.0)
 
@@ -358,7 +358,7 @@ def test_variational_jacobian_is_the_derivative_of_the_discrete_flow(name):
         w0 = FormField.constant(3, 2, {(1, 2): 1.0})
         X = VectorField(3, tuple(ex.parse(t, 3)
                                  for t in ("0.5*x2*x3", "sin(x1)", "0.2*x1 - x2^2")))
-        m = MoserProblem("shear", 3, 2, w0, X, w0, ((-1.0, 1.0),) * 3)
+        m = MoserProblem("shear", 3, w0, X, w0, ((-1.0, 1.0),) * 3)
     else:
         m = build_moser(name)
 

@@ -11,7 +11,7 @@ from ghm.errors import InputError
 from ghm.expr import ScalarField, parse
 from ghm.exterior import FormField, MultiVectorField, VectorField, sort_with_sign
 from ghm.identities import (
-    _dense_pair,
+    _dense_block,
     closure_residual,
     extend_measure_preserving,
     fundamental_identity_residual,
@@ -27,6 +27,12 @@ from oracles import (
     reference_fundamental_identity_arrays,
     reference_fundamental_identity_residual,
 )
+
+
+def _dense_pair(J, point):
+    """The dense arrays of one point, as a block of one row."""
+    A, D = _dense_block(J, np.array([J.jet_function()(point)]))
+    return A[0], D[0]
 
 
 def _fourdim_j2():
@@ -394,47 +400,153 @@ _LINEAR = st.lists(st.integers(1, 6), max_size=3, unique=True)
 _ENTRY = st.sampled_from((0.0, -0.0, 0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 3.0, 1e200, -1e200))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_the_support_plan_reports_the_dense_candidates_byte_for_byte(data):
-    # J over a drawn subset of keys, each with drawn partial directions; the
-    # jet row is drawn freely (exact zeros, -0.0, ties, overflow, and a few
-    # inf and NaN entries); each point's two candidates must match the dense
-    # arrays' in signed value bits, index and detail
-    from ghm.identities import (_dense_arrays, _dense_plan, _fib_entries, _fib_plan,
-                                fundamental_identity_scan)
-    from oracles import reference_fundamental_identity_candidates
-
-    n = data.draw(st.integers(3, 6), label="n")
+def _drawn_tensor(data, n, k, dense=False):
+    # J over a drawn subset of keys (a quarter of them, or three quarters),
+    # each with drawn partial directions
     coeffs = {}
-    for key in itertools.combinations(range(1, n + 1), 3):
-        if data.draw(st.integers(0, 3)) == 0:
+    for key in itertools.combinations(range(1, n + 1), k):
+        if (data.draw(st.integers(0, 3)) == 0) != dense:
             axes = [u for u in data.draw(_LINEAR) if u <= n]
             coeffs[key] = parse(" + ".join(["1", *(f"x{u}" for u in axes)]), n)
-    J = MultiVectorField(n, 3, coeffs)
-    width = len(J.jet_plan()[0])
-    values = data.draw(st.lists(_ENTRY, min_size=width, max_size=width), label="jet")
+    return MultiVectorField(n, k, coeffs)
+
+
+def _drawn_row(data, width, label, entries=_ENTRY):
+    # exact zeros, -0.0, ties and overflow, and a few inf and NaN entries
+    values = data.draw(st.lists(entries, min_size=width, max_size=width), label=label)
     for _ in range(data.draw(st.integers(0, 2 if width else 0))):
         position = data.draw(st.integers(0, width - 1))
         values[position] = data.draw(st.sampled_from((np.inf, -np.inf, np.nan)))
-    values, point = tuple(values), (0.25,) * n
-    A, D = _dense_arrays(J, J.gather_from(_dense_plan(J), values, jet=True))
+    return values
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_the_support_plan_reports_the_dense_candidates_byte_for_byte(data):
+    # the jet row is drawn freely; the point's two candidates must match the
+    # dense arrays' in signed value bits, index and detail, and the planned
+    # entries the dense arrays' bits
+    from ghm.identities import (_dense_plan, _fia_entries, _fia_plan, _fib_entries, _fib_plan,
+                                _jet_support, fundamental_identity_scan)
+    from oracles import reference_fundamental_identity_candidates
+
+    n = data.draw(st.integers(3, 6), label="n")
+    J = _drawn_tensor(data, n, 3)
+    values, point = tuple(_drawn_row(data, len(J.jet_plan()[0]), "jet")), (0.25,) * n
+    A, D = _dense_block(J, np.array([values]))
+    A, D = A[0], D[0]
     support = _dense_plan(J)[0] != len(J.coeffs)  # the slots that hold a coefficient
+    assert np.array_equal(_jet_support(J)[0], support)
     plan = _fib_plan(n, (support if np.isfinite(A).all() else support | True).tobytes())
+    fia_plan = _fia_plan(n, _jet_support(J).tobytes())
     with np.errstate(over="ignore", invalid="ignore"):
-        got = fundamental_identity_scan(J).step(values, point)
+        got = fundamental_identity_scan(J).step(np.array([values]), [point])
         want = reference_fundamental_identity_candidates(A, D, point)
-        entries, dense = _fib_entries(A, plan), reference_dense_fundamental_identity_arrays(A, D)[1]
+        entries = _fib_entries(A.reshape(1, -1), plan)[0]
+        fia, dense = (_fia_entries(A[None], D[None], fia_plan)[0],
+                      reference_dense_fundamental_identity_arrays(A, D))
     assert [(_bits(s), p, i, d) for s, p, i, d in got] == \
         [(_bits(s), p, i, d) for s, p, i, d in want]
     # each planned FIb entry has the full array's bits there; every other one is +0.0
-    dense = dense.ravel()
-    assert np.array_equal(entries.view(np.int64), dense[plan[0]].view(np.int64))
-    assert not np.delete(dense, plan[0]).view(np.int64).any()
+    fib = dense[1].ravel()
+    assert np.array_equal(entries.view(np.int64), fib[plan[0]].view(np.int64))
+    assert not np.delete(fib, plan[0]).view(np.int64).any()
+    # so has each planned FIa entry where the jet is finite
+    if np.isfinite(values).all():
+        full = dense[0].ravel()
+        assert np.array_equal(fia.view(np.int64), full[fia_plan[0]].view(np.int64))
+        assert not np.delete(full, fia_plan[0]).view(np.int64).any()
+
+
+# a weight column that vanishes at about one point in ten
+_WEIGHT = st.sampled_from((1.0, 2.0, -0.5, 3.0, 1.0, -1.0, 0.5, 1e200, np.nan, 0.0))
+# and 2^53, which absorbs a 1 that 2^53 - 1 keeps: a sum of three products
+# can depend on its order
+_ROW_ENTRY = st.sampled_from((0.0, -0.0, 0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 3.0, 1e200, -1e200,
+                              2.0 ** 53, -2.0 ** 53))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_blocked_scans_report_the_per_point_steps_byte_for_byte(data):
+    # run_scans over drawn rows of values (the compiled bundle is replaced by
+    # a lookup of the point's row) against the former per-point steps: every
+    # report's signed value and max bits (NaN signs included), index, point
+    # and detail, or the same error, whatever the block size
+    from ghm import identities
+    from ghm.errors import EvalDomainError
+    from ghm.exterior import divergence_exprs, exterior_derivative
+    from oracles import reference_scan_reports
+
+    n = data.draw(st.integers(3, 6), label="n")
+    J = _drawn_tensor(data, n, 3, data.draw(st.booleans(), label="dense"))
+    J2 = _drawn_tensor(data, n, 2)
+    k = data.draw(st.integers(1, n), label="form degree")
+    w = FormField(n, k, {key: parse(f"x{key[0] % n + 1}*x{(key[-1] + 1) % n + 1}", n)
+                         for key in itertools.combinations(range(1, n + 1), k)})
+    weighted = data.draw(st.booleans(), label="weighted")
+    weight = ScalarField(n, ex.Coord(1)) if weighted else 1.0
+    scans = [identities.closure_scan(w), identities.jacobi_scan(J2),
+             identities.fundamental_identity_scan(J), identities.measure_scan(J, weight)]
+    specs = [("closure", list(exterior_derivative(w).coeffs)), ("jacobi", J2),
+             ("fundamental-identity", J),
+             ("measure", list(divergence_exprs(J, None if weight == 1.0 else weight)), weighted)]
+    count = data.draw(st.integers(1, 9), label="points")
+    points = [(float(i),) + (0.25,) * (n - 1) for i in range(count)]
+    width = sum(len(scan.exprs) for scan in scans)
+    rows = []
+    for i in range(count):
+        row = _drawn_row(data, width - weighted, f"row {i}", _ROW_ENTRY)
+        rows.append(tuple(row + [data.draw(_WEIGHT, label="weight")] * weighted))
+    block = data.draw(st.sampled_from((1, 1, 3000, identities.SCAN_BLOCK_FLOATS)), label="block")
+
+    def outcome(run):
+        try:
+            return [(r.name, _bits(r.max_residual), _bits(r.signed_at_argmax), r.argmax_index,
+                     r.argmax_point, r.samples, r.detail) for r in run()]
+        except EvalDomainError as exc:
+            return str(exc)
+
+    with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as patch:
+        want = outcome(lambda: reference_scan_reports(specs, rows, points))
+        patch.setattr(identities, "SCAN_BLOCK_FLOATS", block)
+        patch.setattr(ex, "compile_vector", lambda exprs: lambda p: rows[int(p[0])])
+        got = outcome(lambda: identities.run_scans(scans, points))
+    assert got == want
+    # the FI kernels on stacked rows, in drawn blocks: every planned entry has
+    # the dense arrays' bits, FIa where the jet is finite, FIb where J is, and
+    # FIb from the plan of every position elsewhere
+    lo = len(scans[0].exprs) + len(scans[1].exprs)
+    jet = np.array(rows)[:, lo:lo + len(scans[2].exprs)]
+    size = data.draw(st.integers(1, count), label="kernel block")
+    support = identities._jet_support(J)
+    fia_plan = identities._fia_plan(n, support.tobytes())
+    fib_plans = (identities._fib_plan(n, support[0].tobytes()),
+                 identities._fib_plan.__wrapped__(n, bytes([True]) * n ** 3))
+    with np.errstate(all="ignore"):
+        for start in range(0, count, size):
+            chunk = jet[start:start + size]
+            A, D = _dense_block(J, chunk)
+            Af = A.reshape(len(A), -1)
+            finite_jet, finite_a = np.isfinite(chunk).all(axis=1), np.isfinite(Af).all(axis=1)
+            fia = identities._fia_entries(A[finite_jet], D[finite_jet], fia_plan)
+            fib = [identities._fib_entries(Af[finite_a], fib_plans[0])]
+            fib += [identities._fib_entries(Af[r:r + 1], fib_plans[1])
+                    for r in np.flatnonzero(~finite_a)]
+            dense = [reference_dense_fundamental_identity_arrays(a, d) for a, d in zip(A, D)]
+            want_fia = [dense[r][0].ravel()[fia_plan[0]] for r in np.flatnonzero(finite_jet)]
+            want_fib = [dense[r][1].ravel()[fib_plans[0][0]] for r in np.flatnonzero(finite_a)]
+            want_fib = [np.array(want_fib).reshape(-1, len(fib_plans[0][0]))]
+            want_fib += [dense[r][1].ravel()[None] for r in np.flatnonzero(~finite_a)]
+            assert np.array_equal(fia.view(np.int64),
+                                  np.array(want_fia).reshape(fia.shape).view(np.int64))
+            for entries, expected in zip(fib, want_fib):
+                assert np.array_equal(entries.view(np.int64), expected.view(np.int64))
 
 
 def test_random_quasisymmetric_fields_share_one_fi_plan():
-    # the plan is keyed by (n, support bytes), never by the field
+    # the plan is keyed by (n, support bytes), never by the field; a scan
+    # looks it up once, when it is built
     from ghm import identities, systems
 
     first = systems.build("quasisymmetry", psi="x1^2 + x2^2 + x1", bvec=("-x2", "x1", "2 + x3"))
@@ -445,7 +557,7 @@ def test_random_quasisymmetric_fields_share_one_fi_plan():
     fundamental_identity_residual(second.tensor, pts)
     after = identities._fib_plan.cache_info()
     assert second.tensor is not first.tensor
-    assert after.misses == before.misses and after.hits == before.hits + len(pts)
+    assert after.misses == before.misses and after.hits == before.hits + 1
 
 
 def test_a_tensor_is_freed_after_its_fi_scan_without_the_collector():
@@ -505,3 +617,59 @@ def test_a_weight_that_vanishes_is_named_in_point_order():
         run_scans([fundamental_identity_scan(J), measure_scan(J, g)], points)
     with pytest.raises(EvalDomainError, match="log of nonpositive value"):
         run_scans([fundamental_identity_scan(J), measure_scan(J, g)], points[::2])
+
+
+@pytest.mark.parametrize("block", [1, 2, None])
+def test_errors_keep_their_point_order_in_any_block(block):
+    # blocks of one point, of two, and the default; the rows are evaluated a
+    # block at a time, but a step's fault at a point still beats a row fault
+    # at a later one
+    from ghm import identities
+    from ghm.errors import EvalDomainError
+    from ghm.identities import closure_scan, fundamental_identity_scan, measure_scan, run_scans
+
+    J = MultiVectorField(3, 3, {(1, 2, 3): parse("log(x2)", 3)})
+    g = ScalarField(3, ex.Coord(1))
+    ok, vanish, fault = (0.5, 1.0, 0.0), (0.0, 1.0, 0.0), (0.5, -1.0, 0.0)
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:
+            patch.setattr(identities, "SCAN_BLOCK_FLOATS", block)
+        for points in ([vanish, fault], [ok, vanish, fault], [ok, ok, vanish, ok, fault]):
+            with pytest.raises(EvalDomainError, match=re.escape(f"measure weight vanishes at {vanish}")):
+                run_scans([fundamental_identity_scan(J), measure_scan(J, g)], points)
+        with pytest.raises(EvalDomainError, match="log of nonpositive value"):
+            run_scans([fundamental_identity_scan(J), measure_scan(J, g)], [ok, fault, vanish])
+        # zero points is an input error for every scan
+        with pytest.raises(InputError, match="fundamental-identity: no sample points"):
+            run_scans([fundamental_identity_scan(J), measure_scan(J, g)], [])
+        # a top-degree form has no dw terms, and its closure still reports
+        top = FormField(3, 3, {(1, 2, 3): parse("x1*x2", 3)})
+        reps = run_scans([closure_scan(top), measure_scan(J, 1.0)], [ok, fault[::-1], ok])
+        assert (reps[0].name, reps[0].max_residual, reps[0].argmax_index, reps[0].argmax_point,
+                reps[0].samples) == ("closure", 0.0, (), ok, 3)
+
+
+def test_a_non_finite_point_keeps_its_every_position_plan_out_of_the_cache():
+    # at n = 6 the plan of every FIb position holds n^6 entries; a point where
+    # J is not finite builds it for its own scan, and the plan cache keeps
+    # only the support plan
+    from ghm import identities
+
+    n = 6
+    overflow = parse("1 + x1^2*1e308", n)  # inf where x1 > 1.34
+    J = MultiVectorField(n, 3, {(1, 2, 3): overflow, (4, 5, 6): parse("x2", n),
+                                (1, 4, 5): parse("x3 - x1", n)})
+    points = [(0.5, 0.2, 0.1, 0.0, 0.0, 0.0), (3.0, 0.2, 0.1, 0.0, 0.0, 0.0),
+              (0.1, -0.3, 0.4, 0.0, 0.0, 0.0)]
+    identities._fib_plan.cache_clear()
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = fundamental_identity_residual(J, points)
+        ref = reference_fundamental_identity_residual(J, points)
+    assert not np.isfinite(J.coefficient_values(points[1])).all()
+    assert (rep.argmax_point, _bits(rep.signed_at_argmax), rep.argmax_index, rep.detail) == \
+        (ref.argmax_point, _bits(ref.signed_at_argmax), ref.argmax_index, ref.detail)
+    info = identities._fib_plan.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    support = identities._jet_support(J)[0].tobytes()
+    assert len(identities._fib_plan(n, support)[0]) < n ** 6
+    assert identities._fib_plan.cache_info().hits == info.hits + 1

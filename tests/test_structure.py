@@ -270,6 +270,24 @@ def test_a_singular_dependent_block_off_the_base_point_is_a_chart_error():
         chart.embedding_jacobian((0.0, 0.0))
 
 
+def test_a_non_finite_pullback_jacobian_is_a_domain_error():
+    # det([[nan, -0.0], [1, 0]]) reads 0.0, so the NaN minor used to drop out
+    # of the sum and pull_form returned the finite {(1, 2): 1.0}
+    from ghm.errors import EvalDomainError
+    from ghm.exterior import FormValue, pullback_with_jacobian
+
+    dx12_23 = FormValue(3, 2, {(1, 2): 1.0, (2, 3): 1.0})
+    with pytest.raises(EvalDomainError, match=r"pullback jacobian entry \(1, 1\) is nan"):
+        pullback_with_jacobian(np.array([[np.nan, -0.0], [1.0, 0.0]]), FormValue(2, 2, {(1, 2): 1.0}))
+    with pytest.raises(EvalDomainError, match=r"entry \(2, 2\) is -inf"):
+        pullback_with_jacobian(np.array([[1.0, 0.0], [0.0, -np.inf], [0.0, 1.0]]), dx12_23)
+    # d/dx2 of the constraint is inf - inf at x3 = 1
+    C = ScalarField.from_text("x1 + x2*x3*1e200*1e200 - x2*x3*1e200*1e200", 3)
+    chart = LevelSetChart(constraints=(C,), values=(0.0,), base_point=(0.0, 0.0, 0.0))
+    with pytest.raises(EvalDomainError, match="pullback jacobian entry .* is nan"):
+        chart.pull_form(FormField.constant(3, 2, {(1, 2): 1.0, (2, 3): 1.0}), (0.0, 1.0))
+
+
 def test_pull_form_matches_exact_restriction():
     fd = fourdim()
     omega = fd.extras["omega"]
