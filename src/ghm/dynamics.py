@@ -34,14 +34,16 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import expr as ex
-from .errors import DimensionError, EvalDomainError, InputError, IntegrationError
+from .errors import DimensionError, EvalDomainError, GhmError, InputError, IntegrationError
 from .expr import ScalarField
 from .exterior import (
     FormField,
     MultiVectorField,
     PointMap,
     VectorField,
+    _require_finite,
     grad_field,
+    increasing_indices,
     iterated_interior,
     lie_derivative,
     nan_max,
@@ -532,7 +534,9 @@ def _numeric_flow(problem: MoserProblem, t: float):
     field, run on (x, J row-major) with J' = DX(x) J, J(0) = I.  An RK map's
     Jacobian is that RK map on the variational system, so DPhi_t is exact for
     the discrete flow (Hairer, Lubich & Wanner, Geometric Numerical
-    Integration, 2nd ed., ch. VI)."""
+    Integration, 2nd ed., ch. VI).  A fault in a step is an
+    ``IntegrationError`` that names the sample point and the flow time the
+    step starts from."""
     n, X = problem.n, problem.X.components
     nsteps = max(1, _step_count(abs(t) * FLOW_STEPS_PER_UNIT + 0.5, f"flow time {t:g}"))
     h = t / nsteps
@@ -542,8 +546,12 @@ def _numeric_flow(problem: MoserProblem, t: float):
 
     def flow_map(p: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         y = (*map(float, p), *np.eye(n).ravel().tolist())
-        for _ in range(nsteps):
-            y = rk4(f, y, f(y), h)
+        try:
+            for step in range(nsteps):
+                y = rk4(f, y, f(y), h)
+        except _EVAL_FAULTS as exc:
+            raise IntegrationError(f"the numeric flow of the sample point {tuple(p)} failed "
+                                   f"at flow time {step * h:.6g}: {exc}") from exc
         return np.array(y[:n]), np.array(y[n:]).reshape(n, n)
 
     return flow_map
@@ -558,20 +566,44 @@ def verify_flattening(problem: MoserProblem, t: float,
     symbolic Jacobian; ``flow='numeric'`` integrates the deformation field
     with RK4 together with its variational equation, so its Jacobian is exact
     for the discrete flow (``_numeric_flow``).
+
+    One pass over the points computes, point by point, the map and its
+    Jacobian, w_t's coefficients at the target and w0's at the point.  A
+    fault there is raised after the Jacobians of the points before it, and of
+    its own point if w0 faulted, are checked, so the first fault in that
+    order is the error, as in a per-point loop.  Then
+    ``pullback_with_jacobian`` pulls w_t back at every point at once, a
+    stacked ``det`` per block of points, with the floats of a per-point
+    pullback; the residual is the largest |pulled - w0| over points and
+    source keys, NaN if one is NaN.
     """
     wt = problem.w.scale(float(t)) + problem.w0.scale(1.0 - t)
     if flow == "closed":
         if problem.flow is None:
             raise InputError(f"problem {problem.name!r} has no closed-form flow")
         phi = problem.flow(t)
-        flow_map = lambda p: (phi.at(p), phi.jacobian(p))
+        flow_map = lambda p: (phi._compiled(p), phi._compiled_jacobian(p))
     elif flow == "numeric":
         flow_map = _numeric_flow(problem, t)
     else:
         raise InputError(f"unknown flow route {flow!r}")
-    worst = 0.0
-    for p in points:
-        target, J = flow_map(p)
-        pulled = pullback_with_jacobian(J, wt.at(target))
-        worst = nan_max((worst, (pulled - problem.w0.at(p)).max_abs()))
-    return worst
+    n, w0 = problem.n, problem.w0
+    jacobians, wt_values, w0_values = [], [], []
+    stack = lambda: np.array(jacobians, dtype=float).reshape(len(jacobians), n, n)
+    try:
+        for p in points:
+            target, J = flow_map(p)
+            wt_values.append(wt.coefficient_values(target))
+            jacobians.append(J)
+            w0_values.append(w0.coefficient_values(p))
+    except GhmError:
+        _require_finite(stack())
+        raise
+    sources = increasing_indices(n, wt.k)
+    w0_table = np.zeros((len(points), len(sources)))
+    w0_table[:, [sources.index(key) for key in w0.coeffs]] = \
+        np.array(w0_values, dtype=float).reshape(len(points), len(w0.coeffs))
+    pulled = pullback_with_jacobian(stack(), wt, np.array(wt_values, dtype=float).reshape(
+        len(points), len(wt.coeffs)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.abs(pulled - w0_table).max(initial=0.0))

@@ -519,38 +519,64 @@ def _source_columns(n_src: int, k: int) -> tuple[list[Key], np.ndarray]:
     return sources, np.array(sources, dtype=np.intp).reshape(len(sources), k) - 1
 
 
-def pullback_with_jacobian(J: np.ndarray, omega: FormValue) -> FormValue:
-    """Pull a form value back through a (possibly rectangular) differential.
-
-    ``J`` has shape (omega.n, n_source); the result lives on the source chart.
-    The minors det(J[K rows, I cols]) come from stacked ``det`` calls (a
-    0 x 0 minor is 1.0), one per block of ``omega``'s keys K, each block
-    holding at most ``PULLBACK_BLOCK_FLOATS`` floats of stacked minors; each
-    coefficient then sums its terms in ``omega.coeffs`` order, so the floats
-    are those of a per-minor loop whatever the blocks.  A Jacobian with an
-    inf or NaN entry is an ``EvalDomainError``: ``det`` can read such a minor
-    as a finite number (``det([[nan, -0.0], [1, 0]])`` is 0.0).
-    """
-    if J.shape[0] != omega.n:
-        raise DimensionError(f"jacobian rows {J.shape[0]} != form dimension {omega.n}")
+def _require_finite(J: np.ndarray) -> None:
+    """An ``EvalDomainError`` naming the first inf or NaN entry (i, j),
+    1-based, of a Jacobian or of the first in a stack that holds one:
+    ``det`` can read a minor with such an entry as a finite number
+    (``det([[nan, -0.0], [1, 0]])`` is 0.0)."""
     if not np.isfinite(J).all():
         bad = tuple(np.argwhere(~np.isfinite(J))[0])
-        raise EvalDomainError(f"pullback jacobian entry {tuple(int(i) + 1 for i in bad)} "
+        raise EvalDomainError(f"pullback jacobian entry {tuple(int(i) + 1 for i in bad[-2:])} "
                               f"is {J[bad]}")
-    n_src, k = int(J.shape[1]), omega.k
+
+
+def pullback_with_jacobian(J: np.ndarray, omega: _Alt, values: np.ndarray | None = None):
+    """Pull a form back through a (possibly rectangular) differential.
+
+    One point: ``J`` has shape (omega.n, n_source) and ``omega`` is a
+    ``FormValue``; the result is the ``FormValue`` on the source chart.
+    A block of points: ``J`` is a stack (points, omega.n, n_source),
+    ``values`` the (points x keys) table of omega's coefficients in
+    ``omega.coeffs`` order (omega, a value or a field, gives only n, k and
+    the keys), and the result is the (points x sources) table of the pulled
+    coefficients, sources in ``increasing_indices(n_source, k)`` order.  The
+    one-point call is the block's one-row case.
+
+    The minors det(J[K rows, I cols]) come from stacked ``det`` calls (a
+    0 x 0 minor is 1.0), each holding at most ``PULLBACK_BLOCK_FLOATS``
+    floats of minors: every key of a block of points, or a block of one
+    point's keys.  Each coefficient sums its terms from +0.0 in
+    ``omega.coeffs`` order, one row operation per key, and a table entry
+    that is 0.0 adds nothing, as a key a ``FormValue`` drops (0 x an
+    overflowed minor would be NaN); so the floats are those of a per-point,
+    per-minor loop of Python floats whatever the blocks, and as there, an
+    overflow warns only from ``det``.  A Jacobian with an inf or NaN entry
+    is an ``EvalDomainError``.
+    """
+    if J.shape[-2] != omega.n:
+        raise DimensionError(f"jacobian rows {J.shape[-2]} != form dimension {omega.n}")
+    _require_finite(J)
+    one = values is None
+    if one:
+        J, values = J[None], np.fromiter(omega.coeffs.values(), float, len(omega.coeffs))[None]
+    n_src, k, width = J.shape[2], omega.k, len(omega.coeffs)
     sources, cols = _source_columns(n_src, k)
-    rows = np.array(list(omega.coeffs), dtype=np.intp).reshape(len(omega.coeffs), k) - 1
-    coeffs = list(omega.coeffs.values())
-    block = max(1, PULLBACK_BLOCK_FLOATS // max(1, len(sources) * k * k))
-    totals = [0.0] * len(sources)
-    for start in range(0, len(coeffs), block):
-        dets = np.linalg.det(J[rows[start:start + block, None, :, None],
-                               cols[None, :, None, :]]).T.tolist()
-        terms = coeffs[start:start + block]
-        for i, minors in enumerate(dets):
-            total = totals[i]
-            for c, d in zip(terms, minors):
-                total += c * d
-            totals[i] = total
-    out = {I: total for I, total in zip(sources, totals) if total != 0.0}
-    return FormValue(n_src, k, out, _normalized=True)
+    rows = np.array([i - 1 for K in omega.coeffs for i in K], dtype=np.intp).reshape(width, k)
+    keys = max(1, PULLBACK_BLOCK_FLOATS // max(1, len(sources) * k * k))
+    points = max(1, keys // max(1, width))
+    totals = np.zeros((len(J), len(sources)))
+    for p in range(0, len(J), points):
+        total = totals[p:p + points]
+        for start in range(0, width, keys):
+            minors = J[p:p + points].take(rows[start:start + keys], axis=1).take(cols, axis=-1)
+            dets = np.linalg.det(minors.transpose(0, 1, 3, 2, 4))
+            c = values[p:p + points, start:start + keys, None]
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms = c * dets
+                if not one:  # a FormValue holds no 0.0
+                    terms[c[..., 0] == 0.0] = 0.0
+                for j in range(terms.shape[1]):
+                    total += terms[:, j]
+    if not one:
+        return totals
+    return FormValue(n_src, k, dict(zip(sources, totals[0].tolist())), _normalized=True)

@@ -300,6 +300,15 @@ def _fib_entries(A: np.ndarray, plan: tuple[np.ndarray, np.ndarray, np.ndarray])
     return total
 
 
+def _dense_fib(A: np.ndarray) -> np.ndarray:
+    """FIb at every index tuple of one point, from one outer product, which
+    carries ``+ 0.0`` as ``_fib_entries``' products do, and its transposes,
+    summed in the written order."""
+    P = np.multiply.outer(A, A) + 0.0
+    T = [P.transpose(t) for t in _FIB_TERMS]
+    return T[0] + T[1] + T[2] + T[3] + T[4] + T[5]
+
+
 def fundamental_identity_scan(J: MultiVectorField) -> Scan:
     """Exhaustive scan of the two derivative-distribution conditions for a
     degree-3 tensor; the report's detail names the sub-identity that attains
@@ -331,8 +340,8 @@ def fundamental_identity_scan(J: MultiVectorField) -> Scan:
     the largest entry, its index and its bits are those of the full arrays.
     A point with an inf or NaN in its jet reads FIa from ``einsum`` over
     every index tuple, whose NaN sign depends on n and on the loop it
-    takes; one with such an entry in J reads FIb at every position, from a
-    plan that this scan builds once and keeps out of the plan cache.
+    takes; one with such an entry in J reads FIb at every index tuple from
+    ``_dense_fib``, the same products summed in the same order.
     """
     if J.k != 3:
         raise DimensionError("fundamental identity applies to degree-3 multivectors")
@@ -340,7 +349,6 @@ def fundamental_identity_scan(J: MultiVectorField) -> Scan:
     support = _jet_support(J)
     fia_plan = _fia_plan(n, support.tobytes())
     fib_plan = _fib_plan(n, support[0].tobytes())
-    every = functools.cache(lambda: _fib_plan.__wrapped__(n, bytes([True]) * n ** 3))
 
     def step(values, points):
         A, D = _dense_block(J, values)
@@ -352,8 +360,7 @@ def fundamental_identity_scan(J: MultiVectorField) -> Scan:
         fib = _by_rows(np.isfinite(values[:, :width]).all(axis=1),
                        lambda rows: _argmax_rows(_fib_entries(Af[rows], fib_plan),
                                                  n, 6, fib_plan[0]),
-                       lambda r: _argmax_rows(_fib_entries(Af[r:r + 1], every()),
-                                              n, 6, every()[0])[0])
+                       lambda r: _argmax_rows(_dense_fib(A[r]).reshape(1, -1), n, 6)[0])
         return [c for (sa, ia), (sb, ib), p in zip(fia, fib, points)
                 for c in ((sa, p, ia, "FIa"), (sb, p, ib, "FIb"))]
     floats = max((n + 1) * n ** 3, 4 * n * len(fia_plan[0]), len(fib_plan[0]))

@@ -979,6 +979,38 @@ def reference_pullback_with_jacobian(J, omega):
     return FormValue(n_src, k, out, _normalized=True)
 
 
+def reference_verify_flattening(problem, t, points, flow="closed"):
+    """The former per-point flattening check: each point's map and
+    Jacobian, w_t at the target as a value, a finite-Jacobian check, the
+    per-minor pullback and |pulled - w0| as values, the largest a NaN first."""
+    import numpy as np
+    from ghm.dynamics import _numeric_flow
+    from ghm.errors import EvalDomainError, InputError
+    from ghm.exterior import nan_max
+
+    wt = problem.w.scale(float(t)) + problem.w0.scale(1.0 - t)
+    if flow == "closed":
+        if problem.flow is None:
+            raise InputError(f"problem {problem.name!r} has no closed-form flow")
+        phi = problem.flow(t)
+        flow_map = lambda p: (phi.at(p), phi.jacobian(p))
+    elif flow == "numeric":
+        flow_map = _numeric_flow(problem, t)
+    else:
+        raise InputError(f"unknown flow route {flow!r}")
+    worst = 0.0
+    for p in points:
+        target, J = flow_map(p)
+        value = wt.at(target)
+        if not np.isfinite(J).all():
+            bad = tuple(np.argwhere(~np.isfinite(J))[0])
+            raise EvalDomainError(f"pullback jacobian entry {tuple(int(i) + 1 for i in bad)} "
+                                  f"is {J[bad]}")
+        pulled = reference_pullback_with_jacobian(J, value)
+        worst = nan_max((worst, (pulled - problem.w0.at(p)).max_abs()))
+    return worst
+
+
 def reference_fundamental_identity_arrays(A, D):
     """The former FI kernel: one ``einsum`` per term of FIa and FIb."""
     import numpy as np

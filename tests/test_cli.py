@@ -667,6 +667,20 @@ def test_a_flow_time_beyond_the_step_count_is_an_input_error(capsys):
     assert err.startswith("error: flow time 1e+308 needs more RK4 steps")
 
 
+def test_a_fault_in_the_numeric_flow_is_an_integration_failure(capsys):
+    # the RK4 flow to t = -1 leaves x3 + x4 >= 0 on the way: a runtime
+    # failure (exit 3) that names the sample point and the flow time reached;
+    # the closed-form map at the same t has no fault
+    code, out, err = run(capsys, "flatten", "moser1", "--t", "-1", "--numeric",
+                         "--samples", "5")
+    assert (code, out) == (3, "")
+    assert err == ("integration failure: the numeric flow of the sample point (0.5478467492858172, "
+                   "-0.9208531449445188, 0.41062851462772565, 0.34462461592702853) failed at "
+                   "flow time -0.867188: sqrt of negative value at node sqrt(x3 + x4)\n")
+    code, out, err = run(capsys, "flatten", "moser1", "--t", "-1", "--samples", "5")
+    assert (code, err) == (0, "")
+
+
 def test_a_run_beyond_the_step_count_is_an_input_error(capsys):
     code, out, err = run(capsys, "simulate", "oscillator", "--x0", "0,1,1,0,0,2",
                          "--t-end", "1e308", "--dt", "1")

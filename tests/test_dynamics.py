@@ -7,11 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ghm.expr as ex
-from ghm.errors import DimensionError, InputError, IntegrationError
+from ghm.errors import DimensionError, GhmError, InputError, IntegrationError
 from ghm.expr import ScalarField
-from ghm.exterior import FormField, MultiVectorField, VectorField
+from ghm.exterior import FormField, MultiVectorField, PointMap, VectorField
 from ghm.dynamics import (
     CSV_CHUNK_ROWS,
     FLOW_STEPS_PER_UNIT,
@@ -44,6 +45,7 @@ from oracles import (
     reference_integrate,
     reference_rk4_step,
     reference_rkf45_step,
+    reference_verify_flattening,
 )
 
 
@@ -383,6 +385,118 @@ def test_numeric_flattening_is_exact_for_the_discrete_flow(name):
     pts = sample_box(np.random.default_rng(9), m.domain, 4)
     assert verify_flattening(m, 1.0, pts, flow="numeric") <= 1e-11
     assert verify_flattening(m, 0.0, pts, flow="numeric") == 0.0
+
+
+# pieces of a hand-built problem on R^3 with k = 2: map components whose
+# Jacobian entry is not finite (x1^2*1e308: its derivative overflows where
+# |x1| > 0.9), or that fault (sqrt(x2) where x2 < 0, and its derivative at
+# x2 = 0), all scaled by 1e200 in some maps so that every 2 x 2 minor
+# overflows; coefficients of w that are 0.0 where x1 or x2 is, that fault
+# (log(x3) where x3 <= 0), or 2^53, which makes the order of a sum show;
+# w0 coefficients that fault where x2 <= -2
+_MAP_TEXTS = ("x1", "x2", "x3", "x1 + x2", "x2 + x3", "x1^2*1e308", "sqrt(x2)", "x1 - x3")
+_W_TEXTS = ("x1", "x2*x3", "1", "log(x3)", "0.5*x1 - x2", "9007199254740992", "-x2")
+_W0_TEXTS = ("1", "x1", "log(x2 + 2)", "2")
+_FIELD_TEXTS = ("x2", "-x1", "0.1*x1*x2", "sqrt(x3)", "0")
+_COORDS = st.sampled_from((0.0, -0.0, 0.5, 1.0, -1.5, 2.0, -2.5, 3.0))
+
+
+def _hand_built_problem(data) -> MoserProblem:
+    def texts(pool, count, label):
+        return [data.draw(st.sampled_from(pool), label=f"{label} {i}") for i in range(count)]
+
+    keys = [(1, 2), (1, 3), (2, 3)]
+    w = FormField(3, 2, {key: ex.parse(text, 3)
+                         for key, text in zip(keys, texts(_W_TEXTS, 3, "w"))})
+    w0 = FormField(3, 2, {key: ex.parse(text, 3)
+                          for key, text in zip(keys, texts(_W0_TEXTS, 3, "w0"))})
+    X = VectorField(3, tuple(ex.parse(text, 3) for text in texts(_FIELD_TEXTS, 3, "X")))
+    scale = data.draw(st.sampled_from(("", "*1e200")), label="map scale")
+    phi = PointMap(3, tuple(ex.parse(f"({text}){scale}", 3)
+                            for text in texts(_MAP_TEXTS, 3, "map")))
+    flow = data.draw(st.sampled_from((lambda t: phi,) * 5 + (None,)), label="flow")
+    return MoserProblem("hand", 3, w0, X, w, ((-3.0, 3.0),) * 3, flow)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_the_blocked_flattening_check_is_the_per_point_loop(data):
+    # verify_flattening against the former per-point loop: the same float.hex
+    # residual or the same error type and message, on the built-in problems
+    # with drawn parameters, domain points and out-of-domain ones, and on
+    # hand-built problems with vanishing coefficients, overflowing minors or
+    # Jacobian entries and faults at drawn points; blocks as small as one
+    # key of one point
+    from ghm import exterior
+
+    kind = data.draw(st.sampled_from(("moser1", "moser2", "hand", "hand")), label="problem")
+    numeric = data.draw(st.sampled_from((False, False, True)), label="numeric")
+    count = data.draw(st.sampled_from((0, 1, 2) if numeric else (0, 1, 2, 7, 40, 40)),
+                      label="points")
+    if kind == "hand":
+        problem = _hand_built_problem(data)
+        points = [tuple(data.draw(_COORDS, label=f"point {i}") for _ in range(3))
+                  for i in range(count)]
+        times = (0.0, -0.25, 0.5) if numeric else (0.0, -0.5, 0.3, 1.0, 2.0)
+    else:
+        params = {"f": data.draw(st.sampled_from((0.5, 2.0, 7.3)), label="f")}
+        if kind == "moser2":
+            params["g"] = data.draw(st.sampled_from((0.5, 1.0, 3.0)), label="g")
+        problem = build_moser(kind, **params)
+        points = sample_box(np.random.default_rng(data.draw(st.integers(0, 9), label="seed")),
+                            problem.domain, count)
+        for i in data.draw(st.lists(st.integers(0, max(count - 1, 0)), max_size=2) if count
+                           else st.just([]), label="moved points"):
+            # x3 + x4 < 0 faults in sqrt, and x3 = -x4 divides by zero in w
+            x3 = data.draw(st.sampled_from((-0.5, -points[i][3], 1e-300)), label="x3")
+            points[i] = points[i][:2] + (x3,) + points[i][3:]
+        times = (0.0, -0.3, 0.3, -1.0) if numeric else (0.0, -0.3, 0.3, 1.0, 5.0, -2.0)
+    t = data.draw(st.sampled_from(times), label="t")
+    flow = "numeric" if numeric else "closed"
+    block = data.draw(st.sampled_from((1, 9, 100, exterior.PULLBACK_BLOCK_FLOATS)), label="block")
+
+    def outcome(run):
+        try:
+            return float.hex(run())
+        except GhmError as exc:
+            return type(exc).__name__, str(exc)
+
+    with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as patch:
+        want = outcome(lambda: reference_verify_flattening(problem, t, points, flow))
+        patch.setattr(exterior, "PULLBACK_BLOCK_FLOATS", block)
+        got = outcome(lambda: verify_flattening(problem, t, points, flow))
+    assert got == want
+
+
+@pytest.mark.parametrize("block", [1, None])
+def test_a_flattening_fault_keeps_its_point_and_step_order(block):
+    # per point: the map, w_t at the target, the Jacobian check, w0 at the
+    # point; the first fault in that order is the error, whatever the blocks
+    from ghm import exterior
+    from ghm.errors import EvalDomainError
+
+    w = FormField(3, 2, {(1, 2): ex.parse("log(x2 + 2)", 3), (2, 3): ex.parse("log(x3)", 3)})
+    w0 = FormField(3, 2, {(1, 2): ex.parse("log(x2 + 2)", 3)})
+    phi = PointMap(3, tuple(ex.parse(text, 3) for text in ("x1^2*1e308", "x2 + 5", "x3")))
+    problem = MoserProblem("order", 3, w0, VectorField(3, (ex.ZERO,) * 3), w,
+                           ((-3.0, 3.0),) * 3, lambda t: phi)
+    ok, bad_j, bad_w, bad_w0 = (0.1, 1.0, 1.0), (1.0, 1.0, 1.0), (0.1, 1.0, -1.0), (0.1, -3.0, 1.0)
+    j_msg, w_msg, w0_msg = ("pullback jacobian entry (1, 1) is inf",
+                            "log of nonpositive value at node log(x3)",
+                            "log of nonpositive value at node log(x2 + 2.0)")
+    cases = [([ok, (1.0, -3.0, 1.0)], j_msg), ([ok, bad_j, bad_w], j_msg),
+             ([ok, bad_w, bad_j], w_msg), ([(1.0, 1.0, -1.0)], w_msg),
+             ([ok, bad_w0, bad_j], w0_msg)]
+    with np.errstate(over="ignore"), pytest.MonkeyPatch.context() as patch:
+        if block is not None:
+            patch.setattr(exterior, "PULLBACK_BLOCK_FLOATS", block)
+        assert math.isfinite(verify_flattening(problem, 0.5, [ok, ok]))
+        for points, msg in cases:
+            with pytest.raises(EvalDomainError) as got:
+                verify_flattening(problem, 0.5, points)
+            with pytest.raises(EvalDomainError) as want:
+                reference_verify_flattening(problem, 0.5, points)
+            assert str(got.value) == str(want.value) == msg
 
 
 def test_a_step_count_beyond_an_index_is_an_input_error():

@@ -409,6 +409,53 @@ def test_a_pullback_in_blocks_is_the_one_block_pullback_byte_for_byte(data):
         [(key, float.hex(c)) for key, c in whole.coeffs.items()]
 
 
+# table entries: 0.0 at some points of a key and not at others, NaN and
+# inf, and 2^53, which absorbs a 1 that 2^53 - 1 keeps, so the order of a
+# sum shows; Jacobian entries whose minors are small integers, scaled by
+# 1e200 in some stacks so that every minor of degree 2 or more overflows
+_TABLE_ENTRIES = st.sampled_from((0.0, -0.0, 0.0, 1.0, -1.0, 0.5, 2.0 ** 53, 2.0 ** 53 - 1,
+                                  -(2.0 ** 53), np.nan, np.inf))
+_STACK_JACOBIAN_ENTRIES = st.sampled_from((0.0, -0.0, 1.0, -1.0, 1.0, 2.0, -3.0, 0.5))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_stacked_pullback_is_the_one_point_pullback_of_each_row(data):
+    # a (points x keys) table of coefficients through a stack of Jacobians,
+    # in drawn blocks of points and keys, against a one-point call on each
+    # row's value (which drops its 0.0 entries) and the per-minor loop, by
+    # float.hex of every source key's coefficient (absent ones read +0.0)
+    from ghm import exterior
+
+    n = data.draw(st.integers(1, 5), label="n")
+    n_src = data.draw(st.integers(0, n), label="n_src")
+    k = data.draw(st.integers(0, n), label="k")
+    keys = data.draw(st.lists(st.sampled_from(increasing_indices(n, k)), unique=True,
+                              max_size=8), label="keys")
+    count = data.draw(st.integers(0, 6), label="points")
+    table = np.array(data.draw(st.lists(_TABLE_ENTRIES, min_size=count * len(keys),
+                                        max_size=count * len(keys)), label="table"))
+    table = table.reshape(count, len(keys))
+    J = np.array(data.draw(st.lists(_STACK_JACOBIAN_ENTRIES, min_size=count * n * n_src,
+                                    max_size=count * n * n_src), label="J"))
+    J = J.reshape(count, n, n_src) * data.draw(st.sampled_from((1.0, 1e200)), label="scale")
+    form = FormField(n, k, {key: ex.const(1.0) for key in keys})
+    block = data.draw(st.sampled_from((1, 4, 30, exterior.PULLBACK_BLOCK_FLOATS)), label="block")
+    sources = increasing_indices(n_src, k)
+
+    def hexes(value):
+        return [float.hex(value.coeffs.get(I, 0.0)) for I in sources]
+
+    with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as patch:
+        rows = [FormValue(n, k, dict(zip(keys, row))) for row in table.tolist()]
+        want = [hexes(reference_pullback_with_jacobian(Jp, row)) for Jp, row in zip(J, rows)]
+        one = [hexes(pullback_with_jacobian(Jp, row)) for Jp, row in zip(J, rows)]
+        patch.setattr(exterior, "PULLBACK_BLOCK_FLOATS", block)
+        stacked = pullback_with_jacobian(J, form, table)
+    assert stacked.shape == (count, len(sources))
+    assert [[float.hex(c) for c in row] for row in stacked.tolist()] == one == want
+
+
 def test_a_pullback_stacks_at_most_a_block_of_minors(monkeypatch):
     # a full 4-form on R^8: 70 keys x 70 minors of 4 x 4 floats, in blocks of 4 keys
     from ghm import exterior

@@ -426,8 +426,8 @@ def test_the_support_plan_reports_the_dense_candidates_byte_for_byte(data):
     # the jet row is drawn freely; the point's two candidates must match the
     # dense arrays' in signed value bits, index and detail, and the planned
     # entries the dense arrays' bits
-    from ghm.identities import (_dense_plan, _fia_entries, _fia_plan, _fib_entries, _fib_plan,
-                                _jet_support, fundamental_identity_scan)
+    from ghm.identities import (_dense_fib, _dense_plan, _fia_entries, _fia_plan, _fib_entries,
+                                _fib_plan, _jet_support, fundamental_identity_scan)
     from oracles import reference_fundamental_identity_candidates
 
     n = data.draw(st.integers(3, 6), label="n")
@@ -445,11 +445,14 @@ def test_the_support_plan_reports_the_dense_candidates_byte_for_byte(data):
         entries = _fib_entries(A.reshape(1, -1), plan)[0]
         fia, dense = (_fia_entries(A[None], D[None], fia_plan)[0],
                       reference_dense_fundamental_identity_arrays(A, D))
+        dense_fib = _dense_fib(A).ravel()
     assert [(_bits(s), p, i, d) for s, p, i, d in got] == \
         [(_bits(s), p, i, d) for s, p, i, d in want]
     # each planned FIb entry has the full array's bits there; every other one is +0.0
     fib = dense[1].ravel()
     assert np.array_equal(entries.view(np.int64), fib[plan[0]].view(np.int64))
+    # and the dense kernel of a row where J is not finite, at every entry
+    assert np.array_equal(dense_fib.view(np.int64), fib.view(np.int64))
     assert not np.delete(fib, plan[0]).view(np.int64).any()
     # so has each planned FIa entry where the jet is finite
     if np.isfinite(values).all():
@@ -649,10 +652,30 @@ def test_errors_keep_their_point_order_in_any_block(block):
                 reps[0].samples) == ("closure", 0.0, (), ok, 3)
 
 
-def test_a_non_finite_point_keeps_its_every_position_plan_out_of_the_cache():
-    # at n = 6 the plan of every FIb position holds n^6 entries; a point where
-    # J is not finite builds it for its own scan, and the plan cache keeps
-    # only the support plan
+def test_the_dense_fib_of_a_non_finite_row_sums_in_the_written_order():
+    # entries of 2^53 and 1 make a sum of six products depend on its order;
+    # one inf makes the row non-finite, as at the rows the dense kernel serves
+    from ghm.identities import _FIB_TERMS, _dense_fib
+
+    rng = np.random.default_rng(7)
+    A = rng.choice([0.0, -0.0, 1.0, -1.0, 3.0, 2.0 ** 53, -(2.0 ** 53)], size=(4, 4, 4))
+    A[1, 2, 3] = np.inf
+    with np.errstate(invalid="ignore"):
+        got = _dense_fib(A)
+        want = reference_dense_fundamental_identity_arrays(A, np.zeros((4,) * 4))[1]
+        P = np.multiply.outer(A, A) + 0.0
+        reversed_order = P.transpose(_FIB_TERMS[5])
+        for t in _FIB_TERMS[4::-1]:
+            reversed_order = reversed_order + P.transpose(t)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert not np.array_equal(reversed_order.view(np.int64), want.view(np.int64))
+
+
+def test_a_non_finite_point_builds_no_every_position_plan():
+    # at n = 6 a plan of every FIb position would hold n^6 entries; a point
+    # where J is not finite reads FIb from the dense outer product instead,
+    # so the scan builds only its two support plans, and the plan cache
+    # keeps only the FIb support plan
     from ghm import identities
 
     n = 6
@@ -662,12 +685,21 @@ def test_a_non_finite_point_keeps_its_every_position_plan_out_of_the_cache():
     points = [(0.5, 0.2, 0.1, 0.0, 0.0, 0.0), (3.0, 0.2, 0.1, 0.0, 0.0, 0.0),
               (0.1, -0.3, 0.4, 0.0, 0.0, 0.0)]
     identities._fib_plan.cache_clear()
-    with np.errstate(over="ignore", invalid="ignore"):
+    identities._fia_plan.cache_clear()
+    masks, term_sources = [], identities._term_sources
+
+    def recorded(mask, terms):
+        masks.append(mask.shape)
+        return term_sources(mask, terms)
+
+    with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identities, "_term_sources", recorded)
         rep = fundamental_identity_residual(J, points)
         ref = reference_fundamental_identity_residual(J, points)
     assert not np.isfinite(J.coefficient_values(points[1])).all()
     assert (rep.argmax_point, _bits(rep.signed_at_argmax), rep.argmax_index, rep.detail) == \
         (ref.argmax_point, _bits(ref.signed_at_argmax), ref.argmax_index, ref.detail)
+    assert masks == [(n,) * 5, (n,) * 6]
     info = identities._fib_plan.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
     support = identities._jet_support(J)[0].tobytes()
