@@ -27,13 +27,13 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field as dc_field
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import expr as ex
+from . import expr as ex, rk4
 from .errors import DimensionError, EvalDomainError, GhmError, InputError, IntegrationError
 from .expr import ScalarField
 from .exterior import (
@@ -86,7 +86,7 @@ def _box_factory(n: int) -> Callable:
 
 
 def _step_count(steps: float, what: str) -> int:
-    """The RK4 step count ``int(steps)`` of ``integrate`` and ``_numeric_flow``;
+    """The RK4 step count ``int(steps)`` of ``integrate`` and ``variational_flow``;
     a count that is not finite or beyond ``sys.maxsize`` is an InputError."""
     if not steps <= sys.maxsize:
         raise InputError(f"{what} needs more RK4 steps than a float can count")
@@ -379,11 +379,11 @@ def stepper(method: str, n: int) -> Callable:
         return "".join(f"{k}{i}, " for i in range(n)) + (f"= f({point})" if point else "= k")
 
     if method == "rk4":
-        body = [stage("a"), "h2 = dt / 2",
-                stage("b", vec(lambda i: f"x{i} + h2 * a{i}")),
-                stage("c", vec(lambda i: f"x{i} + h2 * b{i}")),
-                stage("d", vec(lambda i: f"x{i} + dt * c{i}")), "w = dt / 6",
-                "return " + vec(lambda i: f"x{i} + w * (a{i} + 2 * b{i} + 2 * c{i} + d{i})")]
+        body = [stage("a"), rk4.HALF,
+                *(stage(s, vec(lambda i: rk4.point(f"x{i}", step, f"{k}{i}")))
+                  for s, step, k in rk4.STAGES), rk4.WEIGHT,
+                "return " + vec(lambda i: rk4.update(f"x{i}", rk4.total(
+                    f"a{i}", f"b{i}", f"c{i}", f"d{i}")))]
     else:
         body = [stage("k0_")]
         for s, row in enumerate(_RKF_A[1:], start=1):
@@ -529,29 +529,23 @@ def moser_residual(problem: MoserProblem, points: Sequence[Sequence[float]]) -> 
     return nan_max((llw.at(p).max_abs() for p in points), default=0.0)
 
 
-def _numeric_flow(problem: MoserProblem, t: float):
-    """p -> (Phi_t(p), DPhi_t(p)) of the fixed-step RK4 flow of the deformation
-    field, run on (x, J row-major) with J' = DX(x) J, J(0) = I.  An RK map's
-    Jacobian is that RK map on the variational system, so DPhi_t is exact for
-    the discrete flow (Hairer, Lubich & Wanner, Geometric Numerical
-    Integration, 2nd ed., ch. VI).  A fault in a step is an
-    ``IntegrationError`` that names the sample point and the flow time the
-    step starts from."""
-    n, X = problem.n, problem.X.components
+def variational_flow(X: VectorField, t: float):
+    """p -> (Phi_t(p), DPhi_t(p)) of the fixed-step RK4 flow of the field X,
+    run on (x, J row-major) with J' = DX(x) J, J(0) = I.  An RK map's
+    Jacobian is that RK map on the variational system, so DPhi_t is exact
+    for the discrete flow (Hairer, Lubich & Wanner, Geometric Numerical
+    Integration, 2nd ed., ch. VI).  Every step of a point runs inside one
+    generated function (``rk4.variational``), with the floats of
+    ``stepper``'s RK4 on the compiled (X, DX J) bundle.  A fault in a step
+    is an ``IntegrationError`` that names the sample point and the flow
+    time the step starts from."""
+    n = X.n
     nsteps = max(1, _step_count(abs(t) * FLOW_STEPS_PER_UNIT + 0.5, f"flow time {t:g}"))
     h = t / nsteps
-    DXJ = (reduce(ex.add, (ex.mul(ex.differentiate(X[r], m + 1), ex.Coord(n + 1 + m * n + c))
-                           for m in range(n))) for r in range(n) for c in range(n))
-    f, rk4 = ex.compile_vector((*X, *DXJ)), stepper("rk4", n + n * n)
+    run, start = rk4.variational(X.components), np.eye(n).ravel().tolist()
 
     def flow_map(p: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-        y = (*map(float, p), *np.eye(n).ravel().tolist())
-        try:
-            for step in range(nsteps):
-                y = rk4(f, y, f(y), h)
-        except _EVAL_FAULTS as exc:
-            raise IntegrationError(f"the numeric flow of the sample point {tuple(p)} failed "
-                                   f"at flow time {step * h:.6g}: {exc}") from exc
+        y = run(p, (*map(float, p), *start), h, nsteps)
         return np.array(y[:n]), np.array(y[n:]).reshape(n, n)
 
     return flow_map
@@ -564,8 +558,10 @@ def verify_flattening(problem: MoserProblem, t: float,
 
     ``flow='closed'`` uses the problem's closed-form time-t map with its exact
     symbolic Jacobian; ``flow='numeric'`` integrates the deformation field
-    with RK4 together with its variational equation, so its Jacobian is exact
-    for the discrete flow (``_numeric_flow``).
+    ``problem.X`` with RK4 together with its variational equation, so its
+    Jacobian is exact for the discrete flow (``variational_flow``: one
+    generated function runs every step of a point, and a fault in a step is
+    an ``IntegrationError`` naming the point, the flow time and the node).
 
     One pass over the points computes, point by point, the map and its
     Jacobian, w_t's coefficients at the target and w0's at the point.  A
@@ -584,7 +580,7 @@ def verify_flattening(problem: MoserProblem, t: float,
         phi = problem.flow(t)
         flow_map = lambda p: (phi._compiled(p), phi._compiled_jacobian(p))
     elif flow == "numeric":
-        flow_map = _numeric_flow(problem, t)
+        flow_map = variational_flow(problem.X, t)
     else:
         raise InputError(f"unknown flow route {flow!r}")
     n, w0 = problem.n, problem.w0

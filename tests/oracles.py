@@ -979,12 +979,44 @@ def reference_pullback_with_jacobian(J, omega):
     return FormValue(n_src, k, out, _normalized=True)
 
 
+def reference_variational_flow(X, t):
+    """The former numeric flow: one ``compile_vector`` bundle of X and the
+    entries of DX·J, stepped by ``stepper("rk4", n + n*n)`` one step at a
+    time from (p, I)."""
+    from functools import reduce
+
+    import numpy as np
+    import ghm.expr as ex
+    from ghm.dynamics import _EVAL_FAULTS, FLOW_STEPS_PER_UNIT, _step_count, stepper
+    from ghm.errors import IntegrationError
+
+    n, comps = X.n, X.components
+    nsteps = max(1, _step_count(abs(t) * FLOW_STEPS_PER_UNIT + 0.5, f"flow time {t:g}"))
+    h = t / nsteps
+    DXJ = (reduce(ex.add, (ex.mul(ex.differentiate(comps[r], m + 1),
+                                  ex.Coord(n + 1 + m * n + c)) for m in range(n)))
+           for r in range(n) for c in range(n))
+    f, rk4 = ex.compile_vector((*comps, *DXJ)), stepper("rk4", n + n * n)
+
+    def flow_map(p):
+        y = (*map(float, p), *np.eye(n).ravel().tolist())
+        try:
+            for step in range(nsteps):
+                y = rk4(f, y, f(y), h)
+        except _EVAL_FAULTS as exc:
+            raise IntegrationError(f"the numeric flow of the sample point {tuple(p)} failed "
+                                   f"at flow time {step * h:.6g}: {exc}") from exc
+        return np.array(y[:n]), np.array(y[n:]).reshape(n, n)
+
+    return flow_map
+
+
 def reference_verify_flattening(problem, t, points, flow="closed"):
     """The former per-point flattening check: each point's map and
     Jacobian, w_t at the target as a value, a finite-Jacobian check, the
     per-minor pullback and |pulled - w0| as values, the largest a NaN first."""
     import numpy as np
-    from ghm.dynamics import _numeric_flow
+    from ghm.dynamics import variational_flow
     from ghm.errors import EvalDomainError, InputError
     from ghm.exterior import nan_max
 
@@ -995,7 +1027,7 @@ def reference_verify_flattening(problem, t, points, flow="closed"):
         phi = problem.flow(t)
         flow_map = lambda p: (phi.at(p), phi.jacobian(p))
     elif flow == "numeric":
-        flow_map = _numeric_flow(problem, t)
+        flow_map = variational_flow(problem.X, t)
     else:
         raise InputError(f"unknown flow route {flow!r}")
     worst = 0.0

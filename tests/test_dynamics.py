@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ghm.expr as ex
-from ghm.errors import DimensionError, GhmError, InputError, IntegrationError
+from ghm.errors import DimensionError, ExprDepthError, GhmError, InputError, IntegrationError
 from ghm.expr import ScalarField
 from ghm.exterior import FormField, MultiVectorField, PointMap, VectorField
 from ghm.dynamics import (
@@ -19,13 +19,13 @@ from ghm.dynamics import (
     MoserProblem,
     SystemSpec,
     Trajectory,
-    _numeric_flow,
     conservation_report,
     divergence,
     integrate,
     moser_residual,
     sample_box,
     stepper,
+    variational_flow,
     vector_field_of,
     verify_flattening,
 )
@@ -45,6 +45,7 @@ from oracles import (
     reference_integrate,
     reference_rk4_step,
     reference_rkf45_step,
+    reference_variational_flow,
     reference_verify_flattening,
 )
 
@@ -370,7 +371,7 @@ def test_variational_jacobian_is_the_derivative_of_the_discrete_flow(name):
             x = reference_rk4_step(m.X.compiled, x, 1.0 / FLOW_STEPS_PER_UNIT)
         return x
 
-    flow = _numeric_flow(m, 1.0)
+    flow = variational_flow(m.X, 1.0)
     for p in sample_box(np.random.default_rng(8), m.domain, 3):
         target, J = flow(p)
         assert target.tobytes() == np.array(discrete_flow(p)).tobytes()
@@ -385,6 +386,131 @@ def test_numeric_flattening_is_exact_for_the_discrete_flow(name):
     pts = sample_box(np.random.default_rng(9), m.domain, 4)
     assert verify_flattening(m, 1.0, pts, flow="numeric") <= 1e-11
     assert verify_flattening(m, 0.0, pts, flow="numeric") == 0.0
+
+
+_FLOW_CONSTANTS = (0.0, -0.0, 0.1, 1.5, 2.0 ** 53, math.inf, math.nan)
+_FLOW_TEXTS = ("x{0}*x{1}", "sqrt(x{0})", "log(x{0} + 3)", "1/x{0}", "sin(x{0}) - 0.5*x{1}",
+               "x{0}^3 - x{1}", "exp(x{0})", "x{0}", "-x{1}", "x{0}^(1/2)", "cos(x{0}*x{1})")
+_FLOW_COORDS = st.one_of(st.sampled_from((0.0, -0.0, 0.5, -1.0)), st.floats(-2.0, 2.0))
+
+
+def _flow_outcome(flow, p):
+    """The float.hex of the target and J, or the error type and message."""
+    try:
+        target, J = flow(p)
+    except GhmError as exc:
+        return type(exc).__name__, str(exc)
+    return J.shape, [v.hex() for v in (*target.tolist(), *J.ravel().tolist())]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_the_generated_flow_is_the_step_by_step_flow(data):
+    # variational_flow against the former loop of one compiled bundle and one
+    # stepper call per step: the same float.hex target and J, or the same
+    # error, on the Moser fields and on drawn fields of n = 1..4 whose
+    # constant components (+-0.0, 1.5, 2^53, inf, NaN) share one code
+    kind = data.draw(st.sampled_from(("moser1", "moser2", 1, 2, 3, 4)), label="field")
+    if isinstance(kind, str):
+        params = {"f": data.draw(st.sampled_from((0.5, 2.0, 7.3)), label="f")}
+        if kind == "moser2":
+            params["g"] = data.draw(st.sampled_from((0.5, 1.0, 3.0)), label="g")
+        X = build_moser(kind, **params).X
+    else:
+        comps = []
+        for i in range(kind):
+            if data.draw(st.booleans(), label=f"constant {i}"):
+                comps.append(ex.const(data.draw(st.sampled_from(_FLOW_CONSTANTS), label="c")))
+            else:
+                axes = [data.draw(st.integers(1, kind), label="axis") for _ in range(2)]
+                text = data.draw(st.sampled_from(_FLOW_TEXTS), label=f"text {i}")
+                comps.append(ex.parse(text.format(*axes), kind))
+        if kind > 1 and data.draw(st.booleans(), label="read constant"):
+            # a constant component whose coordinate the body reads
+            comps[0] = ex.const(data.draw(st.sampled_from(_FLOW_CONSTANTS), label="c0"))
+            comps[1] = ex.parse("x1*x2 - sin(x1)", kind)
+        X = VectorField(kind, tuple(comps))
+    t = data.draw(st.sampled_from((0.0, 1 / 512, -1 / 512, 0.3, 1.0, -1.0)), label="t")
+    points = [tuple(data.draw(_FLOW_COORDS, label="x") for _ in range(X.n))
+              for _ in range(data.draw(st.integers(1, 2), label="points"))]
+    got, want = variational_flow(X, t), reference_variational_flow(X, t)
+    for p in points:
+        assert _flow_outcome(got, p) == _flow_outcome(want, p)
+
+
+# X = (x2, -1, g(x1)) with h = 2^-9: the stage points of x1 are x1 + h/2 x2,
+# x1 + h/2 (x2 - h/2) and x1 + h (x2 - h/2), so each start below makes g
+# fault first in the given stage (1-based) of the given step
+_LATE_FAULTS = [
+    ("sqrt(x1)", (2.0 ** -10 - 2.0 ** -30, -1.0), 2, 0, "sqrt of negative value"),
+    ("sqrt(x1)", (2.0 ** -21, 0.0), 3, 0, "sqrt of negative value"),
+    ("sqrt(x1)", (2.0 ** -9 + 2.0 ** -19 - 2.0 ** -40, -1.0), 4, 0, "sqrt of negative value"),
+    ("sqrt(x1)", (3.4 * 2.0 ** -9, -1.0), 2, 3, "sqrt of negative value"),
+    ("log(x1)", (2.0 ** -10, -1.0), 2, 0, "log of nonpositive value"),
+    ("log(x1)", (2.0 ** -20, 0.0), 3, 0, "log of nonpositive value"),
+    ("log(x1)", (2.0 ** -9 + 2.0 ** -19, -1.0), 4, 0, "log of nonpositive value"),
+    ("1/x1", (2.0 ** -10, -1.0), 2, 0, "division by zero"),
+    ("1/x1", (2.0 ** -20, 0.0), 3, 0, "division by zero"),
+    ("1/x1", (2.0 ** -9 + 2.0 ** -19, -1.0), 4, 0, "division by zero"),
+]
+
+
+@pytest.mark.parametrize("text, start, stage, step, message", _LATE_FAULTS)
+def test_a_fault_in_a_later_stage_names_the_node_and_time_of_the_loop(
+        monkeypatch, text, start, stage, step, message):
+    X = VectorField(3, (ex.Coord(2), ex.const(-1.0), ex.parse(text, 3)))
+    p = (*start, 0.25)
+    calls = itertools.count(1)
+    compile_vector = ex.compile_vector
+
+    def counted(exprs):  # the loop's bundle, counting its calls
+        f = compile_vector(exprs)
+        return lambda y: (next(calls), f(y))[1]
+
+    monkeypatch.setattr(ex, "compile_vector", counted)
+    with pytest.raises(IntegrationError) as want:
+        reference_variational_flow(X, 1.0)(p)
+    monkeypatch.undo()
+    made = next(calls) - 1  # the faulting call included
+    assert (made - 1) // 4 == step and (made - 1) % 4 + 1 == stage
+    with pytest.raises(IntegrationError) as got:
+        variational_flow(X, 1.0)(p)
+    assert str(got.value) == str(want.value)
+    assert f"at flow time {step / 512:.6g}: {message} at node " in str(got.value)
+
+
+def test_a_field_too_deep_to_compile_is_a_depth_error():
+    # its derivatives are kept alive, so only the compile walks the depth
+    e, derivatives = ex.Coord(1), []
+    for i in range(1200):
+        e = ex.call("sin", e) if i % 2 else ex.add(e, ex.Coord(1))
+        derivatives.append(ex.differentiate(e, 1))
+    X = VectorField(1, (e,))
+    with pytest.raises(ExprDepthError) as got:
+        variational_flow(X, 0.5)
+    with pytest.raises(ExprDepthError) as want:
+        reference_variational_flow(X, 0.5)
+    assert got.value.depth == want.value.depth > 1000
+
+
+def test_a_repeated_flow_compiles_nothing(capsys):
+    from ghm.cli import main
+
+    m = moser_example_1(f=3.0)
+    p = sample_box(np.random.default_rng(4), m.domain, 1)[0]
+    # another t, and a field of the same shape with other constants
+    cases = [(m.X, -0.3), (moser_example_1(f=5.0).X, 1.0)]
+    want = [_flow_outcome(reference_variational_flow(X, t), p) for X, t in cases]
+    variational_flow(m.X, 0.5)(p)
+    misses = ex._code.cache_info().misses
+    got = [_flow_outcome(variational_flow(X, t), p) for X, t in cases]
+    assert ex._code.cache_info().misses == misses and got == want
+    argv = ["flatten", "moser1", "--numeric", "--samples", "3"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    misses = ex._code.cache_info().misses
+    assert main(argv) == 0 and capsys.readouterr().out == out
+    assert ex._code.cache_info().misses == misses
 
 
 # pieces of a hand-built problem on R^3 with k = 2: map components whose
@@ -507,7 +633,7 @@ def test_a_step_count_beyond_an_index_is_an_input_error():
     m = moser_example_1(f=2.0)
     for t in (1e308, 1e17, float("nan")):
         with pytest.raises(InputError, match="needs more RK4 steps"):
-            _numeric_flow(m, t)
+            variational_flow(m.X, t)
 
 
 def test_dependent_hamiltonians_reject_a_nan_differential():
