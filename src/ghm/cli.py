@@ -338,12 +338,11 @@ def cmd_simulate(args) -> int:
     x0 = _parse_point(args.x0, system.n, "--x0")
     traj = integrate(system, x0, t_end=args.t_end, dt=args.dt,
                      method=args.method, reltol=args.reltol)
-    if system.mode == "form":
-        kernel_dim = solve_hdw(system.form, system.sigma(), x0).kernel_dim
-        if kernel_dim > 0:
-            print(f"note: the hat map at x0 has a {kernel_dim}-dimensional kernel, so the "
-                  f"integrated minimum-norm field is one member of a {kernel_dim}-parameter "
-                  f"family of solutions", file=sys.stderr)
+    kernel_dim = traj.kernel_dim  # of the hat map at x0, 0 on the tensor route
+    if kernel_dim > 0:
+        print(f"note: the hat map at x0 has a {kernel_dim}-dimensional kernel, so the "
+              f"integrated minimum-norm field is one member of a {kernel_dim}-parameter "
+              f"family of solutions", file=sys.stderr)
     if args.out:
         with open(args.out, "w") as fh:
             traj.to_csv(fh)

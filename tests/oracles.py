@@ -627,18 +627,18 @@ def reference_rk4_step(f, x, dt):
 
 def reference_rkf45_step(f, x, h):
     """(x4, x5) of one Fehlberg 4(5) step, stage by stage."""
-    from ghm.dynamics import _RKF_A, _RKF_B4, _RKF_B5
+    from ghm.rk4 import RKF_A, RKF_B4, RKF_B5
 
     ks = []
     for stage in range(6):
         xs = list(x)
-        for j, a in enumerate(_RKF_A[stage]):
+        for j, a in enumerate(RKF_A[stage]):
             for i in range(len(x)):
                 xs[i] += h * a * ks[j][i]
         ks.append(f(xs))
-    x4 = [xi + h * _sum311(b * ks[j][i] for j, b in enumerate(_RKF_B4))
+    x4 = [xi + h * _sum311(b * ks[j][i] for j, b in enumerate(RKF_B4))
           for i, xi in enumerate(x)]
-    x5 = [xi + h * _sum311(b * ks[j][i] for j, b in enumerate(_RKF_B5))
+    x5 = [xi + h * _sum311(b * ks[j][i] for j, b in enumerate(RKF_B5))
           for i, xi in enumerate(x)]
     return x4, x5
 
@@ -722,8 +722,8 @@ def reference_integrate(system, x0, t_end, dt=1e-3, method="rk4", reltol=1e-9):
             while t < t_end - 1e-14:
                 h = min(h, t_end - t)
                 x4, x5 = reference_rkf45_step(f, x, h)
-                err = math.sqrt(sum((a - b) ** 2 for a, b in zip(x4, x5)))
-                scale = reltol * (1.0 + math.sqrt(sum(v * v for v in x)))
+                err = math.sqrt(_sum311((a - b) ** 2 for a, b in zip(x4, x5)))
+                scale = reltol * (1.0 + math.sqrt(_sum311(v * v for v in x)))
                 if err <= scale:
                     t += h
                     x = x4
@@ -981,28 +981,29 @@ def reference_pullback_with_jacobian(J, omega):
 
 def reference_variational_flow(X, t):
     """The former numeric flow: one ``compile_vector`` bundle of X and the
-    entries of DX·J, stepped by ``stepper("rk4", n + n*n)`` one step at a
-    time from (p, I)."""
+    entries of DX·J, stepped by ``reference_rk4_step`` one step at a time
+    from (p, I)."""
     from functools import reduce
 
     import numpy as np
     import ghm.expr as ex
-    from ghm.dynamics import _EVAL_FAULTS, FLOW_STEPS_PER_UNIT, _step_count, stepper
+    from ghm.dynamics import _EVAL_FAULTS, FLOW_STEPS_PER_UNIT
     from ghm.errors import IntegrationError
+    from ghm.rk4 import step_count
 
     n, comps = X.n, X.components
-    nsteps = max(1, _step_count(abs(t) * FLOW_STEPS_PER_UNIT + 0.5, f"flow time {t:g}"))
+    nsteps = max(1, step_count(abs(t) * FLOW_STEPS_PER_UNIT + 0.5, f"flow time {t:g}"))
     h = t / nsteps
     DXJ = (reduce(ex.add, (ex.mul(ex.differentiate(comps[r], m + 1),
                                   ex.Coord(n + 1 + m * n + c)) for m in range(n)))
            for r in range(n) for c in range(n))
-    f, rk4 = ex.compile_vector((*comps, *DXJ)), stepper("rk4", n + n * n)
+    f = ex.compile_vector((*comps, *DXJ))
 
     def flow_map(p):
         y = (*map(float, p), *np.eye(n).ravel().tolist())
         try:
             for step in range(nsteps):
-                y = rk4(f, y, f(y), h)
+                y = reference_rk4_step(f, y, h)
         except _EVAL_FAULTS as exc:
             raise IntegrationError(f"the numeric flow of the sample point {tuple(p)} failed "
                                    f"at flow time {step * h:.6g}: {exc}") from exc

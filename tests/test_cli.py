@@ -575,6 +575,39 @@ def test_simulate_notes_non_unique_form_dynamics(tmp_path, capsys):
     assert err == ""
 
 
+def test_a_form_route_solve_not_finite_at_x0_exits_2(tmp_path, capsys):
+    # |sigma| ~ 1e170 on a hat map with a kernel: the integration runs, but
+    # the residual of the solve at x0 overflows, which the kernel note reports
+    doc = {"name": "big", "n": 3, "k": 2, "mode": "form",
+           "coefficients": {"1,2": "1", "1,3": "2", "2,3": "3"},
+           "hamiltonians": ["1e170*(x1 + 0.3*x2 + x3)"],
+           "domain": [[-1e300, 1e300]] * 3, "base_point": [0.5, 0.5, 0.5]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "simulate", "--config", str(path), "--x0=0.3,0.7,1.1",
+               "--t-end", "0.002") == (2, "", "error: floating-point overflow in the hat-map "
+                                       "solve at (0.3, 0.7, 1.1): residual inf\n")
+
+
+def test_a_form_route_simulate_factors_each_hat_map_once(tmp_path, capsys, monkeypatch):
+    # the kernel note reads the trajectory's own solve at x0, so no hat map
+    # along the orbit, x0's included, is factored twice
+    path = tmp_path / "oscillator_form.json"
+    path.write_text(json.dumps(OSCILLATOR_FORM))
+    factored, svd = [], np.linalg.svd
+
+    def counted(A, *args, **kwargs):
+        factored.append(np.asarray(A).tobytes())
+        return svd(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    code, out, err = run(capsys, "simulate", "--config", str(path), "--x0", "0.1,1,1,0.2,0.3,2",
+                         "--t-end", "0.005")
+    assert code == 0 and "1-parameter family" in err
+    # x0, then per step the three later stages and the accepted state
+    assert len(factored) == len(set(factored)) == 1 + 4 * 5
+
+
 def test_simulate_deterministic_stdout_on_both_routes(tmp_path, capsys):
     path = tmp_path / "oscillator_form.json"
     path.write_text(json.dumps(OSCILLATOR_FORM))

@@ -24,11 +24,11 @@ from ghm.dynamics import (
     integrate,
     moser_residual,
     sample_box,
-    stepper,
     variational_flow,
     vector_field_of,
     verify_flattening,
 )
+from ghm import rk4
 from ghm.hdw import min_norm_divergence, solve_hdw
 from ghm.systems import (
     build_moser,
@@ -40,6 +40,7 @@ from ghm.systems import (
     quasisymmetry,
 )
 from oracles import (
+    _sum311,
     csv_reference,
     reference_flow_jacobian,
     reference_integrate,
@@ -245,7 +246,7 @@ def test_form_route_divergence_with_kernel_matches_central_differences():
     # the oscillator's form route (bench/configs/oscillator_form.json) has a
     # one-dimensional hat-map kernel
     osc = dataclasses.replace(oscillator(lam=0.1), mode="form")
-    f = osc._compiled_eom
+    f = lambda x: vector_field_of(osc, x)[0]  # the minimum-norm solution
     rng = np.random.default_rng(10)
     for p in sample_box(rng, ((-2.0, 2.0),) * 6, 10):
         _, info = vector_field_of(osc, p)
@@ -260,8 +261,9 @@ def test_form_route_divergence_with_kernel_matches_central_differences():
 
 
 def test_a_tensor_state_compiles_its_divergence_once(monkeypatch):
-    # integrate and divergence compile two bundles on a fresh spec: the field
-    # (the stage function) and the row (Hamiltonians, invariants, div)
+    # integrate writes the row and the field into its loop, and divergence
+    # compiles one bundle on a fresh spec: the row (Hamiltonians,
+    # invariants, div)
     s = quasisymmetry(bvec=("-x2", "x1", "1 + x3 + 0.2718*x1"))
     compile_, compiled = ex._compile, []
 
@@ -273,14 +275,15 @@ def test_a_tensor_state_compiles_its_divergence_once(monkeypatch):
     traj = integrate(s, s.base_point, t_end=0.01, dt=1e-3)
     assert divergence(s, s.base_point) == traj.divergences[0]
     row = tuple(h.expression for h in (*s.hamiltonians, *s.invariants.values()))
-    assert compiled == [s.bracket_field.components, row + (s.bracket_field.divergence_expr(),)]
+    assert compiled == [row + (s.bracket_field.divergence_expr(),)]
 
 
 def test_a_form_state_compiles_its_hatmap_system_once(monkeypatch):
-    # integrate, divergence and solve_hdw compile three bundles on a fresh
-    # form-route spec: the row, the hat-map system's jet (x0's state) and its
-    # values (the stages): w's coefficients, then sigma's, the jet followed by
-    # their nonzero partials; no per-field function of w or sigma
+    # integrate, divergence and solve_hdw compile two bundles on a fresh
+    # form-route spec, the row being written into integrate's loop: the
+    # hat-map system's jet (x0's state) and its values (the stages): w's
+    # coefficients, then sigma's, the jet followed by their nonzero
+    # partials; no per-field function of w or sigma
     s = dataclasses.replace(oscillator(lam=0.1), mode="form")
     compile_, compiled = ex._compile, []
 
@@ -293,10 +296,9 @@ def test_a_form_state_compiles_its_hatmap_system_once(monkeypatch):
     assert divergence(s, s.base_point) == traj.divergences[0]
     solve_hdw(s.form, s.sigma(), s.base_point)  # the simulate note's solve: the same system
     both = (*s.form.coeffs.values(), *s.sigma().coeffs.values())
-    row = tuple(h.expression for h in (*s.hamiltonians, *s.invariants.values()))
     partials = tuple(d for e in both for u in range(1, s.n + 1)
                      if not ex.is_zero(d := ex.differentiate(e, u)))
-    assert compiled == [row, both + partials, both]
+    assert compiled == [both + partials, both]
     assert not (s.form._memo.keys() | s.sigma()._memo.keys()) & {"values", "jet"}
 
 
@@ -785,6 +787,29 @@ def test_integrate_is_bit_identical_to_the_loop_form(case):
     assert len(want.times) > 2
 
 
+def _one_step(method, n, f, x, h):
+    """The state the generated loop's call-stage (form-route) variant
+    reaches after one step of size h from x with the field f, accepted
+    whatever its error estimate, or the loop's error."""
+    run = rk4.trajectory(method, n, (), stage=f, state=lambda y: (0.0, f(y), 0))
+    try:
+        *_, end, _, _ = run(x, 0.0, h, h, 1e300, *(-math.inf, math.inf) * n)
+    except IntegrationError as exc:
+        return str(exc)
+    return np.array(end).tobytes()
+
+
+def _reference_step(method, f, x, h):
+    """``_one_step`` of the reference steps: RK4's state, or RKF45's x4, or
+    the loop's error where the 3.11 error norm of x4 - x5 is NaN."""
+    if method == "rk4":
+        return np.array(reference_rk4_step(f, x, h)).tobytes()
+    x4, x5 = reference_rkf45_step(f, x, h)
+    if math.isnan(math.sqrt(_sum311((a - b) ** 2 for a, b in zip(x4, x5)))):
+        return "the RKF45 error estimate is not finite at t=0"
+    return np.array(x4).tobytes()
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_generated_steps_are_bit_identical_for_every_dimension(n):
     def f(x):
@@ -794,10 +819,9 @@ def test_generated_steps_are_bit_identical_for_every_dimension(n):
     for _ in range(20):
         x = tuple(rng.uniform(-2, 2, n))
         h = float(rng.uniform(1e-4, 0.3))
-        assert np.array(stepper("rk4", n)(f, x, f(x), h)).tobytes() == \
-            np.array(reference_rk4_step(f, x, h)).tobytes()
-        assert np.array(stepper("rkf45", n)(f, x, f(x), h)).tobytes() == \
-            np.array(reference_rkf45_step(f, x, h)).tobytes()
+        for method in ("rk4", "rkf45"):
+            assert _one_step(method, n, f, x, h) == _reference_step(method, f, x, h)
+
     def staged(values):  # call i returns values[i % 6] in every component
         calls = itertools.count()
         return lambda x: (values[next(calls) % 6],) * n
@@ -807,11 +831,13 @@ def test_generated_steps_are_bit_identical_for_every_dimension(n):
     # k1 reaches x4 only through its zero weight, as 0.0 * inf
     spike = (1.0, math.inf, 1.0, 1.0, 1.0, 1.0)
     for values, x in ((zeros, (-0.0,) * n), (spike, (0.5,) * n)):
-        for method, reference in (("rk4", reference_rk4_step), ("rkf45", reference_rkf45_step)):
-            f = staged(values)
-            got = np.array(stepper(method, n)(f, x, f(x), 0.1))
-            assert got.tobytes() == np.array(reference(staged(values), x, 0.1)).tobytes()
-    assert stepper("rk4", n) is stepper("rk4", n)
+        for method in ("rk4", "rkf45"):
+            assert _one_step(method, n, staged(values), x, 0.1) == \
+                _reference_step(method, staged(values), x, 0.1)
+    assert _one_step("rkf45", n, staged(spike), (0.5,) * n, 0.1) == \
+        "the RKF45 error estimate is not finite at t=0"
+    codes = {rk4.trajectory(method, n, (), stage=f, state=f).__code__ for method in ("rk4",) * 2}
+    assert len(codes) == 1
     for route in ("tensor", "form"):
         system = dataclasses.replace(flat_nambu(n, min(n, 3)), mode=route)
         x0 = tuple(rng.uniform(-1, 1, n))
@@ -908,3 +934,135 @@ def test_domain_fault_in_a_stage_is_an_integration_error():
         with pytest.raises(IntegrationError,
                            match="^vector-field evaluation failed: sqrt of negative value at node sqrt"):
             integrate(s, (1e-9, 0.0), t_end=0.01, dt=1e-3, method=method)
+
+
+def _late_system(accel, invariants=None, g="sqrt(x1)"):
+    # X = (x2, -accel + x4*g, -x2, -0.0): from x4 = 0, x1 moves as
+    # x1 + x2 t - accel t^2 / 2 while every stage evaluates g
+    J = MultiVectorField(4, 2, {(1, 2): ex.const(accel), (1, 3): ex.parse("x2", 4),
+                                (2, 3): ex.parse(f"x4*({g})", 4)})
+    return SystemSpec(name="late", n=4, k=2, hamiltonians=(ScalarField.from_text("x1 + x3", 4),),
+                      tensor=J, domain=((-5.0, 5.0),) * 4, invariants=invariants or {})
+
+
+_H = 2.0 ** -4
+# (method, accel, x0, step, stage): each start makes sqrt(x1) fault first
+# in the given stage (0-based) of the given step; stage 0 is an accepted state
+_LOOP_FAULTS = [
+    ("rk4", 1.0, (-1.0, 0.0, 0.0, 0.0), 0, 0),
+    ("rk4", 1.0, (_H * _H / 8, 0.0, 0.0, 0.0), 0, 2),
+    ("rk4", 1.0, (3 * _H * _H / 8, 0.0, 0.0, 0.0), 0, 3),
+    ("rkf45", 1.0, (-1.0, 0.0, 0.0, 0.0), 0, 0),
+    # stage 5 (c = 1/2) reaches below stages 1-4 where x2 = -5h/8
+    ("rkf45", -1.0, (45 * 2.0 ** -16, -5 * 2.0 ** -7, 0.0, 0.0), 0, 5),
+]
+
+
+@pytest.mark.parametrize("method, accel, x0, step, stage", _LOOP_FAULTS)
+def test_a_fault_in_an_inlined_stage_is_a_vector_field_failure(monkeypatch, method, accel, x0,
+                                                              step, stage):
+    # the reference steps call the compiled field once per stage; the loop
+    # inlines it, and must name the same node with the same text
+    s = _late_system(accel)
+    calls = itertools.count(1)
+    compile_vector = ex.compile_vector
+
+    def counted(exprs):  # the reference's field, counting its calls
+        f = compile_vector(exprs)
+        return lambda y: (next(calls), f(y))[1]
+
+    monkeypatch.setattr(ex, "compile_vector", counted)
+    with pytest.raises(IntegrationError) as want:
+        reference_integrate(s, x0, 1.0, _H, method, 1e-3)
+    monkeypatch.undo()
+    made, per = next(calls) - 1, 4 if method == "rk4" else 6
+    assert ((made - 1) // per, (made - 1) % per) == (step, stage)
+    with pytest.raises(IntegrationError) as got:
+        integrate(s, x0, 1.0, _H, method, 1e-3)
+    assert str(got.value) == str(want.value) == \
+        "vector-field evaluation failed: sqrt of negative value at node sqrt(x1)"
+
+
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+def test_a_node_shared_by_the_row_and_the_field_fails_the_row(method):
+    # the accepted state's bundle evaluates the row's nodes first, as the
+    # row was evaluated before the field
+    s = _late_system(1.0, {"H1": ScalarField.from_text("x1 + x3", 4),
+                           "s": ScalarField.from_text("x4*sqrt(x1)", 4)})
+    message = "diagnostics row evaluation failed: sqrt of negative value at node sqrt(x1)"
+    for run in (integrate, reference_integrate):
+        with pytest.raises(IntegrationError) as got:
+            run(s, (-1.0, 0.0, 0.0, 0.0), 1.0, _H, method, 1e-3)
+        assert str(got.value) == message
+
+
+def test_a_stage_meets_the_first_fault_of_the_field_s_own_order():
+    # the field evaluates sqrt(x1) before log(x1), which the row holds and so
+    # the accepted state's bundle numbers first; both fault at stage 3 of step 0
+    s = _late_system(1.0, {"H1": ScalarField.from_text("x1 + x3", 4),
+                           "g": ScalarField.from_text("log(x1)", 4)}, "sqrt(x1) + log(x1)")
+    x0 = (3 * _H * _H / 8, 0.0, 0.0, 0.0)
+    for method in ("rk4", "rkf45"):
+        with pytest.raises(IntegrationError) as got:
+            integrate(s, x0, 1.0, _H, method, 1e-3)
+        with pytest.raises(IntegrationError) as want:
+            reference_integrate(s, x0, 1.0, _H, method, 1e-3)
+        assert str(got.value) == str(want.value) == \
+            "vector-field evaluation failed: sqrt of negative value at node sqrt(x1)"
+
+
+def test_the_loop_control_failures_keep_their_text():
+    # a step below 1e-14, and an error norm whose square overflows in
+    # (x4 - x5) ** 2 with no node to name
+    osc = oscillator(lam=0.1)
+    wild = SystemSpec(name="wild", n=2, k=2, hamiltonians=(ScalarField.from_text("x2", 2),),
+                      tensor=MultiVectorField(2, 2, {(1, 2): ex.parse("1e170*sin(1e10*x1)", 2)}),
+                      domain=((-1e300, 1e300),) * 2)
+    for system, x0, dt, message in (
+            (osc, osc.base_point, 1e-300, "step size underflow at t=1e-300"),
+            (wild, (0.3, 0.0), 1e-2,
+             "vector-field evaluation failed: (34, 'Numerical result out of range')")):
+        with pytest.raises(IntegrationError) as got:
+            integrate(system, x0, 1.0, dt, "rkf45", 1e-9)
+        with pytest.raises(IntegrationError) as want:
+            reference_integrate(system, x0, 1.0, dt, "rkf45", 1e-9)
+        assert str(got.value) == str(want.value) == message
+
+
+def _float_constants(code):
+    """The float constants of a code object and of the code objects in it."""
+    found = []
+    for c in code.co_consts:
+        if isinstance(c, float):
+            found.append(c)
+        elif hasattr(c, "co_consts"):
+            found += _float_constants(c)
+    return found
+
+
+def test_a_repeated_integration_compiles_nothing(monkeypatch, capsys):
+    from ghm.cli import main
+
+    texts, code = [], ex._code
+    monkeypatch.setattr(ex, "_code", lambda source: (texts.append(source), code(source))[1])
+    for lam in (0.1, 0.2):
+        for mode in ("tensor", "form"):
+            s = dataclasses.replace(oscillator(lam=lam), mode=mode)
+            for method in ("rk4", "rkf45"):
+                integrate(s, s.base_point, 0.01, 1e-3, method)
+        if lam == 0.1:
+            monkeypatch.undo()
+            misses = ex._code.cache_info().misses
+    # the second oscillator's loops, of other constants, are the first's
+    assert ex._code.cache_info().misses == misses
+    loops = [text for text in texts if "record_row" in text]
+    assert len(loops) == 4
+    for text in loops:  # constants and box bounds are parameters
+        assert _float_constants(compile(text, "<loop>", "exec")) == []
+    argv = ["simulate", "oscillator", "--x0=0.1,1,1,0.2,0.3,2", "--t-end", "0.01"]
+    for method in ("rk4", "rkf45"):
+        assert main([*argv, "--method", method]) == 0
+        out = capsys.readouterr()
+        misses = ex._code.cache_info().misses
+        assert main([*argv, "--method", method]) == 0 and capsys.readouterr() == out
+        assert ex._code.cache_info().misses == misses
