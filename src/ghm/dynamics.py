@@ -45,7 +45,6 @@ from .exterior import (
     increasing_indices,
     iterated_interior,
     lie_derivative,
-    nan_max,
     pullback_with_jacobian,
 )
 from .hdw import MinNorm, _hatmap_arrays, _hatmap_system, _min_norm, _report, min_norm_divergence
@@ -212,7 +211,7 @@ class SystemSpec:
             raise InputError(
                 f"system {self.name!r}: Hamiltonian independence check failed "
                 f"at the base point {base}: {exc}") from exc
-        if not S.max_abs() >= 1e-8:  # NaN fails
+        if S.max_abs() < 1e-8:
             raise InputError(
                 f"system {self.name!r}: Hamiltonian differentials are dependent "
                 f"at the base point {base}")
@@ -398,7 +397,7 @@ def moser_residual(problem: MoserProblem, points: Sequence[Sequence[float]]) -> 
     """Max coefficient of L_X(L_X w0) over the points, all exact-symbolic."""
     lw = lie_derivative(problem.X, problem.w0)
     llw = lie_derivative(problem.X, lw)
-    return nan_max((llw.at(p).max_abs() for p in points), default=0.0)
+    return max((llw.at(p).max_abs() for p in points), default=0.0)
 
 
 def variational_flow(X: VectorField, t: float):
@@ -442,8 +441,9 @@ def verify_flattening(problem: MoserProblem, t: float,
     order is the error, as in a per-point loop.  Then
     ``pullback_with_jacobian`` pulls w_t back at every point at once, a
     stacked ``det`` per block of points, with the floats of a per-point
-    pullback; the residual is the largest |pulled - w0| over points and
-    source keys, NaN if one is NaN.
+    pullback, or raises ``EvalDomainError`` where its arithmetic overflows;
+    the residual is the largest |pulled - w0| over points and source keys,
+    inf if a difference overflows.
     """
     wt = problem.w.scale(float(t)) + problem.w0.scale(1.0 - t)
     if flow == "closed":
@@ -473,5 +473,5 @@ def verify_flattening(problem: MoserProblem, t: float,
         np.array(w0_values, dtype=float).reshape(len(points), len(w0.coeffs))
     pulled = pullback_with_jacobian(stack(), wt, np.array(wt_values, dtype=float).reshape(
         len(points), len(wt.coeffs)))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         return float(np.abs(pulled - w0_table).max(initial=0.0))

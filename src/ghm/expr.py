@@ -51,8 +51,12 @@ its owners do (``ScalarField.compiled``, the fields' ``compiled``).  A
 ZeroDivisionError, ValueError or OverflowError raised by the generated code
 is mapped through the traceback's line to its function's node and re-raised
 as ``EvalDomainError`` naming that node; the first fault in walk order is
-the one reported.  There is no numpy target: numpy's transcendental ufuncs can
-differ from ``math`` in the last ulp, which would change printed results.
+the one reported.  A returned value is finite: one guard line tests
+``0.0 * t_a + 0.0 * t_b + ... != 0.0`` over the distinct results (a finite
+one adds +-0.0, where a plain sum could overflow; an inf or NaN makes NaN),
+and only when it fails names the first temporary that is not finite.  There
+is no numpy target: numpy's transcendental ufuncs can differ from ``math``
+in the last ulp, which would change printed results.
 """
 
 from __future__ import annotations
@@ -511,6 +515,12 @@ def _fault(exc: Exception, nodes: Sequence) -> Exception:
     return EvalDomainError(message, to_str(node))
 
 
+def _not_finite(nodes: Sequence, temps: Mapping[str, float]) -> EvalDomainError:
+    """A failed guard's error: the first temporary that is an inf or NaN."""
+    i = next(i for i in range(len(nodes)) if not math.isfinite(temps[f"t{i}"]))
+    return EvalDomainError("non-finite value", to_str(nodes[i]))
+
+
 def _emit(e: Expr, index: dict, nodes: list, body: list, consts: dict) -> int:
     """The temporary number of node ``e``.  The first time the walk reaches
     ``e`` (``index`` is also the seen set), its operands are emitted left to
@@ -564,6 +574,10 @@ def _generate(exprs: Sequence[Expr]) -> tuple[str, dict[str, float], list]:
     consts: dict[str, float] = {}
     results = [f"t{_emit(e, index, nodes, lines, consts)}" for e in exprs]
     lines[0] = f"def _f(x{''.join(', ' + name for name in consts)}):"
+    guard = [f"0.0 * {r}" for r in dict.fromkeys(results)]
+    while len(guard) > 64:  # groups of 64 keep the compiler's recursion depth a log
+        guard = [f"({' + '.join(guard[i:i + 64])})" for i in range(0, len(guard), 64)]
+    lines.append(f"  if {' + '.join(guard) or '0.0'} != 0.0: raise _not_finite(_nodes, locals())")
     lines.append(f"  return ({''.join(r + ',' for r in results)})")
     lines += [" except _FAULTS as exc:", "  raise _fault(exc, _nodes) from None"]
     return "\n".join(lines), consts, nodes
@@ -571,7 +585,7 @@ def _generate(exprs: Sequence[Expr]) -> tuple[str, dict[str, float], list]:
 
 def _compile(exprs: Sequence[Expr]) -> Callable:
     source, consts, line_nodes = _generate(exprs)  # nodes name a faulting line
-    namespace = dict(_NAMESPACE, _fault=_fault, _nodes=line_nodes)
+    namespace = dict(_NAMESPACE, _fault=_fault, _not_finite=_not_finite, _nodes=line_nodes)
     return FunctionType(_code(source), namespace, "_f", tuple(consts.values()))
 
 

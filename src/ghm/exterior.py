@@ -549,9 +549,9 @@ def pullback_with_jacobian(J: np.ndarray, omega: _Alt, values: np.ndarray | None
     ``omega.coeffs`` order, one row operation per key, and a table entry
     that is 0.0 adds nothing, as a key a ``FormValue`` drops (0 x an
     overflowed minor would be NaN); so the floats are those of a per-point,
-    per-minor loop of Python floats whatever the blocks, and as there, an
-    overflow warns only from ``det``.  A Jacobian with an inf or NaN entry
-    is an ``EvalDomainError``.
+    per-minor loop of Python floats whatever the blocks.  A Jacobian with
+    an inf or NaN entry, or a coefficient that overflows, is an
+    ``EvalDomainError``.
     """
     if J.shape[-2] != omega.n:
         raise DimensionError(f"jacobian rows {J.shape[-2]} != form dimension {omega.n}")
@@ -569,14 +569,13 @@ def pullback_with_jacobian(J: np.ndarray, omega: _Alt, values: np.ndarray | None
         total = totals[p:p + points]
         for start in range(0, width, keys):
             minors = J[p:p + points].take(rows[start:start + keys], axis=1).take(cols, axis=-1)
-            dets = np.linalg.det(minors.transpose(0, 1, 3, 2, 4))
             c = values[p:p + points, start:start + keys, None]
             with np.errstate(over="ignore", invalid="ignore"):
-                terms = c * dets
-                if not one:  # a FormValue holds no 0.0
-                    terms[c[..., 0] == 0.0] = 0.0
+                terms = np.where(c == 0.0, 0.0, c * np.linalg.det(minors.transpose(0, 1, 3, 2, 4)))
                 for j in range(terms.shape[1]):
                     total += terms[:, j]
+    if not np.isfinite(totals).all():
+        raise EvalDomainError("floating-point overflow in the pullback")
     if not one:
         return totals
     return FormValue(n_src, k, dict(zip(sources, totals[0].tolist())), _normalized=True)

@@ -105,11 +105,10 @@ def _hatmap_system(w: FormField, sigma: FormField) -> HatMapSystem:
 def _hatmap_arrays(system: HatMapSystem, point: Sequence[float], jet: bool = False):
     """(A, b) at ``point`` from one gather: A[I, j] = w_{jI}, b[I] = -sigma_I.
     With ``jet`` both gain a leading axis, row u holding d/dx^u, copied C-order
-    for the batched products.  A non-finite value (not partial) raises EvalDomainError."""
+    for the batched products.  Every entry is finite: the compiled function
+    raises ``EvalDomainError`` naming the first node that is not."""
     rows, both = system.rows, system.both
     g = both.gather(system.plan, point, jet)
-    if not np.isfinite(g[0] if jet else g).all():
-        raise EvalDomainError(f"floating-point overflow in the hat-map solve at {tuple(point)}")
     A, b = g[..., :-len(rows)].reshape(g.shape[:-1] + (len(rows), both.n)), g[..., -len(rows):]
     return (np.ascontiguousarray(A), np.ascontiguousarray(b)) if jet else (A, b)
 
@@ -163,10 +162,11 @@ class MinNorm(NamedTuple):
 
 def _min_norm(system: HatMapSystem, A: np.ndarray, b: np.ndarray,
               tolerance: float = TOLERANCE) -> MinNorm:
-    """The one solve of ``system``'s A x = b at a point where ``_hatmap_arrays``
-    found A and b finite, from the system's ``factor`` of A's bytes: the whole
-    input is the key, so a -0.0/+0.0 twin is factored afresh.  An overflow
-    after the SVD leaves inf or NaN for the callers' checks."""
+    """The one solve of ``system``'s A x = b, with A and b from
+    ``_hatmap_arrays`` (finite), from the system's ``factor`` of A's bytes:
+    the whole input is the key, so a -0.0/+0.0 twin is factored afresh.  An
+    overflow after the SVD, where a tiny singular value divides, leaves inf
+    or NaN for the callers' checks (``_report``, ``min_norm_divergence``)."""
     with np.errstate(over="ignore", invalid="ignore"):
         sv, Vt, pinv = system.factor(A.tobytes())
         x = pinv @ b
@@ -233,11 +233,8 @@ def min_norm_divergence(w: FormField, sigma: FormField,
     return div, solve
 
 
-def _null_space(M: np.ndarray, point: Sequence[float]) -> np.ndarray:
+def _null_space(M: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning ker M from a full SVD cut at
-    ``numerical_rank``; a non-finite M, read at ``point``, raises
-    ``EvalDomainError`` before LAPACK sees it."""
-    if not np.isfinite(M).all():
-        raise EvalDomainError(f"floating-point overflow in a kernel SVD at {tuple(point)}")
+    ``numerical_rank``; M's entries are compiled values, so finite."""
     _, sv, vh = np.linalg.svd(M)
     return vh[numerical_rank(sv):]

@@ -8,17 +8,17 @@ of points, each bounded by ``SCAN_BLOCK_FLOATS`` floats of the widest step's
 arrays, and hands each step its columns of a block, so a step makes one set
 of numpy calls per block.  Closure reads dw's coefficients, Jacobi and the
 fundamental identity a tensor's jet gathered into full arrays, measure the
-divergences and then the weight.  At points where the jet is finite, Jacobi
-stacks its contraction over the block, and the fundamental identity reads
+divergences and then the weight.  Jacobi stacks its contraction over the
+block, and the fundamental identity reads
 FIa and FIb only at the positions of their support plans (``_fia_plan``,
 ``_fib_plan``), which the structural support of J and its partials fixes
-once per support, so their cost follows J's nonzero pairs.  A point whose
-jet has an inf or NaN is computed alone with the dense kernels (FIb where J
-itself has one), since ``einsum`` keeps a NaN whose sign depends on its
-loop.  A value is the same bits in any bundle and any block, and each report
-names the largest violation, NaN first, with its signed value and location,
-so reports are reproducible given the same points.  The scans stop at the first point
-where one faults, naming the first faulting node there in scan order.
+once per support, so their cost follows J's nonzero pairs.  The values are
+finite (``expr``'s guard), and a step whose arithmetic overflows raises an
+``EvalDomainError`` naming its scan.  A value is the same bits in any bundle
+and any block, and each report names the largest violation with its signed
+value and location, so reports are reproducible given the same points.  The
+scans stop at the first point where one faults, naming the first faulting
+node there in scan order, or else the first scan whose step fails there.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from . import expr as ex
 from .errors import DimensionError, EvalDomainError, InputError
 from .exterior import (FormField, MultiVectorField, ScalarField, divergence_exprs,
-                       exterior_derivative, nan_max)
+                       exterior_derivative)
 
 SCAN_BLOCK_FLOATS = 2 ** 14  # floats of a step's largest array per block of points
 
@@ -84,7 +84,9 @@ def run_scans(scans: Sequence[Scan], points: Sequence[Sequence[float]]) -> list[
     expressions in order, evaluated once per point; each step reads its own
     columns of the rows of a block of points.  A row that faults is raised
     after the steps of the rows before it, so a step's fault at an earlier
-    point comes first.  Scans without expressions compile nothing."""
+    point comes first; a block whose steps fail is stepped again one point
+    at a time, so the error is the first point's, then the first scan's, in
+    any block.  Scans without expressions compile nothing."""
     exprs = [e for scan in scans for e in scan.exprs]
     row = ex.compile_vector(exprs) if exprs else lambda point: ()
     ends = list(itertools.accumulate(len(scan.exprs) for scan in scans))
@@ -101,18 +103,38 @@ def run_scans(scans: Sequence[Scan], points: Sequence[Sequence[float]]) -> list[
         if rows:
             values = np.array(rows, dtype=float).reshape(len(rows), len(exprs))
             where = [tuple(p) for p in points[start:start + len(rows)]]
-            for scan, lo, hi, out in zip(scans, [0, *ends], ends, found):
-                out += scan.step(values[:, lo:hi], where)
+            try:
+                steps = _steps(scans, ends, values, where)
+            except EvalDomainError:
+                for r in range(len(rows)):
+                    _steps(scans, ends, values[r:r + 1], where[r:r + 1])
+                raise
+            for out, candidates in zip(found, steps):
+                out += candidates
         if fault is not None:
             raise fault
     return [_report(scan.name, out, len(points)) for scan, out in zip(scans, found)]
 
 
+def _steps(scans: Sequence[Scan], ends: list[int], values: np.ndarray,
+           where: list[tuple]) -> list[list[Candidate]]:
+    """Each scan's candidates at a block of rows; a step's overflow is an
+    ``EvalDomainError``."""
+    out = []
+    with np.errstate(over="raise", invalid="raise"):
+        for scan, lo, hi in zip(scans, [0, *ends], ends):
+            try:
+                out.append(scan.step(values[:, lo:hi], where))
+            except FloatingPointError:
+                raise EvalDomainError(f"floating-point overflow in the {scan.name} scan") from None
+    return out
+
+
 def _report(name: str, candidates: list[Candidate], samples: int) -> IdentityReport:
-    """The report of the candidate with the largest |signed|, a NaN first."""
+    """The report of the first candidate with the largest |signed|."""
     if not candidates:
         raise InputError(f"{name}: no sample points")
-    best = nan_max(candidates, key=lambda t: abs(t[0]))
+    best = max(candidates, key=lambda t: abs(t[0]))
     return IdentityReport(
         name=name,
         max_residual=abs(best[0]),
@@ -126,31 +148,14 @@ def _report(name: str, candidates: list[Candidate], samples: int) -> IdentityRep
 
 def _argmax_rows(values: np.ndarray, n: int, k: int,
                  positions: np.ndarray | None = None) -> list[tuple[float, tuple[int, ...]]]:
-    """Per row of ``values``: the first entry of largest magnitude, a NaN
-    first, and its 1-based index in an array of shape (n,)*k whose flat
-    ``positions`` the row holds (every position by default)."""
+    """Per row of ``values``: the first entry of largest magnitude and its
+    1-based index in an array of shape (n,)*k whose flat ``positions`` the
+    row holds (every position by default)."""
     best = np.argmax(np.abs(values), axis=1)
     signed = values[np.arange(len(values)), best].tolist()
     flat = best if positions is None else positions.take(best)
     digits = flat[:, None] // n ** np.arange(k - 1, -1, -1) % n + 1
     return list(zip(signed, map(tuple, digits.tolist())))
-
-
-def _by_rows(finite: np.ndarray, stacked: Callable, single: Callable[[int], object]) -> list:
-    """Per row of a block, in row order: the rows ``finite`` marks from one
-    call ``stacked(rows)``, with ``rows`` an index array or, when every row
-    is marked, a slice of all of them, and each other row r from
-    ``single(r)``."""
-    if finite.all():
-        return stacked(slice(None))
-    out = [None] * len(finite)
-    rows = np.flatnonzero(finite)
-    if len(rows):
-        for r, value in zip(rows.tolist(), stacked(rows)):
-            out[r] = value
-    for r in np.flatnonzero(~finite).tolist():
-        out[r] = single(r)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +194,11 @@ def _jet_support(J: MultiVectorField) -> np.ndarray:
 
 def _jacobi_sums(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     """The cyclic sum of t1[..., i, j, l] = A[..., i, m] D[..., m, j, l] over
-    (i, j, l), for one point or a stack of points."""
+    (i, j, l), for one point or a stack of points.  ``einsum`` ignores the
+    errstate, so an inf or NaN in t1 (an overflow) raises here."""
     t1 = np.einsum("...im,...mjl->...ijl", A, D)
+    if not np.isfinite(t1).all():
+        raise FloatingPointError("overflow in the Jacobi contraction")
     return t1 + np.moveaxis(t1, -3, -1) + np.moveaxis(t1, -1, -3)
 
 
@@ -202,10 +210,7 @@ def jacobi_scan(J2: MultiVectorField) -> Scan:
 
     def step(values, points):  # D[p, m, j, l]
         A, D = _dense_block(J2, values)
-        sums = _by_rows(np.isfinite(values).all(axis=1),
-                        lambda rows: _argmax_rows(_jacobi_sums(A[rows], D[rows])
-                                                  .reshape(-1, n ** 3), n, 3),
-                        lambda r: _argmax_rows(_jacobi_sums(A[r], D[r]).reshape(1, -1), n, 3)[0])
+        sums = _argmax_rows(_jacobi_sums(A, D).reshape(-1, n ** 3), n, 3)
         return [(signed, p, idx, "") for (signed, idx), p in zip(sums, points)]
     return Scan("jacobi", tuple(J2.jet_plan()[0]), step, (n + 1) * n ** 2)
 
@@ -269,14 +274,6 @@ def _fia_entries(A: np.ndarray, D: np.ndarray,
     return T[:, 0] - T[:, 1] - T[:, 2] - T[:, 3]
 
 
-def _dense_fia(A: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """FIa at every index tuple of one point, from one contraction and its
-    transposes."""
-    T = np.einsum("uab,ucde->abcde", A, D)
-    return (T.transpose(2, 3, 4, 0, 1) - T.transpose(2, 0, 1, 3, 4)
-            - T.transpose(1, 2, 0, 3, 4) - T)
-
-
 @functools.lru_cache(maxsize=16)
 def _fib_plan(n: int, support: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(positions, left, right) of FIb for a degree-3 tensor that is nonzero
@@ -298,15 +295,6 @@ def _fib_entries(A: np.ndarray, plan: tuple[np.ndarray, np.ndarray, np.ndarray])
     for lm, rm in zip(left[1:], right[1:]):
         total += A.take(lm, axis=1) * A.take(rm, axis=1) + 0.0
     return total
-
-
-def _dense_fib(A: np.ndarray) -> np.ndarray:
-    """FIb at every index tuple of one point, from one outer product, which
-    carries ``+ 0.0`` as ``_fib_entries``' products do, and its transposes,
-    summed in the written order."""
-    P = np.multiply.outer(A, A) + 0.0
-    T = [P.transpose(t) for t in _FIB_TERMS]
-    return T[0] + T[1] + T[2] + T[3] + T[4] + T[5]
 
 
 def fundamental_identity_scan(J: MultiVectorField) -> Scan:
@@ -338,29 +326,21 @@ def fundamental_identity_scan(J: MultiVectorField) -> Scan:
     +0.0, as in ``einsum``; for a finite jet every entry off the plans is
     then exactly +0.0, and each plan's first entry is the array's first, so
     the largest entry, its index and its bits are those of the full arrays.
-    A point with an inf or NaN in its jet reads FIa from ``einsum`` over
-    every index tuple, whose NaN sign depends on n and on the loop it
-    takes; one with such an entry in J reads FIb at every index tuple from
-    ``_dense_fib``, the same products summed in the same order.
+    Under ``run_scans``' errstate an FIa or FIb entry that overflows raises,
+    as it would in the full arrays, whose other entries are products with a
+    zero factor.
     """
     if J.k != 3:
         raise DimensionError("fundamental identity applies to degree-3 multivectors")
-    n, width = J.n, len(J.coeffs)
+    n = J.n
     support = _jet_support(J)
     fia_plan = _fia_plan(n, support.tobytes())
     fib_plan = _fib_plan(n, support[0].tobytes())
 
     def step(values, points):
         A, D = _dense_block(J, values)
-        Af = A.reshape(len(A), -1)
-        fia = _by_rows(np.isfinite(values).all(axis=1),
-                       lambda rows: _argmax_rows(_fia_entries(A[rows], D[rows], fia_plan),
-                                                 n, 5, fia_plan[0]),
-                       lambda r: _argmax_rows(_dense_fia(A[r], D[r]).reshape(1, -1), n, 5)[0])
-        fib = _by_rows(np.isfinite(values[:, :width]).all(axis=1),
-                       lambda rows: _argmax_rows(_fib_entries(Af[rows], fib_plan),
-                                                 n, 6, fib_plan[0]),
-                       lambda r: _argmax_rows(_dense_fib(A[r]).reshape(1, -1), n, 6)[0])
+        fia = _argmax_rows(_fia_entries(A, D, fia_plan), n, 5, fia_plan[0])
+        fib = _argmax_rows(_fib_entries(A.reshape(len(A), -1), fib_plan), n, 6, fib_plan[0])
         return [c for (sa, ia), (sb, ib), p in zip(fia, fib, points)
                 for c in ((sa, p, ia, "FIa"), (sb, p, ib, "FIb"))]
     floats = max((n + 1) * n ** 3, 4 * n * len(fia_plan[0]), len(fib_plan[0]))
@@ -380,7 +360,7 @@ def fundamental_identity_residual(J: MultiVectorField,
 def _largest(values: np.ndarray, keys: list[tuple], points: list[tuple],
              nonzero: bool = False) -> list[Candidate]:
     """Per row of ``values``, one column per key: the candidate of the key
-    whose value has the largest magnitude, the first on a tie or a NaN,
+    whose value has the largest magnitude, the first on a tie,
     among the keys whose value is not 0.0 if ``nonzero``; (0.0, ()) for a
     row without such a key."""
     if not keys:

@@ -38,8 +38,10 @@ RKF_STAGES = "abcdet"
 # RKF45 step control: the factor 0.9 * (scale / err) ** 0.2 kept in [0.2, 5],
 # and the smallest step, which is also the slack of the last step's end
 RKF_CONTROL = {"_safety": 0.9, "_order": 0.2, "_shrink": 0.2, "_grow": 5.0, "_tiny": 1e-14}
-_RKF_REJECT = '''\
- elif _isnan(err):
+# the step control of the last attempt, none before the first; NaN is never accepted
+_RKF_CONTROL = '''\
+if err is not None:
+ if _isnan(err):
   raise _IntegrationError(f"the RKF45 error estimate is not finite at t={t:.6g}")
  factor = _safety * (scale / err) ** _order if err > 0 else _grow
  h *= min(_grow, max(_shrink, factor))
@@ -56,13 +58,13 @@ def step_count(steps: float, what: str) -> int:
     return int(steps)
 
 
-def _plan(t_end: float, dt: float) -> Iterator[float]:
+def _plan(t_end: float, dt: float) -> Iterator[float | None]:
     """``trajectory``'s RK4 step sizes: full steps of dt, then one adjusted
-    step landing exactly on t_end."""
+    step landing exactly on t_end, then None at the last state."""
     full = step_count(t_end / dt + 1e-9, f"t_end {t_end:g} at dt {dt:g}")
     remainder = t_end - full * dt
     return itertools.chain(itertools.repeat(dt, full),
-                           [remainder] if remainder > 1e-12 * t_end else [])
+                           [remainder] if remainder > 1e-12 * t_end else [], [None])
 
 
 def total(a: str, b: str, c: str, d: str) -> str:
@@ -215,13 +217,14 @@ def trajectory(method: str, n: int, row: Sequence[ex.Expr], field: Sequence[ex.E
     -> (times, states, rows, t, x, left, first): a whole trajectory from x
     at time t, by RK4 (steps of ``step``, then the remainder ``_plan``
     yields) or adaptive RKF45 (first try ``step``, tolerance ``reltol``).
-    Each accepted state is recorded with its row (``row``'s values, then on
-    the form route the divergence), states and rows in flat lists.  Tensor route (``field`` X's
-    components): one bundle, the row's nodes first, gives the row and the
-    next step's first stage; each later stage inlines the field in its own
-    order.  Form route: each stage calls ``stage(point)``; an accepted state
-    inlines the row, then calls ``state(x)`` for (div, X, solve), x's solve
-    being ``first`` (None on the tensor route).  A state
+    Each accepted state, x0 included, is recorded with its row (``row``'s
+    values, then on the form route the divergence) by the one block of lines
+    at the top of the loop, states and rows in flat lists.  Tensor route
+    (``field`` X's components): one bundle, the row's nodes first, gives the
+    row and the next step's first stage; each later stage inlines the field
+    in its own order.  Form route: each stage calls ``stage(point)``; an
+    accepted state inlines the row, then calls ``state(x)`` for (div, X,
+    solve), x0's solve being ``first`` (None on the tensor route).  A state
     outside the box [lo_j, hi_j] ends the loop as ``left`` and x.  A fault is
     an ``IntegrationError``: "diagnostics row" at a line of the row,
     "vector-field" at any other, naming the line's node, if it has one."""
@@ -234,16 +237,14 @@ def trajectory(method: str, n: int, row: Sequence[ex.Expr], field: Sequence[ex.E
     in_row = max(bundle.result[:len(row)], default=-1) + 1  # the row's temporaries come first
     xs = "".join(f"x{j}, " for j in range(n))
     done = f"return times, states, rows, t, ({xs})"
-
-    def accepted(first: str) -> list:
-        """Lines at an accepted state: its row and the next step's first
-        stage.  A line of the row is owned by the 1-tuple (node,)."""
-        lines = [(line, (node,) if node is not None and bundle.temp[node] < in_row else node)
-                 for line, node in bundle.body(range(len(bundle.nodes)), lambda j: f"x{j}")]
-        if stage is not None:
-            lines += _lines(f"dv, ({f.names('a')}), {first} = _state(({xs}))")
-        lines += _lines(f"record_t(t)\nrecord_x(({xs}))\nrecord_row(({values}))")
-        return lines + (f.keep("a") if stage is None else [])
+    # an accepted state's row and next first stage; a row line's owner is (node,)
+    accepted = [(line, (node,) if node is not None and bundle.temp[node] < in_row else node)
+                for line, node in bundle.body(range(len(bundle.nodes)), lambda j: f"x{j}")]
+    if stage is not None:
+        accepted += _lines(f"dv, ({f.names('a')}), solve = _state(({xs}))\n"
+                           "if first is None:\n first = solve")
+    accepted += _lines(f"record_t(t)\nrecord_x(({xs}))\nrecord_row(({values}))")
+    accepted += f.keep("a") if stage is None else []
 
     def exits(depth: int) -> list:  # the box test; NaN fails it
         box = " and ".join(f"_lo{j} <= x{j} <= _hi{j}" for j in range(n))
@@ -251,38 +252,40 @@ def trajectory(method: str, n: int, row: Sequence[ex.Expr], field: Sequence[ex.E
 
     consts = dict(bundle.consts)
     if method == "rk4":
-        loop = (_lines(f"for dt in _plan(t_end, step):\n {HALF}\n {WEIGHT}")
-                + _indent(_rk4_step(f, n), 1) + _lines(" t += dt") + exits(1)
-                + _indent(accepted("_"), 1))
+        loop = (_lines("for dt in _plan(t_end, step):") + _indent(accepted, 1)
+                + _lines(f" if dt is None:\n  {done}, False, first\n {HALF}\n {WEIGHT}")
+                + _indent(_rk4_step(f, n), 1) + _lines(" t += dt") + exits(1))
     else:
         consts.update(RKF_CONTROL)
-        loop = _lines("h = step\nstop = t_end - _tiny\nwhile t < stop:\n h = min(h, t_end - t)")
+        loop = _lines("h = step\nstop = t_end - _tiny\nerr = None\nwhile True:")
+        loop += _indent(accepted, 1) + _lines(" while True:") + _lines(_RKF_CONTROL, 2)
+        loop += _lines(f"if not t < stop:\n {done}, False, first\nh = min(h, t_end - t)", 2)
         for s, weights in enumerate(RKF_A[1:], start=1):
             consts.update({f"_a{s}{m}": a for m, a in enumerate(weights)})
-            loop += _lines("\n".join(f"h{s}{m} = h * _a{s}{m}" for m in range(s)), 1)
+            loop += _lines("\n".join(f"h{s}{m} = h * _a{s}{m}" for m in range(s)), 2)
             loop += _indent(f.stage(RKF_STAGES[s], lambda j: f"x{j}" + "".join(
-                f" + h{s}{m} * {f.value(RKF_STAGES[m], j)}" for m in range(s))), 1)
+                f" + h{s}{m} * {f.value(RKF_STAGES[m], j)}" for m in range(s))), 2)
         for y, b, weights in (("y", "_b4", RKF_B4), ("z", "_b5", RKF_B5)):
             consts.update({f"{b}{m}": w for m, w in enumerate(weights)})
             loop += _lines("\n".join(f"{y}{j} = x{j} + h * (0" + "".join(
                 f" + {b}{m} * {f.value(name, j)}" for m, name in enumerate(RKF_STAGES)) + ")"
-                for j in range(n)), 1)
+                for j in range(n)), 2)
         squares = "".join(f" + (y{j} - z{j}) ** 2" for j in range(n))
         norm, accept = ("".join(f" + x{j} * x{j}" for j in range(n)),
                         "".join(f"\n x{j} = y{j}" for j in range(n)))
         loop += _lines(f"err = _sqrt(0{squares})\nscale = reltol * (1 + _sqrt(0{norm}))\n"
-                       f"if err <= scale:\n t += h{accept}", 1)
-        loop += exits(2) + _indent(accepted("_"), 2) + _lines(_RKF_REJECT)
+                       f"if err <= scale:\n t += h{accept}", 2)
+        loop += exits(3) + _lines("break", 3)
     bounds = "".join(f", _lo{j}, _hi{j}" for j in range(n))
     head = [f"def _f(x, t, t_end, step, reltol{bounds}{''.join(', ' + c for c in consts)}):",
             f" {xs}= x", " times, states, rows = [], [], []",
             " record_t, record_x, record_row = times.append, states.extend, rows.extend",
             *(" " + line for line in bundle.constants()),
             *(" " + line for line in (f.sums() if stage is None and method == "rk4" else [])),
-            *([" first = None"] if stage is None else []), " try:"]
-    lines = [*_lines("\n".join(head)), *_indent(accepted("first") + loop, 2),
+            " first = None", " try:"]
+    lines = [*_lines("\n".join(head)), *_indent(loop, 2),
              *_lines(" except _EVAL_FAULTS as exc:\n  failure, error = _failure(exc, _nodes, "
-                     f"_rows)\n  raise failure from error\n {done}, False, first")]
+                     "_rows)\n  raise failure from error")]
     owners = [owner for _, owner in lines]
     namespace = dict(ex._NAMESPACE, _EVAL_FAULTS=_EVAL_FAULTS, _IntegrationError=IntegrationError,
                      _failure=_failure, _fault=ex._fault, _isnan=math.isnan, _field=stage,

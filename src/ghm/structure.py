@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from .errors import ChartError, DimensionError, DualityError
+from .errors import ChartError, DimensionError, DualityError, EvalDomainError
 from .expr import Expr, ScalarField
 from .exterior import (
     FormField,
@@ -64,7 +64,7 @@ class Distribution:
         if self.fields:
             return [f.at(point) for f in self.fields]
         G = np.array([c.gradient(point) for c in self.constraints])
-        return [v.copy() for v in _null_space(G, point)]
+        return [v.copy() for v in _null_space(G)]
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +133,7 @@ def build_poisson_k(J2: MultiVectorField, Cs: Sequence[ScalarField],
             kerfield = interior(grad_field(Cj), J2)
             for p in points:
                 V = kerfield.at(p)
-                if not V.max_abs() <= DUALITY_TOL:  # NaN fails
+                if V.max_abs() > DUALITY_TOL:
                     raise DualityError(
                         f"dC{j + 1} is not in ker(J2): residual {V.max_abs():g} at {tuple(p)}")
     N = ns[-1].as_multivector()
@@ -209,8 +209,6 @@ class LevelSetChart:
         if len(self.values) != m:
             raise ChartError("one level value per constraint required")
         G = np.array([c.gradient(self.base_point) for c in self.constraints])
-        if not np.isfinite(G).all():  # LAPACK would fail to converge on it
-            raise ChartError(f"constraint differentials are not finite at {tuple(self.base_point)}")
         if not self.complementary_axes:
             dependent = _pivot_axes(G)
             object.__setattr__(self, "complementary_axes",
@@ -248,8 +246,13 @@ class LevelSetChart:
         dep = [a - 1 for a in self.dependent_axes]
         target = np.asarray(self.values, dtype=float)
 
-        def residual(xx):
-            return np.array([c(xx) for c in self.constraints]) - target
+        def residual(xx):  # a value that is not finite reads as inf: the trial is rejected
+            try:
+                return np.array([c(xx) for c in self.constraints]) - target
+            except EvalDomainError as exc:
+                if str(exc).startswith("non-finite value"):
+                    return np.full(len(target), np.inf)
+                raise
 
         r = residual(x)
         for _ in range(50):

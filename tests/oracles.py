@@ -348,6 +348,21 @@ def tree_walk(e, point):
     return walk(e)
 
 
+def guarded_tree_walk(exprs, point):
+    """``tree_walk`` of each expression in turn, then the compiled bundle's
+    guard: when a value is not finite, an ``EvalDomainError`` naming the
+    first node, in ``reference_unique_nodes`` order, whose value is not."""
+    import math
+    from ghm import expr as ex
+    from ghm.errors import EvalDomainError
+
+    values = [tree_walk(e, point) for e in exprs]
+    if all(map(math.isfinite, values)):
+        return values
+    node = next(n for n in reference_unique_nodes(exprs) if not math.isfinite(tree_walk(n, point)))
+    raise EvalDomainError("non-finite value", ex.to_str(node))
+
+
 def reference_unique_nodes(exprs):
     """The former walk: every node reachable from ``exprs`` once, children
     before parents, in the order a left-to-right post-order walk first
@@ -391,13 +406,19 @@ def _reference_rhs(e, i, index, consts):
 
 def reference_generate(exprs, scalar):
     """The former two-pass source generator: (source, constants by name, node
-    of each line).  The nodes first, then their numbers, then one line each."""
+    of each line).  The nodes first, then their numbers, then one line each,
+    then the guard line of the results."""
     nodes = reference_unique_nodes(exprs)
     index = {e: i for i, e in enumerate(nodes)}
     consts = {}
     results = [f"t{index[e]}" for e in exprs]
     body = [f"  t{i} = {_reference_rhs(e, i, index, consts)}" for i, e in enumerate(nodes)]
     lines = [f"def _f(x{''.join(', ' + name for name in consts)}):", " try:", *body]
+    # the guard: 0.0 times each distinct result, summed in groups of 64
+    terms = [f"0.0 * {r}" for r in dict.fromkeys(results[:1] if scalar else results)]
+    while len(terms) > 64:
+        terms = ["(" + " + ".join(terms[i:i + 64]) + ")" for i in range(0, len(terms), 64)]
+    lines.append(f"  if {' + '.join(terms) or '0.0'} != 0.0: raise _not_finite(_nodes, locals())")
     lines.append(f"  return {results[0]}" if scalar
                  else f"  return ({''.join(r + ',' for r in results)})")
     lines += [" except _FAULTS as exc:", "  raise _fault(exc, _nodes) from None"]
@@ -605,6 +626,24 @@ def jacobi_cyclic(J2, triple, point):
 # Integration: the loop-form RK4 / RKF45 reference
 # ---------------------------------------------------------------------------
 
+def unguarded_compile(exprs):
+    """``compile_vector`` without the guard line: the floats of the
+    generated bundle, an inf or NaN included, as the RK loops that inline
+    the bundle's node lines compute them."""
+    from types import FunctionType
+
+    from ghm import expr as ex
+
+    exprs = tuple(exprs)
+    try:
+        source, consts, nodes = ex._generate(exprs)
+    except RecursionError:
+        raise ex._too_deep("compile_vector", exprs) from None
+    source = "\n".join(line for line in source.split("\n") if "_not_finite(" not in line)
+    namespace = dict(ex._NAMESPACE, _fault=ex._fault, _nodes=nodes)
+    return FunctionType(ex._code(source), namespace, "_f", tuple(consts.values()))
+
+
 def _sum311(values):
     """``sum()`` as Python 3.11 computes it for floats: a plain left fold
     from the integer 0 (3.12+ compensates the rounding)."""
@@ -647,19 +686,20 @@ def reference_integrate(system, x0, t_end, dt=1e-3, method="rk4", reltol=1e-9):
     """(Trajectory, rejected RKF45 steps) from the loop-form integrator: the
     equations of motion straight from the bracket field or from a fresh SVD
     of the hat map at every solve (``reference_min_norm``), and every
-    Hamiltonian, invariant and div evaluated by its own compiled function.
+    Hamiltonian, invariant and div evaluated by its own compiled function,
+    without the guard (``unguarded_compile``), as the loop inlines them.
     ``ghm.dynamics.integrate`` must agree with it bit for bit."""
     import math
 
     import numpy as np
-    from ghm import expr as ex
     from ghm.dynamics import Trajectory
     from ghm.errors import EvalDomainError, IntegrationError
     from ghm.hdw import _hatmap_arrays, _hatmap_system, _report
 
     if system.mode == "tensor":
-        f = system.bracket_field.compiled
-        div_fn = ex.compile_expr(system.bracket_field.divergence_expr())
+        f = unguarded_compile(system.bracket_field.components)
+        div = unguarded_compile([system.bracket_field.divergence_expr()])
+        div_fn = lambda x: div(x)[0]
     else:
         sigma = system.sigma()
         hatmap = _hatmap_system(system.form, sigma)
@@ -684,8 +724,8 @@ def reference_integrate(system, x0, t_end, dt=1e-3, method="rk4", reltol=1e-9):
     def inside(x):
         return all(lo <= v <= hi for v, lo, hi in zip(x, lows, highs))
 
-    ham_fns = [h.compiled for h in system.hamiltonians]
-    inv_fns = [h.compiled for h in system.invariants.values()]
+    ham_fns, inv_fns = ([lambda x, g=unguarded_compile([h.expression]): g(x)[0] for h in hs]
+                        for hs in (system.hamiltonians, system.invariants.values()))
     times, states, hams, invariants, divs = [], [], [], [], []
     truncated, note, rejected = False, "", 0
 
@@ -980,8 +1020,9 @@ def reference_pullback_with_jacobian(J, omega):
 
 
 def reference_variational_flow(X, t):
-    """The former numeric flow: one ``compile_vector`` bundle of X and the
-    entries of DX·J, stepped by ``reference_rk4_step`` one step at a time
+    """The former numeric flow: one bundle of X and the entries of DX·J,
+    compiled without the guard (``unguarded_compile``), as the generated
+    flow inlines it, stepped by ``reference_rk4_step`` one step at a time
     from (p, I)."""
     from functools import reduce
 
@@ -997,7 +1038,7 @@ def reference_variational_flow(X, t):
     DXJ = (reduce(ex.add, (ex.mul(ex.differentiate(comps[r], m + 1),
                                   ex.Coord(n + 1 + m * n + c)) for m in range(n)))
            for r in range(n) for c in range(n))
-    f = ex.compile_vector((*comps, *DXJ))
+    f = unguarded_compile((*comps, *DXJ))
 
     def flow_map(p):
         y = (*map(float, p), *np.eye(n).ravel().tolist())
@@ -1014,8 +1055,12 @@ def reference_variational_flow(X, t):
 
 def reference_verify_flattening(problem, t, points, flow="closed"):
     """The former per-point flattening check: each point's map and
-    Jacobian, w_t at the target as a value, a finite-Jacobian check, the
-    per-minor pullback and |pulled - w0| as values, the largest a NaN first."""
+    Jacobian, w_t at the target as a value, a finite-Jacobian check and w0
+    at the point; then, point by point, the per-minor pullback, where an
+    inf or NaN (an overflow) is an EvalDomainError, and |pulled - w0| as
+    values, the largest a NaN first."""
+    import math
+
     import numpy as np
     from ghm.dynamics import variational_flow
     from ghm.errors import EvalDomainError, InputError
@@ -1031,7 +1076,7 @@ def reference_verify_flattening(problem, t, points, flow="closed"):
         flow_map = variational_flow(problem.X, t)
     else:
         raise InputError(f"unknown flow route {flow!r}")
-    worst = 0.0
+    evaluated = []
     for p in points:
         target, J = flow_map(p)
         value = wt.at(target)
@@ -1039,8 +1084,13 @@ def reference_verify_flattening(problem, t, points, flow="closed"):
             bad = tuple(np.argwhere(~np.isfinite(J))[0])
             raise EvalDomainError(f"pullback jacobian entry {tuple(int(i) + 1 for i in bad)} "
                                   f"is {J[bad]}")
+        evaluated.append((J, value, problem.w0.at(p)))
+    worst = 0.0
+    for J, value, w0 in evaluated:
         pulled = reference_pullback_with_jacobian(J, value)
-        worst = nan_max((worst, (pulled - problem.w0.at(p)).max_abs()))
+        if not all(map(math.isfinite, pulled.coeffs.values())):
+            raise EvalDomainError("floating-point overflow in the pullback")
+        worst = nan_max((worst, (pulled - w0).max_abs()))
     return worst
 
 
@@ -1241,7 +1291,12 @@ def reference_scan_reports(scans, rows, points):
     one step call per scan and point, in point then scan order.  ``scans``
     holds ("closure", dw's keys), ("jacobi", J2), ("fundamental-identity",
     J) and ("measure", divergence keys, weighted) in row order; a weighted
-    measure's last column is its weight."""
+    measure's last column is its weight.  Row i with an inf or NaN raises
+    the compiled bundle's guard error naming "row i", and a Jacobi or FI
+    step whose arrays hold an inf or NaN (an overflow, as the rows are then
+    finite) raises the scan's overflow error."""
+    import math
+
     from ghm.errors import EvalDomainError
     from ghm.exterior import nan_max
     from ghm.identities import IdentityReport
@@ -1254,8 +1309,10 @@ def reference_scan_reports(scans, rows, points):
 
     starts = list(itertools.accumulate((width(scan) for scan in scans), initial=0))
     found = [[] for _ in scans]
-    for row, point in zip(rows, points):
+    for index, (row, point) in enumerate(zip(rows, points)):
         point = tuple(point)
+        if not all(map(math.isfinite, row)):
+            raise EvalDomainError("non-finite value", f"row {index}")
         for scan, lo, hi, out in zip(scans, starts, starts[1:], found):
             kind, subject, values = scan[0], scan[1], tuple(row[lo:hi])
             if kind == "closure":
@@ -1265,11 +1322,14 @@ def reference_scan_reports(scans, rows, points):
                 if scan[2] and values[-1] == 0.0:
                     raise EvalDomainError(f"measure weight vanishes at {point}")
                 out += _reference_largest(dict(zip(subject, values)), point)
-            elif kind == "jacobi":
-                out += reference_jacobi_candidates(*_reference_jet_arrays(subject, values), point)
             else:
-                out += reference_fundamental_identity_candidates(
-                    *_reference_jet_arrays(subject, values), point)
+                arrays = _reference_jet_arrays(subject, values)
+                candidates = (reference_jacobi_candidates(*arrays, point) if kind == "jacobi"
+                              else reference_fundamental_identity_candidates(*arrays, point))
+                # the largest |entry| is an inf or NaN if one is
+                if not all(math.isfinite(c[0]) for c in candidates):
+                    raise EvalDomainError(f"floating-point overflow in the {kind} scan")
+                out += candidates
     reports = []
     for (kind, *_), out in zip(scans, found):
         best = nan_max(out, key=lambda t: abs(t[0]))

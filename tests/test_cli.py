@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -723,8 +724,7 @@ def test_a_run_beyond_the_step_count_is_an_input_error(capsys):
 
 def test_an_overflowed_solve_prints_nothing(capsys):
     code, out, err = run(capsys, "solve", "oscillator", "--point", "1e308,1,1,0,0,2")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: floating-point overflow in the hat-map solve")
+    assert (code, out, err) == (2, "", "error: non-finite value at node 2.0*x1\n")
 
 
 @pytest.mark.parametrize("argv", [["moser1", "--f", "2", "--t", "1"], ["moser2"]])
@@ -756,17 +756,17 @@ _FLAG_VALUES = {
     "--samples": ["1", "3", "0", "-1", "x"],
     "--seed": ["0", "7", "-1", "x"],
     "--tol": ["1e-9", "0", "1e308", "-1", "nan", "inf", "x"],
-    "--lam": ["0.3", "-2", "nan", "-inf", "x"],
+    "--lam": ["0.3", "-2", "1e200", "nan", "-inf", "x"],
     "--n": ["3", "4", "2", "0", "13", "x"],
     "--k": ["2", "3", "5", "-1", "x"],
-    "--H": ["x1", "x3", "x1*x2", "(", ""],
+    "--H": ["x1", "x3", "x1*x2", "x1*1e200*1e200", "(", ""],
     "--identities": ["closure", "jacobi,fi", "measure", "nope", ""],
     "--t-end": ["0.01", "0", "-1", "1e308", "nan", "inf", "x"],
     "--dt": ["1e-3", "0.005", "1e308", "0", "-0.1", "nan", "inf", "x"],
     "--method": ["rk4", "rkf45", "euler"],
     "--reltol": ["1e-9", "1", "0", "-1", "nan", "inf", "x"],
-    "--f": ["2", "0.5", "0", "-1", "nan", "inf", "x"],
-    "--g": ["1", "3", "0", "nan", "-inf", "x"],
+    "--f": ["2", "0.5", "1e300", "0", "-1", "nan", "inf", "x"],
+    "--g": ["1", "3", "1e300", "0", "nan", "-inf", "x"],
     "--t": ["1", "0.5", "0", "-0.7", "1e308", "nan", "inf", "x"],
 }
 _BAD_POINTS = ["inf,1,1,0,0,2", "0.1,nan,0.3", "1,x", ""]
@@ -782,8 +782,9 @@ _COMMAND_FLAGS = {
 @given(data=st.data())
 def test_cli_exits_with_a_documented_code(data):
     # `ghm` in-process on fuzzed argv: every call ends in exit 0, 1, 2 or 3,
-    # exit 1 ("identity check failed") comes only from check, and no
-    # exception other than argparse's exit escapes main
+    # exit 1 ("identity check failed") comes only from check, no exception
+    # other than argparse's exit escapes main, and no value written to
+    # stdout is an inf or NaN
     command = data.draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
     if command == "flatten":
         argv = [command, data.draw(st.sampled_from(["moser1", "moser2"])), "--samples=1"]
@@ -810,32 +811,64 @@ def test_cli_exits_with_a_documented_code(data):
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
     assert code != 1 or command == "check", (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    assert re.search(r"\b(?:nan|inf)\b", out.getvalue(), re.IGNORECASE) is None, \
+        (argv, out.getvalue())
 
 
 @pytest.mark.parametrize("point", ["0,0,0,0,1e308,0", "0,0,0,0,1e200,0"])
 def test_an_overflowed_hatmap_exits_2_with_one_error_line(point):
     # at 1e308 the hat map holds inf, which LAPACK used to reject with DLASCL
-    # lines and a traceback (exit 1); at 1e200 |sigma| overflows, which numpy
-    # used to report with a RuntimeWarning
+    # lines and a traceback (exit 1), and which its bundle now names; at
+    # 1e200 |sigma| overflows, which numpy used to report with a RuntimeWarning
     code, out, err = ghm_fresh("solve", "oscillator", f"--point={point}")
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: floating-point overflow in the hat-map solve at (0.0, ")
+    assert err.startswith("error: non-finite value at node 2.0*x5" if "1e308" in point
+                          else "error: floating-point overflow in the hat-map solve at (0.0, ")
 
 
-@pytest.mark.parametrize("coefficient, hamiltonian", [("1 + x1*x1*x1", "x2"), ("1", "x1*x1*x1")])
-def test_a_non_finite_hatmap_entry_while_integrating_exits_3(tmp_path, capfd, coefficient,
-                                                             hamiltonian):
-    # at x1 = 1e200 only A (the first case) or only b = -dH (the second) is inf
-    doc = {"name": "cube", "n": 2, "k": 2, "mode": "form", "coefficients": {"1,2": coefficient},
-           "hamiltonians": [hamiltonian], "domain": [[-1e201, 1e201], [-1, 1]],
-           "base_point": [1, 0]}
+def test_an_overflowed_tensor_config_check_exits_2_naming_the_node(tmp_path):
+    # the coefficient overflows to inf wherever x1 != 0 before it is scaled
+    # back; the scans used to report FI nan and measure inf with numpy
+    # RuntimeWarnings and exit 1, as if an identity failed
+    doc = {"name": "overflow", "n": 3, "k": 3, "mode": "tensor",
+           "coefficients": {"1,2,3": "1 + x1^2*1e200*1e200*1e-300*1e-100"},
+           "hamiltonians": ["x2", "x3"], "domain": [[-3, 3], [-1, 1], [-1, 1]]}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    assert ghm_fresh("check", "--config", str(path)) == \
+        (2, "", "error: non-finite value at node x1^2*1e+200*1e+200\n")
+
+
+def test_a_form_that_overflows_on_its_own_box_fails_validate_with_exit_2(tmp_path, capfd):
+    # w = (1 + x1^3) dx1^dx2 overflows at the domain samples of |x1| ~ 1e200
+    doc = {"name": "cube", "n": 2, "k": 2, "mode": "form", "coefficients": {"1,2": "1 + x1*x1*x1"},
+           "hamiltonians": ["x2"], "domain": [[-1e201, 1e201], [-1, 1]], "base_point": [1, 0]}
     path = tmp_path / "cube.json"
     path.write_text(json.dumps(doc))
     code = main(["simulate", "--config", str(path), "--x0=1e200,0", "--t-end", "0.01"])
+    assert (code, capfd.readouterr()) == (2, ("", "error: system 'cube': form evaluation failed at "
+                                              "the domain sample (2.7392337464290876e+200, "
+                                              "-0.4604265724722594): non-finite value at node "
+                                              "x1*x1\n"))
+
+
+@pytest.mark.parametrize("coefficient, hamiltonian", [("1 + x1/(x2*x2 + 1e-109)", "x2"),
+                                                      ("1", "x1*x1*x1")])
+def test_a_non_finite_hatmap_entry_while_integrating_exits_3(tmp_path, capfd, coefficient,
+                                                             hamiltonian):
+    # at (1e200, 0) only A (the first case: w is finite off the line x2 = 0,
+    # so at every domain sample) or only b = -dH (the second) is inf, and
+    # the hat map's bundle names the node
+    doc = {"name": "cube", "n": 2, "k": 2, "mode": "form", "coefficients": {"1,2": coefficient},
+           "hamiltonians": [hamiltonian], "domain": [[-1e201, 1e201], [-1, 1]],
+           "base_point": [1, 0.5]}
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps(doc))
+    code = main(["simulate", "--config", str(path), "--x0=1e200,0", "--t-end", "0.01"])
+    node = "x1/(x2*x2 + 1e-109)" if hamiltonian == "x2" else "(x1 + x1)*x1"
     assert (code, capfd.readouterr()) == (3, ("", "integration failure: vector-field evaluation "
-                                              "failed: floating-point overflow in the hat-map "
-                                              "solve at (1e+200, 0.0)\n"))
+                                              f"failed: non-finite value at node {node}\n"))
 
 
 def test_an_overflowed_form_route_divergence_exits_3(tmp_path, capfd):
@@ -846,9 +879,9 @@ def test_an_overflowed_form_route_divergence_exits_3(tmp_path, capfd):
     path = tmp_path / "inv.json"
     path.write_text(json.dumps(doc))
     code = main(["simulate", "--config", str(path), "--x0=1e-160,0", "--t-end", "0.002"])
+    # its partial -1/x1^2 is -inf there, which the divergence's bundle names
     assert (code, capfd.readouterr()) == (3, ("", "integration failure: vector-field evaluation "
-                                              "failed: floating-point overflow in the hat-map "
-                                              "divergence at (1e-160, 0.0)\n"))
+                                              "failed: non-finite value at node -1.0/x1^2\n"))
 
 
 @pytest.mark.parametrize("method, message", [

@@ -31,6 +31,7 @@ from ghm.expr import (
 )
 
 from oracles import (
+    guarded_tree_walk,
     reference_derive,
     reference_generate,
     reference_parse_then_bind,
@@ -206,14 +207,16 @@ def _outcome(fn):
 @given(st.one_of(smooth_exprs(), domain_exprs()),
        st.lists(st.floats(-1.5, 1.5, allow_nan=False), min_size=3, max_size=3))
 def test_compiled_matches_tree_walk(e, point):
-    want = _outcome(lambda: tree_walk(e, point))
+    # the walk's value, or its first fault, or the guard's error for a value
+    # that is not finite (a folded constant can be inf)
+    want = _outcome(lambda: guarded_tree_walk([e], point)[0])
     assert _outcome(lambda: compile_expr(e)(point)) == want
     assert _outcome(lambda: evaluate(e, point)) == want
     # inside a batch, after a sibling that shares its subexpressions
     d = differentiate(e, 1)
     values = ex.compile_vector([d, e])
-    if isinstance(_outcome(lambda: tree_walk(d, point)), str):  # d itself does not fault
-        assert _outcome(lambda: values(point)[1]) == want
+    assert _outcome(lambda: values(point)[1]) == _outcome(lambda: guarded_tree_walk([d, e],
+                                                                                    point)[1])
 
 
 def test_domain_faults_name_the_node():
@@ -416,12 +419,56 @@ def test_systems_differing_in_constants_share_code_but_not_values():
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -0.0])
 def test_a_non_finite_or_signed_zero_constant_keeps_its_bits(value):
+    # -0.0 keeps its bits; an inf or NaN, the first value of each bundle
+    # that is not finite, fails the guard, which names it
     bits = struct.Struct("<d").pack
     for e in (Const(value), ex.mul(Const(value), Coord(1)), ex.add(Coord(1), Const(value))):
         for point in ((2.0,), (-0.0,), (0.0,)):
-            want = bits(tree_walk(e, point))
-            assert bits(compile_expr(e)(point)) == want
-            assert bits(ex.compile_vector([e, e])(point)[1]) == want
+            if math.isfinite(value):
+                want = bits(tree_walk(e, point))
+                assert bits(compile_expr(e)(point)) == want
+                assert bits(ex.compile_vector([e, e])(point)[1]) == want
+                continue
+            for run in (compile_expr(e), ex.compile_vector([e, e])):
+                with pytest.raises(EvalDomainError) as got:
+                    run(point)
+                assert str(got.value) == f"non-finite value at node {value!r}"
+
+
+def test_the_guard_passes_large_finite_values_and_keeps_minus_zero():
+    # 0.0 * 1e308 is 0.0 and 0.0 * -0.0 is -0.0: the guard sums only zeros,
+    # where a plain sum of 1e308 and 1.5e308 would overflow
+    f = ex.compile_vector([ex.mul(Coord(1), Const(1e308)), ex.mul(Coord(2), Const(1e308)),
+                           ex.neg(Coord(3))])
+    assert [v.hex() for v in f((1.0, 1.5, 0.0))] == [(1e308).hex(), (1.5e308).hex(),
+                                                      (-0.0).hex()]
+
+
+def test_the_guard_names_the_first_node_that_is_not_finite():
+    # x1*1e200*1e200 overflows before the subtraction makes NaN of it; in a
+    # bundle, the first such node in evaluation order is named, and a result
+    # that is finite again (1/inf) is no fault
+    h = parse("x1*1e200*1e200 - x1*1e200*1e200 + x2", 3)
+    for run in (compile_expr(h), ex.compile_vector([parse("x3", 3), h])):
+        with pytest.raises(EvalDomainError) as err:
+            run((1.0, 0.5, 0.5))
+        assert (str(err.value), err.value.node) == \
+            ("non-finite value at node x1*1e+200*1e+200", "x1*1e+200*1e+200")
+    assert compile_expr(h)((0.0, 0.5, 0.5)) == 0.5
+    both = ex.compile_vector([parse("x2*1e300*1e300", 2), parse("x1*1e300*1e300", 2)])
+    with pytest.raises(EvalDomainError, match=re.escape("at node x2*1e+300*1e+300")):
+        both((1.0, 1.0))
+    assert compile_expr(parse("1/(x1*1e200*1e200)", 1))((1.0,)) == 0.0
+
+
+def test_a_bundle_of_thousands_of_results_compiles_with_its_guard():
+    # the guard's sum of 5000 terms nests in groups of 64, two levels deep; a
+    # flat chain of that many additions is deeper than Python's compiler goes
+    exprs = [ex.mul(Coord(1), Const(float(i + 2))) for i in range(5000)]
+    assert ex.compile_vector(exprs)((0.5,)) == tuple(0.5 * (i + 2) for i in range(5000))
+    first = next(c for c in range(2, 5002) if math.isinf(3.6e304 * c))  # 4994
+    with pytest.raises(EvalDomainError, match=re.escape(f"at node x1*{float(first)!r}")):
+        ex.compile_vector(exprs)((3.6e304,))
 
 
 def test_the_code_cache_is_bounded_and_an_evicted_shape_recompiles():

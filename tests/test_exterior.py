@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ghm.expr as ex
-from ghm.errors import DimensionError
+from ghm.errors import DimensionError, EvalDomainError
 from ghm.expr import ScalarField, parse
 from ghm.exterior import (
     FormField,
@@ -409,12 +409,13 @@ def test_a_pullback_in_blocks_is_the_one_block_pullback_byte_for_byte(data):
         [(key, float.hex(c)) for key, c in whole.coeffs.items()]
 
 
-# table entries: 0.0 at some points of a key and not at others, NaN and
-# inf, and 2^53, which absorbs a 1 that 2^53 - 1 keeps, so the order of a
-# sum shows; Jacobian entries whose minors are small integers, scaled by
-# 1e200 in some stacks so that every minor of degree 2 or more overflows
+# table entries, finite as compiled values are: 0.0 at some points of a key
+# and not at others, and 2^53, which absorbs a 1 that 2^53 - 1 keeps, so the
+# order of a sum shows; Jacobian entries whose minors are small integers,
+# scaled by 1e200 in some stacks so that every nonzero minor of degree 2 or
+# more overflows
 _TABLE_ENTRIES = st.sampled_from((0.0, -0.0, 0.0, 1.0, -1.0, 0.5, 2.0 ** 53, 2.0 ** 53 - 1,
-                                  -(2.0 ** 53), np.nan, np.inf))
+                                  -(2.0 ** 53)))
 _STACK_JACOBIAN_ENTRIES = st.sampled_from((0.0, -0.0, 1.0, -1.0, 1.0, 2.0, -3.0, 0.5))
 
 
@@ -424,7 +425,9 @@ def test_a_stacked_pullback_is_the_one_point_pullback_of_each_row(data):
     # a (points x keys) table of coefficients through a stack of Jacobians,
     # in drawn blocks of points and keys, against a one-point call on each
     # row's value (which drops its 0.0 entries) and the per-minor loop, by
-    # float.hex of every source key's coefficient (absent ones read +0.0)
+    # float.hex of every source key's coefficient (absent ones read +0.0);
+    # where the per-minor loop meets an inf or NaN, an overflow, both calls
+    # raise an EvalDomainError (the table's call if any row does)
     from ghm import exterior
 
     n = data.draw(st.integers(1, 5), label="n")
@@ -443,17 +446,60 @@ def test_a_stacked_pullback_is_the_one_point_pullback_of_each_row(data):
     block = data.draw(st.sampled_from((1, 4, 30, exterior.PULLBACK_BLOCK_FLOATS)), label="block")
     sources = increasing_indices(n_src, k)
 
-    def hexes(value):
-        return [float.hex(value.coeffs.get(I, 0.0)) for I in sources]
+    def hexes(values):
+        return [float.hex(c) for c in values] if np.isfinite(values).all() else "overflow"
 
-    with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as patch:
-        rows = [FormValue(n, k, dict(zip(keys, row))) for row in table.tolist()]
-        want = [hexes(reference_pullback_with_jacobian(Jp, row)) for Jp, row in zip(J, rows)]
-        one = [hexes(pullback_with_jacobian(Jp, row)) for Jp, row in zip(J, rows)]
+    def outcome(run):
+        try:
+            return run()
+        except EvalDomainError as exc:
+            assert str(exc) == "floating-point overflow in the pullback"
+            return "overflow"
+
+    rows = [FormValue(n, k, dict(zip(keys, row))) for row in table.tolist()]
+    with np.errstate(all="ignore"):
+        want = [hexes([reference_pullback_with_jacobian(Jp, row).coeffs.get(I, 0.0)
+                       for I in sources]) for Jp, row in zip(J, rows)]
+    one = [outcome(lambda: hexes([pullback_with_jacobian(Jp, row).coeffs.get(I, 0.0)
+                                  for I in sources])) for Jp, row in zip(J, rows)]
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(exterior, "PULLBACK_BLOCK_FLOATS", block)
-        stacked = pullback_with_jacobian(J, form, table)
-    assert stacked.shape == (count, len(sources))
-    assert [[float.hex(c) for c in row] for row in stacked.tolist()] == one == want
+        stacked = outcome(lambda: pullback_with_jacobian(J, form, table))
+    assert one == want
+    if "overflow" in want:
+        assert stacked == "overflow"
+    else:
+        assert stacked.shape == (count, len(sources))
+        assert [hexes(row) for row in stacked.tolist()] == one == want
+
+
+def test_a_pullback_whose_minor_overflows_is_a_domain_error():
+    # det(1e200 I) = 1e400: the one-point call and the stacked one raise,
+    # where they used to return inf; a 1-form's minors are 1 x 1, and 1e200
+    # pulls back finite
+    J = 1e200 * np.eye(3)
+    for run in (lambda: pullback_with_jacobian(J, FormValue(3, 2, {(1, 2): 1.0})),
+                lambda: pullback_with_jacobian(J[None], FormField(3, 2, {(1, 2): ex.ONE}),
+                                               np.array([[1.0]]))):
+        with pytest.raises(EvalDomainError, match="^floating-point overflow in the pullback$"):
+            run()
+    assert pullback_with_jacobian(J, FormValue(3, 1, {(1,): 1.0})).coeffs == \
+        {(1,): pytest.approx(1e200, rel=1e-12)}
+
+
+def test_a_zero_table_entry_adds_nothing_where_its_minor_overflows():
+    # J = diag(1e200, 1e200, 1): key (1, 2)'s minor det = 1e400 overflows,
+    # key (1, 3)'s is 1e200; a table row that is 0.0 at (1, 2) pulls back
+    # as the one-point value that drops that key, and 1.0 there overflows
+    J = np.diag([1e200, 1e200, 1.0])
+    form = FormField(3, 2, {(1, 2): ex.ONE, (1, 3): ex.ONE})
+    one = pullback_with_jacobian(J, FormValue(3, 2, {(1, 3): 1.0}))
+    stacked = pullback_with_jacobian(J[None], form, np.array([[0.0, 1.0]]))
+    assert one.coeffs == {(1, 3): pytest.approx(1e200, rel=1e-12)}
+    assert [float.hex(c) for c in stacked[0]] == \
+        [float.hex(one.coeffs.get(I, 0.0)) for I in increasing_indices(3, 2)]
+    with pytest.raises(EvalDomainError, match="^floating-point overflow in the pullback$"):
+        pullback_with_jacobian(J[None], form, np.array([[1.0, 1.0]]))
 
 
 def test_a_pullback_stacks_at_most_a_block_of_minors(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ghm.expr as ex
-from ghm.errors import InputError
+from ghm.errors import EvalDomainError, InputError
 from ghm.expr import ScalarField, parse
 from ghm.exterior import FormField, MultiVectorField, VectorField, sort_with_sign
 from ghm.identities import (
@@ -329,20 +329,36 @@ def test_an_all_zero_scan_reports_plus_zero():
         assert float.hex(rep.signed_at_argmax) == float.hex(0.0)
 
 
-def test_a_nan_residual_is_reported_and_fails():
-    # the coefficient is 0 at x1 = 0 and inf - inf = NaN elsewhere, so the
-    # Jacobi scan is NaN only at the second point; plain max() would keep
-    # the first point's 0.0
+def test_a_non_finite_scan_value_is_named_at_its_node():
+    # the coefficient is 0 at x1 = 0 and inf - inf = NaN elsewhere: the
+    # scans' bundle names its first node that is not finite, at the second
+    # point, and reports no residual
     nan_away_from_0 = parse("x1^2*1e200*1e200 - x1^2*1e200*1e200", 3)
     J = MultiVectorField(3, 2, {(1, 2): parse("x3", 3), (1, 3): parse("x2*x3", 3),
                                 (2, 3): nan_away_from_0})
-    rep = jacobi_residual(J, [(0.0, 0.5, 0.5), (1.0, 0.5, 0.5)])
-    assert np.isnan(rep.max_residual) and rep.argmax_point == (1.0, 0.5, 0.5)
-    assert not rep.passes(1e300)
-    # dw = dx1^dx2 + NaN dx1^dx3: the NaN coefficient is not the first
+    assert jacobi_residual(J, [(0.0, 0.5, 0.5)]).max_residual == 0.0
+    with pytest.raises(EvalDomainError) as err:
+        jacobi_residual(J, [(0.0, 0.5, 0.5), (1.0, 0.5, 0.5)])
+    assert str(err.value) == "non-finite value at node x1^2*1e+200*1e+200"
+    # dw = dx1^dx2 + NaN dx1^dx3: the NaN coefficient is the constant node nan
     w = FormField(3, 1, {(2,): parse("x1", 3), (3,): ex.mul(ex.Coord(1), ex.const(float("nan")))})
-    rep = closure_residual(w, [(0.1, 0.2, 0.3)])
-    assert np.isnan(rep.max_residual) and rep.argmax_index == (1, 3)
+    with pytest.raises(EvalDomainError, match="^non-finite value at node nan$"):
+        closure_residual(w, [(0.1, 0.2, 0.3)])
+
+
+def test_an_overflow_in_a_scan_step_is_a_domain_error_naming_the_scan():
+    # a jet of finite values whose products overflow: J^{123} = 1e200 makes
+    # every FIb product 1e400, and dJ = 1e200 makes the Jacobi contraction
+    # 1e400; each is an EvalDomainError, not an inf residual
+    J = MultiVectorField(3, 3, {(1, 2, 3): parse("1e200 + x1", 3)})
+    J2 = MultiVectorField(3, 2, {(1, 2): parse("1e200*x1", 3), (1, 3): parse("x2", 3)})
+    points = [(0.5, 0.25, -0.5)]
+    assert np.isfinite(J.jet_function()(points[0])).all()
+    for run, name in ((lambda: fundamental_identity_residual(J, points), "fundamental-identity"),
+                      (lambda: jacobi_residual(J2, points), "jacobi")):
+        with pytest.raises(EvalDomainError) as err:
+            run()
+        assert str(err.value) == f"floating-point overflow in the {name} scan"
 
 
 def test_a_scan_needs_a_sample_point():
@@ -396,7 +412,7 @@ def test_fi_kernel_is_the_ten_einsum_formulas_bit_for_bit(name):
 # a coefficient's exact partials are nonzero along the coordinates it names
 _LINEAR = st.lists(st.integers(1, 6), max_size=3, unique=True)
 # exact zeros twice as often; 1e200 squared overflows: a finite J whose FIb
-# reads inf, and NaN from inf - inf
+# step overflows
 _ENTRY = st.sampled_from((0.0, -0.0, 0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 3.0, 1e200, -1e200))
 
 
@@ -411,10 +427,11 @@ def _drawn_tensor(data, n, k, dense=False):
     return MultiVectorField(n, k, coeffs)
 
 
-def _drawn_row(data, width, label, entries=_ENTRY):
-    # exact zeros, -0.0, ties and overflow, and a few inf and NaN entries
+def _drawn_row(data, width, label, entries, non_finite):
+    # exact zeros, -0.0, ties and overflow, and with ``non_finite`` one or
+    # two inf and NaN entries
     values = data.draw(st.lists(entries, min_size=width, max_size=width), label=label)
-    for _ in range(data.draw(st.integers(0, 2 if width else 0))):
+    for _ in range(data.draw(st.integers(1, 2)) if non_finite and width else 0):
         position = data.draw(st.integers(0, width - 1))
         values[position] = data.draw(st.sampled_from((np.inf, -np.inf, np.nan)))
     return values
@@ -423,46 +440,53 @@ def _drawn_row(data, width, label, entries=_ENTRY):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_the_support_plan_reports_the_dense_candidates_byte_for_byte(data):
-    # the jet row is drawn freely; the point's two candidates must match the
-    # dense arrays' in signed value bits, index and detail, and the planned
-    # entries the dense arrays' bits
-    from ghm.identities import (_dense_fib, _dense_plan, _fia_entries, _fia_plan, _fib_entries,
-                                _fib_plan, _jet_support, fundamental_identity_scan)
+    # the jet row is drawn freely among finite values, as the bundle's guard
+    # leaves it; the point's two candidates must match the dense arrays' in
+    # signed value bits, index and detail, or the step must overflow where
+    # the dense arrays hold an inf or NaN; and the planned entries must have
+    # the dense arrays' bits
+    from ghm.identities import (_dense_plan, _fia_entries, _fia_plan, _fib_entries, _fib_plan,
+                                _jet_support, fundamental_identity_scan)
     from oracles import reference_fundamental_identity_candidates
 
     n = data.draw(st.integers(3, 6), label="n")
     J = _drawn_tensor(data, n, 3)
-    values, point = tuple(_drawn_row(data, len(J.jet_plan()[0]), "jet")), (0.25,) * n
+    width = len(J.jet_plan()[0])
+    values = tuple(data.draw(st.lists(_ENTRY, min_size=width, max_size=width), label="jet"))
+    point = (0.25,) * n
     A, D = _dense_block(J, np.array([values]))
     A, D = A[0], D[0]
     support = _dense_plan(J)[0] != len(J.coeffs)  # the slots that hold a coefficient
     assert np.array_equal(_jet_support(J)[0], support)
-    plan = _fib_plan(n, (support if np.isfinite(A).all() else support | True).tobytes())
+    plan = _fib_plan(n, support.tobytes())
     fia_plan = _fia_plan(n, _jet_support(J).tobytes())
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            got = [(_bits(s), p, i, d)
+                   for s, p, i, d in fundamental_identity_scan(J).step(np.array([values]), [point])]
+    except FloatingPointError:
+        got = "overflow"
     with np.errstate(over="ignore", invalid="ignore"):
-        got = fundamental_identity_scan(J).step(np.array([values]), [point])
-        want = reference_fundamental_identity_candidates(A, D, point)
+        want = [(_bits(s), p, i, d)
+                for s, p, i, d in reference_fundamental_identity_candidates(A, D, point)]
         entries = _fib_entries(A.reshape(1, -1), plan)[0]
         fia, dense = (_fia_entries(A[None], D[None], fia_plan)[0],
                       reference_dense_fundamental_identity_arrays(A, D))
-        dense_fib = _dense_fib(A).ravel()
-    assert [(_bits(s), p, i, d) for s, p, i, d in got] == \
-        [(_bits(s), p, i, d) for s, p, i, d in want]
+    if not all(np.isfinite(array).all() for array in dense):
+        want = "overflow"
+    assert got == want
     # each planned FIb entry has the full array's bits there; every other one is +0.0
     fib = dense[1].ravel()
     assert np.array_equal(entries.view(np.int64), fib[plan[0]].view(np.int64))
-    # and the dense kernel of a row where J is not finite, at every entry
-    assert np.array_equal(dense_fib.view(np.int64), fib.view(np.int64))
     assert not np.delete(fib, plan[0]).view(np.int64).any()
-    # so has each planned FIa entry where the jet is finite
-    if np.isfinite(values).all():
-        full = dense[0].ravel()
-        assert np.array_equal(fia.view(np.int64), full[fia_plan[0]].view(np.int64))
-        assert not np.delete(full, fia_plan[0]).view(np.int64).any()
+    # and so for FIa
+    full = dense[0].ravel()
+    assert np.array_equal(fia.view(np.int64), full[fia_plan[0]].view(np.int64))
+    assert not np.delete(full, fia_plan[0]).view(np.int64).any()
 
 
 # a weight column that vanishes at about one point in ten
-_WEIGHT = st.sampled_from((1.0, 2.0, -0.5, 3.0, 1.0, -1.0, 0.5, 1e200, np.nan, 0.0))
+_WEIGHT = st.sampled_from((1.0, 2.0, -0.5, 3.0, 1.0, -1.0, 0.5, 1e200, 0.0))
 # and 2^53, which absorbs a 1 that 2^53 - 1 keeps: a sum of three products
 # can depend on its order
 _ROW_ENTRY = st.sampled_from((0.0, -0.0, 0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 3.0, 1e200, -1e200,
@@ -473,9 +497,11 @@ _ROW_ENTRY = st.sampled_from((0.0, -0.0, 0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 3.0, 1e
 @given(data=st.data())
 def test_blocked_scans_report_the_per_point_steps_byte_for_byte(data):
     # run_scans over drawn rows of values (the compiled bundle is replaced by
-    # a lookup of the point's row) against the former per-point steps: every
-    # report's signed value and max bits (NaN signs included), index, point
-    # and detail, or the same error, whatever the block size
+    # a lookup of the point's row, with the guard's error for a row that is
+    # not finite) against the former per-point steps: every report's signed
+    # value and max bits, index, point and detail, or the same error (a
+    # row's, a vanishing weight's or a step's overflow), whatever the block
+    # size
     from ghm import identities
     from ghm.errors import EvalDomainError
     from ghm.exterior import divergence_exprs, exterior_derivative
@@ -497,9 +523,12 @@ def test_blocked_scans_report_the_per_point_steps_byte_for_byte(data):
     count = data.draw(st.integers(1, 9), label="points")
     points = [(float(i),) + (0.25,) * (n - 1) for i in range(count)]
     width = sum(len(scan.exprs) for scan in scans)
+    # in half the runs one drawn row holds an inf or NaN, which the guard rejects
+    bad = data.draw(st.sampled_from((None,) * count + tuple(range(count))),
+                    label="non-finite row")
     rows = []
     for i in range(count):
-        row = _drawn_row(data, width - weighted, f"row {i}", _ROW_ENTRY)
+        row = _drawn_row(data, width - weighted, f"row {i}", _ROW_ENTRY, non_finite=i == bad)
         rows.append(tuple(row + [data.draw(_WEIGHT, label="weight")] * weighted))
     block = data.draw(st.sampled_from((1, 1, 3000, identities.SCAN_BLOCK_FLOATS)), label="block")
 
@@ -510,10 +539,17 @@ def test_blocked_scans_report_the_per_point_steps_byte_for_byte(data):
         except EvalDomainError as exc:
             return str(exc)
 
-    with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as patch:
+    def guarded(p):
+        row = rows[int(p[0])]
+        if not np.isfinite(row).all():
+            raise EvalDomainError("non-finite value", f"row {int(p[0])}")
+        return row
+
+    with np.errstate(all="ignore"):
         want = outcome(lambda: reference_scan_reports(specs, rows, points))
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(identities, "SCAN_BLOCK_FLOATS", block)
-        patch.setattr(ex, "compile_vector", lambda exprs: lambda p: rows[int(p[0])])
+        patch.setattr(ex, "compile_vector", lambda exprs: guarded)
         got = outcome(lambda: identities.run_scans(scans, points))
     assert got == want
     # the FI kernels on stacked rows, in drawn blocks: every planned entry has
@@ -652,30 +688,33 @@ def test_errors_keep_their_point_order_in_any_block(block):
                 reps[0].samples) == ("closure", 0.0, (), ok, 3)
 
 
-def test_the_dense_fib_of_a_non_finite_row_sums_in_the_written_order():
-    # entries of 2^53 and 1 make a sum of six products depend on its order;
-    # one inf makes the row non-finite, as at the rows the dense kernel serves
-    from ghm.identities import _FIB_TERMS, _dense_fib
+@pytest.mark.parametrize("block", [1, None])
+def test_a_step_overflow_keeps_its_point_order_in_any_block(block):
+    # J^{123} = x1 makes FIb overflow where x1 = 1e200, and the weight x2
+    # vanishes where x2 = 0; the FI scan comes first in scan order, but in
+    # a block of points the earlier point's error still wins
+    from ghm import identities
+    from ghm.identities import fundamental_identity_scan, measure_scan, run_scans
 
-    rng = np.random.default_rng(7)
-    A = rng.choice([0.0, -0.0, 1.0, -1.0, 3.0, 2.0 ** 53, -(2.0 ** 53)], size=(4, 4, 4))
-    A[1, 2, 3] = np.inf
-    with np.errstate(invalid="ignore"):
-        got = _dense_fib(A)
-        want = reference_dense_fundamental_identity_arrays(A, np.zeros((4,) * 4))[1]
-        P = np.multiply.outer(A, A) + 0.0
-        reversed_order = P.transpose(_FIB_TERMS[5])
-        for t in _FIB_TERMS[4::-1]:
-            reversed_order = reversed_order + P.transpose(t)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    assert not np.array_equal(reversed_order.view(np.int64), want.view(np.int64))
+    J = MultiVectorField(3, 3, {(1, 2, 3): parse("x1", 3)})
+    g = ScalarField(3, ex.Coord(2))
+    ok, big, vanish = (1.0, 1.0, 0.0), (1e200, 1.0, 0.0), (1.0, 0.0, 0.0)
+    overflow = "floating-point overflow in the fundamental-identity scan"
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:
+            patch.setattr(identities, "SCAN_BLOCK_FLOATS", block)
+        for points, message in (([ok, vanish, big], f"measure weight vanishes at {vanish}"),
+                                ([ok, big, vanish], overflow), ([(1e200, 0.0, 0.0)], overflow)):
+            with pytest.raises(EvalDomainError) as err:
+                run_scans([fundamental_identity_scan(J), measure_scan(J, g)], points)
+            assert str(err.value) == message
 
 
 def test_a_non_finite_point_builds_no_every_position_plan():
     # at n = 6 a plan of every FIb position would hold n^6 entries; a point
-    # where J is not finite reads FIb from the dense outer product instead,
-    # so the scan builds only its two support plans, and the plan cache
-    # keeps only the FIb support plan
+    # where J is not finite is an EvalDomainError from the scans' bundle,
+    # naming the node, so the scan builds only its two support plans, and
+    # the plan cache keeps only the FIb support plan
     from ghm import identities
 
     n = 6
@@ -692,13 +731,17 @@ def test_a_non_finite_point_builds_no_every_position_plan():
         masks.append(mask.shape)
         return term_sources(mask, terms)
 
-    with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(identities, "_term_sources", recorded)
-        rep = fundamental_identity_residual(J, points)
-        ref = reference_fundamental_identity_residual(J, points)
-    assert not np.isfinite(J.coefficient_values(points[1])).all()
-    assert (rep.argmax_point, _bits(rep.signed_at_argmax), rep.argmax_index, rep.detail) == \
-        (ref.argmax_point, _bits(ref.signed_at_argmax), ref.argmax_index, ref.detail)
+        # at the first point J^{123} d_1 J^{123} = 2.5e307 * 1e308 overflows
+        with pytest.raises(EvalDomainError,
+                           match="^floating-point overflow in the fundamental-identity scan$"):
+            fundamental_identity_residual(J, points)
+        with pytest.raises(EvalDomainError) as got:
+            fundamental_identity_residual(J, points[1:])
+    with pytest.raises(EvalDomainError) as want:
+        reference_fundamental_identity_residual(J, points[1:])
+    assert str(got.value) == str(want.value) == "non-finite value at node x1^2*1e+308"
     assert masks == [(n,) * 5, (n,) * 6]
     info = identities._fib_plan.cache_info()
     assert (info.misses, info.currsize) == (1, 1)

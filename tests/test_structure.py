@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -233,6 +236,26 @@ def test_newton_chart_nonlinear_constraint():
         assert np.allclose(J[:, col], fd, atol=1e-6)
 
 
+def test_a_trial_point_whose_constraint_overflows_halves_the_newton_step():
+    # from x2 = 1e4 the sigmoid's Newton step lands near x2 = -1.5e12, where
+    # the 26-fold product overflows: the line search rejects that trial as
+    # it rejects a larger residual, halves the step, and the solve converges;
+    # another domain fault at a trial (log of a negative x2) still ends it
+    from ghm.errors import EvalDomainError
+
+    C = ScalarField.from_text("x2/sqrt(1 + x2*x2) + " + "*".join(["x2"] * 26) + "*1e-300", 2)
+    with pytest.raises(EvalDomainError, match=r"^non-finite value at node x2\*x2"):
+        C((0.0, -1.5e12))
+    chart = LevelSetChart(constraints=(C,), values=(-0.5,), base_point=(0.0, 1e4),
+                          complementary_axes=(1,))
+    x = chart.embed((0.0,))
+    assert abs(C(x) + 0.5) <= 1e-12
+    log_chart = LevelSetChart(constraints=(ScalarField.from_text("log(x2)", 2),), values=(0.0,),
+                              base_point=(0.0, 10.0), complementary_axes=(1,))
+    with pytest.raises(EvalDomainError, match=r"^log of nonpositive value at node log\(x2\)$"):
+        log_chart.embed((0.0,))
+
+
 def test_chart_invariant_violation():
     # dC = 0 at the base point
     C = ScalarField.from_text("x1^2 + x2^2", 2)
@@ -248,10 +271,13 @@ def test_nearly_dependent_constraints_are_dependent_by_the_one_rank_rule():
         LevelSetChart(constraints=Cs, values=(0.0, 0.0), base_point=(0.0, 0.0, 0.0))
 
 
-def test_a_non_finite_constraint_differential_is_a_chart_error(capfd):
-    # d/dx1 is 1e400 - 1e400, NaN: LAPACK's SVD would fail to converge on it
+def test_a_non_finite_constraint_differential_is_named_before_lapack(capfd):
+    # d/dx1 folds to 1e400 - 1e400, the constant NaN: LAPACK's SVD would fail
+    # to converge on it, and the compiled gradient names it first
+    from ghm.errors import EvalDomainError
+
     C = ScalarField.from_text("x1*1e200*1e200 - x1*1e200*1e200 + x2", 3)
-    with pytest.raises(ChartError, match=r"not finite at \(1\.0, 0\.0, 0\.0\)"):
+    with pytest.raises(EvalDomainError, match="^non-finite value at node nan$"):
         LevelSetChart(constraints=(C,), values=(0.0,), base_point=(1.0, 0.0, 0.0))
     assert capfd.readouterr().err == ""
 
@@ -281,10 +307,12 @@ def test_a_non_finite_pullback_jacobian_is_a_domain_error():
         pullback_with_jacobian(np.array([[np.nan, -0.0], [1.0, 0.0]]), FormValue(2, 2, {(1, 2): 1.0}))
     with pytest.raises(EvalDomainError, match=r"entry \(2, 2\) is -inf"):
         pullback_with_jacobian(np.array([[1.0, 0.0], [0.0, -np.inf], [0.0, 1.0]]), dx12_23)
-    # d/dx2 of the constraint is inf - inf at x3 = 1
+    # d/dx2 of the constraint is inf - inf at x3 = 1, and its compiled
+    # gradient names the first node that is not finite
     C = ScalarField.from_text("x1 + x2*x3*1e200*1e200 - x2*x3*1e200*1e200", 3)
     chart = LevelSetChart(constraints=(C,), values=(0.0,), base_point=(0.0, 0.0, 0.0))
-    with pytest.raises(EvalDomainError, match="pullback jacobian entry .* is nan"):
+    with pytest.raises(EvalDomainError,
+                       match=re.escape("non-finite value at node x3*1e+200*1e+200")):
         chart.pull_form(FormField.constant(3, 2, {(1, 2): 1.0, (2, 3): 1.0}), (0.0, 1.0))
 
 
@@ -338,18 +366,25 @@ def test_propose_dual_frame_rejects_shared_axis():
 
 
 def test_a_nan_duality_or_kernel_defect_fails():
+    # a NaN frame or tensor coefficient is named by its compiled values; a
+    # product of finite values that overflows fails the duality check
+    from ghm.errors import EvalDomainError
+
     nan = ex.const(float("nan"))
     x3 = _coord(3, 3)
     J2 = MultiVectorField.constant(3, 2, {(1, 2): 1.0})
     nan_frame = VectorField(3, (ex.ZERO, ex.ZERO, nan))
     pts = [(0.1, 0.2, 0.3)]
-    with pytest.raises(DualityError, match="iota_n1 dC1 = nan"):
+    with pytest.raises(EvalDomainError, match="^non-finite value at node nan$"):
         build_poisson_k(J2, [x3], [nan_frame], pts)
-    with pytest.raises(DualityError, match="iota_n1 dC1 = nan"):
+    with pytest.raises(EvalDomainError, match="^non-finite value at node nan$"):
         extract_omega(FormField.constant(3, 3, {(1, 2, 3): 1.0}), [nan_frame], [x3], pts)
     nan_J2 = MultiVectorField(3, 2, {(1, 2): ex.ONE, (2, 3): nan})
-    with pytest.raises(DualityError, match="not in ker"):
+    with pytest.raises(EvalDomainError, match="^non-finite value at node nan$"):
         build_poisson_k(nan_J2, [x3], [_axis_field(3, 3)], pts)
+    big_frame = VectorField(3, (ex.ZERO, ex.ZERO, ex.const(1e200)))
+    with np.errstate(over="ignore"), pytest.raises(DualityError, match="iota_n1 dC1 = inf"):
+        build_poisson_k(J2, [ScalarField.from_text("1e200*x3", 3)], [big_frame], pts)
 
 
 def test_more_constraints_than_coordinates_are_typed_errors():
@@ -361,9 +396,15 @@ def test_more_constraints_than_coordinates_are_typed_errors():
 
 
 def test_a_nan_inverse_defect_is_not_dropped():
-    # the second spanning field is NaN: plain max() would keep the first defect
-    w = FormField.constant(2, 2, {(1, 2): 1.0})
-    J = MultiVectorField.constant(2, 2, {(1, 2): 1.0})
-    nan_field = VectorField(2, (ex.const(float("nan")), ex.ZERO))
-    delta = Distribution(2, (VectorField(2, (ex.ONE, ex.ZERO)), nan_field))
-    assert np.isnan(delta_inverse_residual(w, J, delta, [(0.1, 0.2)]))
+    # the values are finite, but the defect's own arithmetic is not: along
+    # the second spanning field, iota_Y w sums 1e400 and -1e400 on dx3, NaN,
+    # which J carries into the defect; plain max() would keep the first
+    # defect, inf (a norm of squares of 1e200)
+    w = FormField.constant(3, 2, {(1, 3): 1e200, (2, 3): -1e200})
+    J = MultiVectorField.constant(3, 2, {(1, 3): 1.0})
+    big = VectorField(3, (ex.const(1e200), ex.const(1e200), ex.ZERO))
+    delta = Distribution(3, (VectorField(3, (ex.ONE, ex.ZERO, ex.ZERO)), big))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert delta_inverse_residual(w, J, Distribution(3, delta.fields[:1]), [(0.1, 0.2, 0.3)]) \
+            == math.inf
+        assert np.isnan(delta_inverse_residual(w, J, delta, [(0.1, 0.2, 0.3)]))
