@@ -30,8 +30,13 @@ point (``differentiate``, ``substitute``, ``to_str``, ``compile_expr``,
 Interned nodes.  Nodes are immutable and hash-consed: constructing a node
 returns the live node with the same type and fields (floats by their bits,
 so Const(-0.0) is not Const(0.0)), so equality is identity and hashing is
-O(1).  The intern table holds nodes weakly.  Constructors fold constants
+O(1).  The intern table is a plain dict from each key to a weak reference
+that carries the key; a node's death deletes its own entry, so the table
+holds live nodes only and keeps none alive.  Constructors fold constants
 and algebraic units (0 + e, 1 * e, e^1, ...); nothing else is rewritten.
+A fold never makes an inf or NaN: two constants whose sum, difference,
+product or quotient is not finite stay the node that computes it
+(``1e200*1e200``), as a power or call that overflows stays its node.
 ``differentiate`` is memoized per (node, axis) on the node.  No node class
 is subclassed, so walks, derivatives and folding dispatch on ``type(e)``.
 
@@ -90,20 +95,41 @@ MAX_EXPR_DEPTH = 150
 
 _float_bits = struct.Struct("<d").pack
 
-# intern key -> live node.  A key holds the node's children, which the node
-# holds anyway; no node refers to an ancestor (the derivative memo is weak),
-# so the table never keeps a dead node's subtree alive.
-_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# intern key -> weak reference to the live node.  A key holds the node's
+# children, which the node holds anyway; no node refers to an ancestor (the
+# derivative memo is weak), so the table never keeps a dead node's subtree
+# alive.  A node's death runs ``_forget`` on its reference, which deletes the
+# entry only while it still holds that reference: a node built again under
+# the same key after its death has stored a new one.  A ``Const`` in it is
+# finite unless built from an inf or NaN: ``_fold`` keeps only finite values.
+_LIVE: dict[tuple, "_Ref"] = {}
+
+
+class _Ref(weakref.ref):
+    """A weak reference to an interned node that knows the node's key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref) -> None:
+    if _LIVE.get(ref.key) is ref:
+        del _LIVE[ref.key]
 
 
 class _Interned(type):
-    """Node classes: a call returns the live node with the same key, if any."""
+    """Node classes: a call returns the live node with the same key, if any.
+    The key is the class and the fields, a float by its bits (``Const``)."""
 
     def __call__(cls, *args):
-        key = cls._key(args)
-        node = _LIVE.get(key)
-        if node is None:
-            node = _LIVE[key] = super().__call__(*args)
+        key = (cls, _float_bits(args[0])) if cls is Const else (cls, *args)
+        ref = _LIVE.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = super().__call__(*args)
+        ref = _LIVE[key] = _Ref(node, _forget)
+        ref.key = key
         return node
 
 
@@ -113,10 +139,6 @@ class Expr(metaclass=_Interned):
     # memo: axis -> weak reference to the derivative (which may contain the
     # node itself, and a strong reference would make a cycle)
     __slots__ = ("_derivs", "__weakref__")
-
-    @classmethod
-    def _key(cls, args: tuple) -> tuple:
-        return (cls, *args)  # children hash and compare by identity
 
     def __reduce__(self):
         # copies and unpickled nodes are interned like constructed ones
@@ -132,10 +154,6 @@ class Const(Expr):
 
     def __post_init__(self):
         object.__setattr__(self, "value", float(self.value))
-
-    @classmethod
-    def _key(cls, args: tuple) -> tuple:
-        return (cls, _float_bits(args[0]))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -251,13 +269,20 @@ def const(v: float) -> Const:
     return Const(float(v))
 
 
+def _fold(value: float, cls: type, a: Const, b: Const) -> Expr:
+    """Two constants folded into ``Const(value)``, or, where ``value`` is an
+    inf or NaN, the node ``cls(a, b)`` that computes it: a folded constant is
+    finite, so the guard names the operation the text wrote, not a value."""
+    return Const(value) if math.isfinite(value) else cls(a, b)
+
+
 def add(a: Expr, b: Expr) -> Expr:
     if is_zero(a):
         return b
     if is_zero(b):
         return a
     if type(a) is Const and type(b) is Const:
-        return Const(a.value + b.value)
+        return _fold(a.value + b.value, Add, a, b)
     return Add(a, b)
 
 
@@ -267,7 +292,7 @@ def sub(a: Expr, b: Expr) -> Expr:
     if is_zero(a):
         return neg(b)
     if type(a) is Const and type(b) is Const:
-        return Const(a.value - b.value)
+        return _fold(a.value - b.value, Sub, a, b)
     return Sub(a, b)
 
 
@@ -288,7 +313,7 @@ def mul(a: Expr, b: Expr) -> Expr:
     if is_one(b):
         return a
     if type(a) is Const and type(b) is Const:
-        return Const(a.value * b.value)
+        return _fold(a.value * b.value, Mul, a, b)
     return Mul(a, b)
 
 
@@ -298,7 +323,7 @@ def div(a: Expr, b: Expr) -> Expr:
     if is_zero(a) and not is_zero(b):
         return ZERO
     if type(a) is Const and type(b) is Const and b.value != 0.0:
-        return Const(a.value / b.value)
+        return _fold(a.value / b.value, Div, a, b)
     return Div(a, b)
 
 
@@ -625,21 +650,20 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) of each token, then ("end", "", len(text)), from
+    one pass of matches; a match that does not start where the last one
+    ended skipped a character no token begins with."""
     tokens = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            off = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {text[off]!r}", off)
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:
+            break
+        kind = m.lastgroup
+        tokens.append((kind, m[kind], m.start(kind)))
         pos = m.end()
+    off = len(text) - len(text[pos:].lstrip())
+    if off < len(text):
+        raise ParseError(f"unexpected character {text[off]!r}", off)
     tokens.append(("end", "", len(text)))
     return tokens
 

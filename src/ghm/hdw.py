@@ -161,14 +161,15 @@ class MinNorm(NamedTuple):
 
 
 def _min_norm(system: HatMapSystem, A: np.ndarray, b: np.ndarray,
-              tolerance: float = TOLERANCE) -> MinNorm:
+              tolerance: float = TOLERANCE, key: bytes | None = None) -> MinNorm:
     """The one solve of ``system``'s A x = b, with A and b from
-    ``_hatmap_arrays`` (finite), from the system's ``factor`` of A's bytes:
-    the whole input is the key, so a -0.0/+0.0 twin is factored afresh.  An
-    overflow after the SVD, where a tiny singular value divides, leaves inf
-    or NaN for the callers' checks (``_report``, ``min_norm_divergence``)."""
+    ``_hatmap_arrays`` (finite), from the system's ``factor`` of A's bytes
+    (``key``, when the caller has them): the whole input is the key, so a
+    -0.0/+0.0 twin is factored afresh.  An overflow after the SVD, where a
+    tiny singular value divides, leaves inf or NaN for the callers' checks
+    (``_report``, ``min_norm_divergence``)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        sv, Vt, pinv = system.factor(A.tobytes())
+        sv, Vt, pinv = system.factor(A.tobytes() if key is None else key)
         x = pinv @ b
         r = b - A @ x
         residual = math.sqrt(r @ r)  # np.linalg.norm's sqrt(dot) without its checks
@@ -215,15 +216,17 @@ def min_norm_divergence(w: FormField, sigma: FormField,
     and div X is the trace of dX over the coordinate axes, with A, b and their
     partials from one gather of the system's jet.  The A-only matrices
     (Vt^T / sv^2) Vt and I - Vt^T Vt are the system's ``matrices`` of A,
-    read before the solve, which then finds A's ``factor`` kept.  The solve
-    uses the default ``TOLERANCE``, as the RK stages do.  A divergence that
-    is not finite raises ``EvalDomainError``.
+    read before the solve, which then finds A's ``factor`` kept under the
+    same bytes: A is hashed once.  The solve uses the default ``TOLERANCE``,
+    as the RK stages do.  A divergence that is not finite raises
+    ``EvalDomainError``.
     """
     system = _hatmap_system(w, sigma)
     A, b = _hatmap_arrays(system, point, jet=True)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        gram, project = system.matrices(A[0].tobytes())
-        solve = _min_norm(system, A[0], b[0])
+        key = A[0].tobytes()
+        gram, project = system.matrices(key)
+        solve = _min_norm(system, A[0], b[0], key=key)
         X, pinv, dA = solve.x, solve.pinv, A[1:]
         div = float((pinv * (b[1:] - dA @ X)).sum()
                     + (gram * (solve.r @ dA)).sum()

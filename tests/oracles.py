@@ -540,6 +540,32 @@ def reference_parse_then_bind(text, n, params=None, aliases=None):
     return bind_params(e, params) if params else e
 
 
+def reference_tokenize(text):
+    """The former tokenizer: one ``match`` per token at the end of the last,
+    read through three ``group`` lookups.  Text that ends in whitespace
+    raises IndexError."""
+    from ghm.errors import ParseError
+    from ghm.expr import _TOKEN_RE
+
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None or m.end() == pos:
+            stripped = text[pos:].lstrip()
+            off = len(text) - len(stripped)
+            raise ParseError(f"unexpected character {text[off]!r}", off)
+        if m.group("num") is not None:
+            tokens.append(("num", m.group("num"), m.start("num")))
+        elif m.group("ident") is not None:
+            tokens.append(("ident", m.group("ident"), m.start("ident")))
+        else:
+            tokens.append(("op", m.group("op"), m.start("op")))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
 def structural_node_count(exprs):
     """Number of structurally distinct nodes under ``exprs``: nodes compare by
     type and fields, floats by their bits (so 0.0 and -0.0 differ)."""

@@ -840,6 +840,19 @@ def test_an_overflowed_tensor_config_check_exits_2_naming_the_node(tmp_path):
         (2, "", "error: non-finite value at node x1^2*1e+200*1e+200\n")
 
 
+def test_a_constant_product_that_overflows_is_named_as_written():
+    # 1e200*1e200 is kept as the product, not folded to a constant inf that
+    # the text never wrote
+    assert ghm_fresh("check", "fourdim", "--H=x1*1e200*1e200") == (
+        2, "", "error: system 'fourdim': Hamiltonian independence check failed at the base "
+               "point (1.0, 1.0, 1.0, 2.0): non-finite value at node 1e+200*1e+200\n")
+
+
+def test_a_hamiltonian_ending_in_whitespace_reads_as_the_text_without_it():
+    code, out, err = ghm_fresh("check", "fourdim", "--H=x1*x2 ")
+    assert (code, out, err) == ghm_fresh("check", "fourdim", "--H=x1*x2") and out
+
+
 def test_a_form_that_overflows_on_its_own_box_fails_validate_with_exit_2(tmp_path, capfd):
     # w = (1 + x1^3) dx1^dx2 overflows at the domain samples of |x1| ~ 1e200
     doc = {"name": "cube", "n": 2, "k": 2, "mode": "form", "coefficients": {"1,2": "1 + x1*x1*x1"},

@@ -35,6 +35,7 @@ from oracles import (
     reference_derive,
     reference_generate,
     reference_parse_then_bind,
+    reference_tokenize,
     reference_unique_nodes,
     structural_node_count,
     tree_walk,
@@ -248,6 +249,133 @@ def test_nodes_are_interned():
     import copy
     import pickle
     assert copy.deepcopy(e) is e and pickle.loads(pickle.dumps(e)) is e
+    # a NaN is keyed by its bits: equal bits are one node, another payload another
+    payload = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+    assert Const(math.nan) is Const(float("nan")) and Const(payload) is not Const(math.nan)
+
+
+def _random_qs_texts(rng):
+    def poly():
+        c = rng.uniform(-1, 1, size=6)
+        return (f"{c[0]:.6f} + {c[1]:.6f}*x1 + {c[2]:.6f}*x2 + {c[3]:.6f}*x3 "
+                f"+ {c[4]:.6f}*x1*x2 + {c[5]:.6f}*x2*x3")
+
+    return {"psi": poly(), "bvec": (f"1.5 + {poly()}", poly(), poly())}
+
+
+def test_the_intern_table_keeps_only_live_nodes():
+    # building and dropping systems leaves the table as it was, and no entry
+    # holds a dead reference: a node's death deletes its own entry
+    import gc
+
+    from ghm import systems
+
+    gc.collect()
+    baseline = len(ex._LIVE)
+    rng = np.random.default_rng(29)
+    built = [systems.build(name) for name in ("oscillator", "fourdim", "quasisymmetry",
+                                              "flat_nambu")]
+    built += [systems.quasisymmetry(**_random_qs_texts(rng)) for _ in range(20)]
+    for system in built:
+        system.bracket_field.compiled(system.base_point)
+    assert len(ex._LIVE) > baseline
+    del built, system
+    gc.collect()
+    assert len(ex._LIVE) == baseline
+    assert all(ref() is not None and ref.key == key for key, ref in ex._LIVE.items())
+
+
+def test_a_node_built_again_after_its_death_is_a_new_node_under_the_same_key():
+    import gc
+    import weakref
+
+    def build():
+        return ex.mul(Coord(2), ex.call("exp", Const(0.1234567)))
+
+    node = build()
+    key, dead = (Mul, node.a, node.b), weakref.ref(node)
+    assert ex._LIVE[key]() is node and build() is node
+    del node
+    gc.collect()
+    assert dead() is None and key not in ex._LIVE
+    again = build()
+    assert ex._LIVE[key]() is again and ex._LIVE[key].key == key
+    # the callback of a reference no longer in the table deletes nothing:
+    # the entry holds the reference of the node built again
+    stale = ex._Ref(Coord(2))
+    stale.key = key
+    ex._forget(stale)
+    assert ex._LIVE[key]() is again and build() is again
+
+
+_FOLD_OPERANDS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e200, -1e-200, 5e-324]),
+                           st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=_FOLD_OPERANDS, b=_FOLD_OPERANDS)
+def test_two_constants_fold_exactly_when_the_value_is_finite(a, b):
+    # the folded constant has the float result's bits; an inf or NaN result
+    # keeps the operation's node.  A 0 or 1 operand is a unit rule instead
+    # (0 + e is e, 0 * e is 0.0), which can differ from the float result in
+    # the sign of a zero
+    bits = struct.Struct("<d").pack
+    for fold, node, value in ((ex.add, Add, operator.add), (ex.sub, Sub, operator.sub),
+                              (ex.mul, Mul, operator.mul), (ex.div, Div, operator.truediv)):
+        if fold is ex.div and b == 0.0:
+            continue
+        want, got = value(a, b), fold(Const(a), Const(b))
+        if not math.isfinite(want):
+            assert got is node(Const(a), Const(b))
+        elif a in (0.0, 1.0) or b in (0.0, 1.0):
+            assert type(got) is Const and got.value == want
+        else:
+            assert got is Const(want) and bits(got.value) == bits(want)
+
+
+def test_a_constant_fold_that_overflows_keeps_the_operation_written():
+    assert to_str(parse("x1 + 1e200*1e200", 1)) == "x1 + 1e+200*1e+200"
+    assert parse("1e308 + 1e308", 1) is Add(Const(1e308), Const(1e308))
+    assert parse("1e300/1e-300 - 1", 1) is Sub(Div(Const(1e300), Const(1e-300)), Const(1.0))
+    assert parse("1e-300/1e300", 1) is Const(0.0)  # an underflow is finite
+    assert differentiate(parse("x1*1e200*1e200", 1), 1) is Mul(Const(1e200), Const(1e200))
+    with pytest.raises(EvalDomainError, match=r"^non-finite value at node 1e\+200\*1e\+200$"):
+        evaluate(parse("x1 + 1e200*1e200", 1), (1.0,))
+
+
+@st.composite
+def token_texts(draw):
+    """Texts of the parser's grammar, with or without stray characters and
+    surrounding whitespace."""
+    text = draw(st.one_of(parameter_texts(),
+                          st.text(alphabet=" \t\nx12.eE+-*/^()ab_$9", max_size=24)))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from("$#!@ \t")) + text[at:]
+    return draw(st.sampled_from(["", " "])) + text + draw(st.sampled_from(["", "", " ", "\n"]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=token_texts())
+def test_the_one_pass_tokenizer_reads_the_former_tokens(text):
+    try:
+        want = reference_tokenize(text)
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            ex._tokenize(text)
+        assert (str(got.value), got.value.offset) == (str(err), err.offset)
+        return
+    except IndexError:  # the former tokenizer failed on trailing whitespace
+        assert text != text.rstrip()
+        want = reference_tokenize(text.rstrip())[:-1] + [("end", "", len(text))]
+    assert ex._tokenize(text) == want
+
+
+def test_trailing_whitespace_parses_as_the_text_without_it():
+    assert parse("x1*x2 \n", 2) is parse(" x1*x2", 2)
+    with pytest.raises(ParseError, match="unexpected end of input") as err:
+        parse("x1 + \t", 2)
+    assert err.value.offset == 6
 
 
 def test_one_temporary_per_unique_node():

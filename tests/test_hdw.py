@@ -625,6 +625,29 @@ def test_a_solve_between_a_solve_and_its_divergence_pairs_no_two_matrices(betwee
         assert (div.hex(), _solve_bytes(solve)) == want[1][1:]
 
 
+def test_the_divergence_hashes_a_once_for_its_matrices_and_its_solve(monkeypatch):
+    # the bytes of A key the divergence's matrices and then its solve's factor
+    import ghm.hdw
+
+    w = FormField(3, 2, {(1, 2): parse("x3", 3), (1, 3): parse("1 + x1^2", 3),
+                         (2, 3): parse("x2", 3)})
+    sigma = grad_field(ScalarField.from_text("x1*x2", 3))
+    system, keys = _hatmap_system(w, sigma), []
+
+    def keyed(fn):
+        return lambda key: (keys.append(key), fn(key))[1]
+
+    traced = system._replace(factor=keyed(system.factor), matrices=keyed(system.matrices))
+    monkeypatch.setattr(ghm.hdw, "_hatmap_system", lambda *_: traced)
+    point = (0.1, 0.4, -0.7)
+    div, solve = min_norm_divergence(w, sigma, point)
+    assert len(keys) == 2 and keys[0] is keys[1]
+    assert keys[0] == _hatmap_arrays(system, point)[0].tobytes()
+    from oracles import reference_min_norm_divergence
+    want_div, want = reference_min_norm_divergence(w, sigma, point)
+    assert (div.hex(), _solve_bytes(solve)) == (want_div.hex(), _solve_bytes(want))
+
+
 def test_two_threads_alternating_two_hat_maps_read_fresh_bytes():
     # one system, two threads, each solving its own hat map, so that the
     # system's cached factors alternate between the two; a short switch interval

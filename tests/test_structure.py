@@ -272,12 +272,13 @@ def test_nearly_dependent_constraints_are_dependent_by_the_one_rank_rule():
 
 
 def test_a_non_finite_constraint_differential_is_named_before_lapack(capfd):
-    # d/dx1 folds to 1e400 - 1e400, the constant NaN: LAPACK's SVD would fail
-    # to converge on it, and the compiled gradient names it first
+    # d/dx1 is 1e200*1e200 - 1e200*1e200, whose products overflow (a fold
+    # keeps only a finite constant), so its value is NaN: LAPACK's SVD would
+    # fail to converge on it, and the compiled gradient names the product first
     from ghm.errors import EvalDomainError
 
     C = ScalarField.from_text("x1*1e200*1e200 - x1*1e200*1e200 + x2", 3)
-    with pytest.raises(EvalDomainError, match="^non-finite value at node nan$"):
+    with pytest.raises(EvalDomainError, match=r"^non-finite value at node 1e\+200\*1e\+200$"):
         LevelSetChart(constraints=(C,), values=(0.0,), base_point=(1.0, 0.0, 0.0))
     assert capfd.readouterr().err == ""
 
