@@ -32,8 +32,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import expr as ex, rk4
-from .errors import DimensionError, GhmError, InputError, IntegrationError
+from . import expr as ex, identities, rk4
+from .errors import DimensionError, EvalDomainError, GhmError, InputError, IntegrationError
 from .expr import ScalarField
 from .exterior import (
     FormField,
@@ -47,15 +47,14 @@ from .exterior import (
     lie_derivative,
     pullback_with_jacobian,
 )
-from .hdw import MinNorm, _hatmap_arrays, _hatmap_system, _min_norm, _report, min_norm_divergence
-from .identities import closure_residual
-from .rk4 import _EVAL_FAULTS
+from .hdw import (MinNorm, _hatmap_arrays, _hatmap_system, _min_norm, _report,
+                  min_norm_divergence, solve_hdw)
 from .structure import build_w_from_omega
 
 CSV_CHUNK_ROWS = 1024  # bounds the table of values behind the CSV rows
 BOX_SLACK = 1e-9  # relative widening of the domain box in ``integrate``
 FLOW_STEPS_PER_UNIT = 512  # RK4 steps per unit time of the numeric flattening flow
-VALIDATE_SAMPLES = 20  # domain samples of the closure check in ``validate``
+VALIDATE_SAMPLES = 20  # seeded samples at which ``validate`` evaluates dw, w and the Hamiltonians
 
 
 def sample_box(rng: np.random.Generator, box: Sequence[tuple[float, float]],
@@ -170,7 +169,7 @@ class SystemSpec:
 
                 def state(x):
                     div, solve = min_norm_divergence(form, sigma, x)
-                    return div, _consistent(solve, x).x.tolist(), solve
+                    return div, _consistent(solve, x).x.tolist()
                 route = {"state": state, "stage": lambda x: _consistent(
                     _min_norm(system, *_hatmap_arrays(system, x)), x).x.tolist()}
             self._loops[method] = rk4.trajectory(method, self.n, self._diagnostics, **route)
@@ -179,35 +178,15 @@ class SystemSpec:
     # -- validation -------------------------------------------------------
 
     def validate(self) -> None:
-        """Closure and coefficients of the form structure over seeded domain
-        samples, and independence of the Hamiltonian differentials at the
-        base point."""
-        if self.form is not None:
-            points = sample_box(np.random.default_rng(0), self.domain, VALIDATE_SAMPLES)
-            try:
-                rep = closure_residual(self.form, points)
-            except _EVAL_FAULTS:
-                for p in points:  # the scan stopped at the first sample that faults
-                    try:
-                        closure_residual(self.form, [p])
-                    except _EVAL_FAULTS as exc:
-                        raise InputError(f"system {self.name!r}: closure check failed at "
-                                         f"the domain sample {p}: {exc}") from exc
-                raise
-            if not rep.passes(1e-10):
-                raise InputError(
-                    f"system {self.name!r}: form structure is not closed "
-                    f"(residual {rep.max_residual:g} at {rep.argmax_point})")
-            for p in points:  # dw can miss a fault of w itself, and is empty when k = n
-                try:
-                    self.form.coefficient_values(p)
-                except _EVAL_FAULTS as exc:
-                    raise InputError(f"system {self.name!r}: form evaluation failed at "
-                                     f"the domain sample {p}: {exc}") from exc
+        """Independence of the Hamiltonian differentials at the base point,
+        then one compiled bundle of dw, w's coefficients and the Hamiltonians,
+        called at each seeded domain sample in turn: the first sample that
+        faults is an InputError, and closure is ``closure_scan``'s verdict on
+        the dw columns of the rows."""
         base = self.base_point or tuple((lo + hi) / 2 for lo, hi in self.domain)
         try:
             S = self.sigma().at(base)
-        except _EVAL_FAULTS as exc:
+        except EvalDomainError as exc:
             raise InputError(
                 f"system {self.name!r}: Hamiltonian independence check failed "
                 f"at the base point {base}: {exc}") from exc
@@ -215,6 +194,23 @@ class SystemSpec:
             raise InputError(
                 f"system {self.name!r}: Hamiltonian differentials are dependent "
                 f"at the base point {base}")
+        closure = None if self.form is None else identities.closure_scan(self.form)
+        w = () if closure is None else (*closure.exprs, *self.form.coeffs.values())
+        row = ex.compile_vector((*w, *(h.expression for h in self.hamiltonians)))
+        points, rows = sample_box(np.random.default_rng(0), self.domain, VALIDATE_SAMPLES), []
+        for p in points:
+            try:
+                rows.append(row(p))
+            except EvalDomainError as exc:
+                raise InputError(f"system {self.name!r}: evaluation failed at the domain "
+                                 f"sample {p}: {exc}") from exc
+        if closure is not None:
+            dw = np.array(rows, dtype=float)[:, :len(closure.exprs)]
+            rep = identities._report(closure.name, closure.step(dw, points), len(points))
+            if not rep.passes(1e-10):
+                raise InputError(
+                    f"system {self.name!r}: form structure is not closed "
+                    f"(residual {rep.max_residual:g} at {rep.argmax_point})")
 
 
 def _consistent(solve: MinNorm, point: Sequence[float]) -> MinNorm:
@@ -323,11 +319,13 @@ def integrate(system: SystemSpec, x0: Sequence[float], t_end: float, dt: float =
     across an RKF45 rejection.  A fault in either raises
     ``IntegrationError``: a "diagnostics row" failure for the row, a
     "vector-field" failure for the field or a stage.  The form route keeps
-    the kernel dimension of the hat map at x0, whose solve, as
-    ``solve_hdw``'s, raises ``EvalDomainError`` if not finite.  Leaving the
-    domain box, widened by BOX_SLACK * (1 + |bound|) on each side, truncates
-    the trajectory with a note (never extrapolates); a state that is not
-    finite, or an RKF45 error estimate that is NaN, raises ``IntegrationError``.
+    the kernel dimension of the hat map at x0 from ``solve_hdw`` before the
+    loop, whose x0 solves find its factor kept.  Leaving the domain box,
+    widened by BOX_SLACK * (1 + |bound|) on each side, truncates the
+    trajectory with a note (never extrapolates); a state that is not
+    finite (the loop's stages carry no guard; on the tensor route, the
+    compiled field's at the last accepted state names a node), or an RKF45
+    error estimate that is NaN, raises ``IntegrationError``.
     """
     if len(x0) != system.n:
         raise InputError(f"x0 must have length {system.n}")
@@ -341,12 +339,18 @@ def integrate(system: SystemSpec, x0: Sequence[float], t_end: float, dt: float =
     if method not in ("rk4", "rkf45"):
         raise InputError(f"unknown method {method!r}")
 
-    times, states, rows, t, x, left, first = system._loop(method)(
-        tuple(map(float, x0)), 0.0, t_end, dt, reltol, *(b for bounds in box for b in bounds))
+    start = tuple(map(float, x0))
+    kernel_dim = 0 if system.mode == "tensor" else \
+        solve_hdw(system.form, system.sigma(), start).kernel_dim
+    times, states, rows, t, x, left = system._loop(method)(
+        start, 0.0, t_end, dt, reltol, *(b for bounds in box for b in bounds))
     if left and not all(map(math.isfinite, x)):
+        if system.mode == "tensor":
+            try:
+                system.bracket_field.compiled(states[-system.n:])
+            except EvalDomainError as exc:
+                raise IntegrationError(f"vector-field evaluation failed: {exc}") from exc
         raise IntegrationError(f"the state is not finite at t={t:.6g}")
-    # x0's solve is reported as ``solve_hdw`` reports it: not finite is an EvalDomainError
-    kernel_dim = 0 if first is None else _report(system.form, first, x0).kernel_dim
     table = np.fromiter(rows, float, len(rows)).reshape(len(times), -1)
     nh = len(system.hamiltonians)
     return Trajectory(

@@ -214,7 +214,7 @@ def _failure(exc: Exception, nodes: Sequence, rows: set) -> tuple[IntegrationErr
 def trajectory(method: str, n: int, row: Sequence[ex.Expr], field: Sequence[ex.Expr] = (),
                stage: Callable | None = None, state: Callable | None = None) -> Callable:
     """The generated ``_f(x, t, t_end, step, reltol, lo0, hi0, lo1, ...)``
-    -> (times, states, rows, t, x, left, first): a whole trajectory from x
+    -> (times, states, rows, t, x, left): a whole trajectory from x
     at time t, by RK4 (steps of ``step``, then the remainder ``_plan``
     yields) or adaptive RKF45 (first try ``step``, tolerance ``reltol``).
     Each accepted state, x0 included, is recorded with its row (``row``'s
@@ -223,11 +223,10 @@ def trajectory(method: str, n: int, row: Sequence[ex.Expr], field: Sequence[ex.E
     (``field`` X's components): one bundle, the row's nodes first, gives the
     row and the next step's first stage; each later stage inlines the field
     in its own order.  Form route: each stage calls ``stage(point)``; an
-    accepted state inlines the row, then calls ``state(x)`` for (div, X,
-    solve), x0's solve being ``first`` (None on the tensor route).  A state
-    outside the box [lo_j, hi_j] ends the loop as ``left`` and x.  A fault is
-    an ``IntegrationError``: "diagnostics row" at a line of the row,
-    "vector-field" at any other, naming the line's node, if it has one."""
+    accepted state inlines the row, then calls ``state(x)`` for (div, X).  A
+    state outside the box [lo_j, hi_j] ends the loop as ``left`` and x.  A
+    fault is an ``IntegrationError``: "diagnostics row" at a line of the
+    row, "vector-field" at any other, naming the line's node, if it has one."""
     if stage is None:
         bundle = f = _Inline((*row, *field), "compile_vector", len(row))
         values = "".join(f"t{r}, " for r in bundle.result[:len(row)])
@@ -241,25 +240,24 @@ def trajectory(method: str, n: int, row: Sequence[ex.Expr], field: Sequence[ex.E
     accepted = [(line, (node,) if node is not None and bundle.temp[node] < in_row else node)
                 for line, node in bundle.body(range(len(bundle.nodes)), lambda j: f"x{j}")]
     if stage is not None:
-        accepted += _lines(f"dv, ({f.names('a')}), solve = _state(({xs}))\n"
-                           "if first is None:\n first = solve")
+        accepted += _lines(f"dv, ({f.names('a')}) = _state(({xs}))")
     accepted += _lines(f"record_t(t)\nrecord_x(({xs}))\nrecord_row(({values}))")
     accepted += f.keep("a") if stage is None else []
 
     def exits(depth: int) -> list:  # the box test; NaN fails it
         box = " and ".join(f"_lo{j} <= x{j} <= _hi{j}" for j in range(n))
-        return _lines(f"if not ({box}):\n {done}, True, first", depth)
+        return _lines(f"if not ({box}):\n {done}, True", depth)
 
     consts = dict(bundle.consts)
     if method == "rk4":
         loop = (_lines("for dt in _plan(t_end, step):") + _indent(accepted, 1)
-                + _lines(f" if dt is None:\n  {done}, False, first\n {HALF}\n {WEIGHT}")
+                + _lines(f" if dt is None:\n  {done}, False\n {HALF}\n {WEIGHT}")
                 + _indent(_rk4_step(f, n), 1) + _lines(" t += dt") + exits(1))
     else:
         consts.update(RKF_CONTROL)
         loop = _lines("h = step\nstop = t_end - _tiny\nerr = None\nwhile True:")
         loop += _indent(accepted, 1) + _lines(" while True:") + _lines(_RKF_CONTROL, 2)
-        loop += _lines(f"if not t < stop:\n {done}, False, first\nh = min(h, t_end - t)", 2)
+        loop += _lines(f"if not t < stop:\n {done}, False\nh = min(h, t_end - t)", 2)
         for s, weights in enumerate(RKF_A[1:], start=1):
             consts.update({f"_a{s}{m}": a for m, a in enumerate(weights)})
             loop += _lines("\n".join(f"h{s}{m} = h * _a{s}{m}" for m in range(s)), 2)
@@ -282,7 +280,7 @@ def trajectory(method: str, n: int, row: Sequence[ex.Expr], field: Sequence[ex.E
             " record_t, record_x, record_row = times.append, states.extend, rows.extend",
             *(" " + line for line in bundle.constants()),
             *(" " + line for line in (f.sums() if stage is None and method == "rk4" else [])),
-            " first = None", " try:"]
+            " try:"]
     lines = [*_lines("\n".join(head)), *_indent(loop, 2),
              *_lines(" except _EVAL_FAULTS as exc:\n  failure, error = _failure(exc, _nodes, "
                      "_rows)\n  raise failure from error")]

@@ -1054,9 +1054,9 @@ def reference_variational_flow(X, t):
 
     import numpy as np
     import ghm.expr as ex
-    from ghm.dynamics import _EVAL_FAULTS, FLOW_STEPS_PER_UNIT
+    from ghm.dynamics import FLOW_STEPS_PER_UNIT
     from ghm.errors import IntegrationError
-    from ghm.rk4 import step_count
+    from ghm.rk4 import _EVAL_FAULTS, step_count
 
     n, comps = X.n, X.components
     nsteps = max(1, step_count(abs(t) * FLOW_STEPS_PER_UNIT + 0.5, f"flow time {t:g}"))

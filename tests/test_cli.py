@@ -406,7 +406,7 @@ def test_a_domain_fault_in_the_closure_check_names_check_and_sample(tmp_path, ca
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "check", "--config", str(path))
     assert (code, out) == (2, "")
-    assert err == ("error: system 'sqrtw': closure check failed at the domain sample "
+    assert err == ("error: system 'sqrtw': evaluation failed at the domain sample "
                    "(0.2739233746429086, -0.4604265724722594, -0.9180529521276106): "
                    "sqrt of negative value at node sqrt(x3)\n")
 
@@ -429,7 +429,7 @@ def test_a_form_undefined_at_a_domain_sample_exits_2(tmp_path, capsys, coefficie
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "check", "--config", str(path))
     assert (code, out) == (2, "")
-    assert err == f"error: system 'undef': form evaluation failed at the domain sample {fault}\n"
+    assert err == f"error: system 'undef': evaluation failed at the domain sample {fault}\n"
 
 
 def test_a_form_that_faults_only_at_the_base_point_still_loads(tmp_path, capsys):
@@ -577,12 +577,12 @@ def test_simulate_notes_non_unique_form_dynamics(tmp_path, capsys):
 
 
 def test_a_form_route_solve_not_finite_at_x0_exits_2(tmp_path, capsys):
-    # |sigma| ~ 1e170 on a hat map with a kernel: the integration runs, but
-    # the residual of the solve at x0 overflows, which the kernel note reports
+    # |sigma| ~ 1e170 on a hat map with a kernel: H is finite on the box,
+    # but the residual of x0's solve for the kernel note overflows
     doc = {"name": "big", "n": 3, "k": 2, "mode": "form",
            "coefficients": {"1,2": "1", "1,3": "2", "2,3": "3"},
            "hamiltonians": ["1e170*(x1 + 0.3*x2 + x3)"],
-           "domain": [[-1e300, 1e300]] * 3, "base_point": [0.5, 0.5, 0.5]}
+           "domain": [[-10, 10]] * 3, "base_point": [0.5, 0.5, 0.5]}
     path = tmp_path / "big.json"
     path.write_text(json.dumps(doc))
     assert run(capsys, "simulate", "--config", str(path), "--x0=0.3,0.7,1.1",
@@ -619,6 +619,20 @@ def test_simulate_deterministic_stdout_on_both_routes(tmp_path, capsys):
         second = run(capsys, "simulate", *argv, "--t-end", "0.05", "--dt", "1e-3")
         assert first[0] == 0
         assert first[:2] == second[:2]
+
+
+def test_the_cli_comparison_finds_no_difference_between_a_tree_and_itself(tmp_path):
+    # a handful of compare_cli's calls, each subcommand once, a --json file
+    # and a config that validate rejects, run twice on this checkout
+    import compare_cli
+
+    tree = Path(compare_cli.__file__).resolve().parents[1]
+    argvs = compare_cli.calls(compare_cli.write_configs(tmp_path))
+    picks = ("{json}", "flatten", "simulate", "solve", "reprob.json")
+    argvs = [next(argv for argv in argvs if pick in " ".join(argv)) for pick in picks]
+    assert [diff for _, diff in compare_cli.compare(tree, tree, argvs, tmp_path)] == [[]] * 5
+    assert compare_cli.run(tree, argvs[0], tmp_path)[3].startswith(b"{")
+    assert compare_cli.run(tree, argvs[-1], tmp_path)[0] == 2
 
 
 def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
@@ -840,6 +854,36 @@ def test_an_overflowed_tensor_config_check_exits_2_naming_the_node(tmp_path):
         (2, "", "error: non-finite value at node x1^2*1e+200*1e+200\n")
 
 
+def test_a_hamiltonian_that_overflows_on_its_own_box_exits_2(tmp_path):
+    # the overflow cancels to NaN wherever x1 != 0, but J is constant, so no
+    # scan reads H, and x1 = 0 at the base point; validate reads H at its
+    # samples, so check and simulate stop with one line and no warning
+    doc = {"name": "reprob", "n": 3, "k": 3, "mode": "tensor", "coefficients": {"1,2,3": "1"},
+           "hamiltonians": ["x1^2*1e200*1e200 - x1^2*1e200*1e200 + x2", "x3"],
+           "domain": [[-3, 3], [-1, 1], [-1, 1]]}
+    path = tmp_path / "reprob.json"
+    path.write_text(json.dumps(doc))
+    error = ("error: system 'reprob': evaluation failed at the domain sample (0.8217701239287258, "
+             "-0.4604265724722594, -0.9180529521276106): non-finite value at node "
+             "x1^2*1e+200*1e+200\n")
+    assert ghm_fresh("check", "--config", str(path)) == (2, "", error)
+    assert ghm_fresh("simulate", "--config", str(path), "--x0", "1,0.5,0.5", "--t-end", "0.01",
+                     "--dt", "0.001") == (2, "", error)
+
+
+def test_a_non_finite_rk4_state_names_the_node_of_the_field(tmp_path):
+    # the RK4 loop's stages carry no guard, so the state goes NaN; the
+    # compiled field at the last accepted state names the node
+    doc = {"name": "nanfield", "n": 3, "k": 3, "mode": "tensor",
+           "coefficients": {"1,2,3": "1 + x1^2*1e200*1e200 - x1^2*1e200*1e200"},
+           "hamiltonians": ["x2", "x3"], "domain": [[-3, 3], [-1, 1], [-1, 1]]}
+    path = tmp_path / "nanfield.json"
+    path.write_text(json.dumps(doc))
+    assert ghm_fresh("simulate", "--config", str(path), "--x0", "1,0.5,0.5", "--t-end", "0.01",
+                     "--dt", "0.001") == (3, "", "integration failure: vector-field evaluation "
+                                          "failed: non-finite value at node x1^2*1e+200*1e+200\n")
+
+
 def test_a_constant_product_that_overflows_is_named_as_written():
     # 1e200*1e200 is kept as the product, not folded to a constant inf that
     # the text never wrote
@@ -860,28 +904,38 @@ def test_a_form_that_overflows_on_its_own_box_fails_validate_with_exit_2(tmp_pat
     path = tmp_path / "cube.json"
     path.write_text(json.dumps(doc))
     code = main(["simulate", "--config", str(path), "--x0=1e200,0", "--t-end", "0.01"])
-    assert (code, capfd.readouterr()) == (2, ("", "error: system 'cube': form evaluation failed at "
+    assert (code, capfd.readouterr()) == (2, ("", "error: system 'cube': evaluation failed at "
                                               "the domain sample (2.7392337464290876e+200, "
                                               "-0.4604265724722594): non-finite value at node "
                                               "x1*x1\n"))
 
 
-@pytest.mark.parametrize("coefficient, hamiltonian", [("1 + x1/(x2*x2 + 1e-109)", "x2"),
-                                                      ("1", "x1*x1*x1")])
-def test_a_non_finite_hatmap_entry_while_integrating_exits_3(tmp_path, capfd, coefficient,
-                                                             hamiltonian):
-    # at (1e200, 0) only A (the first case: w is finite off the line x2 = 0,
-    # so at every domain sample) or only b = -dH (the second) is inf, and
-    # the hat map's bundle names the node
-    doc = {"name": "cube", "n": 2, "k": 2, "mode": "form", "coefficients": {"1,2": coefficient},
-           "hamiltonians": [hamiltonian], "domain": [[-1e201, 1e201], [-1, 1]],
+def test_a_non_finite_hatmap_entry_while_integrating_exits_3(tmp_path, capfd):
+    # w = dx1^dx2, so x1 falls at unit speed while only b = -dH grows: H is
+    # finite at every domain sample and dH at x0, but the first stage past
+    # x1 = -1.7977 overflows dH, and the hat map's bundle names the node
+    doc = {"name": "steep", "n": 2, "k": 2, "mode": "form", "coefficients": {"1,2": "1"},
+           "hamiltonians": ["5e307*x1*x1 + x2"], "domain": [[-1.85, 1.85], [-1, 1]],
            "base_point": [1, 0.5]}
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(doc))
+    code = main(["simulate", "--config", str(path), "--x0=-1.7975,0", "--t-end", "0.01"])
+    assert (code, capfd.readouterr()) == (3, ("", "integration failure: vector-field evaluation "
+                                              "failed: non-finite value at node "
+                                              "5e+307*x1 + 5e+307*x1\n"))
+
+
+def test_a_non_finite_hatmap_entry_at_x0_exits_2(tmp_path, capfd):
+    # at (1e200, 0) only A is inf (w is finite off the line x2 = 0, so at
+    # every domain sample); x0's kernel solve, before the loop, names the node
+    doc = {"name": "cube", "n": 2, "k": 2, "mode": "form",
+           "coefficients": {"1,2": "1 + x1/(x2*x2 + 1e-109)"}, "hamiltonians": ["x2"],
+           "domain": [[-1e201, 1e201], [-1, 1]], "base_point": [1, 0.5]}
     path = tmp_path / "cube.json"
     path.write_text(json.dumps(doc))
     code = main(["simulate", "--config", str(path), "--x0=1e200,0", "--t-end", "0.01"])
-    node = "x1/(x2*x2 + 1e-109)" if hamiltonian == "x2" else "(x1 + x1)*x1"
-    assert (code, capfd.readouterr()) == (3, ("", "integration failure: vector-field evaluation "
-                                              f"failed: non-finite value at node {node}\n"))
+    assert (code, capfd.readouterr()) == (2, ("", "error: non-finite value at node "
+                                              "x1/(x2*x2 + 1e-109)\n"))
 
 
 def test_an_overflowed_form_route_divergence_exits_3(tmp_path, capfd):
@@ -898,7 +952,9 @@ def test_an_overflowed_form_route_divergence_exits_3(tmp_path, capfd):
 
 
 @pytest.mark.parametrize("method, message", [
-    ("rk4", "the state is not finite at t=0.001"),
+    # the state goes NaN, and the compiled field at the last accepted one,
+    # x0, names the node
+    ("rk4", "vector-field evaluation failed: non-finite value at node x1^2*1e+200*1e+200"),
     # a NaN error estimate used to grow the step to t_end - t and loop for ever
     ("rkf45", "the RKF45 error estimate is not finite at t=0"),
 ])

@@ -17,6 +17,7 @@ from ghm.exterior import FormField, MultiVectorField, PointMap, VectorField
 from ghm.dynamics import (
     CSV_CHUNK_ROWS,
     FLOW_STEPS_PER_UNIT,
+    VALIDATE_SAMPLES,
     MoserProblem,
     SystemSpec,
     Trajectory,
@@ -29,8 +30,9 @@ from ghm.dynamics import (
     vector_field_of,
     verify_flattening,
 )
-from ghm import rk4
+from ghm import identities, rk4
 from ghm.hdw import min_norm_divergence, solve_hdw
+from ghm.identities import closure_residual, closure_scan
 from ghm.systems import (
     build_moser,
     flat_nambu,
@@ -152,11 +154,12 @@ def test_integrate_rejects_bad_inputs():
 
 
 def test_an_rk4_form_step_factors_the_hat_map_four_times(monkeypatch):
-    # 3 stage solves and the div column per step, 1 div at x0: the first
-    # stage reads the field value of the div solve at the same state.  A
-    # solve factors only a hat map not seen in the previous one: from the
-    # base point p2 = q2 = 0 along the orbit, so the coefficient -2*q2 and
-    # with it A never change; from an x0 with q2 != 0, A changes every solve
+    # 3 stage solves and the div column per step, 1 div at x0 and x0's
+    # kernel solve before the loop: the first stage reads the field value of
+    # the div solve at the same state.  A solve factors only a hat map not
+    # seen in the previous one: from the base point p2 = q2 = 0 along the
+    # orbit, so the coefficient -2*q2 and with it A never change; from an x0
+    # with q2 != 0, A changes every solve but x0's second
     import ghm.dynamics
     import ghm.hdw
 
@@ -176,7 +179,7 @@ def test_an_rk4_form_step_factors_the_hat_map_four_times(monkeypatch):
         calls.update(svd=0, solve=0)
         traj = integrate(system, x0 or system.base_point, t_end=0.01, dt=1e-3)
         assert len(traj.times) == 11
-        assert calls == {"svd": svds, "solve": 41}
+        assert calls == {"svd": svds, "solve": 42}
 
 
 def test_conservation_over_moderate_horizon():
@@ -283,9 +286,9 @@ def test_a_tensor_state_compiles_its_divergence_once(monkeypatch):
 def test_a_form_state_compiles_its_hatmap_system_once(monkeypatch):
     # integrate, divergence and solve_hdw compile two bundles on a fresh
     # form-route spec, the row being written into integrate's loop: the
-    # hat-map system's jet (x0's state) and its values (the stages): w's
-    # coefficients, then sigma's, the jet followed by their nonzero
-    # partials; no per-field function of w or sigma
+    # hat-map system's values (x0's kernel solve, then the stages) and its
+    # jet (the accepted states): w's coefficients, then sigma's, the jet
+    # followed by their nonzero partials; no per-field function of w or sigma
     s = dataclasses.replace(oscillator(lam=0.1), mode="form")
     compile_, compiled = ex._compile, []
 
@@ -300,7 +303,7 @@ def test_a_form_state_compiles_its_hatmap_system_once(monkeypatch):
     both = (*s.form.coeffs.values(), *s.sigma().coeffs.values())
     partials = tuple(d for e in both for u in range(1, s.n + 1)
                      if not ex.is_zero(d := ex.differentiate(e, u)))
-    assert compiled == [both + partials, both]
+    assert compiled == [both, both + partials]
     assert not (s.form._memo.keys() | s.sigma()._memo.keys()) & {"values", "jet"}
 
 
@@ -652,6 +655,84 @@ def test_dependent_hamiltonians_reject_a_nan_differential():
     _flat_plane("tensor").validate()
 
 
+def _counted_bundles(monkeypatch) -> list:
+    """Every bundle ``ex._compile`` makes from here on, as [exprs, calls]."""
+    compile_, bundles = ex._compile, []
+
+    def counted(exprs):
+        fn, entry = compile_(exprs), [exprs, 0]
+        bundles.append(entry)
+
+        def call(point):
+            entry[1] += 1
+            return fn(point)
+        return call
+
+    monkeypatch.setattr(ex, "_compile", counted)
+    return bundles
+
+
+@pytest.mark.parametrize("coefficient", ["1 + x1*x1*x3", "1 + log(x1)"])
+def test_validate_reads_its_samples_in_one_compiled_pass(monkeypatch, coefficient):
+    # the base point's sigma, then one bundle of dw, w and H, called once
+    # per sample up to the first that faults: log(x1) faults where x1 <= 0
+    w = FormField(3, 2, {(1, 2): ex.parse(coefficient, 3)})
+    H = ScalarField.from_text("x3", 3)
+    s = SystemSpec(name="pass", n=3, k=2, hamiltonians=(H,), mode="form", form=w,
+                   domain=((-1.0, 1.0),) * 3)
+    bundles = _counted_bundles(monkeypatch)
+    points = sample_box(np.random.default_rng(0), s.domain, VALIDATE_SAMPLES)
+    dw = closure_scan(w).exprs
+    if "log" in coefficient:
+        calls = next(i for i, p in enumerate(points, start=1) if p[0] <= 0)
+        with pytest.raises(InputError, match=re.escape(f"evaluation failed at the domain sample "
+                                                       f"{points[calls - 1]}: log of nonpositive")):
+            s.validate()
+    else:
+        calls = len(points)
+        with pytest.raises(InputError, match="form structure is not closed"):
+            s.validate()
+        assert dw
+    assert bundles == [[tuple(s.sigma().coeffs.values()), 1],
+                       [(*dw, *w.coeffs.values(), H.expression), calls]]
+
+
+_monomials = st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 2), st.integers(0, 2)),
+                      min_size=1, max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(terms=st.tuples(_monomials, _monomials, _monomials),
+       third=st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 3), st.integers(1, 2)),
+                      max_size=2))
+def test_validate_decides_closure_as_closure_residual_does(terms, third):
+    # each coefficient of dx_i^dx_j a polynomial in x_i and x_j, so w is
+    # closed, plus terms c*x_k^e in the third axis x_k, which are not
+    coeffs = {}
+    for key, monomials in zip(((1, 2), (1, 3), (2, 3)), terms):
+        coeffs[key] = " + ".join(f"{c}*x{key[0]}^{a}*x{key[1]}^{b}" for c, a, b in monomials)
+    for slot, c, e in third:
+        key = ((1, 2), (1, 3), (2, 3))[slot]
+        coeffs[key] += f" + {c}*x{6 - sum(key)}^{e}"
+    w = FormField(3, 2, {key: ex.parse(text, 3) for key, text in coeffs.items()})
+    s = SystemSpec(name="poly", n=3, k=2, hamiltonians=(ScalarField.from_text("x1 + x3", 3),),
+                   mode="form", form=w, domain=((-2.0, 2.0),) * 3)
+    want = closure_residual(w, sample_box(np.random.default_rng(0), s.domain, VALIDATE_SAMPLES))
+    assert third or want.max_residual == 0.0
+    report, reports = identities._report, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identities, "_report", lambda *args: reports.append(report(*args)) or
+                      reports[-1])
+        if want.passes(1e-10):
+            s.validate()
+        else:
+            with pytest.raises(InputError) as err:
+                s.validate()
+            assert str(err.value) == (f"system 'poly': form structure is not closed (residual "
+                                      f"{want.max_residual:g} at {want.argmax_point})")
+    assert repr(reports) == repr([want])  # repr keeps every bit of a float
+
+
 def test_trajectory_csv_format():
     fn = flat_nambu(3, 3)
     traj = integrate(fn, (0.0, 0.0, 0.0), t_end=0.01, dt=5e-3)
@@ -796,9 +877,9 @@ def _one_step(method, n, f, x, h):
     """The state the generated loop's call-stage (form-route) variant
     reaches after one step of size h from x with the field f, accepted
     whatever its error estimate, or the loop's error."""
-    run = rk4.trajectory(method, n, (), stage=f, state=lambda y: (0.0, f(y), 0))
+    run = rk4.trajectory(method, n, (), stage=f, state=lambda y: (0.0, f(y)))
     try:
-        *_, end, _, _ = run(x, 0.0, h, h, 1e300, *(-math.inf, math.inf) * n)
+        *_, end, _ = run(x, 0.0, h, h, 1e300, *(-math.inf, math.inf) * n)
     except IntegrationError as exc:
         return str(exc)
     return np.array(end).tobytes()
